@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import linregress
 
-from .metric import as_points
+from .metric import as_points, tensor_pairs
 from .spectral import (flat_operator, frequency_localize, make_grid,
                        modulated_gaussian, propagate, state_from_values)
 
@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 POINTS_PER_OSC = 8
+# floor on the xi nodes per interval: resolves the cutoff chi(xi^2) to about
+# 1e-11 relative where the phase itself barely oscillates (small windows)
+XI_POINTS_MIN = 257
 XI_POINTS_CAP = 2_000_000
 SUP_REFINE_TOL = 0.01
 
@@ -53,26 +56,45 @@ def _check_1d(obj):
         raise ValueError("oscillatory quadrature is implemented on 1-D grids")
 
 
-def _mode_band(amp, h, omega, x_samples):
-    """Indices of FFT modes whose covector h*omega meets the amplitude band.
+def _mode_band(amp, h, grid):
+    """The grid's frequency axis and the indices of the modes in the band.
 
-    A mode is kept when p(x, h omega) enters the initial symbol's support for
-    at least one grid point and stays inside the flow guard band for all of
-    them; outside the guard band the amplitude vanishes identically, so the
-    mode contributes nothing.
+    A mode is kept when its covector p(x, h omega) enters the initial
+    symbol's support for at least one grid point and stays inside the flow
+    guard band for all of them; outside the guard band the amplitude
+    vanishes identically, so the mode contributes nothing.  An empty band
+    raises ValueError.
     """
     xi_band = amp.a_init.xi_band or amp.q0.xi_band
     guard = amp.q0.xi_band or xi_band
     if xi_band is None:
         raise ValueError("amplitude carries no xi support information")
-    metric = amp.q0.metric
-    G = metric.inverse_metric(x_samples)[:, 0, 0]
-    Gmin, Gmax = float(np.min(G)), float(np.max(G))
-    p_lo = Gmin * (h * omega) ** 2
-    p_hi = Gmax * (h * omega) ** 2
+    omega = grid.omega_axis()
+    G = amp.q0.metric.inverse_metric(grid.axis()[:, None])[:, 0, 0]
+    p_lo = float(np.min(G)) * (h * omega) ** 2
+    p_hi = float(np.max(G)) * (h * omega) ** 2
     touches = (p_hi >= xi_band[0]) & (p_lo <= xi_band[1])
     inside_guard = (p_lo >= guard[0] * (1.0 - 1e-12)) & (p_hi <= guard[1] * (1.0 + 1e-12))
-    return np.flatnonzero(touches & inside_guard)
+    keep = np.flatnonzero(touches & inside_guard)
+    if keep.size == 0:
+        raise ValueError("no grid mode meets the amplitude band at this h")
+    return omega, keep
+
+
+def _fio_factors(amp, h, t, x_grid, xi_grid):
+    """A = sum_j h^j a_j(t) and S(t) on all (x, xi) pairs, each (nx, nxi).
+
+    The FIO matrix is A e^{iS/h}.  Callers multiply it out themselves:
+    numpy evaluates `A * np.exp(...)` on a large temporary in place with the
+    operands swapped, which rounds differently from `A * E` with E named,
+    and each caller keeps the form its recorded values were computed with.
+    """
+    nx, nxi = x_grid.shape[0], xi_grid.shape[0]
+    data = amp.evaluate(t, *tensor_pairs(x_grid, xi_grid))
+    A = data.a[0].reshape(nx, nxi).astype(complex)
+    for j in range(1, amp.order):
+        A += h**j * data.a[j].reshape(nx, nxi)
+    return A, data.S.reshape(nx, nxi)
 
 
 def apply_fio(phase, amp, u0, h, t, band_tol=1e-8):
@@ -88,10 +110,7 @@ def apply_fio(phase, amp, u0, h, t, band_tol=1e-8):
     if phase.q0 is not amp.q0:
         raise ValueError("phase and amplitude tables disagree on the symbol")
     grid = u0.grid
-    omega = grid.omega_axis()
-    keep = _mode_band(amp, h, omega, grid.axis()[:, None])
-    if keep.size == 0:
-        raise ValueError("no grid mode meets the amplitude band at this h")
+    omega, keep = _mode_band(amp, h, grid)
 
     kmax = float(np.max(np.abs(omega[keep])))
     need = int(np.ceil(POINTS_PER_OSC * kmax * grid.length / (2.0 * np.pi)))
@@ -109,20 +128,18 @@ def apply_fio(phase, amp, u0, h, t, band_tol=1e-8):
             "amplitude band; localize it first"
         )
 
-    xs = grid.axis()[:, None]
-    xis = h * omega[keep, None]
-    xp = np.repeat(xs, keep.size, axis=0)
-    xip = np.tile(xis, (grid.n, 1))
-    data = amp.evaluate(t, xp, xip)
-    A = data.a[0].reshape(grid.n, keep.size).astype(complex)
-    for j in range(1, amp.order):
-        A += h**j * data.a[j].reshape(grid.n, keep.size)
-    E = np.exp(1j * data.S.reshape(grid.n, keep.size) / h)
+    A, S = _fio_factors(amp, h, t, grid.axis()[:, None], h * omega[keep, None])
+    E = np.exp(1j * S / h)
     return state_from_values(grid, (A * E) @ c[keep])
 
 
-def _xi_intervals(amp, x_samples):
-    """Conservative 1-D hull of the amplitude's covector support, both signs."""
+def _xi_hull(amp, x_samples):
+    """Conservative 1-D hull of the amplitude's covector support, both signs.
+
+    Returns the intervals [(-hi, -lo), (lo, hi)], their largest |xi| and the
+    sup of |grad_xi q0| = sigma |xi|^{sigma-1} over them (the flat speed
+    bound every oscillation and reach estimate uses).
+    """
     xi_band = amp.a_init.xi_band or amp.q0.xi_band
     if xi_band is None:
         raise ValueError("amplitude carries no xi support information")
@@ -130,7 +147,9 @@ def _xi_intervals(amp, x_samples):
     G = metric.inverse_metric(x_samples)[:, 0, 0]
     lo = float(np.sqrt(xi_band[0] / np.max(G)))
     hi = float(np.sqrt(xi_band[1] / np.min(G)))
-    return [(-hi, -lo), (lo, hi)]
+    sigma = amp.q0.sigma
+    grad_max = sigma * max(hi ** (sigma - 1.0), lo ** (sigma - 1.0))
+    return [(-hi, -lo), (lo, hi)], hi, grad_max
 
 
 @dataclass
@@ -164,11 +183,7 @@ def kernel(phase, amp, h, t, x_grid, y_grid, points_per_osc=POINTS_PER_OSC,
     _check_1d(phase)
     x_grid = as_points(x_grid, 1)
     y_grid = as_points(y_grid, 1)
-    intervals = _xi_intervals(amp, x_grid)
-    sigma = amp.q0.sigma
-    xi_hi = max(abs(b) for seg in intervals for b in seg)
-    xi_lo = min(abs(b) for seg in intervals for b in seg)
-    grad_max = sigma * max(xi_hi ** (sigma - 1.0), xi_lo ** (sigma - 1.0))
+    intervals, _, grad_max = _xi_hull(amp, x_grid)
     M = float(np.max(np.abs(x_grid))) + abs(t) * grad_max + float(np.max(np.abs(y_grid)))
 
     nx, ny = x_grid.shape[0], y_grid.shape[0]
@@ -178,7 +193,7 @@ def kernel(phase, amp, h, t, x_grid, y_grid, points_per_osc=POINTS_PER_OSC,
         width = hi - lo
         if n_xi is None:
             count = int(np.ceil(points_per_osc * width * M / (2.0 * np.pi * h))) + 1
-            count = max(count, 33)
+            count = max(count, XI_POINTS_MIN)
         else:
             count = int(n_xi)
         if count > XI_POINTS_CAP:
@@ -192,13 +207,8 @@ def kernel(phase, amp, h, t, x_grid, y_grid, points_per_osc=POINTS_PER_OSC,
         w[0] *= 0.5
         w[-1] *= 0.5
 
-        xp = np.repeat(x_grid, count, axis=0)
-        xip = np.tile(xis, (nx, 1))
-        data = amp.evaluate(t, xp, xip)
-        A = data.a[0].reshape(nx, count).astype(complex)
-        for j in range(1, amp.order):
-            A += h**j * data.a[j].reshape(nx, count)
-        E1 = A * np.exp(1j * data.S.reshape(nx, count) / h) * w[None, :]
+        A, S = _fio_factors(amp, h, t, x_grid, xis)
+        E1 = A * np.exp(1j * S / h) * w[None, :]
         E2 = np.exp(-1j * np.outer(xis[:, 0], y_grid[:, 0]) / h)
         values += E1 @ E2
 
@@ -211,18 +221,28 @@ def kernel(phase, amp, h, t, x_grid, y_grid, points_per_osc=POINTS_PER_OSC,
 
 def kernel_sup(phase, amp, h, t, x_span, y_span, n0=16, tol=SUP_REFINE_TOL,
                max_rounds=6):
-    """Grid max of |K_h(t)| over the spans, refined until it moves < tol."""
-    prev = None
+    """Grid max of |K_h(t)| over the spans, refined until it moves < tol.
+
+    Each round doubles the points per span.  When `max_rounds` rounds pass
+    without two successive estimates agreeing to `tol`, raises
+    :class:`ResolutionError` naming the last two estimates.
+    """
+    prev = cur = None
     n = n0
     for _ in range(max_rounds):
         xg = np.linspace(x_span[0], x_span[1], n)
         yg = np.linspace(y_span[0], y_span[1], n)
-        cur = kernel(phase, amp, h, t, xg, yg).sup()
+        prev, cur = cur, kernel(phase, amp, h, t, xg, yg).sup()
         if prev is not None and abs(cur - prev) <= tol * max(prev, 1e-300):
             return cur
-        prev = cur
         n *= 2
-    return prev
+    last = "" if prev is None else (
+        f"; the last two rounds gave {prev:.6g} and {cur:.6g} "
+        f"(relative change {abs(cur - prev) / max(prev, 1e-300):.3g})")
+    raise ResolutionError(
+        f"kernel sup at t={t} did not settle to tol={tol} in {max_rounds} "
+        f"rounds (final grid {n // 2} points per span){last}"
+    )
 
 
 @dataclass
@@ -249,11 +269,7 @@ def dispersive_fit(phase, amp, h, t_samples, x_span=None, y_span=None):
         raise InsufficientDataError(
             f"need at least 6 time samples for the decay fit, got {t_samples.size}"
         )
-    sigma = amp.q0.sigma
-    intervals = _xi_intervals(amp, np.zeros((1, 1)))
-    xi_hi = max(abs(b) for seg in intervals for b in seg)
-    xi_lo = min(abs(b) for seg in intervals for b in seg)
-    grad_max = sigma * max(xi_hi ** (sigma - 1.0), xi_lo ** (sigma - 1.0))
+    _, _, grad_max = _xi_hull(amp, np.zeros((1, 1)))
     t_max = float(np.max(np.abs(t_samples)))
     if x_span is None:
         x_span = (-0.5, 0.5)
@@ -306,8 +322,7 @@ def remainder_decay(phase, amp, h_sweep, t=0.15, reference_propagator=None,
         raise ValueError("amplitude must carry its frequency cutoff")
 
     h_sweep = np.asarray(sorted(h_sweep, reverse=True), dtype=float)
-    intervals = _xi_intervals(amp, np.zeros((1, 1)))
-    xi_hi = max(abs(b) for seg in intervals for b in seg)
+    _, xi_hi, _ = _xi_hull(amp, np.zeros((1, 1)))
     L = metric.box_length
     rems = np.empty_like(h_sweep)
     for i, h in enumerate(h_sweep):
@@ -343,19 +358,9 @@ def operator_norm_estimate(phase, amp, h, t, grid, n_iter=15, seed=0):
     conjugate-transposed mode matrix; both directions are matrix-free in the
     state dimension.
     """
-    omega = grid.omega_axis()
-    keep = _mode_band(amp, h, omega, grid.axis()[:, None])
-    if keep.size == 0:
-        raise ValueError("no grid mode meets the amplitude band at this h")
-    xs = grid.axis()[:, None]
-    xis = h * omega[keep, None]
-    xp = np.repeat(xs, keep.size, axis=0)
-    xip = np.tile(xis, (grid.n, 1))
-    data = amp.evaluate(t, xp, xip)
-    A = data.a[0].reshape(grid.n, keep.size).astype(complex)
-    for j in range(1, amp.order):
-        A += h**j * data.a[j].reshape(grid.n, keep.size)
-    M = A * np.exp(1j * data.S.reshape(grid.n, keep.size) / h)
+    omega, keep = _mode_band(amp, h, grid)
+    A, S = _fio_factors(amp, h, t, grid.axis()[:, None], h * omega[keep, None])
+    M = A * np.exp(1j * S / h)
 
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
@@ -418,7 +423,7 @@ def stationary_phase_prediction(amp, h, t, x, y):
         raise ValueError("prediction needs t != 0")
     speed = abs(x - y) / abs(t)
     xi_star = (speed / sigma) ** (1.0 / (sigma - 1.0))
-    intervals = _xi_intervals(amp, np.zeros((1, 1)))
+    intervals, _, _ = _xi_hull(amp, np.zeros((1, 1)))
     lo, hi = intervals[1]
     if not lo <= xi_star <= hi:
         raise ValueError(

@@ -4,28 +4,24 @@ The flow solves Xdot = grad_xi H, Xidot = -grad_x H with a classical
 fixed-step 4th order scheme.  The variational system propagates the full
 2d x 2d Jacobian Z(t) of the flow map with Z(0) = Id alongside the
 trajectory, which downstream modules use both for phase Hessians and for the
-Newton iteration inverting x -> X(t, x, xi).
+Newton iteration inverting x -> X(t, x, xi).  :func:`integrate_flow` is the
+one integrator: it returns either the final state or the whole uniform node
+path, and it holds every node inside the guard band.
 
 Everything is vectorized over batches of phase-space points: positions and
 covectors are (n, d) arrays, Jacobians (n, 2d, 2d).
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .metric import as_points
+from .metric import as_pairs, as_points, principal_symbol
 
 __all__ = [
-    "FlowTable",
     "GuardBandError",
     "CausticError",
     "integrate_flow",
-    "variational_jacobian",
-    "flow_trajectory",
     "inverse_map",
     "flow_horizon",
-    "build_flow_table",
     "DT_DEFAULT",
 ]
 
@@ -65,26 +61,23 @@ def _step_count(t, dt):
     return max(1, int(np.ceil(abs(t) / dt - 1e-12)))
 
 
-def _check_guard(H, X, Xi, where=""):
+def _check_guard(H, X, Xi, where):
     band = getattr(H, "xi_band", None)
-    if band is None:
-        return
-    from .metric import principal_symbol
-
     metric = getattr(H, "metric", None)
-    if metric is None:
+    if band is None or metric is None:
         return
     p = principal_symbol(metric, X, Xi)
     lo, hi = band
-    if np.any(p < lo) or np.any(p > hi):
+    if (p < lo).any() or (p > hi).any():
         raise GuardBandError(
             f"trajectory left the guard band p in [{lo}, {hi}] "
             f"(range [{p.min():.6g}, {p.max():.6g}]){where}"
         )
 
 
-def integrate_flow(H, t, x, xi, dt=DT_DEFAULT, n_steps=None, with_variational=False):
-    """Flow (x, xi) to time t; returns (X, Xi) or (X, Xi, Z).
+def integrate_flow(H, t, x, xi, dt=DT_DEFAULT, n_steps=None, with_variational=False,
+                   path=False):
+    """Flow (x, xi) to time t; returns (X, Xi), (X, Xi, Z) or the node path.
 
     Parameters
     ----------
@@ -99,24 +92,43 @@ def integrate_flow(H, t, x, xi, dt=DT_DEFAULT, n_steps=None, with_variational=Fa
     n_steps : int, optional
         Overrides the step count (used by quadrature callers that need a
         specific node layout).
+    path : bool
+        Return (times, X, Xi, Z) over the n_steps + 1 uniform nodes from 0
+        to t, the state arrays with a leading node axis (Z is None without
+        `with_variational`), for quadrature along the path.  Without it only
+        the final state is kept.
+
+    Every RK4 node is checked against the guard band of H (when H carries
+    one), so a path that leaves the band and returns raises
+    :class:`GuardBandError` too.
     """
     d = H.dim
-    X = as_points(x, d).copy()
-    Xi = as_points(xi, d).copy()
-    if X.shape[0] == 1 and Xi.shape[0] > 1:
-        X = np.broadcast_to(X, Xi.shape).copy()
-    if Xi.shape[0] == 1 and X.shape[0] > 1:
-        Xi = np.broadcast_to(Xi, X.shape).copy()
+    X, Xi = (a.copy() for a in as_pairs(x, xi, d))
     n = X.shape[0]
     Z = np.broadcast_to(np.eye(2 * d), (n, 2 * d, 2 * d)).copy() if with_variational else None
     if t == 0.0:
-        return (X, Xi, Z) if with_variational else (X, Xi)
+        steps = 0
+    else:
+        steps = n_steps if n_steps is not None else _step_count(t, dt)
+    hstep = t / steps if steps else 0.0
 
-    steps = n_steps if n_steps is not None else _step_count(t, dt)
-    hstep = t / steps
-    for _ in range(steps):
+    if path:
+        times = np.linspace(0.0, t, steps + 1)
+        Xs = np.empty((steps + 1, n, d))
+        Xis = np.empty((steps + 1, n, d))
+        Zs = np.empty((steps + 1, n, 2 * d, 2 * d)) if with_variational else None
+        Xs[0], Xis[0] = X, Xi
+        if with_variational:
+            Zs[0] = Z
+    for k in range(steps):
         X, Xi, Z = _rk4_step(H, X, Xi, Z, hstep)
-    _check_guard(H, X, Xi, f" at t={t}")
+        _check_guard(H, X, Xi, f" at step {k + 1} of {steps} toward t={t}")
+        if path:
+            Xs[k + 1], Xis[k + 1] = X, Xi
+            if with_variational:
+                Zs[k + 1] = Z
+    if path:
+        return times, Xs, Xis, Zs
     return (X, Xi, Z) if with_variational else (X, Xi)
 
 
@@ -137,45 +149,6 @@ def _rk4_step(H, X, Xi, Z, h):
     return Xn, Xin, Zn
 
 
-def variational_jacobian(H, t, x, xi, dt=DT_DEFAULT):
-    """Jacobian Z(t) of the flow map, solved alongside the flow; Z(0) = Id."""
-    _, _, Z = integrate_flow(H, t, x, xi, dt=dt, with_variational=True)
-    return Z
-
-
-def flow_trajectory(H, t, x, xi, n_steps, with_variational=True):
-    """Flow with all intermediate states retained, for quadrature along the path.
-
-    Returns (times, X, Xi, Z) where times has n_steps + 1 uniformly spaced
-    nodes from 0 to t and the state arrays carry a leading node axis.
-    """
-    d = H.dim
-    X = as_points(x, d).copy()
-    Xi = as_points(xi, d).copy()
-    if X.shape[0] == 1 and Xi.shape[0] > 1:
-        X = np.broadcast_to(X, Xi.shape).copy()
-    if Xi.shape[0] == 1 and X.shape[0] > 1:
-        Xi = np.broadcast_to(Xi, X.shape).copy()
-    n = X.shape[0]
-    Z = np.broadcast_to(np.eye(2 * d), (n, 2 * d, 2 * d)).copy() if with_variational else None
-
-    times = np.linspace(0.0, t, n_steps + 1)
-    Xs = np.empty((n_steps + 1, n, d))
-    Xis = np.empty((n_steps + 1, n, d))
-    Zs = np.empty((n_steps + 1, n, 2 * d, 2 * d)) if with_variational else None
-    Xs[0], Xis[0] = X, Xi
-    if with_variational:
-        Zs[0] = Z
-    h = t / n_steps if n_steps else 0.0
-    for k in range(n_steps):
-        X, Xi, Z = _rk4_step(H, X, Xi, Z, h)
-        Xs[k + 1], Xis[k + 1] = X, Xi
-        if with_variational:
-            Zs[k + 1] = Z
-    _check_guard(H, X, Xi, f" at t={t}")
-    return times, Xs, Xis, Zs
-
-
 def inverse_map(H, t, x, xi, tol=1e-11, dt=DT_DEFAULT, max_iter=NEWTON_MAX_ITER, y0=None):
     """Solve X(t, Y, xi) = x for Y by damped Newton started at x (or `y0`).
 
@@ -185,12 +158,7 @@ def inverse_map(H, t, x, xi, tol=1e-11, dt=DT_DEFAULT, max_iter=NEWTON_MAX_ITER,
     :class:`CausticError` with the worst offending point.
     """
     d = H.dim
-    xt = as_points(x, d)
-    cov = as_points(xi, d)
-    if xt.shape[0] == 1 and cov.shape[0] > 1:
-        xt = np.broadcast_to(xt, cov.shape).copy()
-    if cov.shape[0] == 1 and xt.shape[0] > 1:
-        cov = np.broadcast_to(cov, xt.shape).copy()
+    xt, cov = as_pairs(x, xi, d)
     Y = xt.copy() if y0 is None else as_points(y0, d).copy()
     if t == 0.0:
         return Y
@@ -233,6 +201,22 @@ def inverse_map(H, t, x, xi, tol=1e-11, dt=DT_DEFAULT, max_iter=NEWTON_MAX_ITER,
     return Y
 
 
+def scan_horizon(t_grid, passes):
+    """Largest |t| on the grid such that every grid time of magnitude <= |t| passes.
+
+    `passes(k)` tells whether the k-th grid time meets the condition; it is
+    asked in increasing |t| order and only until the first failure.  t = 0
+    always passes, and a grid whose smallest nonzero time fails gives 0.
+    """
+    mags = np.abs(np.asarray(t_grid, dtype=float))
+    t0 = 0.0
+    for m in np.unique(mags[mags > 0.0]):
+        if not all(passes(k) for k in np.flatnonzero(mags == m)):
+            break
+        t0 = float(m)
+    return t0
+
+
 def flow_horizon(H, t_grid, x, xi, dt=DT_DEFAULT, threshold=0.5):
     """Largest grid time with ||grad_x X - Id|| <= threshold at every sample.
 
@@ -241,74 +225,10 @@ def flow_horizon(H, t_grid, x, xi, dt=DT_DEFAULT, threshold=0.5):
     """
     d = H.dim
     t_grid = np.asarray(t_grid, dtype=float)
-    ok = np.ones(len(t_grid), dtype=bool)
-    for k, t in enumerate(t_grid):
-        if t == 0.0:
-            continue
-        Z = variational_jacobian(H, t, x, xi, dt=dt)
-        JX = Z[:, :d, :d]
-        dev = np.linalg.norm(JX - np.eye(d), ord=2, axis=(1, 2))
-        ok[k] = not np.any(dev > threshold)
-    mags = np.abs(t_grid)
-    t0 = 0.0
-    for m in np.unique(mags):
-        if m == 0.0:
-            continue
-        if np.all(ok[mags <= m]):
-            t0 = float(m)
-        else:
-            break
-    return t0
 
+    def passes(k):
+        _, _, Z = integrate_flow(H, t_grid[k], x, xi, dt=dt, with_variational=True)
+        dev = np.linalg.norm(Z[:, :d, :d] - np.eye(d), ord=2, axis=(1, 2))
+        return not np.any(dev > threshold)
 
-@dataclass
-class FlowTable:
-    """Flow and variational samples over a time grid at fixed base points."""
-
-    time_grid: np.ndarray
-    x0: np.ndarray
-    xi0: np.ndarray
-    X: np.ndarray            # (nt, n, d)
-    Xi: np.ndarray           # (nt, n, d)
-    Z: np.ndarray            # (nt, n, 2d, 2d)
-    hamiltonian: object = field(repr=False)
-
-    def energy_drift(self):
-        """Max |H(X, Xi) - H(x0, xi0)| over the table."""
-        H = self.hamiltonian
-        ref = H(self.x0, self.xi0)
-        worst = 0.0
-        for k in range(len(self.time_grid)):
-            worst = max(worst, float(np.max(np.abs(H(self.X[k], self.Xi[k]) - ref))))
-        return worst
-
-    def variational_bound_constant(self):
-        """Fitted C in ||Z(t) - Id|| <= C|t| over the nonzero grid times."""
-        d = self.x0.shape[1]
-        best = 0.0
-        for k, t in enumerate(self.time_grid):
-            if t == 0.0:
-                continue
-            dev = np.linalg.norm(self.Z[k] - np.eye(2 * d), ord=2, axis=(1, 2))
-            best = max(best, float(np.max(dev)) / abs(t))
-        return best
-
-
-def build_flow_table(H, t_grid, x, xi, dt=DT_DEFAULT):
-    """Integrate the flow and variational system over a whole time grid."""
-    d = H.dim
-    x = as_points(x, d)
-    xi = as_points(xi, d)
-    if x.shape[0] == 1 and xi.shape[0] > 1:
-        x = np.broadcast_to(x, xi.shape).copy()
-    if xi.shape[0] == 1 and x.shape[0] > 1:
-        xi = np.broadcast_to(xi, x.shape).copy()
-    t_grid = np.asarray(t_grid, dtype=float)
-    nt, n = len(t_grid), x.shape[0]
-    X = np.empty((nt, n, d))
-    Xi = np.empty((nt, n, d))
-    Z = np.empty((nt, n, 2 * d, 2 * d))
-    for k, t in enumerate(t_grid):
-        Xk, Xik, Zk = integrate_flow(H, t, x, xi, dt=dt, with_variational=True)
-        X[k], Xi[k], Z[k] = Xk, Xik, Zk
-    return FlowTable(time_grid=t_grid, x0=x, xi0=xi, X=X, Xi=Xi, Z=Z, hamiltonian=H)
+    return scan_horizon(t_grid, passes)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import simpson
 
-from .metric import as_points
-from .hamflow import DT_DEFAULT, flow_trajectory, inverse_map
+from .metric import as_pairs, as_points, tensor_pairs
+from .hamflow import DT_DEFAULT, integrate_flow, inverse_map, scan_horizon
 
 __all__ = [
     "PhaseTable",
@@ -68,12 +68,7 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, newton_tol=NEWTON_TOL,
     one variational flow from (Y, xi) with composite Simpson for the action.
     """
     d = q0.dim
-    x = as_points(x, d)
-    xi = as_points(xi, d)
-    if x.shape[0] == 1 and xi.shape[0] > 1:
-        x = np.broadcast_to(x, xi.shape).copy()
-    if xi.shape[0] == 1 and x.shape[0] > 1:
-        xi = np.broadcast_to(xi, x.shape).copy()
+    x, xi = as_pairs(x, xi, d)
     n = x.shape[0]
 
     if t == 0.0:
@@ -99,7 +94,8 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, newton_tol=NEWTON_TOL,
 
     H = -q0
     Y = inverse_map(H, t, x, xi, tol=newton_tol, dt=flow_dt, y0=y0)
-    times, Xs, Xis, Zs = flow_trajectory(H, t, Y, xi, n_steps)
+    times, Xs, Xis, Zs = integrate_flow(H, t, Y, xi, n_steps=n_steps,
+                                        with_variational=True, path=True)
 
     # action integrand (Xi . grad_xi H - H) at every node, batched in one call
     flatX = Xs.reshape(-1, d)
@@ -155,7 +151,6 @@ class PhaseTable:
     newton_tol: float = NEWTON_TOL
     t0: float = 0.0
     hess_asymmetry: float = 0.0
-    hj_form: str = "dS/dt - q0(x, grad_x S) = 0 via H = -q0"
 
     @property
     def dim(self):
@@ -167,12 +162,9 @@ class PhaseTable:
             raise ValueError(f"t={t} is not on the phase time grid")
         return k
 
-    def evaluate(self, t, x, xi, keep_trajectory=False):
+    def evaluate(self, t, x, xi):
         """Fresh phase computation at arbitrary points (no interpolation)."""
-        return phase_point_data(
-            self.q0, t, x, xi, dt=self.dt, newton_tol=self.newton_tol,
-            keep_trajectory=keep_trajectory,
-        )
+        return phase_point_data(self.q0, t, x, xi, dt=self.dt, newton_tol=self.newton_tol)
 
 
 def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT, newton_tol=NEWTON_TOL):
@@ -187,8 +179,7 @@ def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT, newton_tol=NEWTON_TO
     xi_grid = as_points(xi_grid, d)
     nt, nx, nxi = len(t_grid), x_grid.shape[0], xi_grid.shape[0]
 
-    xp = np.repeat(x_grid, nxi, axis=0)
-    xip = np.tile(xi_grid, (nx, 1))
+    xp, xip = tensor_pairs(x_grid, xi_grid)
 
     S = np.empty((nt, nx, nxi))
     Yt = np.empty((nt, nx, nxi, d))
@@ -229,24 +220,14 @@ def caustic_horizon(pt, threshold=HORIZON_THRESHOLD, strict=True):
     :class:`HorizonError` (the grid cannot resolve any caustic-free window).
     A time grid containing only t=0 returns 0.
     """
-    d = pt.dim
-    eye = np.eye(d)
-    mags = np.abs(pt.t_grid)
-    ok = np.ones(len(pt.t_grid), dtype=bool)
-    for k in range(len(pt.t_grid)):
-        if pt.t_grid[k] == 0.0:
-            continue
+    eye = np.eye(pt.dim)
+
+    def passes(k):
         dev = np.linalg.norm(pt.hess_xxi[k] - eye, ord=2, axis=(2, 3))
-        ok[k] = not np.any(dev > threshold)
-    t0 = 0.0
-    for m in np.unique(mags):
-        if m == 0.0:
-            continue
-        if np.all(ok[mags <= m]):
-            t0 = float(m)
-        else:
-            break
-    if strict and t0 == 0.0 and np.any(mags > 0.0):
+        return not np.any(dev > threshold)
+
+    t0 = scan_horizon(pt.t_grid, passes)
+    if strict and t0 == 0.0 and np.any(pt.t_grid != 0.0):
         raise HorizonError(
             "mixed-Hessian condition fails at the first nonzero grid time; "
             "refine the time grid or shrink the window"
@@ -275,8 +256,7 @@ def certify_phase_estimates(pt, q0=None):
     """
     q0 = q0 or pt.q0
     nx, nxi = pt.x_grid.shape[0], pt.xi_grid.shape[0]
-    xp = np.repeat(pt.x_grid, nxi, axis=0)
-    xip = np.tile(pt.xi_grid, (nx, 1))
+    xp, xip = tensor_pairs(pt.x_grid, pt.xi_grid)
     xxi = np.sum(xp * xip, axis=1).reshape(nx, nxi)
     q0_init = q0(xp, xip).reshape(nx, nxi)
 
@@ -314,7 +294,7 @@ def hj_residual(pt, q0=None):
     uniform = np.allclose(spacings, spacings[0], rtol=1e-12, atol=0.0)
 
     qvals = np.empty_like(pt.S)
-    xp = np.repeat(pt.x_grid, nxi, axis=0)
+    xp, _ = tensor_pairs(pt.x_grid, pt.xi_grid)
     for k in range(nt):
         eta = pt.grad_x[k].reshape(nx * nxi, -1)
         qvals[k] = q0(xp, eta).reshape(nx, nxi)
@@ -347,7 +327,7 @@ def second_time_derivative(pt, k=None):
     nt, nx, nxi = pt.S.shape
     ks = range(nt) if k is None else [k]
     out = np.empty((len(ks), nx, nxi))
-    xp = np.repeat(pt.x_grid, nxi, axis=0)
+    xp, _ = tensor_pairs(pt.x_grid, pt.xi_grid)
     for i, kk in enumerate(ks):
         eta = pt.grad_x[kk].reshape(nx * nxi, -1)
         g = q0.grad_xi(xp, eta)

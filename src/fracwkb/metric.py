@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "MetricField",
-    "SemiclassicalScale",
     "AssumptionReport",
     "EllipticityError",
     "flat_metric",
@@ -39,6 +38,33 @@ def as_points(x, dim):
     if pts.shape[-1] != dim:
         raise ValueError(f"expected points with {dim} component(s), got shape {pts.shape}")
     return pts.reshape(-1, dim)
+
+
+def as_pairs(x, xi, dim):
+    """Promote `x` and `xi` to matched (n, dim) batches of phase-space points.
+
+    A batch holding a single point is broadcast (as a copy) against the
+    other; batches of two different sizes above one raise ValueError.
+    """
+    pts = as_points(x, dim)
+    cov = as_points(xi, dim)
+    if pts.shape[0] != cov.shape[0]:
+        if pts.shape[0] == 1:
+            pts = np.broadcast_to(pts, cov.shape).copy()
+        elif cov.shape[0] == 1:
+            cov = np.broadcast_to(cov, pts.shape).copy()
+        else:
+            raise ValueError("x and xi batches do not match")
+    return pts, cov
+
+
+def tensor_pairs(x_grid, xi_grid):
+    """All (x, xi) pairs of two point grids, x-major: (nx * nxi, d) each.
+
+    Reshaping a per-pair result to (nx, nxi, ...) indexes it as [x, xi].
+    """
+    nx, nxi = x_grid.shape[0], xi_grid.shape[0]
+    return np.repeat(x_grid, nxi, axis=0), np.tile(xi_grid, (nx, 1))
 
 
 @dataclass(frozen=True)
@@ -95,23 +121,6 @@ class MetricField:
     def d2G(self, x):
         """Second partials of G, shape (n, d, d, d, d)."""
         return self.inverse_metric_hess(as_points(x, self.dim))
-
-    def volume_density(self, x):
-        """sqrt|g|(x) = det(G(x))^{-1/2}, the Riemannian volume weight."""
-        return np.linalg.det(self.G(x)) ** -0.5
-
-
-@dataclass(frozen=True)
-class SemiclassicalScale:
-    """Frequency scale h in (0, 1] paired with a dispersion exponent sigma != 1."""
-
-    h: float
-    sigma: float
-
-    def __post_init__(self):
-        if not 0.0 < self.h <= 1.0:
-            raise ValueError(f"h must lie in (0, 1], got {self.h}")
-        check_sigma(self.sigma)
 
 
 def check_sigma(sigma):
@@ -194,16 +203,8 @@ def principal_symbol(m, x, xi):
     Inputs are broadcast to (n, d); the result has shape (n,).  Non-finite
     inputs are rejected.
     """
-    pts = as_points(x, m.dim)
-    cov = as_points(xi, m.dim)
-    if pts.shape[0] != cov.shape[0]:
-        if pts.shape[0] == 1:
-            pts = np.broadcast_to(pts, cov.shape)
-        elif cov.shape[0] == 1:
-            cov = np.broadcast_to(cov, pts.shape)
-        else:
-            raise ValueError("x and xi batches do not match")
-    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(cov))):
+    pts, cov = as_pairs(x, xi, m.dim)
+    if not (np.isfinite(pts).all() and np.isfinite(cov).all()):
         raise ValueError("non-finite input to principal_symbol")
     G = m.inverse_metric(np.ascontiguousarray(pts))
     return np.einsum("ni,nij,nj->n", cov, G, cov)

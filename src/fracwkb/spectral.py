@@ -79,9 +79,6 @@ class BoxGrid:
         axes = np.meshgrid(*([self.omega_axis()] * self.dim), indexing="ij")
         return sum(w**2 for w in axes)
 
-    def nyquist(self):
-        return np.pi * self.n / self.length
-
 
 @dataclass
 class StateField:

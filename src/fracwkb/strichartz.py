@@ -143,12 +143,27 @@ def _localized_state(cut, h, box_length, grid_cap):
     return frequency_localize(seed, cut, h), op
 
 
-def _norm_ratio(u, op, pair, sigma, times, h):
-    states = [propagate(u, op, sigma, t, h=h) for t in times]
-    return lp_lq_norm(states, times, pair.p, pair.q) / u.l2_norm()
+def _sweep(sigma, pair, cut, h_sweep, times, box_length, grid_cap, rescaled):
+    """Norm ratio of each h's localized state over `times`, fitted against h.
 
-
-def _fit(h_sweep, ratios, bound):
+    `rescaled` propagates with the semiclassical group e^{i t h^{sigma-1}
+    Lambda^sigma} and bounds the slope by d/2 - d/q - 1/p; otherwise the
+    group is e^{i t Lambda^sigma} and the bound is gamma + loss.
+    """
+    if not pair.valid:
+        raise ValueError(f"pair (p={pair.p}, q={pair.q}) is not admissible")
+    if len(h_sweep) < 5:
+        raise ValueError("need at least 5 dyadic h values for the sweep fit")
+    if rescaled:
+        bound = 0.5 * pair.d - pair.d / pair.q - (0.0 if pair.p == np.inf else 1.0 / pair.p)
+    else:
+        bound = pair.gamma + pair.loss
+    h_sweep = np.asarray(sorted(h_sweep, reverse=True), dtype=float)
+    ratios = np.empty_like(h_sweep)
+    for i, h in enumerate(h_sweep):
+        u, op = _localized_state(cut, h, box_length, grid_cap)
+        states = [propagate(u, op, sigma, t, h=h if rescaled else None) for t in times]
+        ratios[i] = lp_lq_norm(states, times, pair.p, pair.q) / u.l2_norm()
     fit = linregress(np.log(h_sweep), np.log(ratios))
     return ScalingFit(slope=float(fit.slope), intercept=float(fit.intercept),
                       r2=float(fit.rvalue**2), exponent_bound=float(bound),
@@ -165,18 +180,8 @@ def measure_semiclassical_scaling(sigma, pair, cut, h_sweep=DYADIC_SWEEP,
     fixed window divided by the initial L^2 norm.  The slope bound is the
     sigma-independent exponent d/2 - d/q - 1/p.
     """
-    if not pair.valid:
-        raise ValueError(f"pair (p={pair.p}, q={pair.q}) is not admissible")
-    if len(h_sweep) < 5:
-        raise ValueError("need at least 5 dyadic h values for the sweep fit")
-    h_sweep = np.asarray(sorted(h_sweep, reverse=True), dtype=float)
-    times = np.linspace(-t0, t0, int(n_t))
-    ratios = np.empty_like(h_sweep)
-    for i, h in enumerate(h_sweep):
-        u, op = _localized_state(cut, h, box_length, grid_cap)
-        ratios[i] = _norm_ratio(u, op, pair, sigma, times, h)
-    bound = 0.5 * pair.d - pair.d / pair.q - (0.0 if pair.p == np.inf else 1.0 / pair.p)
-    return _fit(h_sweep, ratios, bound)
+    return _sweep(sigma, pair, cut, h_sweep, np.linspace(-t0, t0, int(n_t)),
+                  box_length, grid_cap, rescaled=True)
 
 
 def measure_unscaled_scaling(sigma, pair, cut, h_sweep=DYADIC_SWEEP,
@@ -188,17 +193,9 @@ def measure_unscaled_scaling(sigma, pair, cut, h_sweep=DYADIC_SWEEP,
     e^{i t Lambda^sigma} and the window does not shrink with h, so the
     cumulated bound gamma + loss is the relevant exponent.
     """
-    if not pair.valid:
-        raise ValueError(f"pair (p={pair.p}, q={pair.q}) is not admissible")
-    if len(h_sweep) < 5:
-        raise ValueError("need at least 5 dyadic h values for the sweep fit")
-    h_sweep = np.asarray(sorted(h_sweep, reverse=True), dtype=float)
     times = np.linspace(float(interval[0]), float(interval[1]), int(n_t))
-    ratios = np.empty_like(h_sweep)
-    for i, h in enumerate(h_sweep):
-        u, op = _localized_state(cut, h, box_length, grid_cap)
-        ratios[i] = _norm_ratio(u, op, pair, sigma, times, None)
-    return _fit(h_sweep, ratios, pair.gamma + pair.loss)
+    return _sweep(sigma, pair, cut, h_sweep, times, box_length, grid_cap,
+                  rescaled=False)
 
 
 def rescaling_identity_gap(sigma, v, h, p, q, t0=0.5, n_t=33, op=None):

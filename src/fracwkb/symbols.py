@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import as_points, check_sigma, principal_symbol
+from .metric import as_pairs, as_points, check_sigma
 
 __all__ = [
     "CutoffFunction",
@@ -129,10 +129,6 @@ class LittlewoodPaleyPartition:
         return self.phi0(lam) - self.phi0(4.0 * lam)
 
     @property
-    def phi_support(self):
-        return (self.phi0.plateau_edge / 4.0, self.phi0.support_edge)
-
-    @property
     def coverage_limit(self):
         """Largest lam up to which the truncated sum still equals 1."""
         return self.phi0.plateau_edge * 4.0**self.k_max
@@ -206,90 +202,47 @@ class SymbolFunction:
         self.fd_step = fd_step
         self.label = label
 
-    def _pair(self, x, xi):
-        pts = as_points(x, self.dim)
-        cov = as_points(xi, self.dim)
-        if pts.shape[0] == 1 and cov.shape[0] > 1:
-            pts = np.broadcast_to(pts, cov.shape).copy()
-        if cov.shape[0] == 1 and pts.shape[0] > 1:
-            cov = np.broadcast_to(cov, pts.shape).copy()
-        if pts.shape[0] != cov.shape[0]:
-            raise ValueError("x and xi batches do not match")
-        return pts, cov
-
     def __call__(self, x, xi):
-        pts, cov = self._pair(x, xi)
+        pts, cov = as_pairs(x, xi, self.dim)
         return self._fn(pts, cov)
 
-    def _fd_grad(self, x, xi, which):
-        pts, cov = self._pair(x, xi)
-        h = self.fd_step
-        out = None
+    def _derivative(self, analytic, x, xi, fn, wrt, step):
+        """`analytic` at the points when supplied, else central differences of fn.
+
+        The differences are taken in x or xi (`wrt`) and stacked on axis 1,
+        so differencing a gradient evaluator gives a Hessian.
+        """
+        pts, cov = as_pairs(x, xi, self.dim)
+        if analytic is not None:
+            return analytic(pts, cov)
+        cols = []
         for j in range(self.dim):
             shift = np.zeros(self.dim)
-            shift[j] = h
-            if which == "x":
-                hi = self._fn(pts + shift, cov)
-                lo = self._fn(pts - shift, cov)
+            shift[j] = step
+            if wrt == "x":
+                hi, lo = fn(pts + shift, cov), fn(pts - shift, cov)
             else:
-                hi = self._fn(pts, cov + shift)
-                lo = self._fn(pts, cov - shift)
-            col = (hi - lo) / (2.0 * h)
-            if out is None:
-                out = np.empty(pts.shape[:1] + (self.dim,), dtype=col.dtype)
-            out[:, j] = col
-        return out
+                hi, lo = fn(pts, cov + shift), fn(pts, cov - shift)
+            cols.append((hi - lo) / (2.0 * step))
+        return np.stack(cols, axis=1)
 
     def grad_x(self, x, xi):
-        if self._grad_x is not None:
-            pts, cov = self._pair(x, xi)
-            return self._grad_x(pts, cov)
-        return self._fd_grad(x, xi, "x")
+        return self._derivative(self._grad_x, x, xi, self._fn, "x", self.fd_step)
 
     def grad_xi(self, x, xi):
-        if self._grad_xi is not None:
-            pts, cov = self._pair(x, xi)
-            return self._grad_xi(pts, cov)
-        return self._fd_grad(x, xi, "xi")
-
-    def _fd_hess(self, x, xi, first, second):
-        pts, cov = self._pair(x, xi)
-        h = 10.0 * self.fd_step
-        grad = {"x": self.grad_x, "xi": self.grad_xi}[second]
-        out = None
-        for j in range(self.dim):
-            shift = np.zeros(self.dim)
-            shift[j] = h
-            if first == "x":
-                hi = grad(pts + shift, cov)
-                lo = grad(pts - shift, cov)
-            else:
-                hi = grad(pts, cov + shift)
-                lo = grad(pts, cov - shift)
-            row = (hi - lo) / (2.0 * h)
-            if out is None:
-                out = np.empty(pts.shape[:1] + (self.dim, self.dim), dtype=row.dtype)
-            out[:, j, :] = row
-        return out
+        return self._derivative(self._grad_xi, x, xi, self._fn, "xi", self.fd_step)
 
     def hess_xx(self, x, xi):
-        if self._hess_xx is not None:
-            pts, cov = self._pair(x, xi)
-            return self._hess_xx(pts, cov)
-        return self._fd_hess(x, xi, "x", "x")
+        return self._derivative(self._hess_xx, x, xi, self.grad_x, "x", 10.0 * self.fd_step)
 
     def hess_xixi(self, x, xi):
-        if self._hess_xixi is not None:
-            pts, cov = self._pair(x, xi)
-            return self._hess_xixi(pts, cov)
-        return self._fd_hess(x, xi, "xi", "xi")
+        return self._derivative(self._hess_xixi, x, xi, self.grad_xi, "xi",
+                                10.0 * self.fd_step)
 
     def hess_xxi(self, x, xi):
         """Mixed Hessian, [m, i, j] = d^2 a / dx_i dxi_j."""
-        if self._hess_xxi is not None:
-            pts, cov = self._pair(x, xi)
-            return self._hess_xxi(pts, cov)
-        return self._fd_hess(x, xi, "x", "xi")
+        return self._derivative(self._hess_xxi, x, xi, self.grad_xi, "x",
+                                10.0 * self.fd_step)
 
     def __neg__(self):
         def flip(f):

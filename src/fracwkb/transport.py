@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import simpson
 
-from .metric import as_points, principal_symbol
+from .metric import as_pairs, principal_symbol, tensor_pairs
 from .hamflow import DT_DEFAULT, GuardBandError
 from .hamjac import NEWTON_TOL, phase_point_data
 from .symbols import SymbolFunction
@@ -146,12 +146,7 @@ def amplitude_point_data(a_init, q0, t, x, xi, q1=None, order=1,
     stays bounded.
     """
     d = q0.dim
-    x = as_points(x, d)
-    xi = as_points(xi, d)
-    if x.shape[0] == 1 and xi.shape[0] > 1:
-        x = np.broadcast_to(x, xi.shape).copy()
-    if xi.shape[0] == 1 and x.shape[0] > 1:
-        xi = np.broadcast_to(xi, x.shape).copy()
+    x, xi = as_pairs(x, xi, d)
     n = x.shape[0]
     _check_order(q0, q1, order)
 
@@ -291,8 +286,7 @@ class AmplitudeTable:
             raise ValueError("no guard band configured for the support check")
         metric = self.q0.metric
         nx, nxi = self.x_grid.shape[0], self.xi_grid.shape[0]
-        xp = np.repeat(self.x_grid, nxi, axis=0)
-        xip = np.tile(self.xi_grid, (nx, 1))
+        xp, xip = tensor_pairs(self.x_grid, self.xi_grid)
         p = principal_symbol(metric, xp, xip).reshape(nx, nxi)
         outside = (p < band[0]) | (p > band[1])
         if not outside.any():
@@ -319,8 +313,7 @@ def solve_transport(a_init, phase, q0=None, q1=None, N=None):
     t_grid = phase.t_grid
     x_grid, xi_grid = phase.x_grid, phase.xi_grid
     nt, nx, nxi = len(t_grid), x_grid.shape[0], xi_grid.shape[0]
-    xp = np.repeat(x_grid, nxi, axis=0)
-    xip = np.tile(xi_grid, (nx, 1))
+    xp, xip = tensor_pairs(x_grid, xi_grid)
 
     values = np.empty((N, nt, nx, nxi), dtype=complex)
     V = np.empty((nt, nx, nxi, d))
@@ -377,8 +370,7 @@ def transport_residual(amp, j=0):
                                  constant_values=np.nan)
     rhs = rhs + amp.f * a
     if j == 1:
-        xp = np.repeat(amp.x_grid, nxi, axis=0)
-        xip = np.tile(amp.xi_grid, (nx, 1))
+        xp, xip = tensor_pairs(amp.x_grid, amp.xi_grid)
         hq = amp.q0.hess_xixi(xp, xip).reshape(nx, nxi, 1, 1)[..., 0, 0]
         a0 = amp.values[0]
         d2a0 = (-a0[:, 4:] + 16.0 * a0[:, 3:-1] - 30.0 * a0[:, 2:-2]

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from fracwkb.fio import (dispersive_fit, remainder_decay,
                          stationary_hessian_check)
-from fracwkb.hamflow import flow_trajectory
+from fracwkb.hamflow import integrate_flow
 from fracwkb.hamjac import build_phase, hj_residual
 from fracwkb.metric import flat_metric, gaussian_bump_metric
 from fracwkb.nlfs import (NlfsProblem, conserved, global_continuation,
@@ -95,9 +95,9 @@ def test_flow_bound_constants_stable():
         c_z = c_y = 0.0
         for x in np.linspace(-1.5, 1.5, 13):
             for xi in np.linspace(0.8, 1.6, 5):
-                times, xs, _, zs = flow_trajectory(
+                times, xs, _, zs = integrate_flow(
                     H, 0.3, np.array([x]), np.array([xi]),
-                    n_steps=n_steps, with_variational=True)
+                    n_steps=n_steps, with_variational=True, path=True)
                 for k in range(1, len(times)):
                     c_z = max(c_z, np.linalg.norm(zs[k][0] - np.eye(2))
                               / times[k])

@@ -215,3 +215,34 @@ def test_remainder_decay_rejects_curved_metric():
     amp = solve_transport(a_init, phase)
     with pytest.raises(ValueError):
         remainder_decay(phase, amp, [0.1, 0.05], t=0.1)
+
+
+def _decay_tables(h, n_t):
+    """Flat sigma = 2 tables of the dispersive decay fit at scale h."""
+    metric = flat_metric(dim=1)
+    q0 = fractional_symbol(metric, 2.0, xi_band=(0.2, 4.0))
+    a_init = localized_amplitude(metric, make_bump(0.25, 3.8, (0.5, 3.0)))
+    phase = build_phase(q0, np.geomspace(2.0 * h, 1.0, n_t),
+                        np.linspace(0.0, 2.0 * np.pi, 9)[:, None],
+                        np.linspace(0.8, 1.6, 3)[:, None], dt=0.01)
+    return phase, solve_transport(a_init, phase, N=1)
+
+
+def test_kernel_sup_raises_when_rounds_run_out():
+    # two rounds give 9.81 and 11.78, 20% apart: no estimate to hand back
+    h = 2.0**-6
+    phase, amp = _decay_tables(h, 10)
+    with pytest.raises(ResolutionError, match=r"9\.808\d* and 11\.78"):
+        kernel_sup(phase, amp, h, 0.03125, (-0.5, 0.5), (-3.0, 3.0),
+                   max_rounds=2, tol=1e-9)
+
+
+def test_kernel_resolves_cutoff_on_small_window():
+    # here the phase barely oscillates across the xi band, so the xi count
+    # is set by the floor, which must resolve the cutoff chi(xi^2) itself
+    h = 2.0**-5
+    phase, amp = _decay_tables(h, 6)
+    t, x, y = 0.054, np.array([0.151, -0.016]), np.array([0.314, -0.022, 0.156, -0.007])
+    got = kernel(phase, amp, h, t, x, y).values
+    ref = kernel(phase, amp, h, t, x, y, n_xi=4001).values
+    assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-8

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from fracwkb.hamflow import (GuardBandError, build_flow_table, flow_horizon,
-                             flow_trajectory, integrate_flow, inverse_map,
-                             variational_jacobian)
+from fracwkb.hamflow import (GuardBandError, flow_horizon, integrate_flow,
+                             inverse_map)
 from fracwkb.metric import flat_metric, gaussian_bump_metric
-from fracwkb.symbols import fractional_symbol
+from fracwkb.symbols import SymbolFunction, fractional_symbol
 
 # rtol=1e-12 adaptive RK45 endpoints for the epsilon=0.1 bump metric at
 # (x, xi) = (0.4, 1.1), t = 0.3 (notes/oracles/flow_endpoint.py)
@@ -63,7 +62,8 @@ def test_bump_flow_endpoint_matches_reference(sigma):
 def test_flat_variational_block_structure():
     H = fractional_symbol(flat_metric(dim=1), 2.0)
     t = 0.4
-    Z = variational_jacobian(H, t, np.array([[0.3]]), np.array([[1.2]]))
+    _, _, Z = integrate_flow(H, t, np.array([[0.3]]), np.array([[1.2]]),
+                             with_variational=True)
     np.testing.assert_allclose(Z[0], [[1.0, 2.0 * t], [0.0, 1.0]],
                                rtol=0, atol=1e-14)
 
@@ -71,7 +71,8 @@ def test_flat_variational_block_structure():
 def test_variational_jacobian_matches_differences():
     H = _bump_hamiltonian(2.0)
     t, x0, xi0 = 0.2, 0.4, 1.1
-    Z = variational_jacobian(H, t, np.array([[x0]]), np.array([[xi0]]))
+    _, _, Z = integrate_flow(H, t, np.array([[x0]]), np.array([[xi0]]),
+                             with_variational=True)
     step = 1e-6
 
     def endpoint(xv, xiv):
@@ -99,7 +100,8 @@ def test_flow_group_property():
 def test_trajectory_nodes_match_endpoint():
     H = _bump_hamiltonian(0.5)
     t = 0.3
-    times, Xs, Xis, Zs = flow_trajectory(H, t, [[0.4]], [[1.1]], n_steps=30)
+    times, Xs, Xis, Zs = integrate_flow(H, t, [[0.4]], [[1.1]], n_steps=30,
+                                        with_variational=True, path=True)
     assert times.shape == (31,)
     assert Xs.shape == (31, 1, 1) and Zs.shape == (31, 1, 2, 2)
     X_end, Xi_end = integrate_flow(H, t, [[0.4]], [[1.1]], n_steps=30)
@@ -136,13 +138,59 @@ def test_guard_band_inactive_without_band():
     assert np.isfinite(X).all()
 
 
+def _oscillator(band):
+    """H = x^2 + xi^2 on the flat metric: rotation with period pi in (x, xi)."""
+    H = SymbolFunction(
+        1, lambda x, xi: x[:, 0] ** 2 + xi[:, 0] ** 2,
+        grad_x=lambda x, xi: 2.0 * x, grad_xi=lambda x, xi: 2.0 * xi,
+        hess_xx=lambda x, xi: np.full((x.shape[0], 1, 1), 2.0),
+        hess_xixi=lambda x, xi: np.full((x.shape[0], 1, 1), 2.0),
+        hess_xxi=lambda x, xi: np.zeros((x.shape[0], 1, 1)),
+        xi_band=band)
+    H.metric = flat_metric(dim=1)
+    return H
+
+
+def test_guard_band_checked_along_the_whole_path():
+    # from (0, 1) the flow is (sin 2s, cos 2s): p = xi^2 is 1 at s = 0 and at
+    # s = pi, but falls to 0 at s = pi/4, far below the band's lower edge
+    H = _oscillator((0.5, 2.0))
+    X, Xi = integrate_flow(_oscillator(None), np.pi, [[0.0]], [[1.0]])
+    assert 0.5 < Xi[0, 0] ** 2 < 2.0 and abs(X[0, 0]) < 1e-6
+    with pytest.raises(GuardBandError):
+        integrate_flow(H, np.pi, [[0.0]], [[1.0]])
+    with pytest.raises(GuardBandError):
+        integrate_flow(H, np.pi, [[0.0]], [[1.0]], with_variational=True, path=True)
+
+
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_BASE = (np.array([[0.4], [0.0], [-0.8]]), np.array([[1.1], [1.4], [0.9]]))
+
+
 @pytest.mark.parametrize("sigma", [0.5, 2.0])
 def test_energy_conserved_along_flow(sigma):
     H = _bump_hamiltonian(sigma)
-    table = build_flow_table(H, np.linspace(0.0, 0.3, 7),
-                             np.array([[0.4], [0.0]]), np.array([[1.1], [1.4]]))
-    assert table.energy_drift() < 1e-8
-    assert table.variational_bound_constant() > 0.0
+    x, xi = _BASE
+    _, Xs, Xis, _ = integrate_flow(H, 0.3, x, xi, path=True)
+    ref = H(x, xi)
+    drift = max(float(np.max(np.abs(H(X, Xi) - ref))) for X, Xi in zip(Xs, Xis))
+    assert drift < 1e-8
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0])
+def test_variational_jacobian_symplectic_along_flow(sigma):
+    # Z is the Jacobian of a Hamiltonian flow map, so Z^T J Z = J exactly.
+    # RK4 is not a symplectic scheme, so the defect is its truncation error,
+    # O(dt^4) with constants set by the third derivatives of H: 3.4e-11 for
+    # sigma = 2 and 9e-15 for sigma = 0.5 at dt = 0.01 over t = 0.3 (1.8e-8
+    # at dt = 0.04).  1e-8 leaves over two orders of margin, while an error
+    # in any block of the variational right-hand side gives a defect of
+    # order t.
+    H = _bump_hamiltonian(sigma)
+    times, _, _, Zs = integrate_flow(H, 0.3, *_BASE, with_variational=True, path=True)
+    defect = np.abs(np.swapaxes(Zs, -1, -2) @ _J @ Zs - _J)
+    assert Zs.shape == (len(times), 3, 2, 2)
+    assert float(np.max(defect)) < 1e-8
 
 
 def test_flow_horizon_flat_is_grid_maximum():
