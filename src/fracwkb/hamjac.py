@@ -51,7 +51,7 @@ class PhasePointData:
     hess_xxi: np.ndarray     # (n, d, d), [i, j] = d2 S / dx_i dxi_j
     dY_dxi: np.ndarray       # (n, d, d), [i, j] = dY_i / dxi_j
     hess_asymmetry: float
-    trajectory: tuple = None  # (times, Xs, Xis, Zs) from the base (Y, xi)
+    trajectory: tuple        # (times, X, Xi, hess_xx S) at every node from (Y, xi)
 
 
 def _even_steps(t, dt):
@@ -59,13 +59,15 @@ def _even_steps(t, dt):
     return n + (n % 2)
 
 
-def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, newton_tol=NEWTON_TOL,
-                     y0=None, keep_trajectory=False):
+def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, newton_tol=NEWTON_TOL, y0=None):
     """Compute S and its derivative blocks at arbitrary (x, xi) batches.
 
-    This is the single code path used both for gridded tables and for
-    off-grid evaluation (oscillatory quadrature): inverse map by Newton, then
-    one variational flow from (Y, xi) with composite Simpson for the action.
+    This is the single characteristic pass used for gridded tables, for
+    off-grid evaluation (oscillatory quadrature) and for the transport
+    amplitudes: inverse map by Newton, then one variational flow from
+    (Y, xi) with composite Simpson for the action.  The returned trajectory
+    holds the nodes, Xi = grad_x S and hess_xx S = sym(JXi JX^{-1}) at every
+    node of that flow; its last node is the returned `hess_xx`.
     """
     d = q0.dim
     x, xi = as_pairs(x, xi, d)
@@ -81,7 +83,7 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, newton_tol=NEWTON_TOL,
             hess_xxi=eye,
             dY_dxi=np.zeros((n, d, d)),
             hess_asymmetry=0.0,
-            trajectory=None,
+            trajectory=(np.zeros(1), x[None], xi[None], np.zeros((1, n, d, d))),
         )
 
     # Flat metric: the covector is conserved and the flow field is constant
@@ -106,25 +108,21 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, newton_tol=NEWTON_TOL,
     action = simpson(integrand, x=times, axis=0)
     S = np.sum(Y * xi, axis=1) + action
 
-    JX = Zs[-1][:, :d, :d]
-    dXdxi = Zs[-1][:, :d, d:]
-    JXi = Zs[-1][:, d:, :d]
-    JX_inv = np.linalg.inv(JX)
-    hess_xxi = np.swapaxes(JX_inv, 1, 2)
-    B = np.einsum("nij,njk->nik", JXi, JX_inv)
-    asym = float(np.max(np.abs(B - np.swapaxes(B, 1, 2)))) if n else 0.0
-    hess_xx = 0.5 * (B + np.swapaxes(B, 1, 2))
-    dY_dxi = -np.einsum("nij,njk->nik", JX_inv, dXdxi)
+    JX_inv = np.linalg.inv(Zs[:, :, :d, :d])
+    B = np.einsum("tnij,tnjk->tnik", Zs[:, :, d:, :d], JX_inv)
+    W = 0.5 * (B + np.swapaxes(B, 2, 3))
+    asym = float(np.max(np.abs(B[-1] - np.swapaxes(B[-1], 1, 2)))) if n else 0.0
+    dY_dxi = -np.einsum("nij,njk->nik", JX_inv[-1], Zs[-1][:, :d, d:])
 
     return PhasePointData(
         S=S,
         Y=Y,
         grad_x=Xis[-1],
-        hess_xx=hess_xx,
-        hess_xxi=hess_xxi,
+        hess_xx=W[-1],
+        hess_xxi=np.swapaxes(JX_inv[-1], 1, 2),
         dY_dxi=dY_dxi,
         hess_asymmetry=asym,
-        trajectory=(times, Xs, Xis, Zs) if keep_trajectory else None,
+        trajectory=(times, Xs, Xis, W),
     )
 
 

@@ -147,17 +147,15 @@ def _sweep(sigma, pair, cut, h_sweep, times, box_length, grid_cap, rescaled):
     """Norm ratio of each h's localized state over `times`, fitted against h.
 
     `rescaled` propagates with the semiclassical group e^{i t h^{sigma-1}
-    Lambda^sigma} and bounds the slope by d/2 - d/q - 1/p; otherwise the
-    group is e^{i t Lambda^sigma} and the bound is gamma + loss.
+    Lambda^sigma} and bounds the slope by pair.total = d/2 - d/q - 1/p;
+    otherwise the group is e^{i t Lambda^sigma} and the bound is
+    gamma + loss.
     """
     if not pair.valid:
         raise ValueError(f"pair (p={pair.p}, q={pair.q}) is not admissible")
     if len(h_sweep) < 5:
         raise ValueError("need at least 5 dyadic h values for the sweep fit")
-    if rescaled:
-        bound = 0.5 * pair.d - pair.d / pair.q - (0.0 if pair.p == np.inf else 1.0 / pair.p)
-    else:
-        bound = pair.gamma + pair.loss
+    bound = pair.total if rescaled else pair.gamma + pair.loss
     h_sweep = np.asarray(sorted(h_sweep, reverse=True), dtype=float)
     ratios = np.empty_like(h_sweep)
     for i, h in enumerate(h_sweep):

@@ -136,12 +136,12 @@ def amplitude_point_data(a_init, q0, t, x, xi, q1=None, order=1,
     """Evaluate a_0 (and a_1 when order=2) at arbitrary (x, xi) batches.
 
     The characteristic through (t, x, xi) is the flow from (Y, xi); along it
-    the momentum Xi(s) equals grad_x S(s, Z(s), xi) and the variational blocks
-    give hess_xx S(s, Z(s), xi), so the rate
+    the momentum Xi(s) equals grad_x S(s, Z(s), xi), and `phase_point_data`
+    hands back hess_xx S(s, Z(s), xi) at every node, so the rate
 
         f(s) = (1/2) tr[hess_eta q0(Z, Xi) hess_xx S] + i q1(Z, Xi)
 
-    is read off the stored trajectory and integrated by composite Simpson.
+    is read off that trajectory and integrated by composite Simpson.
     Large batches are processed in chunks so the per-node trajectory storage
     stays bounded.
     """
@@ -177,20 +177,15 @@ def amplitude_point_data(a_init, q0, t, x, xi, q1=None, order=1,
                                   S=np.sum(x * xi, axis=1))
 
     try:
-        data = phase_point_data(q0, t, x, xi, dt=dt, newton_tol=newton_tol,
-                                y0=y0, keep_trajectory=True)
+        data = phase_point_data(q0, t, x, xi, dt=dt, newton_tol=newton_tol, y0=y0)
     except GuardBandError as err:
         raise SupportViolationError(str(err)) from err
-    times, Xs, Xis, Zs = data.trajectory
+    times, Xs, Xis, W = data.trajectory
     n_nodes = len(times)
     flatX = Xs.reshape(-1, d)
     flatXi = Xis.reshape(-1, d)
 
     hq = q0.hess_xixi(flatX, flatXi).reshape(n_nodes, n, d, d)
-    JX = Zs[:, :, :d, :d]
-    JXi = Zs[:, :, d:, :d]
-    B = np.einsum("tnij,tnjk->tnik", JXi, np.linalg.inv(JX))
-    W = 0.5 * (B + np.swapaxes(B, 2, 3))
     fvals = 0.5 * np.einsum("tnij,tnji->tn", hq, W).astype(complex)
     if q1 is not None:
         fvals += 1j * q1(flatX, flatXi).reshape(n_nodes, n)
@@ -298,6 +293,10 @@ class AmplitudeTable:
 def solve_transport(a_init, phase, q0=None, q1=None, N=None):
     """Solve the transport hierarchy on the phase table's grid.
 
+    The transport rides the phase table's own characteristics: each time's
+    inverse map starts from the table's base points `phase.Y`, so with the
+    table's q0 one verifying flow confirms them and no second warm-started
+    sweep is needed (a different `q0` still converges from that start).
     N defaults to 2 over the flat metric and 1 otherwise; initial data are
     a_0(0) = a_init and a_r(0) = 0.  Characteristics exiting the guard band
     surface as :class:`SupportViolationError`.
@@ -319,16 +318,10 @@ def solve_transport(a_init, phase, q0=None, q1=None, N=None):
     V = np.empty((nt, nx, nxi, d))
     f = np.empty((nt, nx, nxi), dtype=complex)
 
-    order = np.argsort(np.abs(t_grid), kind="stable")
-    warm = {1: None, -1: None}
-    for k in order:
-        t = t_grid[k]
-        sign = 1 if t >= 0.0 else -1
+    for k, t in enumerate(t_grid):
         data = amplitude_point_data(a_init, q0, t, xp, xip, q1=q1, order=N,
                                     dt=phase.dt, newton_tol=phase.newton_tol,
-                                    y0=warm[sign])
-        if t != 0.0:
-            warm[sign] = data.Y
+                                    y0=phase.Y[k].reshape(-1, d))
         values[:, k] = data.a.reshape(N, nx, nxi)
         V[k] = data.V.reshape(nx, nxi, d)
         f[k] = data.f.reshape(nx, nxi)

@@ -42,6 +42,27 @@ def test_phase_at_zero_time():
     np.testing.assert_array_equal(data.Y, [[0.4], [-0.3]])
     np.testing.assert_array_equal(data.grad_x, [[1.1], [0.9]])
     assert data.hess_asymmetry == 0.0
+    times, _, _, hess = data.trajectory
+    np.testing.assert_array_equal(times, [0.0])
+    np.testing.assert_array_equal(hess[-1], data.hess_xx)
+
+
+def test_trajectory_carries_phase_derivatives():
+    """(Xi, hess_xx S) at interior nodes match a fresh phase computation there.
+
+    The even nodes are compared: a fresh flow to times[k] takes the same k
+    RK4 steps there, so the gap is rounding plus the Newton tolerance.
+    """
+    q0 = _bump_q0()
+    xi = np.full((9, 1), 1.1)
+    data = phase_point_data(q0, 0.08, np.linspace(-1.5, 1.5, 9)[:, None], xi)
+    times, X, Xi, hess = data.trajectory
+    assert len(times) == 9
+    np.testing.assert_array_equal(hess[-1], data.hess_xx)
+    for k in range(2, len(times) - 1, 2):
+        fresh = phase_point_data(q0, times[k], X[k], xi)
+        np.testing.assert_allclose(Xi[k], fresh.grad_x, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(hess[k], fresh.hess_xx, rtol=0, atol=1e-10)
 
 
 def test_bump_phase_residual_small():

@@ -43,12 +43,25 @@ def test_propagate_zero_time_identity():
     np.testing.assert_allclose(v.values, u.values, atol=1e-14)
 
 
-@pytest.mark.parametrize("sigma", [0.5, 2.0, 3.0])
-def test_propagate_is_unitary(sigma):
-    grid = make_grid(1, 128)
-    u = modulated_gaussian(grid, 2.0, 0.3, omega=8.0)
-    v = propagate(u, flat_operator(grid), sigma, 0.7)
-    np.testing.assert_allclose(v.l2_norm(), u.l2_norm(), rtol=1e-12)
+def _weighted_norm(u, op):
+    """sqrt(sum |u|^2 w dx), the norm the operator's eigenbasis is orthonormal in."""
+    return np.sqrt(np.sum(np.abs(u.values) ** 2 * op.weight) * op.grid.spacing)
+
+
+@pytest.mark.parametrize(
+    "sigma, path",
+    [pytest.param(s, "flat", id=str(s)) for s in (0.5, 2.0, 3.0)]
+    + [pytest.param(s, "eig", id=f"eig-{s}") for s in (0.5, 2.0, 3.0)],
+)
+def test_propagate_is_unitary(sigma, path):
+    if path == "flat":
+        op = flat_operator(make_grid(1, 128))
+        u = modulated_gaussian(op.grid, 2.0, 0.3, omega=8.0)
+    else:
+        op = discretize_P_1d(gaussian_bump_metric(dim=1, epsilon=0.1), 255)
+        u = modulated_gaussian(op.grid, 8.0, 1.0, omega=2.0)
+    v = propagate(u, op, sigma, 0.7)
+    np.testing.assert_allclose(_weighted_norm(v, op), _weighted_norm(u, op), rtol=1e-12)
 
 
 def test_propagate_single_mode_phase():

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from fracwkb import hamflow
 from fracwkb.hamjac import build_phase
-from fracwkb.metric import flat_metric, gaussian_bump_metric
+from fracwkb.metric import flat_metric, gaussian_bump_metric, tensor_pairs
 from fracwkb.symbols import (GaussianWindow, SymbolFunction, fractional_symbol,
                              localized_amplitude, make_bump)
 from fracwkb.transport import (SupportViolationError, amplitude_point_data,
@@ -203,10 +204,30 @@ def test_characteristic_leaving_band_raises():
 
 
 def test_amplitude_table_evaluate_matches_grid():
+    """Every table node agrees with a cold-started evaluation (Newton from x)."""
     _, q0, a_init = _bump_setup()
     amp = solve_transport(a_init, _phase(q0, nt=5))
-    data = amp.evaluate(amp.t_grid[-1], amp.x_grid[4], amp.xi_grid[1])
-    np.testing.assert_allclose(data.a[0, 0], amp.values[0, -1, 4, 1], atol=1e-9)
+    xp, xip = tensor_pairs(amp.x_grid, amp.xi_grid)
+    for k, t in enumerate(amp.t_grid):
+        data = amp.evaluate(t, xp, xip)
+        np.testing.assert_allclose(data.a[0], amp.values[0, k].ravel(), rtol=0, atol=1e-9)
+
+
+def test_solve_transport_makes_one_inverse_map_flow_per_time(monkeypatch):
+    """The inverse maps start at the table's base points and only verify them."""
+    _, q0, a_init = _bump_setup()
+    pt = build_phase(q0, np.linspace(-0.1, 0.1, 9), np.linspace(-1.2, 1.2, 9)[:, None],
+                     np.linspace(0.9, 1.4, 3)[:, None])
+    flow_times = []
+    integrate_flow = hamflow.integrate_flow
+
+    def counting(H, t, *args, **kwargs):
+        flow_times.append(t)
+        return integrate_flow(H, t, *args, **kwargs)
+
+    monkeypatch.setattr(hamflow, "integrate_flow", counting)
+    solve_transport(a_init, pt)
+    assert sorted(flow_times) == sorted(t for t in pt.t_grid if t != 0.0)
 
 
 def test_transport_residual_validation():
