@@ -171,14 +171,14 @@ class KernelGrid:
         return float(np.max(np.abs(self.values)))
 
 
-def kernel(phase, amp, h, t, x_grid, y_grid, points_per_osc=POINTS_PER_OSC,
-           n_xi=None):
+def kernel(phase, amp, h, t, x_grid, y_grid, n_xi=None):
     """Evaluate K_h(t, x, y) = (2 pi h)^{-d} int e^{i(S - y xi)/h} a dxi.
 
     The xi-support is a pair of sign-symmetric compact intervals; each gets a
-    trapezoid rule with the point count set by the oscillation scale
-    |grad_xi (S - y xi)| <= max|x| + |t| sup|grad q0| + max|y|.  An
-    unaffordable count raises :class:`ResolutionError` naming the need.
+    trapezoid rule with POINTS_PER_OSC points per oscillation of the scale
+    |grad_xi (S - y xi)| <= max|x| + |t| sup|grad q0| + max|y| and at least
+    XI_POINTS_MIN, or exactly `n_xi` points when given.  An unaffordable
+    count raises :class:`ResolutionError` naming the need.
     """
     _check_1d(phase)
     x_grid = as_points(x_grid, 1)
@@ -192,7 +192,7 @@ def kernel(phase, amp, h, t, x_grid, y_grid, points_per_osc=POINTS_PER_OSC,
     for lo, hi in intervals:
         width = hi - lo
         if n_xi is None:
-            count = int(np.ceil(points_per_osc * width * M / (2.0 * np.pi * h))) + 1
+            count = int(np.ceil(POINTS_PER_OSC * width * M / (2.0 * np.pi * h))) + 1
             count = max(count, XI_POINTS_MIN)
         else:
             count = int(n_xi)

@@ -23,9 +23,11 @@ __all__ = [
     "inverse_map",
     "flow_horizon",
     "DT_DEFAULT",
+    "NEWTON_TOL",
 ]
 
 DT_DEFAULT = 0.01
+NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 50
 NEWTON_DAMPING = 0.5
 
@@ -149,56 +151,57 @@ def _rk4_step(H, X, Xi, Z, h):
     return Xn, Xin, Zn
 
 
-def inverse_map(H, t, x, xi, tol=1e-11, dt=DT_DEFAULT, max_iter=NEWTON_MAX_ITER, y0=None):
+def inverse_map(H, t, x, xi, n_steps, y0=None):
     """Solve X(t, Y, xi) = x for Y by damped Newton started at x (or `y0`).
 
-    The Jacobian grad_y X comes from the variational system.  Steps that do
-    not reduce the residual are repeatedly scaled by the damping factor; a
-    batch that still violates the tolerance after `max_iter` sweeps raises
-    :class:`CausticError` with the worst offending point.
+    Every Newton flow is the variational path on `n_steps` RK4 steps (none
+    at t = 0), so the Jacobian grad_y X is its last node and the caller
+    gets back the flow it accepted: returns (Y, (times, X, Xi, Z)) with the
+    path ending on x to NEWTON_TOL.  Steps that do not reduce the residual
+    are repeatedly scaled by the damping factor; a batch that still violates
+    the tolerance after NEWTON_MAX_ITER sweeps raises :class:`CausticError`
+    with the worst offending point.
     """
     d = H.dim
     xt, cov = as_pairs(x, xi, d)
     Y = xt.copy() if y0 is None else as_points(y0, d).copy()
-    if t == 0.0:
-        return Y
 
     def forward(Yc):
-        X, _, Z = integrate_flow(H, t, Yc, cov, dt=dt, with_variational=True)
-        return X, Z[:, :d, :d]
+        return integrate_flow(H, t, Yc, cov, n_steps=n_steps, with_variational=True,
+                              path=True)
 
-    X, JX = forward(Y)
-    R = X - xt
-    res = np.max(np.abs(R), axis=1)
-    for _ in range(max_iter):
-        if np.all(res <= tol):
-            return Y
-        delta = np.linalg.solve(JX, R[..., None])[..., 0]
+    path = forward(Y)
+    _, Xs, Xis, Zs = path
+    res = np.max(np.abs(Xs[-1] - xt), axis=1)
+    for _ in range(NEWTON_MAX_ITER):
+        if np.all(res <= NEWTON_TOL):
+            return Y, path
+        R = Xs[-1] - xt
+        delta = np.linalg.solve(Zs[-1, :, :d, :d], R[..., None])[..., 0]
         lam = np.ones(Y.shape[0])
-        active = res > tol
+        active = res > NEWTON_TOL
         for _ in range(10):
             Y_try = Y - lam[:, None] * delta
-            X_try, JX_try = forward(Y_try)
-            res_try = np.max(np.abs(X_try - xt), axis=1)
+            _, Xs_try, Xis_try, Zs_try = forward(Y_try)
+            res_try = np.max(np.abs(Xs_try[-1] - xt), axis=1)
             improved = res_try < res
             take = active & improved
             Y[take] = Y_try[take]
-            X[take] = X_try[take]
-            JX[take] = JX_try[take]
+            Xs[:, take] = Xs_try[:, take]
+            Xis[:, take] = Xis_try[:, take]
+            Zs[:, take] = Zs_try[:, take]
             res[take] = res_try[take]
             active = active & ~improved
             if not active.any():
                 break
             lam[active] *= NEWTON_DAMPING
-        R = X - xt
-        res = np.max(np.abs(R), axis=1)
-    if np.any(res > tol):
+    if np.any(res > NEWTON_TOL):
         worst = int(np.argmax(res))
         raise CausticError(
             f"inverse map did not converge at t={t}: residual {res[worst]:.3e} "
             f"at x={xt[worst]}, xi={cov[worst]} (caustic proximity?)"
         )
-    return Y
+    return Y, path
 
 
 def scan_horizon(t_grid, passes):

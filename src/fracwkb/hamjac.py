@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .metric import as_pairs, as_points, tensor_pairs
-from .hamflow import DT_DEFAULT, integrate_flow, inverse_map, scan_horizon
+from .hamflow import DT_DEFAULT, inverse_map, scan_horizon
 
 __all__ = [
     "PhaseTable",
@@ -33,7 +33,6 @@ __all__ = [
 ]
 
 HORIZON_THRESHOLD = 0.5
-NEWTON_TOL = 1e-11
 
 
 class HorizonError(RuntimeError):
@@ -59,45 +58,31 @@ def _even_steps(t, dt):
     return n + (n % 2)
 
 
-def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, newton_tol=NEWTON_TOL, y0=None):
+def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, y0=None):
     """Compute S and its derivative blocks at arbitrary (x, xi) batches.
 
     This is the single characteristic pass used for gridded tables, for
     off-grid evaluation (oscillatory quadrature) and for the transport
-    amplitudes: inverse map by Newton, then one variational flow from
-    (Y, xi) with composite Simpson for the action.  The returned trajectory
-    holds the nodes, Xi = grad_x S and hess_xx S = sym(JXi JX^{-1}) at every
-    node of that flow; its last node is the returned `hess_xx`.
+    amplitudes: the inverse map's Newton iteration returns the variational
+    flow from (Y, xi) it accepted, and composite Simpson along that path
+    gives the action.  The returned trajectory holds the nodes,
+    Xi = grad_x S and hess_xx S = sym(JXi JX^{-1}) at every node of that
+    flow; its last node is the returned `hess_xx`.  At t = 0 the path is
+    the single node (x, xi).
     """
     d = q0.dim
     x, xi = as_pairs(x, xi, d)
     n = x.shape[0]
-
-    if t == 0.0:
-        eye = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-        return PhasePointData(
-            S=np.sum(x * xi, axis=1),
-            Y=x.copy(),
-            grad_x=xi.copy(),
-            hess_xx=np.zeros((n, d, d)),
-            hess_xxi=eye,
-            dY_dxi=np.zeros((n, d, d)),
-            hess_asymmetry=0.0,
-            trajectory=(np.zeros(1), x[None], xi[None], np.zeros((1, n, d, d))),
-        )
 
     # Flat metric: the covector is conserved and the flow field is constant
     # along each trajectory, so one RK4 step is already exact and the action
     # integrand is constant; two Simpson intervals close the quadrature.
     metric = getattr(q0, "metric", None)
     flat = metric is not None and metric.is_flat
-    flow_dt = abs(t) if flat else dt
     n_steps = 2 if flat else _even_steps(t, dt)
 
     H = -q0
-    Y = inverse_map(H, t, x, xi, tol=newton_tol, dt=flow_dt, y0=y0)
-    times, Xs, Xis, Zs = integrate_flow(H, t, Y, xi, n_steps=n_steps,
-                                        with_variational=True, path=True)
+    Y, (times, Xs, Xis, Zs) = inverse_map(H, t, x, xi, n_steps, y0=y0)
 
     # action integrand (Xi . grad_xi H - H) at every node, batched in one call
     flatX = Xs.reshape(-1, d)
@@ -146,7 +131,6 @@ class PhaseTable:
     hess_xxi: np.ndarray     # (nt, nx, nxi, d, d)
     q0: object = field(repr=False)
     dt: float = DT_DEFAULT
-    newton_tol: float = NEWTON_TOL
     t0: float = 0.0
     hess_asymmetry: float = 0.0
 
@@ -162,10 +146,10 @@ class PhaseTable:
 
     def evaluate(self, t, x, xi):
         """Fresh phase computation at arbitrary points (no interpolation)."""
-        return phase_point_data(self.q0, t, x, xi, dt=self.dt, newton_tol=self.newton_tol)
+        return phase_point_data(self.q0, t, x, xi, dt=self.dt)
 
 
-def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT, newton_tol=NEWTON_TOL):
+def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT):
     """Build a PhaseTable over the tensor grid t_grid x x_grid x xi_grid.
 
     The inverse maps are warm-started from the previous time of the same sign,
@@ -191,10 +175,8 @@ def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT, newton_tol=NEWTON_TO
     for k in order:
         t = t_grid[k]
         sign = 1 if t >= 0.0 else -1
-        data = phase_point_data(q0, t, xp, xip, dt=dt, newton_tol=newton_tol,
-                                y0=warm[sign])
-        if t != 0.0:
-            warm[sign] = data.Y
+        data = phase_point_data(q0, t, xp, xip, dt=dt, y0=warm[sign])
+        warm[sign] = data.Y
         S[k] = data.S.reshape(nx, nxi)
         Yt[k] = data.Y.reshape(nx, nxi, d)
         Gx[k] = data.grad_x.reshape(nx, nxi, d)
@@ -205,7 +187,7 @@ def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT, newton_tol=NEWTON_TO
     table = PhaseTable(
         t_grid=t_grid, x_grid=x_grid, xi_grid=xi_grid,
         S=S, Y=Yt, grad_x=Gx, hess_xx=Hxx, hess_xxi=Hxxi,
-        q0=q0, dt=dt, newton_tol=newton_tol, hess_asymmetry=worst_asym,
+        q0=q0, dt=dt, hess_asymmetry=worst_asym,
     )
     table.t0 = caustic_horizon(table, strict=False)
     return table

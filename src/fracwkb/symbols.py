@@ -26,8 +26,6 @@ __all__ = [
     "localized_amplitude",
 ]
 
-FD_STEP = 1e-5
-
 
 def _glue(t):
     """exp(-1/t) continued by 0 for t <= 0;  C^infinity on the line."""
@@ -46,6 +44,27 @@ def smooth_step(t):
     with np.errstate(invalid="ignore"):
         out = np.where(a + b > 0.0, a / (a + b), 0.0)
     return out
+
+
+def _smooth_step_jet(t):
+    """smooth_step s and its first two derivatives at t.
+
+    With g = 1/t^2 + 1/(1-t)^2 the logit of s has derivative g, so
+    s' = s(1-s) g and s'' = s(1-s)((1-2s) g^2 + g'); both are evaluated only
+    where s(1-s) > 0 and vanish elsewhere.
+    """
+    t = np.asarray(t, dtype=float)
+    a, b = _glue(t), _glue(1.0 - t)
+    s = a / (a + b)
+    ds, d2s = np.zeros_like(s), np.zeros_like(s)
+    on = (a > 0.0) & (b > 0.0)
+    u, total = t[on], a[on] + b[on]
+    p, q = s[on], b[on] / total                # s and 1 - s, free of cancellation
+    g = 1.0 / u**2 + 1.0 / (1.0 - u)**2
+    dg = 2.0 / (1.0 - u)**3 - 2.0 / u**3
+    ds[on] = p * q * g
+    d2s[on] = p * q * ((q - p) * g**2 + dg)
+    return s, ds, d2s
 
 
 class CutoffFunction:
@@ -72,18 +91,27 @@ class CutoffFunction:
         fall = smooth_step((r2 - lam) / (r2 - p2))
         return rise * fall
 
-    def derivative(self, lam, order=1, step=FD_STEP):
-        """Central-difference derivative of the requested order.
+    def _jet(self, lam):
+        """The value and the first two derivatives, in closed form.
 
-        The bump has closed-form value only; derivatives are numerical, which
-        is all the smoothness checks and chain rules downstream require.
+        Each ramp is a smooth step of an affine argument, and the ramps do not
+        overlap, so the product rule has no cross term.
         """
-        if order == 0:
-            return self(lam)
         lam = np.asarray(lam, dtype=float)
-        lower = self.derivative(lam - step, order - 1, step)
-        upper = self.derivative(lam + step, order - 1, step)
-        return (upper - lower) / (2.0 * step)
+        r1, r2 = self.support
+        p1, p2 = self.plateau
+        a, b = p1 - r1, r2 - p2
+        rise = _smooth_step_jet((lam - r1) / a)
+        fall = _smooth_step_jet((r2 - lam) / b)
+        return (rise[0] * fall[0],
+                rise[1] / a * fall[0] - rise[0] * fall[1] / b,
+                rise[2] / a**2 * fall[0] + rise[0] * fall[2] / b**2)
+
+    def derivative(self, lam, order=1):
+        """Closed-form derivative of order 0, 1 or 2 (see `_jet`)."""
+        if order not in (0, 1, 2):
+            raise ValueError(f"cutoff derivatives are available up to order 2, got {order}")
+        return self._jet(lam)[order]
 
     def __repr__(self):
         return f"CutoffFunction(support={self.support}, plateau={self.plateau})"
@@ -181,16 +209,14 @@ class SymbolFunction:
     """Phase-space symbol a(x, xi) with derivative evaluators up to order 2.
 
     Evaluators receive (n, d) point batches and return (n, ...) arrays.
-    Derivatives not supplied analytically fall back to vectorized central
-    differences of the value evaluator.
+    Calling a derivative the symbol was not given raises NotImplementedError.
 
     Index conventions: `grad_x`/`grad_xi` return (n, d); the Hessians return
     (n, d, d) with `hess_xxi[m, i, j] = d^2 a / dx_i dxi_j`.
     """
 
     def __init__(self, dim, fn, grad_x=None, grad_xi=None, hess_xx=None,
-                 hess_xixi=None, hess_xxi=None, xi_band=None, fd_step=FD_STEP,
-                 label=""):
+                 hess_xixi=None, hess_xxi=None, xi_band=None, label=""):
         self.dim = int(dim)
         self._fn = fn
         self._grad_x = grad_x
@@ -199,50 +225,35 @@ class SymbolFunction:
         self._hess_xixi = hess_xixi
         self._hess_xxi = hess_xxi
         self.xi_band = None if xi_band is None else (float(xi_band[0]), float(xi_band[1]))
-        self.fd_step = fd_step
         self.label = label
 
     def __call__(self, x, xi):
         pts, cov = as_pairs(x, xi, self.dim)
         return self._fn(pts, cov)
 
-    def _derivative(self, analytic, x, xi, fn, wrt, step):
-        """`analytic` at the points when supplied, else central differences of fn.
-
-        The differences are taken in x or xi (`wrt`) and stacked on axis 1,
-        so differencing a gradient evaluator gives a Hessian.
-        """
+    def _derivative(self, name, x, xi):
+        """The `name` evaluator at the points; a symbol without it raises."""
+        analytic = getattr(self, "_" + name)
+        if analytic is None:
+            raise NotImplementedError(f"symbol {self.label!r} has no {name} evaluator")
         pts, cov = as_pairs(x, xi, self.dim)
-        if analytic is not None:
-            return analytic(pts, cov)
-        cols = []
-        for j in range(self.dim):
-            shift = np.zeros(self.dim)
-            shift[j] = step
-            if wrt == "x":
-                hi, lo = fn(pts + shift, cov), fn(pts - shift, cov)
-            else:
-                hi, lo = fn(pts, cov + shift), fn(pts, cov - shift)
-            cols.append((hi - lo) / (2.0 * step))
-        return np.stack(cols, axis=1)
+        return analytic(pts, cov)
 
     def grad_x(self, x, xi):
-        return self._derivative(self._grad_x, x, xi, self._fn, "x", self.fd_step)
+        return self._derivative("grad_x", x, xi)
 
     def grad_xi(self, x, xi):
-        return self._derivative(self._grad_xi, x, xi, self._fn, "xi", self.fd_step)
+        return self._derivative("grad_xi", x, xi)
 
     def hess_xx(self, x, xi):
-        return self._derivative(self._hess_xx, x, xi, self.grad_x, "x", 10.0 * self.fd_step)
+        return self._derivative("hess_xx", x, xi)
 
     def hess_xixi(self, x, xi):
-        return self._derivative(self._hess_xixi, x, xi, self.grad_xi, "xi",
-                                10.0 * self.fd_step)
+        return self._derivative("hess_xixi", x, xi)
 
     def hess_xxi(self, x, xi):
         """Mixed Hessian, [m, i, j] = d^2 a / dx_i dxi_j."""
-        return self._derivative(self._hess_xxi, x, xi, self.grad_xi, "x",
-                                10.0 * self.fd_step)
+        return self._derivative("hess_xxi", x, xi)
 
     def __neg__(self):
         def flip(f):
@@ -257,7 +268,6 @@ class SymbolFunction:
             hess_xixi=flip(self._hess_xixi),
             hess_xxi=flip(self._hess_xxi),
             xi_band=self.xi_band,
-            fd_step=self.fd_step,
             label=f"-({self.label})" if self.label else "",
         )
         for attr in ("metric", "sigma"):
@@ -382,8 +392,7 @@ def localized_amplitude(metric, cut, window=None):
 
     The cutoff rides on the principal symbol, so the support automatically sits
     inside p^{-1}(supp cut) for any metric.  x-derivatives combine the analytic
-    window derivatives with numerical derivatives of the cutoff profile,
-    accurate enough for the second-order uses downstream.
+    window derivatives with the cutoff profile's closed-form derivatives.
     """
     window = window or ConstantWindow(metric.dim)
 
@@ -399,8 +408,7 @@ def localized_amplitude(metric, cut, window=None):
         dG = metric.inverse_metric_grad(pts)
         p = np.einsum("ni,nij,nj->n", cov, G, cov)
         px = np.einsum("ni,nkij,nj->nk", cov, dG, cov)
-        c = cut(p)
-        dc = cut.derivative(p)
+        c, dc, _ = cut._jet(p)
         return window.grad(pts) * c[:, None] + window(pts)[:, None] * dc[:, None] * px
 
     def _hess_xx(pts, cov):
@@ -410,9 +418,7 @@ def localized_amplitude(metric, cut, window=None):
         p = np.einsum("ni,nij,nj->n", cov, G, cov)
         px = np.einsum("ni,nkij,nj->nk", cov, dG, cov)
         pxx = np.einsum("ni,nklij,nj->nkl", cov, d2G, cov)
-        c = cut(p)
-        dc = cut.derivative(p)
-        d2c = cut.derivative(p, order=2)
+        c, dc, d2c = cut._jet(p)
         w = window(pts)
         gw = window.grad(pts)
         t = window.hess(pts) * c[:, None, None]

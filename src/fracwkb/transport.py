@@ -20,7 +20,7 @@ from scipy.integrate import simpson
 
 from .metric import as_pairs, principal_symbol, tensor_pairs
 from .hamflow import DT_DEFAULT, GuardBandError
-from .hamjac import NEWTON_TOL, phase_point_data
+from .hamjac import phase_point_data
 from .symbols import SymbolFunction
 
 __all__ = [
@@ -132,7 +132,7 @@ MAX_POINT_BATCH = 65536
 
 
 def amplitude_point_data(a_init, q0, t, x, xi, q1=None, order=1,
-                         dt=DT_DEFAULT, newton_tol=NEWTON_TOL, y0=None):
+                         dt=DT_DEFAULT, y0=None):
     """Evaluate a_0 (and a_1 when order=2) at arbitrary (x, xi) batches.
 
     The characteristic through (t, x, xi) is the flow from (Y, xi); along it
@@ -156,8 +156,7 @@ def amplitude_point_data(a_init, q0, t, x, xi, q1=None, order=1,
             sl = slice(start, min(start + MAX_POINT_BATCH, n))
             y0c = None if y0 is None else y0[sl]
             chunks.append(amplitude_point_data(
-                a_init, q0, t, x[sl], xi[sl], q1=q1, order=order,
-                dt=dt, newton_tol=newton_tol, y0=y0c,
+                a_init, q0, t, x[sl], xi[sl], q1=q1, order=order, dt=dt, y0=y0c,
             ))
         return AmplitudePointData(
             a=np.concatenate([c.a for c in chunks], axis=1),
@@ -167,17 +166,8 @@ def amplitude_point_data(a_init, q0, t, x, xi, q1=None, order=1,
             S=np.concatenate([c.S for c in chunks], axis=0),
         )
 
-    if t == 0.0:
-        a = np.zeros((order, n), dtype=complex)
-        a[0] = a_init(x, xi)
-        f = np.zeros(n, dtype=complex)
-        if q1 is not None:
-            f += 1j * q1(x, xi)
-        return AmplitudePointData(a=a, V=q0.grad_xi(x, xi), f=f, Y=x.copy(),
-                                  S=np.sum(x * xi, axis=1))
-
     try:
-        data = phase_point_data(q0, t, x, xi, dt=dt, newton_tol=newton_tol, y0=y0)
+        data = phase_point_data(q0, t, x, xi, dt=dt, y0=y0)
     except GuardBandError as err:
         raise SupportViolationError(str(err)) from err
     times, Xs, Xis, W = data.trajectory
@@ -245,7 +235,6 @@ class AmplitudeTable:
     q0: object = field(repr=False)
     q1: object = field(default=None, repr=False)
     dt: float = DT_DEFAULT
-    newton_tol: float = NEWTON_TOL
 
     @property
     def dim(self):
@@ -254,8 +243,7 @@ class AmplitudeTable:
     def evaluate(self, t, x, xi):
         """Fresh amplitude computation at arbitrary points (no interpolation)."""
         return amplitude_point_data(
-            self.a_init, self.q0, t, x, xi, q1=self.q1, order=self.order,
-            dt=self.dt, newton_tol=self.newton_tol,
+            self.a_init, self.q0, t, x, xi, q1=self.q1, order=self.order, dt=self.dt,
         )
 
     def boundedness_report(self):
@@ -320,16 +308,14 @@ def solve_transport(a_init, phase, q0=None, q1=None, N=None):
 
     for k, t in enumerate(t_grid):
         data = amplitude_point_data(a_init, q0, t, xp, xip, q1=q1, order=N,
-                                    dt=phase.dt, newton_tol=phase.newton_tol,
-                                    y0=phase.Y[k].reshape(-1, d))
+                                    dt=phase.dt, y0=phase.Y[k].reshape(-1, d))
         values[:, k] = data.a.reshape(N, nx, nxi)
         V[k] = data.V.reshape(nx, nxi, d)
         f[k] = data.f.reshape(nx, nxi)
 
     return AmplitudeTable(
         order=N, t_grid=t_grid, x_grid=x_grid, xi_grid=xi_grid,
-        values=values, V=V, f=f, a_init=a_init, q0=q0, q1=q1,
-        dt=phase.dt, newton_tol=phase.newton_tol,
+        values=values, V=V, f=f, a_init=a_init, q0=q0, q1=q1, dt=phase.dt,
     )
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from fracwkb.hamflow import (GuardBandError, flow_horizon, integrate_flow,
-                             inverse_map)
+from fracwkb.hamflow import (NEWTON_TOL, GuardBandError, flow_horizon,
+                             integrate_flow, inverse_map)
 from fracwkb.metric import flat_metric, gaussian_bump_metric
 from fracwkb.symbols import SymbolFunction, fractional_symbol
 
@@ -113,16 +113,27 @@ def test_inverse_map_round_trip():
     H = _bump_hamiltonian(2.0)
     y = np.array([[0.3], [0.5]])
     xi = np.array([[1.2], [1.0]])
-    X, _ = integrate_flow(H, 0.3, y, xi)
-    Y = inverse_map(H, 0.3, X, xi)
+    X, _ = integrate_flow(H, 0.3, y, xi, n_steps=30)
+    Y, (times, Xs, Xis, Zs) = inverse_map(H, 0.3, X, xi, 30)
     np.testing.assert_allclose(Y, y, atol=1e-10)
+    # the returned path is the accepted flow from (Y, xi) and ends on X
+    np.testing.assert_array_equal(times, np.linspace(0.0, 0.3, 31))
+    np.testing.assert_array_equal(Xs[0], Y)
+    np.testing.assert_array_equal(Xis[0], xi)
+    assert np.max(np.abs(Xs[-1] - X)) <= NEWTON_TOL
+    _, _, Z_end = integrate_flow(H, 0.3, Y, xi, n_steps=30, with_variational=True)
+    np.testing.assert_array_equal(Zs[-1], Z_end)
 
 
 def test_inverse_map_zero_time():
     H = _bump_hamiltonian(2.0)
     x = np.array([[0.7]])
-    Y = inverse_map(H, 0.0, x, np.array([[1.0]]))
+    Y, (times, Xs, Xis, Zs) = inverse_map(H, 0.0, x, np.array([[1.0]]), 4)
     np.testing.assert_array_equal(Y, x)
+    np.testing.assert_array_equal(times, [0.0])
+    np.testing.assert_array_equal(Xs, [x])
+    np.testing.assert_array_equal(Xis, [[[1.0]]])
+    np.testing.assert_array_equal(Zs, [[np.eye(2)]])
 
 
 def test_guard_band_violation_raises():

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from fracwkb.hamflow import NEWTON_TOL
 from fracwkb.hamjac import (HorizonError, build_phase, caustic_horizon,
                             certify_phase_estimates, hj_residual,
                             phase_point_data, second_time_derivative)
-from fracwkb.metric import flat_metric, gaussian_bump_metric
+from fracwkb.metric import flat_metric, gaussian_bump_metric, tensor_pairs
 from fracwkb.symbols import fractional_symbol
 
 
@@ -63,6 +64,23 @@ def test_trajectory_carries_phase_derivatives():
         fresh = phase_point_data(q0, times[k], X[k], xi)
         np.testing.assert_allclose(Xi[k], fresh.grad_x, rtol=0, atol=1e-10)
         np.testing.assert_allclose(hess[k], fresh.hess_xx, rtol=0, atol=1e-10)
+
+
+def test_trajectory_ends_on_x():
+    """The trajectory is the flow the Newton iteration accepted.
+
+    t = 0.03 at dt = 0.01 is an odd step count, which the Simpson path
+    rounds up to four steps; the Newton iteration runs on that layout, so
+    the path ends on x to the Newton tolerance at every point of the
+    61 x 9 tensor grid.
+    """
+    xp, xip = tensor_pairs(np.linspace(-1.5, 1.5, 61)[:, None],
+                           np.linspace(0.8, 1.6, 9)[:, None])
+    data = phase_point_data(_bump_q0(), 0.03, xp, xip, dt=0.01)
+    times, X, _, _ = data.trajectory
+    assert times[-1] == 0.03
+    np.testing.assert_array_equal(X[0], data.Y)
+    assert np.max(np.abs(X[-1] - xp)) <= NEWTON_TOL
 
 
 def test_bump_phase_residual_small():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fracwkb.metric import flat_metric, gaussian_bump_metric, principal_symbol
-from fracwkb.symbols import (ConstantWindow, GaussianWindow, fractional_symbol,
-                             littlewood_paley_partition, localized_amplitude,
-                             make_bump, semiclassical_psi)
+from fracwkb.symbols import (ConstantWindow, GaussianWindow, SymbolFunction,
+                             fractional_symbol, littlewood_paley_partition,
+                             localized_amplitude, make_bump, semiclassical_psi)
 
 # mpmath 50-digit values of the glued-exponential construction
 # (notes/oracles/bump_values.py)
@@ -18,6 +18,17 @@ BUMP_QUARTER_4 = {
     3.5: 0.064969169128664062,
 }
 BUMP_KERNEL_CFG = {0.4: 0.69705928396540745, 3.3: 0.74396249132475822}
+# mpmath 50-digit first and second derivatives of make_bump(0.25, 3.8, (0.5, 3.0))
+BUMP_KERNEL_CFG_DERIVATIVES = {
+    (0.3, 1): 2.3852498530921182,
+    (0.3, 2): 153.39180526874588,
+    (0.4, 1): 7.625498060665369,
+    (0.4, 2): -34.2268166412605,
+    (3.3, 1): -2.3027193941706634,
+    (3.3, 2): -4.732856649197433,
+    (3.65, 1): -0.5990722646254392,
+    (3.65, 2): 14.21448432608715,
+}
 
 
 def test_bump_plateau_and_outside():
@@ -64,6 +75,34 @@ def test_bump_derivative_vanishes_off_ramps():
     cut = make_bump(0.25, 4.0, (0.5, 2.0))
     assert cut.derivative(1.0) == pytest.approx(0.0, abs=1e-10)
     assert cut.derivative(5.0) == 0.0
+
+
+@pytest.mark.parametrize("lam,order", sorted(BUMP_KERNEL_CFG_DERIVATIVES))
+def test_bump_derivative_frozen_values(lam, order):
+    cut = make_bump(0.25, 3.8, (0.5, 3.0))
+    np.testing.assert_allclose(cut.derivative(lam, order),
+                               BUMP_KERNEL_CFG_DERIVATIVES[lam, order], rtol=1e-13)
+
+
+def test_bump_derivatives_finite_at_ramp_ends():
+    cut = make_bump(1e-300, 3.8, (1.0, 3.0))
+    # ramp ends, outside the support, and a rising-ramp argument of 1e-300
+    ends = np.array([1e-300, 1.0, 3.0, 3.8, 0.0, 5.0, 2e-300])
+    for order in (0, 1, 2):
+        np.testing.assert_array_equal(cut.derivative(ends, order), 0.0 if order else cut(ends))
+
+
+def test_bump_derivative_rejects_order_above_two():
+    with pytest.raises(ValueError):
+        make_bump(0.25, 3.8, (0.5, 3.0)).derivative(0.3, order=3)
+
+
+def test_symbol_without_derivative_raises():
+    sym = SymbolFunction(1, lambda pts, cov: pts[:, 0] * cov[:, 0], label="x*xi")
+    with pytest.raises(NotImplementedError, match=r"'x\*xi' has no grad_xi"):
+        sym.grad_xi([[0.1]], [[1.0]])
+    with pytest.raises(NotImplementedError, match="hess_xx"):
+        (-sym).hess_xx([[0.1]], [[1.0]])
 
 
 def test_partition_at_zero():
