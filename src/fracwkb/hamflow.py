@@ -14,7 +14,7 @@ covectors are (n, d) arrays, Jacobians (n, 2d, 2d).
 
 import numpy as np
 
-from .metric import as_pairs, as_points, principal_symbol
+from .metric import as_pairs, as_points, principal_symbol, solve_blocks
 
 __all__ = [
     "GuardBandError",
@@ -40,23 +40,19 @@ class CausticError(RuntimeError):
     """The damped Newton iteration for the inverse map failed to converge."""
 
 
-def _rhs(H, X, Xi):
-    return H.grad_xi(X, Xi), -H.grad_x(X, Xi)
-
-
-def _variational_rhs(H, X, Xi, Z):
-    """A(t) Z with A the linearization of the flow field at (X, Xi)."""
+def _stage(H, X, Xi, Z):
+    """The flow field at (X, Xi) and, when Z is given, A(t) Z with A the
+    linearization of the field there, all read off one jet of H."""
+    gx, gxi, hxx, hxixi, hxxi = H.jet(X, Xi)
+    if Z is None:
+        return gxi, -gx, None
     d = X.shape[1]
-    Hxxi = H.hess_xxi(X, Xi)      # [n, i, j] = d2H/dx_i dxi_j
-    Hxixi = H.hess_xixi(X, Xi)
-    Hxx = H.hess_xx(X, Xi)
-    n = X.shape[0]
-    A = np.empty((n, 2 * d, 2 * d))
-    A[:, :d, :d] = np.swapaxes(Hxxi, 1, 2)
-    A[:, :d, d:] = Hxixi
-    A[:, d:, :d] = -Hxx
-    A[:, d:, d:] = -Hxxi
-    return np.einsum("nij,njk->nik", A, Z)
+    A = np.empty((X.shape[0], 2 * d, 2 * d))
+    A[:, :d, :d] = np.swapaxes(hxxi, 1, 2)
+    A[:, :d, d:] = hxixi
+    A[:, d:, :d] = -hxx
+    A[:, d:, d:] = -hxxi
+    return gxi, -gx, A @ Z
 
 
 def _step_count(t, dt):
@@ -135,20 +131,18 @@ def integrate_flow(H, t, x, xi, dt=DT_DEFAULT, n_steps=None, with_variational=Fa
 
 
 def _rk4_step(H, X, Xi, Z, h):
-    k1x, k1p = _rhs(H, X, Xi)
-    k2x, k2p = _rhs(H, X + 0.5 * h * k1x, Xi + 0.5 * h * k1p)
-    k3x, k3p = _rhs(H, X + 0.5 * h * k2x, Xi + 0.5 * h * k2p)
-    k4x, k4p = _rhs(H, X + h * k3x, Xi + h * k3p)
-    Xn = X + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    Xin = Xi + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    Zn = None
-    if Z is not None:
-        k1z = _variational_rhs(H, X, Xi, Z)
-        k2z = _variational_rhs(H, X + 0.5 * h * k1x, Xi + 0.5 * h * k1p, Z + 0.5 * h * k1z)
-        k3z = _variational_rhs(H, X + 0.5 * h * k2x, Xi + 0.5 * h * k2p, Z + 0.5 * h * k2z)
-        k4z = _variational_rhs(H, X + h * k3x, Xi + h * k3p, Z + h * k3z)
-        Zn = Z + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-    return Xn, Xin, Zn
+    """One classical RK4 step of (X, Xi) and, unless Z is None, of Z."""
+    state = (X, Xi, Z)
+
+    def shifted(c, k):
+        return tuple(None if y is None else y + c * dy for y, dy in zip(state, k))
+
+    k1 = _stage(H, *state)
+    k2 = _stage(H, *shifted(0.5 * h, k1))
+    k3 = _stage(H, *shifted(0.5 * h, k2))
+    k4 = _stage(H, *shifted(h, k3))
+    return tuple(None if y is None else y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + e)
+                 for y, a, b, c, e in zip(state, k1, k2, k3, k4))
 
 
 def inverse_map(H, t, x, xi, n_steps, y0=None):
@@ -166,35 +160,34 @@ def inverse_map(H, t, x, xi, n_steps, y0=None):
     xt, cov = as_pairs(x, xi, d)
     Y = xt.copy() if y0 is None else as_points(y0, d).copy()
 
-    def forward(Yc):
-        return integrate_flow(H, t, Yc, cov, n_steps=n_steps, with_variational=True,
+    def forward(Yc, covc):
+        return integrate_flow(H, t, Yc, covc, n_steps=n_steps, with_variational=True,
                               path=True)
 
-    path = forward(Y)
-    _, Xs, Xis, Zs = path
+    path = forward(Y, cov)
+    _, Xs, _, Zs = path
     res = np.max(np.abs(Xs[-1] - xt), axis=1)
     for _ in range(NEWTON_MAX_ITER):
         if np.all(res <= NEWTON_TOL):
             return Y, path
-        R = Xs[-1] - xt
-        delta = np.linalg.solve(Zs[-1, :, :d, :d], R[..., None])[..., 0]
-        lam = np.ones(Y.shape[0])
-        active = res > NEWTON_TOL
+        # trials flow only the points a trial may still update
+        active = np.flatnonzero(res > NEWTON_TOL)
+        R = Xs[-1, active] - xt[active]
+        delta = solve_blocks(Zs[-1, active, :d, :d], R[..., None])[..., 0]
+        lam = np.ones(active.size)
         for _ in range(10):
-            Y_try = Y - lam[:, None] * delta
-            _, Xs_try, Xis_try, Zs_try = forward(Y_try)
-            res_try = np.max(np.abs(Xs_try[-1] - xt), axis=1)
-            improved = res_try < res
-            take = active & improved
-            Y[take] = Y_try[take]
-            Xs[:, take] = Xs_try[:, take]
-            Xis[:, take] = Xis_try[:, take]
-            Zs[:, take] = Zs_try[:, take]
-            res[take] = res_try[take]
-            active = active & ~improved
-            if not active.any():
+            Y_try = Y[active] - lam[:, None] * delta
+            trial = forward(Y_try, cov[active])
+            res_try = np.max(np.abs(trial[1][-1] - xt[active]), axis=1)
+            improved = res_try < res[active]
+            take = active[improved]
+            Y[take], res[take] = Y_try[improved], res_try[improved]
+            for nodes, nodes_try in zip(path[1:], trial[1:]):
+                nodes[:, take] = nodes_try[:, improved]
+            active, delta, lam = active[~improved], delta[~improved], lam[~improved]
+            if not active.size:
                 break
-            lam[active] *= NEWTON_DAMPING
+            lam *= NEWTON_DAMPING
     if np.any(res > NEWTON_TOL):
         worst = int(np.argmax(res))
         raise CausticError(

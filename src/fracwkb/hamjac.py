@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import simpson
 
-from .metric import as_pairs, as_points, tensor_pairs
+from .metric import as_pairs, as_points, solve_blocks, tensor_pairs
 from .hamflow import DT_DEFAULT, inverse_map, scan_horizon
 
 __all__ = [
@@ -93,11 +93,11 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, y0=None):
     action = simpson(integrand, x=times, axis=0)
     S = np.sum(Y * xi, axis=1) + action
 
-    JX_inv = np.linalg.inv(Zs[:, :, :d, :d])
-    B = np.einsum("tnij,tnjk->tnik", Zs[:, :, d:, :d], JX_inv)
+    JX_inv = solve_blocks(Zs[:, :, :d, :d], np.eye(d))
+    B = Zs[:, :, d:, :d] @ JX_inv
     W = 0.5 * (B + np.swapaxes(B, 2, 3))
     asym = float(np.max(np.abs(B[-1] - np.swapaxes(B[-1], 1, 2)))) if n else 0.0
-    dY_dxi = -np.einsum("nij,njk->nik", JX_inv[-1], Zs[-1][:, :d, d:])
+    dY_dxi = -(JX_inv[-1] @ Zs[-1][:, :d, d:])
 
     return PhasePointData(
         S=S,

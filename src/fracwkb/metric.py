@@ -67,6 +67,17 @@ def tensor_pairs(x_grid, xi_grid):
     return np.repeat(x_grid, nxi, axis=0), np.tile(xi_grid, (nx, 1))
 
 
+def solve_blocks(M, B):
+    """Solve M X = B for stacked d x d blocks M (B broadcasts against M).
+
+    d = 1 divides, which is LAPACK's value bit for bit; larger blocks go to
+    np.linalg.solve.
+    """
+    if M.shape[-1] == 1:
+        return B / M
+    return np.linalg.solve(M, B)
+
+
 @dataclass(frozen=True)
 class MetricField:
     """Inverse metric g^{jk} on a periodic box, immutable after construction.

@@ -205,25 +205,27 @@ def semiclassical_psi(cut, sigma):
     return PsiWeight(cut, sigma)
 
 
+JET = ("grad_x", "grad_xi", "hess_xx", "hess_xixi", "hess_xxi")
+
+
 class SymbolFunction:
     """Phase-space symbol a(x, xi) with derivative evaluators up to order 2.
 
     Evaluators receive (n, d) point batches and return (n, ...) arrays.
     Calling a derivative the symbol was not given raises NotImplementedError.
+    A symbol built from a `jet` closure, which returns all five derivatives
+    in the order of `JET` from one evaluation, reads each evaluator off it.
 
     Index conventions: `grad_x`/`grad_xi` return (n, d); the Hessians return
     (n, d, d) with `hess_xxi[m, i, j] = d^2 a / dx_i dxi_j`.
     """
 
     def __init__(self, dim, fn, grad_x=None, grad_xi=None, hess_xx=None,
-                 hess_xixi=None, hess_xxi=None, xi_band=None, label=""):
+                 hess_xixi=None, hess_xxi=None, jet=None, xi_band=None, label=""):
         self.dim = int(dim)
         self._fn = fn
-        self._grad_x = grad_x
-        self._grad_xi = grad_xi
-        self._hess_xx = hess_xx
-        self._hess_xixi = hess_xixi
-        self._hess_xxi = hess_xxi
+        self._evaluators = dict(zip(JET, (grad_x, grad_xi, hess_xx, hess_xixi, hess_xxi)))
+        self._jet = jet
         self.xi_band = None if xi_band is None else (float(xi_band[0]), float(xi_band[1]))
         self.label = label
 
@@ -233,11 +235,24 @@ class SymbolFunction:
 
     def _derivative(self, name, x, xi):
         """The `name` evaluator at the points; a symbol without it raises."""
-        analytic = getattr(self, "_" + name)
+        pts, cov = as_pairs(x, xi, self.dim)
+        if self._jet is not None:
+            return self._jet(pts, cov)[JET.index(name)]
+        analytic = self._evaluators[name]
         if analytic is None:
             raise NotImplementedError(f"symbol {self.label!r} has no {name} evaluator")
-        pts, cov = as_pairs(x, xi, self.dim)
         return analytic(pts, cov)
+
+    def jet(self, x, xi):
+        """(grad_x, grad_xi, hess_xx, hess_xixi, hess_xxi) at the points.
+
+        One evaluation for a symbol built from a jet closure; otherwise the
+        five evaluators are called in turn.
+        """
+        pts, cov = as_pairs(x, xi, self.dim)
+        if self._jet is not None:
+            return self._jet(pts, cov)
+        return tuple(self._derivative(name, pts, cov) for name in JET)
 
     def grad_x(self, x, xi):
         return self._derivative("grad_x", x, xi)
@@ -259,14 +274,12 @@ class SymbolFunction:
         def flip(f):
             return None if f is None else (lambda pts, cov: -f(pts, cov))
 
+        jet = self._jet
         out = SymbolFunction(
             self.dim,
             lambda pts, cov: -self._fn(pts, cov),
-            grad_x=flip(self._grad_x),
-            grad_xi=flip(self._grad_xi),
-            hess_xx=flip(self._hess_xx),
-            hess_xixi=flip(self._hess_xixi),
-            hess_xxi=flip(self._hess_xxi),
+            **{name: flip(f) for name, f in self._evaluators.items()},
+            jet=None if jet is None else (lambda pts, cov: tuple(-a for a in jet(pts, cov))),
             xi_band=self.xi_band,
             label=f"-({self.label})" if self.label else "",
         )
@@ -281,64 +294,41 @@ def fractional_symbol(metric, sigma, xi_band=None):
 
     All first and second partials are assembled from the chain rule applied to
     p = xi^T G(x) xi, so no finite differencing enters the flow right-hand
-    sides.  `xi_band` optionally records the compact p-interval J on which the
+    sides; one jet evaluates G and its two derivative tables once for all
+    five.  `xi_band` optionally records the compact p-interval J on which the
     construction is meant to live (the guard band for flows).
     """
     sigma = check_sigma(sigma)
     s = 0.5 * sigma
     d = metric.dim
 
-    def _core(pts, cov):
-        G = metric.inverse_metric(pts)
-        dG = metric.inverse_metric_grad(pts)
-        p = np.einsum("ni,nij,nj->n", cov, G, cov)
-        px = np.einsum("ni,nkij,nj->nk", cov, dG, cov)
-        pxi = 2.0 * np.einsum("nij,nj->ni", G, cov)
-        return G, dG, p, px, pxi
-
     def _fn(pts, cov):
         G = metric.inverse_metric(pts)
         p = np.einsum("ni,nij,nj->n", cov, G, cov)
         return p**s
 
-    def _grad_x(pts, cov):
-        _, _, p, px, _ = _core(pts, cov)
-        return s * (p ** (s - 1.0))[:, None] * px
-
-    def _grad_xi(pts, cov):
-        _, _, p, _, pxi = _core(pts, cov)
-        return s * (p ** (s - 1.0))[:, None] * pxi
-
-    def _hess_xixi(pts, cov):
-        G, _, p, _, pxi = _core(pts, cov)
-        t1 = s * (s - 1.0) * (p ** (s - 2.0))[:, None, None] * pxi[:, :, None] * pxi[:, None, :]
-        t2 = 2.0 * s * (p ** (s - 1.0))[:, None, None] * G
-        return t1 + t2
-
-    def _hess_xxi(pts, cov):
-        _, dG, p, px, pxi = _core(pts, cov)
-        # [n, i, j] = d^2 q0 / dx_i dxi_j
-        pxxi = 2.0 * np.einsum("nkij,nj->nki", dG, cov)
-        t1 = s * (s - 1.0) * (p ** (s - 2.0))[:, None, None] * px[:, :, None] * pxi[:, None, :]
-        t2 = s * (p ** (s - 1.0))[:, None, None] * pxxi
-        return t1 + t2
-
-    def _hess_xx(pts, cov):
-        _, _, p, px, _ = _core(pts, cov)
+    def _jet(pts, cov):
+        G = metric.inverse_metric(pts)
+        dG = metric.inverse_metric_grad(pts)
         d2G = metric.inverse_metric_hess(pts)
+        p = np.einsum("ni,nij,nj->n", cov, G, cov)
+        px = np.einsum("ni,nkij,nj->nk", cov, dG, cov)
+        pxi = 2.0 * np.einsum("nij,nj->ni", G, cov)
         pxx = np.einsum("ni,nklij,nj->nkl", cov, d2G, cov)
-        t1 = s * (s - 1.0) * (p ** (s - 2.0))[:, None, None] * px[:, :, None] * px[:, None, :]
-        t2 = s * (p ** (s - 1.0))[:, None, None] * pxx
-        return t1 + t2
+        pxxi = 2.0 * np.einsum("nkij,nj->nki", dG, cov)     # [n, i, j] = d2p / dx_i dxi_j
+        c1 = s * p ** (s - 1.0)                             # f'(p) for f(p) = p^s
+        c2 = s * (s - 1.0) * p ** (s - 2.0)                 # f''(p)
+        c1m, c2m = c1[:, None, None], c2[:, None, None]
+        return (c1[:, None] * px,
+                c1[:, None] * pxi,
+                c2m * px[:, :, None] * px[:, None, :] + c1m * pxx,
+                c2m * pxi[:, :, None] * pxi[:, None, :] + 2.0 * c1m * G,
+                c2m * px[:, :, None] * pxi[:, None, :] + c1m * pxxi)
 
     sym = SymbolFunction(
         d,
         _fn,
-        grad_x=_grad_x,
-        grad_xi=_grad_xi,
-        hess_xx=_hess_xx,
-        hess_xixi=_hess_xixi,
-        hess_xxi=_hess_xxi,
+        jet=_jet,
         xi_band=xi_band,
         label=f"p^{{{sigma}/2}}",
     )

@@ -184,10 +184,11 @@ def amplitude_point_data(a_init, q0, t, x, xi, q1=None, order=1,
     a = np.zeros((order, n), dtype=complex)
     a[0] = a_init(data.Y, xi).astype(complex) * np.exp(integral)
 
-    if order >= 2:
+    if order >= 2 and n_nodes > 1:
         # flat-only branch (checked above): f vanishes identically, and the
         # source i (q0 . a0(s))_2 at the node Z(s) evaluates the x-Hessian of
-        # the translated initial symbol at Z(s) + s V(xi)
+        # the translated initial symbol at Z(s) + s V(xi); a one-node path
+        # (t = 0) gives it zero Simpson weight, so a_1 keeps its initial 0
         gq = q0.grad_xi(flatX, flatXi).reshape(n_nodes, n, d)
         args = Xs + times[:, None, None] * gq
         xi_rep = np.broadcast_to(xi, (n_nodes, n, d)).reshape(-1, d)

@@ -1,8 +1,11 @@
 """Bicharacteristic flow, variational Jacobians and the inverse map."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from fracwkb import hamflow
 from fracwkb.hamflow import (NEWTON_TOL, GuardBandError, flow_horizon,
                              integrate_flow, inverse_map)
 from fracwkb.metric import flat_metric, gaussian_bump_metric
@@ -176,6 +179,88 @@ def test_guard_band_checked_along_the_whole_path():
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _BASE = (np.array([[0.4], [0.0], [-0.8]]), np.array([[1.1], [1.4], [0.9]]))
+
+
+def _separate_rk4_path(H, t, x, xi, n_steps):
+    """RK4 with one evaluator call per derivative and an einsum for A(t) Z:
+    the step the jet-based integrator reproduces in the same operation order."""
+    def field(X, Xi, Z):
+        A = np.block([[np.swapaxes(H.hess_xxi(X, Xi), 1, 2), H.hess_xixi(X, Xi)],
+                      [-H.hess_xx(X, Xi), -H.hess_xxi(X, Xi)]])
+        return H.grad_xi(X, Xi), -H.grad_x(X, Xi), np.einsum("nij,njk->nik", A, Z)
+
+    X, Xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
+    Z = np.broadcast_to(np.eye(2), (len(X), 2, 2)).copy()
+    h = t / n_steps
+    for _ in range(n_steps):
+        k1 = field(X, Xi, Z)
+        k2 = field(*(y + 0.5 * h * k for y, k in zip((X, Xi, Z), k1)))
+        k3 = field(*(y + 0.5 * h * k for y, k in zip((X, Xi, Z), k2)))
+        k4 = field(*(y + h * k for y, k in zip((X, Xi, Z), k3)))
+        X, Xi, Z = (y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + e)
+                    for y, a, b, c, e in zip((X, Xi, Z), k1, k2, k3, k4))
+    return X, Xi, Z
+
+
+def test_assembled_jet_flows_like_separate_evaluators():
+    # the oscillator has no jet closure, so SymbolFunction.jet assembles it
+    # from the five evaluators; A is constant, so even A @ Z is exact
+    H = _oscillator(None)
+    x, xi = np.array([[0.0], [0.3]]), np.array([[1.0], [-0.7]])
+    X, Xi, Z = integrate_flow(H, 1.3, x, xi, n_steps=40, with_variational=True)
+    for got, want in zip((X, Xi, Z), _separate_rk4_path(H, 1.3, x, xi, 40)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0])
+def test_jet_flow_keeps_the_separate_evaluator_values(sigma):
+    H = _bump_hamiltonian(sigma)
+    X, Xi, Z = integrate_flow(H, 0.3, *_BASE, n_steps=30, with_variational=True)
+    X_ref, Xi_ref, Z_ref = _separate_rk4_path(H, 0.3, *_BASE, 30)
+    np.testing.assert_array_equal(X, X_ref)
+    np.testing.assert_array_equal(Xi, Xi_ref)
+    # A @ Z may round its 2-term sums differently from the einsum
+    np.testing.assert_allclose(Z, Z_ref, rtol=0, atol=1e-14)
+
+
+def test_variational_step_evaluates_the_metric_once_per_stage():
+    bump = gaussian_bump_metric(dim=1, epsilon=0.1)
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return bump.inverse_metric(pts)
+
+    H = fractional_symbol(dataclasses.replace(bump, inverse_metric=counted), 2.0,
+                          xi_band=(0.3, 3.0))
+    integrate_flow(H, 0.01, *_BASE, n_steps=1, with_variational=True)
+    assert len(calls) <= 5          # four RK4 stages and the guard-band check
+
+
+def test_newton_trials_flow_only_unconverged_points(monkeypatch):
+    H = _bump_hamiltonian(2.0)
+    t, n_steps = 0.3, 30
+    y = np.linspace(-0.6, 0.6, 6)[:, None]
+    xi = np.linspace(0.9, 1.3, 6)[:, None]
+    X, _ = integrate_flow(H, t, y, xi, n_steps=n_steps)
+    # even points start on their base point and are converged from the start
+    y0 = np.where(np.arange(6)[:, None] % 2 == 0, y, X)
+    sizes = []
+    flow = hamflow.integrate_flow
+
+    def recording(H, t, x, *args, **kwargs):
+        sizes.append(len(x))
+        return flow(H, t, x, *args, **kwargs)
+
+    monkeypatch.setattr(hamflow, "integrate_flow", recording)
+    Y, path = inverse_map(H, t, X, xi, n_steps, y0=y0)
+    assert sizes[0] == 6 and len(sizes) > 1 and max(sizes[1:]) == 3
+    # each point alone is what an all-point trial does for it
+    for k in range(6):
+        Yk, path_k = inverse_map(H, t, X[k:k + 1], xi[k:k + 1], n_steps, y0=y0[k:k + 1])
+        np.testing.assert_array_equal(Y[k], Yk[0])
+        for arr, arr_k in zip(path[1:], path_k[1:]):
+            np.testing.assert_array_equal(arr[:, k], arr_k[:, 0])
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0])

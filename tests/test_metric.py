@@ -5,7 +5,7 @@ import pytest
 
 from fracwkb.metric import (EllipticityError, MetricField, audit_assumptions,
                             check_sigma, flat_metric, gaussian_bump_metric,
-                            principal_symbol)
+                            principal_symbol, solve_blocks)
 
 
 def test_principal_symbol_identity_metric():
@@ -108,3 +108,18 @@ def test_check_sigma_rejects(bad):
 @pytest.mark.parametrize("good", [0.5, 2.0, 3.0, 2.7])
 def test_check_sigma_accepts(good):
     assert check_sigma(good) == good
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_solve_blocks_matches_lapack(d):
+    rng = np.random.default_rng(d)
+    M = rng.normal(size=(4, 50, d, d)) + 3.0 * np.eye(d)
+    R = rng.normal(size=(4, 50, d, 1))      # one right-hand side, as a Newton step
+    inv, sol = solve_blocks(M, np.eye(d)), solve_blocks(M, R)
+    assert inv.shape == M.shape and sol.shape == R.shape
+    if d == 1:
+        # the division is LAPACK's value bit for bit
+        np.testing.assert_array_equal(inv, np.linalg.inv(M))
+        np.testing.assert_array_equal(sol, np.linalg.solve(M, R))
+    np.testing.assert_allclose(inv, np.linalg.inv(M), rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(sol, np.linalg.solve(M, R), rtol=1e-13, atol=1e-13)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracwkb.metric import flat_metric, gaussian_bump_metric, principal_symbol
-from fracwkb.symbols import (ConstantWindow, GaussianWindow, SymbolFunction,
+from fracwkb.symbols import (JET, ConstantWindow, GaussianWindow, SymbolFunction,
                              fractional_symbol, littlewood_paley_partition,
                              localized_amplitude, make_bump, semiclassical_psi)
 
@@ -186,6 +186,90 @@ def test_fractional_symbol_hessians_match_differences():
     np.testing.assert_allclose(q0.hess_xxi(x, xi)[0, 0, 0], fd[0, 0], rtol=1e-5)
     fd2 = (q0.grad_xi(x, xi + step) - q0.grad_xi(x, xi - step)) / (2 * step)
     np.testing.assert_allclose(q0.hess_xixi(x, xi)[0, 0, 0], fd2[0, 0], rtol=1e-5)
+
+
+def _separate_evaluators(m, sigma):
+    """The chain-rule formulas of q0 = p^{s}, one metric evaluation each, in
+    the operation order the fused jet keeps."""
+    s = 0.5 * sigma
+
+    def core(pts, cov):
+        G, dG = m.inverse_metric(pts), m.inverse_metric_grad(pts)
+        p = np.einsum("ni,nij,nj->n", cov, G, cov)
+        px = np.einsum("ni,nkij,nj->nk", cov, dG, cov)
+        pxi = 2.0 * np.einsum("nij,nj->ni", G, cov)
+        return G, dG, p, px, pxi
+
+    def grad_x(pts, cov):
+        _, _, p, px, _ = core(pts, cov)
+        return s * (p ** (s - 1.0))[:, None] * px
+
+    def grad_xi(pts, cov):
+        _, _, p, _, pxi = core(pts, cov)
+        return s * (p ** (s - 1.0))[:, None] * pxi
+
+    def hess_xx(pts, cov):
+        _, _, p, px, _ = core(pts, cov)
+        pxx = np.einsum("ni,nklij,nj->nkl", cov, m.inverse_metric_hess(pts), cov)
+        return (s * (s - 1.0) * (p ** (s - 2.0))[:, None, None] * px[:, :, None] * px[:, None, :]
+                + s * (p ** (s - 1.0))[:, None, None] * pxx)
+
+    def hess_xixi(pts, cov):
+        G, _, p, _, pxi = core(pts, cov)
+        return (s * (s - 1.0) * (p ** (s - 2.0))[:, None, None] * pxi[:, :, None] * pxi[:, None, :]
+                + 2.0 * s * (p ** (s - 1.0))[:, None, None] * G)
+
+    def hess_xxi(pts, cov):
+        _, dG, p, px, pxi = core(pts, cov)
+        pxxi = 2.0 * np.einsum("nkij,nj->nki", dG, cov)
+        return (s * (s - 1.0) * (p ** (s - 2.0))[:, None, None] * px[:, :, None] * pxi[:, None, :]
+                + s * (p ** (s - 1.0))[:, None, None] * pxxi)
+
+    return grad_x, grad_xi, hess_xx, hess_xixi, hess_xxi
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0, 3.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_fractional_symbol_jet_matches_separate_evaluators(sigma, sign):
+    m = gaussian_bump_metric(dim=1, epsilon=0.1)
+    q0 = fractional_symbol(m, sigma, xi_band=(0.3, 3.0))
+    sym = q0 if sign > 0 else -q0
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-1.5, 1.5, size=(40, 1))
+    xi = rng.uniform(0.8, 1.6, size=(40, 1))
+    jet = sym.jet(x, xi)
+    assert len(jet) == len(JET)
+    for name, part, ref in zip(JET, jet, _separate_evaluators(m, sigma)):
+        np.testing.assert_array_equal(part, getattr(sym, name)(x, xi), err_msg=name)
+        np.testing.assert_array_equal(part, sign * ref(x, xi), err_msg=name)
+
+
+def test_jet_assembled_from_separate_evaluators():
+    sym = SymbolFunction(1, lambda pts, cov: pts[:, 0] * cov[:, 0] ** 2,
+                         grad_x=lambda pts, cov: cov**2,
+                         grad_xi=lambda pts, cov: 2.0 * pts * cov,
+                         hess_xx=lambda pts, cov: np.zeros((pts.shape[0], 1, 1)),
+                         hess_xixi=lambda pts, cov: 2.0 * pts[:, :, None],
+                         hess_xxi=lambda pts, cov: 2.0 * cov[:, :, None])
+    x, xi = np.array([[0.5], [-1.0]]), np.array([[2.0], [3.0]])
+    for name, part, neg in zip(JET, sym.jet(x, xi), (-sym).jet(x, xi)):
+        np.testing.assert_array_equal(part, getattr(sym, name)(x, xi))
+        np.testing.assert_array_equal(neg, -part)
+    with pytest.raises(NotImplementedError, match="grad_x"):
+        SymbolFunction(1, lambda pts, cov: pts[:, 0]).jet(x, xi)
+
+
+def test_localized_amplitude_derivatives_match_differences():
+    m = gaussian_bump_metric(dim=1, epsilon=0.1)
+    a = localized_amplitude(m, make_bump(0.3, 3.0, (0.5, 2.0)),
+                            window=GaussianWindow(1, center=0.2, width=0.8))
+    x = np.linspace(-1.0, 1.0, 9)[:, None]
+    xi = np.full((9, 1), 0.9)
+    step = 1e-5
+    fd = (a(x + step, xi) - a(x - step, xi)) / (2 * step)
+    np.testing.assert_allclose(a.grad_x(x, xi)[:, 0], fd, rtol=1e-7, atol=1e-9)
+    fd2 = (a.grad_x(x + step, xi) - a.grad_x(x - step, xi)) / (2 * step)
+    np.testing.assert_allclose(a.hess_xx(x, xi)[:, 0, 0], fd2[:, 0], rtol=1e-6, atol=1e-8)
 
 
 @pytest.mark.parametrize("window", [ConstantWindow(1),

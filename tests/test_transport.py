@@ -110,6 +110,19 @@ def test_amplitude_zero_time_is_initial_data():
     np.testing.assert_array_equal(data.Y, x)
 
 
+def test_zero_time_skips_the_zero_weight_correction_source(monkeypatch):
+    """On the one-node path at t = 0 Simpson weights the a_1 source by zero."""
+    _, q0, a_init = _flat_setup()
+    calls = []
+    hess_xx = a_init.hess_xx
+    monkeypatch.setattr(a_init, "hess_xx", lambda *args: calls.append(1) or hess_xx(*args))
+    x, xi = np.array([[0.2]]), np.array([[1.0]])
+    assert amplitude_point_data(a_init, q0, 0.0, x, xi, order=2).a[1, 0] == 0.0
+    assert not calls
+    amplitude_point_data(a_init, q0, 0.05, x, xi, order=2)
+    assert calls
+
+
 @pytest.mark.parametrize("sigma", [0.5, 2.0])
 def test_flat_leading_amplitude_translates(sigma):
     """Over the flat metric a_0 is the initial symbol read at the base point."""
