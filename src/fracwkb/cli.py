@@ -36,7 +36,6 @@ class ConfigError(ValueError):
 
 COMMON_KEYS = {
     "out": (str, "runs", "output directory"),
-    "seed": (int, 0, "reserved seed; the bundled suites are deterministic"),
 }
 
 SCHEMAS = {
@@ -156,12 +155,12 @@ def _resolve(suite, file_cfg, flag_cfg):
     return cfg
 
 
-def _metric_from(cfg, dim=1):
-    kind = cfg.get("metric", "flat")
+def _metric_from(cfg):
+    kind = cfg["metric"]
     if kind == "flat":
-        return flat_metric(dim=dim)
+        return flat_metric(dim=1)
     if kind == "bump":
-        return gaussian_bump_metric(dim=dim, epsilon=cfg["epsilon"])
+        return gaussian_bump_metric(dim=1, epsilon=cfg["epsilon"])
     raise ConfigError(f"metric must be flat or bump, got {kind!r}")
 
 
@@ -240,9 +239,8 @@ def run_kernel(cfg, outdir):
     K = kernel(tab, amp, cfg["h"], t, xg, yg)
 
     xi_hi = np.sqrt(cfg["r2"])
-    mass = 2.0 * float(np.trapezoid(cut(np.linspace(cfg["r1"], cfg["r2"], 2001))
-                                    * 0.5 / np.sqrt(np.linspace(cfg["r1"], cfg["r2"], 2001)),
-                                    np.linspace(cfg["r1"], cfg["r2"], 2001)))
+    lam = np.linspace(cfg["r1"], cfg["r2"], 2001)
+    mass = 2.0 * float(np.trapezoid(cut(lam) * 0.5 / np.sqrt(lam), lam))
     scaled = K.sup() * 2.0 * np.pi * cfg["h"]
     rows = [_row("kernel-sup-times-h", scaled, 1.05 * mass, scaled <= 1.05 * mass)]
     if t == 0.0:
@@ -343,16 +341,13 @@ def run_strichartz(cfg, outdir):
 
 
 def _nlfs_setup(cfg):
-    kind = cfg["metric"]
-    if kind == "flat":
-        grid = make_grid(1, cfg["n"], 2.0 * np.pi)
+    m = _metric_from(cfg)
+    if m.is_flat:
+        grid = make_grid(1, cfg["n"], m.box_length)
         op = flat_operator(grid)
-    elif kind == "bump":
-        m = gaussian_bump_metric(dim=1, epsilon=cfg["epsilon"])
+    else:
         op = discretize_P_1d(m, cfg["n"])
         grid = op.grid
-    else:
-        raise ConfigError(f"metric must be flat or bump, got {kind!r}")
     u0 = modulated_gaussian(grid, 0.5 * grid.length, cfg["width"], cfg["omega"])
     u0 = state_from_values(grid, cfg["amp"] * u0.values)
     return grid, op, u0

@@ -41,6 +41,11 @@ POINTS_PER_OSC = 8
 XI_POINTS_MIN = 257
 XI_POINTS_CAP = 2_000_000
 SUP_REFINE_TOL = 0.01
+SUP_POINTS_START = 16          # points per span in kernel_sup's first round
+DECAY_X_SPAN = (-0.5, 0.5)     # x-window of dispersive_fit's kernel sups
+BAND_TOL = 1e-8                # relative L2 mass apply_fio may drop off the band
+NORM_ITERATIONS = 15           # power iterations of operator_norm_estimate
+HESSIAN_STEP = 1e-4            # difference step of stationary_hessian_check
 
 
 class ResolutionError(RuntimeError):
@@ -97,14 +102,14 @@ def _fio_factors(amp, h, t, x_grid, xi_grid):
     return A, data.S.reshape(nx, nxi)
 
 
-def apply_fio(phase, amp, u0, h, t, band_tol=1e-8):
+def apply_fio(phase, amp, u0, h, t):
     """Apply J_h(S(t), sum_j h^j a_j(t)) to a band-limited state.
 
     The y-integral is exact through the discrete Fourier coefficients of u0;
     each retained mode k contributes c_k a(t, x, h omega_k) e^{i S / h}.  The
     x-grid must carry >= POINTS_PER_OSC points per oscillation of the fastest
     retained mode, and coefficient mass outside the amplitude band beyond
-    `band_tol` (relative L2) is rejected rather than silently dropped.
+    BAND_TOL (relative L2) is rejected rather than silently dropped.
     """
     _check_1d(u0.grid)
     if phase.q0 is not amp.q0:
@@ -122,7 +127,7 @@ def apply_fio(phase, amp, u0, h, t, band_tol=1e-8):
     c = u0.fourier
     total = float(np.sum(np.abs(c) ** 2))
     dropped = total - float(np.sum(np.abs(c[keep]) ** 2))
-    if total > 0.0 and dropped > band_tol * total:
+    if total > 0.0 and dropped > BAND_TOL * total:
         raise ValueError(
             f"state carries {dropped / total:.3e} of its energy outside the "
             "amplitude band; localize it first"
@@ -219,16 +224,16 @@ def kernel(phase, amp, h, t, x_grid, y_grid, n_xi=None):
                       n_xi=used)
 
 
-def kernel_sup(phase, amp, h, t, x_span, y_span, n0=16, tol=SUP_REFINE_TOL,
-               max_rounds=6):
+def kernel_sup(phase, amp, h, t, x_span, y_span, tol=SUP_REFINE_TOL, max_rounds=6):
     """Grid max of |K_h(t)| over the spans, refined until it moves < tol.
 
-    Each round doubles the points per span.  When `max_rounds` rounds pass
-    without two successive estimates agreeing to `tol`, raises
-    :class:`ResolutionError` naming the last two estimates.
+    The first round takes SUP_POINTS_START points per span, and each round
+    doubles them.  When `max_rounds` rounds pass without two successive
+    estimates agreeing to `tol`, raises :class:`ResolutionError` naming the
+    last two estimates.
     """
     prev = cur = None
-    n = n0
+    n = SUP_POINTS_START
     for _ in range(max_rounds):
         xg = np.linspace(x_span[0], x_span[1], n)
         yg = np.linspace(y_span[0], y_span[1], n)
@@ -257,12 +262,12 @@ class DispersiveFit:
     sups: np.ndarray
 
 
-def dispersive_fit(phase, amp, h, t_samples, x_span=None, y_span=None):
+def dispersive_fit(phase, amp, h, t_samples):
     """Fit log sup_{x,y} |K_h(t)| vs log(t/h) over the time samples.
 
-    The y-span defaults to a window wide enough to contain the stationary set
-    x - y ~ t grad q0(xi) over all samples.  Fewer than 6 requested or 4
-    finite samples raise :class:`InsufficientDataError`.
+    The sups are taken over x in DECAY_X_SPAN and a y-window wide enough to
+    contain the stationary set x - y ~ t grad q0(xi) over all samples.  Fewer
+    than 6 requested or 4 finite samples raise :class:`InsufficientDataError`.
     """
     t_samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
     if t_samples.size < 6:
@@ -271,11 +276,9 @@ def dispersive_fit(phase, amp, h, t_samples, x_span=None, y_span=None):
         )
     _, _, grad_max = _xi_hull(amp, np.zeros((1, 1)))
     t_max = float(np.max(np.abs(t_samples)))
-    if x_span is None:
-        x_span = (-0.5, 0.5)
-    if y_span is None:
-        reach = max(abs(x_span[0]), abs(x_span[1])) + t_max * grad_max + 0.5
-        y_span = (-reach, reach)
+    x_span = DECAY_X_SPAN
+    reach = max(abs(x_span[0]), abs(x_span[1])) + t_max * grad_max + 0.5
+    y_span = (-reach, reach)
 
     sups = np.empty_like(t_samples)
     for i, t in enumerate(t_samples):
@@ -305,8 +308,7 @@ class RemainderFit:
     remainders: np.ndarray
 
 
-def remainder_decay(phase, amp, h_sweep, t=0.15, reference_propagator=None,
-                    n_per_band=POINTS_PER_OSC):
+def remainder_decay(phase, amp, h_sweep, t=0.15, reference_propagator=None):
     """Remainder ||U_h(t) Op_h(a) u - J_N(t) u||_2 / ||u||_2 across h.
 
     Flat metric only: the reference U_h is the exact Fourier multiplier (by
@@ -327,7 +329,7 @@ def remainder_decay(phase, amp, h_sweep, t=0.15, reference_propagator=None,
     rems = np.empty_like(h_sweep)
     for i, h in enumerate(h_sweep):
         n = 1
-        need = n_per_band * xi_hi * L / (2.0 * np.pi * h)
+        need = POINTS_PER_OSC * xi_hi * L / (2.0 * np.pi * h)
         while n < 2.0 * need:
             n *= 2
         grid = make_grid(1, n, L)
@@ -351,22 +353,22 @@ def remainder_decay(phase, amp, h_sweep, t=0.15, reference_propagator=None,
                         h=h_sweep, remainders=rems)
 
 
-def operator_norm_estimate(phase, amp, h, t, grid, n_iter=15, seed=0):
+def operator_norm_estimate(phase, amp, h, t, grid):
     """L2 operator norm of J_h(S, a) by power iteration on the normal map.
 
-    The operator acts mode-to-grid, so the adjoint is applied with the
-    conjugate-transposed mode matrix; both directions are matrix-free in the
-    state dimension.
+    NORM_ITERATIONS iterations run from a fixed random start.  The operator
+    acts mode-to-grid, so the adjoint is applied with the conjugate-transposed
+    mode matrix; both directions are matrix-free in the state dimension.
     """
     omega, keep = _mode_band(amp, h, grid)
     A, S = _fio_factors(amp, h, t, grid.axis()[:, None], h * omega[keep, None])
     M = A * np.exp(1j * S / h)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(n_iter):
+    for _ in range(NORM_ITERATIONS):
         c = np.fft.fft(v) / grid.n
         w = M @ c[keep]
         back = np.zeros(grid.n, dtype=complex)
@@ -380,11 +382,12 @@ def operator_norm_estimate(phase, amp, h, t, grid, n_iter=15, seed=0):
     return float(est)
 
 
-def stationary_hessian_check(sigma, eta, step=1e-4):
+def stationary_hessian_check(sigma, eta):
     """Compare det hess |eta|^sigma assembled by differencing with the closed form.
 
-    The closed form is sigma^d |sigma - 1| |eta|^{(sigma-2) d}: the Hessian has
-    one radial eigenvalue sigma(sigma-1)|eta|^{sigma-2} and d-1 tangential ones
+    The differences use the step HESSIAN_STEP.  The closed form is
+    sigma^d |sigma - 1| |eta|^{(sigma-2) d}: the Hessian has one radial
+    eigenvalue sigma(sigma-1)|eta|^{sigma-2} and d-1 tangential ones
     sigma |eta|^{sigma-2}.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
@@ -398,10 +401,10 @@ def stationary_hessian_check(sigma, eta, step=1e-4):
         for j in range(d):
             ei = np.zeros(d)
             ej = np.zeros(d)
-            ei[i] = step
-            ej[j] = step
+            ei[i] = HESSIAN_STEP
+            ej[j] = HESSIAN_STEP
             Hs[i, j] = (phi(eta + ei + ej) - phi(eta + ei - ej)
-                        - phi(eta - ei + ej) + phi(eta - ei - ej)) / (4.0 * step**2)
+                        - phi(eta - ei + ej) + phi(eta - ei - ej)) / (4.0 * HESSIAN_STEP**2)
     assembled = abs(float(np.linalg.det(Hs)))
     closed = sigma**d * abs(sigma - 1.0) * np.linalg.norm(eta) ** ((sigma - 2.0) * d)
     gap = abs(assembled - closed) / max(1.0, closed)

@@ -5,8 +5,8 @@ fixed-step 4th order scheme.  The variational system propagates the full
 2d x 2d Jacobian Z(t) of the flow map with Z(0) = Id alongside the
 trajectory, which downstream modules use both for phase Hessians and for the
 Newton iteration inverting x -> X(t, x, xi).  :func:`integrate_flow` is the
-one integrator: it returns either the final state or the whole uniform node
-path, and it holds every node inside the guard band.
+one integrator: it returns the whole uniform node path of the state and its
+Jacobian, and it holds every node inside the guard band.
 
 Everything is vectorized over batches of phase-space points: positions and
 covectors are (n, d) arrays, Jacobians (n, 2d, 2d).
@@ -41,11 +41,9 @@ class CausticError(RuntimeError):
 
 
 def _stage(H, X, Xi, Z):
-    """The flow field at (X, Xi) and, when Z is given, A(t) Z with A the
-    linearization of the field there, all read off one jet of H."""
+    """The flow field at (X, Xi) and A(t) Z, with A the linearization of the
+    field there, all read off one jet of H."""
     gx, gxi, hxx, hxixi, hxxi = H.jet(X, Xi)
-    if Z is None:
-        return gxi, -gx, None
     d = X.shape[1]
     A = np.empty((X.shape[0], 2 * d, 2 * d))
     A[:, :d, :d] = np.swapaxes(hxxi, 1, 2)
@@ -73,75 +71,49 @@ def _check_guard(H, X, Xi, where):
         )
 
 
-def integrate_flow(H, t, x, xi, dt=DT_DEFAULT, n_steps=None, with_variational=False,
-                   path=False):
-    """Flow (x, xi) to time t; returns (X, Xi), (X, Xi, Z) or the node path.
+def integrate_flow(H, t, x, xi, n_steps):
+    """Flow (x, xi) and the variational Jacobian Z to time t in `n_steps` RK4 steps.
 
-    Parameters
-    ----------
-    H : SymbolFunction
-        Hamiltonian with gradient and Hessian evaluators.
-    t : float
-        Target time, may be negative.
-    x, xi : arrays
-        Batches of initial positions / covectors, promoted to (n, d).
-    dt : float
-        Nominal step size; the actual count is ceil(|t| / dt).
-    n_steps : int, optional
-        Overrides the step count (used by quadrature callers that need a
-        specific node layout).
-    path : bool
-        Return (times, X, Xi, Z) over the n_steps + 1 uniform nodes from 0
-        to t, the state arrays with a leading node axis (Z is None without
-        `with_variational`), for quadrature along the path.  Without it only
-        the final state is kept.
+    Returns (times, X, Xi, Z) over the n_steps + 1 uniform nodes from 0 to
+    t, each state array with a leading node axis: X and Xi are (nodes, n, d)
+    and Z is (nodes, n, 2d, 2d) with Z = Id at the first node.  At t = 0 the
+    path is the single starting node.  `t` may be negative, and the inputs
+    are promoted to matched (n, d) batches.
 
     Every RK4 node is checked against the guard band of H (when H carries
     one), so a path that leaves the band and returns raises
     :class:`GuardBandError` too.
     """
     d = H.dim
-    X, Xi = (a.copy() for a in as_pairs(x, xi, d))
+    X, Xi = as_pairs(x, xi, d)
     n = X.shape[0]
-    Z = np.broadcast_to(np.eye(2 * d), (n, 2 * d, 2 * d)).copy() if with_variational else None
-    if t == 0.0:
-        steps = 0
-    else:
-        steps = n_steps if n_steps is not None else _step_count(t, dt)
+    steps = n_steps if t != 0.0 else 0
     hstep = t / steps if steps else 0.0
 
-    if path:
-        times = np.linspace(0.0, t, steps + 1)
-        Xs = np.empty((steps + 1, n, d))
-        Xis = np.empty((steps + 1, n, d))
-        Zs = np.empty((steps + 1, n, 2 * d, 2 * d)) if with_variational else None
-        Xs[0], Xis[0] = X, Xi
-        if with_variational:
-            Zs[0] = Z
+    times = np.linspace(0.0, t, steps + 1)
+    Xs = np.empty((steps + 1, n, d))
+    Xis = np.empty((steps + 1, n, d))
+    Zs = np.empty((steps + 1, n, 2 * d, 2 * d))
+    Xs[0], Xis[0], Zs[0] = X, Xi, np.eye(2 * d)
     for k in range(steps):
-        X, Xi, Z = _rk4_step(H, X, Xi, Z, hstep)
+        X, Xi, Z = _rk4_step(H, Xs[k], Xis[k], Zs[k], hstep)
         _check_guard(H, X, Xi, f" at step {k + 1} of {steps} toward t={t}")
-        if path:
-            Xs[k + 1], Xis[k + 1] = X, Xi
-            if with_variational:
-                Zs[k + 1] = Z
-    if path:
-        return times, Xs, Xis, Zs
-    return (X, Xi, Z) if with_variational else (X, Xi)
+        Xs[k + 1], Xis[k + 1], Zs[k + 1] = X, Xi, Z
+    return times, Xs, Xis, Zs
 
 
 def _rk4_step(H, X, Xi, Z, h):
-    """One classical RK4 step of (X, Xi) and, unless Z is None, of Z."""
+    """One classical RK4 step of (X, Xi) and Z."""
     state = (X, Xi, Z)
 
     def shifted(c, k):
-        return tuple(None if y is None else y + c * dy for y, dy in zip(state, k))
+        return tuple(y + c * dy for y, dy in zip(state, k))
 
     k1 = _stage(H, *state)
     k2 = _stage(H, *shifted(0.5 * h, k1))
     k3 = _stage(H, *shifted(0.5 * h, k2))
     k4 = _stage(H, *shifted(h, k3))
-    return tuple(None if y is None else y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + e)
+    return tuple(y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + e)
                  for y, a, b, c, e in zip(state, k1, k2, k3, k4))
 
 
@@ -160,11 +132,7 @@ def inverse_map(H, t, x, xi, n_steps, y0=None):
     xt, cov = as_pairs(x, xi, d)
     Y = xt.copy() if y0 is None else as_points(y0, d).copy()
 
-    def forward(Yc, covc):
-        return integrate_flow(H, t, Yc, covc, n_steps=n_steps, with_variational=True,
-                              path=True)
-
-    path = forward(Y, cov)
+    path = integrate_flow(H, t, Y, cov, n_steps)
     _, Xs, _, Zs = path
     res = np.max(np.abs(Xs[-1] - xt), axis=1)
     for _ in range(NEWTON_MAX_ITER):
@@ -177,7 +145,7 @@ def inverse_map(H, t, x, xi, n_steps, y0=None):
         lam = np.ones(active.size)
         for _ in range(10):
             Y_try = Y[active] - lam[:, None] * delta
-            trial = forward(Y_try, cov[active])
+            trial = integrate_flow(H, t, Y_try, cov[active], n_steps)
             res_try = np.max(np.abs(trial[1][-1] - xt[active]), axis=1)
             improved = res_try < res[active]
             take = active[improved]
@@ -213,7 +181,7 @@ def scan_horizon(t_grid, passes):
     return t0
 
 
-def flow_horizon(H, t_grid, x, xi, dt=DT_DEFAULT, threshold=0.5):
+def flow_horizon(H, t_grid, x, xi, threshold=0.5):
     """Largest grid time with ||grad_x X - Id|| <= threshold at every sample.
 
     Scans |t| in increasing order over the grid; the returned horizon is the
@@ -223,8 +191,8 @@ def flow_horizon(H, t_grid, x, xi, dt=DT_DEFAULT, threshold=0.5):
     t_grid = np.asarray(t_grid, dtype=float)
 
     def passes(k):
-        _, _, Z = integrate_flow(H, t_grid[k], x, xi, dt=dt, with_variational=True)
-        dev = np.linalg.norm(Z[:, :d, :d] - np.eye(d), ord=2, axis=(1, 2))
+        *_, Zs = integrate_flow(H, t_grid[k], x, xi, _step_count(t_grid[k], DT_DEFAULT))
+        dev = np.linalg.norm(Zs[-1, :, :d, :d] - np.eye(d), ord=2, axis=(1, 2))
         return not np.any(dev > threshold)
 
     return scan_horizon(t_grid, passes)

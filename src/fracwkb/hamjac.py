@@ -228,17 +228,16 @@ class PhaseEstimateReport:
         return f"C1 = {self.C1:.6g}, C2 = {self.C2:.6g} ({pieces})"
 
 
-def certify_phase_estimates(pt, q0=None):
+def certify_phase_estimates(pt):
     """Fit C1 = sup |d(S - x.xi)| / |t| and C2 = sup |S - x.xi - t q0| / t^2.
 
     First-order derivatives of S - x.xi come from the stored tables
     (grad_x S - xi and Y - x), not from differencing S.
     """
-    q0 = q0 or pt.q0
     nx, nxi = pt.x_grid.shape[0], pt.xi_grid.shape[0]
     xp, xip = tensor_pairs(pt.x_grid, pt.xi_grid)
     xxi = np.sum(xp * xip, axis=1).reshape(nx, nxi)
-    q0_init = q0(xp, xip).reshape(nx, nxi)
+    q0_init = pt.q0(xp, xip).reshape(nx, nxi)
 
     c0 = c1x = c1xi = c2 = 0.0
     for k, t in enumerate(pt.t_grid):
@@ -256,7 +255,7 @@ def certify_phase_estimates(pt, q0=None):
     return PhaseEstimateReport(C1=max(c0, c1x, c1xi), C2=c2, by_order=by_order)
 
 
-def hj_residual(pt, q0=None):
+def hj_residual(pt):
     """|dS/dt - q0(x, grad_x S)| on the grid, with dS/dt by time differencing.
 
     On a uniform time grid with >= 5 nodes a 4th-order central stencil is
@@ -265,7 +264,6 @@ def hj_residual(pt, q0=None):
     array (nt, nx, nxi) with NaN at times where no centered stencil fits, and
     the max over the valid interior.
     """
-    q0 = q0 or pt.q0
     nt, nx, nxi = pt.S.shape
     if nt < 3:
         raise ValueError("need at least 3 time nodes for the residual check")
@@ -277,7 +275,7 @@ def hj_residual(pt, q0=None):
     xp, _ = tensor_pairs(pt.x_grid, pt.xi_grid)
     for k in range(nt):
         eta = pt.grad_x[k].reshape(nx * nxi, -1)
-        qvals[k] = q0(xp, eta).reshape(nx, nxi)
+        qvals[k] = pt.q0(xp, eta).reshape(nx, nxi)
 
     res = np.full_like(pt.S, np.nan)
     if uniform and nt >= 5:
@@ -310,8 +308,7 @@ def second_time_derivative(pt, k=None):
     xp, _ = tensor_pairs(pt.x_grid, pt.xi_grid)
     for i, kk in enumerate(ks):
         eta = pt.grad_x[kk].reshape(nx * nxi, -1)
-        g = q0.grad_xi(xp, eta)
-        gx = q0.grad_x(xp, eta)
+        gx, g, *_ = q0.jet(xp, eta)
         W = pt.hess_xx[kk].reshape(nx * nxi, g.shape[1], g.shape[1])
         val = np.sum(g * gx, axis=1) + np.einsum("ni,nij,nj->n", g, W, g)
         out[i] = val.reshape(nx, nxi)

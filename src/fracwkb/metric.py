@@ -23,6 +23,9 @@ __all__ = [
 ]
 
 
+FLAT_BOX_LENGTH = 2.0 * np.pi
+
+
 class EllipticityError(ValueError):
     """The sampled inverse metric failed to be symmetric positive definite."""
 
@@ -121,18 +124,6 @@ class MetricField:
         if self.derivative_order < 2:
             raise ValueError("need analytic derivatives up to order >= 2")
 
-    def G(self, x):
-        """Inverse-metric matrices at the sample points, shape (n, d, d)."""
-        return self.inverse_metric(as_points(x, self.dim))
-
-    def dG(self, x):
-        """First partials of G, shape (n, d, d, d) with axis 1 the x_j index."""
-        return self.inverse_metric_grad(as_points(x, self.dim))
-
-    def d2G(self, x):
-        """Second partials of G, shape (n, d, d, d, d)."""
-        return self.inverse_metric_hess(as_points(x, self.dim))
-
 
 def check_sigma(sigma):
     """Reject dispersion exponents outside (0, inf) \\ {1}."""
@@ -141,8 +132,9 @@ def check_sigma(sigma):
     return float(sigma)
 
 
-def flat_metric(dim=1, box_length=2.0 * np.pi):
-    """Identity inverse metric; every downstream object has a closed form."""
+def flat_metric(dim=1):
+    """Identity inverse metric on the FLAT_BOX_LENGTH torus; every downstream
+    object has a closed form."""
 
     def _eye(pts):
         n = pts.shape[0]
@@ -158,7 +150,7 @@ def flat_metric(dim=1, box_length=2.0 * np.pi):
 
     return MetricField(
         dim=dim,
-        box_length=box_length,
+        box_length=FLAT_BOX_LENGTH,
         inverse_metric=_eye,
         inverse_metric_grad=_zero1,
         inverse_metric_hess=_zero2,
@@ -238,20 +230,20 @@ class AssumptionReport:
         )
 
 
-def audit_assumptions(m, sample_grid=None, n_samples=201):
-    """Audit ellipticity and derivative boundedness of a metric on a grid.
+def audit_assumptions(m, n_samples=201):
+    """Audit ellipticity and derivative boundedness of a metric on its box.
 
-    Returns the smallest constant C with C^{-1}|xi|^2 <= xi^T G xi <= C|xi|^2
-    over the sampled points (via eigenvalue extremes of G) together with the
-    observed sup of |partial^alpha g^{jk}| per derivative order.  A sample with
-    a nonpositive eigenvalue raises :class:`EllipticityError`.
+    The samples are a tensor grid spanning the box, `n_samples` points along
+    the axis for d = 1 and 33 per axis otherwise.  Returns the smallest
+    constant C with C^{-1}|xi|^2 <= xi^T G xi <= C|xi|^2 over the samples (via
+    eigenvalue extremes of G) together with the observed sup of
+    |partial^alpha g^{jk}| per derivative order.  A sample with a nonpositive
+    eigenvalue raises :class:`EllipticityError`.
     """
-    if sample_grid is None:
-        half = 0.5 * m.box_length
-        axes = [np.linspace(-half, half, n_samples if m.dim == 1 else 33)] * m.dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        sample_grid = np.stack([a.ravel() for a in mesh], axis=-1)
-    pts = as_points(sample_grid, m.dim)
+    half = 0.5 * m.box_length
+    axes = [np.linspace(-half, half, n_samples if m.dim == 1 else 33)] * m.dim
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([a.ravel() for a in mesh], axis=-1)
 
     G = m.inverse_metric(pts)
     if not np.allclose(G, np.swapaxes(G, -1, -2), atol=0.0):

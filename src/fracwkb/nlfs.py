@@ -44,6 +44,8 @@ __all__ = [
 BLOWUP_FACTOR = 1e6
 SINC_SMALL = 1e-8
 PICARD_FLOOR = 1e-10
+PROBE_RATIO = 0.5       # contraction rate a continuation window must reach
+PROBE_ITERATIONS = 3    # Picard iterations of each continuation probe
 
 
 class BlowUpError(RuntimeError):
@@ -350,13 +352,14 @@ class ContinuationResult:
         return self.states[-1]
 
 
-def global_continuation(prob, T_total, probe_ratio=0.5, n_probe=3):
+def global_continuation(prob, T_total):
     """Defocusing solution on [0, T_total] glued from measured local windows.
 
-    Each window length starts at min(1/2, remaining) and is halved until the
-    Picard probe contracts with rate <= probe_ratio; the split-step solver
-    then advances the window and the loop restarts from its endpoint.  The
-    conserved-quantity bound on H^{sigma/2} is recorded for monitoring.
+    Each window length starts at min(1/2, remaining) and is halved until a
+    Picard probe of PROBE_ITERATIONS iterations contracts with rate <=
+    PROBE_RATIO; the split-step solver then advances the window and the loop
+    restarts from its endpoint.  The conserved-quantity bound on H^{sigma/2}
+    is recorded for monitoring.
     """
     if prob.mu != 1:
         raise ValueError("global continuation requires mu = +1 (defocusing)")
@@ -372,11 +375,11 @@ def global_continuation(prob, T_total, probe_ratio=0.5, n_probe=3):
                             T=T_loc, dt=prob.dt, op=prob.op)
         for _ in range(8):
             try:
-                probe = picard_iterate(local, n_iter=n_probe, T_small=T_loc,
-                                       n_t=17)
+                probe = picard_iterate(local, n_iter=PROBE_ITERATIONS,
+                                       T_small=T_loc, n_t=17)
             except ContractionError:
                 probe = None
-            if probe is not None and probe.rate <= probe_ratio:
+            if probe is not None and probe.rate <= PROBE_RATIO:
                 break
             T_loc *= 0.5
             local.T = T_loc

@@ -37,6 +37,8 @@ SLOPE_MARGIN = 0.1
 DYADIC_SWEEP = tuple(2.0**-k for k in range(3, 10))
 GRID_CAP = 1 << 15
 POINTS_PER_MODE = 4
+RESCALING_T0 = 0.5      # half-width of rescaling_identity_gap's window
+RESCALING_N_T = 33      # time nodes of that window
 
 
 @dataclass(frozen=True)
@@ -196,16 +198,17 @@ def measure_unscaled_scaling(sigma, pair, cut, h_sweep=DYADIC_SWEEP,
                   rescaled=False)
 
 
-def rescaling_identity_gap(sigma, v, h, p, q, t0=0.5, n_t=33, op=None):
+def rescaling_identity_gap(sigma, v, h, p, q, op=None):
     """Relative gap in the change-of-variables identity between the two groups.
 
-    The unrescaled group over the shrunk window h^{sigma-1}[-t0, t0] must
-    match h^{(sigma-1)/p} times the rescaled group over [-t0, t0]; with the
-    time grids mapped through the same scale factor the quadratures agree to
-    rounding, so the gap is a pure floating-point check.
+    With t0 = RESCALING_T0, the unrescaled group over the shrunk window
+    h^{sigma-1}[-t0, t0] must match h^{(sigma-1)/p} times the rescaled group
+    over [-t0, t0] (RESCALING_N_T nodes each); with the time grids mapped
+    through the same scale factor the quadratures agree to rounding, so the
+    gap is a pure floating-point check.
     """
     op = op or flat_operator(v.grid)
-    times = np.linspace(-t0, t0, int(n_t))
+    times = np.linspace(-RESCALING_T0, RESCALING_T0, RESCALING_N_T)
     scaled_times = h ** (sigma - 1.0) * times
     lhs_states = [propagate(v, op, sigma, s) for s in scaled_times]
     lhs = lp_lq_norm(lhs_states, scaled_times, p, q)

@@ -120,7 +120,7 @@ class CutoffFunction:
 class LowPassCutoff:
     """Smooth low-pass profile: 1 on (-inf, r1], 0 on [r2, inf)."""
 
-    def __init__(self, r1=1.0, r2=4.0):
+    def __init__(self, r1, r2):
         if not 0.0 < r1 < r2:
             raise ValueError("need 0 < r1 < r2")
         self.plateau_edge = float(r1)
@@ -178,11 +178,15 @@ class LittlewoodPaleyPartition:
         return {"max_deviation": dev_covered, "truncated_lams": truncated}
 
 
-def littlewood_paley_partition(k_max, low=1.0, high=4.0):
-    """Dyadic partition with k_max retained blocks; see the partition class."""
+def littlewood_paley_partition(k_max):
+    """Dyadic partition with k_max retained blocks; see the partition class.
+
+    The low-pass chi is LowPassCutoff(1, 4): it falls from 1 to 0 on [1, 4],
+    so phi(lam) = chi(lam) - chi(4 lam) lives on [1/4, 4].
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return LittlewoodPaleyPartition(phi0=LowPassCutoff(low, high), k_max=int(k_max))
+    return LittlewoodPaleyPartition(phi0=LowPassCutoff(1.0, 4.0), k_max=int(k_max))
 
 
 class PsiWeight:

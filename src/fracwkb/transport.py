@@ -4,13 +4,9 @@ The leading amplitude rides the Hamiltonian flow: a0(t, x, xi) is the initial
 symbol evaluated at the backward base point Y(t, x, xi), times an integrating
 factor accumulated along the characteristic whose rate f combines the
 xi-Hessian of q0 with the phase's x-Hessian.  The first correction a1 is
-constructed over the flat metric, where the source term (a second-order
-composition symbol) has a closed form; higher orders are declined explicitly
-rather than approximated.
-
-Composition of a pseudo-differential factor behind an oscillatory-integral
-factor is provided at orders 0 and 1 for any metric, and at order 2 over the
-flat metric.
+constructed over the flat metric, where its source term, the second-order
+composition of q0 with a0, has a closed form; higher orders and curved
+metrics are declined explicitly rather than approximated.
 """
 
 from dataclasses import dataclass, field
@@ -21,15 +17,11 @@ from scipy.integrate import simpson
 from .metric import as_pairs, principal_symbol, tensor_pairs
 from .hamflow import DT_DEFAULT, GuardBandError
 from .hamjac import phase_point_data
-from .symbols import SymbolFunction
 
 __all__ = [
     "AmplitudeTable",
     "AmplitudePointData",
     "SupportViolationError",
-    "compose_symbol_fio_0",
-    "compose_symbol_fio_1",
-    "compose_symbol_fio_2_flat",
     "solve_transport",
     "amplitude_point_data",
     "transport_residual",
@@ -38,78 +30,6 @@ __all__ = [
 
 class SupportViolationError(RuntimeError):
     """A characteristic left the compact support guard band."""
-
-
-def _phase_time(phase, t):
-    if t is not None:
-        return float(t)
-    if len(phase.t_grid) == 1:
-        return float(phase.t_grid[0])
-    raise ValueError("phase table has several times; pass t explicitly")
-
-
-def compose_symbol_fio_0(b, c, phase, t=None):
-    """Order-0 composition symbol: (x, xi) -> b(x, grad_x S(t, x, xi)) c(x, xi).
-
-    The phase gradient is evaluated freshly at the requested points, so the
-    result can be sampled anywhere, not only on the table grid.
-    """
-    t = _phase_time(phase, t)
-
-    def _fn(pts, cov):
-        data = phase.evaluate(t, pts, cov)
-        return b(pts, data.grad_x) * c(pts, cov)
-
-    return SymbolFunction(b.dim, _fn, xi_band=c.xi_band,
-                          label=f"compose0({b.label},{c.label})")
-
-
-def compose_symbol_fio_1(b, c, phase, t=None):
-    """Order-1 composition symbol.
-
-    i (b . c)_1 = grad_eta b(x, grad_x S) . grad_x c
-                  + (1/2) tr[hess_eta b(x, grad_x S) hess_xx S] c,
-    returned with the 1/i factor folded in, so the output is the symbol that
-    multiplies h^1 directly.
-    """
-    t = _phase_time(phase, t)
-
-    def _fn(pts, cov):
-        data = phase.evaluate(t, pts, cov)
-        gb = b.grad_xi(pts, data.grad_x)
-        gc = c.grad_x(pts, cov)
-        hb = b.hess_xixi(pts, data.grad_x)
-        tr = np.einsum("nij,nji->n", hb, data.hess_xx)
-        return -1j * (np.sum(gb * gc, axis=1) + 0.5 * tr * c(pts, cov))
-
-    return SymbolFunction(b.dim, _fn, xi_band=c.xi_band,
-                          label=f"compose1({b.label},{c.label})")
-
-
-def compose_symbol_fio_2_flat(b, c, phase, t=None):
-    """Order-2 composition symbol over the flat metric.
-
-    With a constant metric the phase is x.xi + t|xi|^sigma, so hess_xx S = 0
-    and b is evaluated at eta = xi; expanding the conjugated operator one
-    order further leaves the single term
-
-        (b . c)_2 = -(1/2) tr[hess_eta b(xi) hess_xx c].
-
-    Curved metrics bring in third derivatives of S and mixed terms with no
-    closed form here, so they are rejected.
-    """
-    metric = getattr(phase.q0, "metric", None)
-    if metric is None or not metric.is_flat:
-        raise ValueError("order-2 composition is only available over the flat metric")
-    t = _phase_time(phase, t)
-
-    def _fn(pts, cov):
-        hb = b.hess_xixi(pts, cov)
-        hc = c.hess_xx(pts, cov)
-        return -0.5 * np.einsum("nij,nji->n", hb, hc).astype(complex)
-
-    return SymbolFunction(b.dim, _fn, xi_band=c.xi_band,
-                          label=f"compose2({b.label},{c.label})")
 
 
 @dataclass
@@ -175,7 +95,8 @@ def amplitude_point_data(a_init, q0, t, x, xi, q1=None, order=1,
     flatX = Xs.reshape(-1, d)
     flatXi = Xis.reshape(-1, d)
 
-    hq = q0.hess_xixi(flatX, flatXi).reshape(n_nodes, n, d, d)
+    _, gq, _, hq, _ = q0.jet(flatX, flatXi)
+    hq = hq.reshape(n_nodes, n, d, d)
     fvals = 0.5 * np.einsum("tnij,tnji->tn", hq, W).astype(complex)
     if q1 is not None:
         fvals += 1j * q1(flatX, flatXi).reshape(n_nodes, n)
@@ -189,8 +110,7 @@ def amplitude_point_data(a_init, q0, t, x, xi, q1=None, order=1,
         # source i (q0 . a0(s))_2 at the node Z(s) evaluates the x-Hessian of
         # the translated initial symbol at Z(s) + s V(xi); a one-node path
         # (t = 0) gives it zero Simpson weight, so a_1 keeps its initial 0
-        gq = q0.grad_xi(flatX, flatXi).reshape(n_nodes, n, d)
-        args = Xs + times[:, None, None] * gq
+        args = Xs + times[:, None, None] * gq.reshape(n_nodes, n, d)
         xi_rep = np.broadcast_to(xi, (n_nodes, n, d)).reshape(-1, d)
         ha = a_init.hess_xx(args.reshape(-1, d), xi_rep).reshape(n_nodes, n, d, d)
         g1 = -0.5j * np.einsum("tnij,tnji->tn", hq, ha)

@@ -96,8 +96,7 @@ def test_flow_bound_constants_stable():
         for x in np.linspace(-1.5, 1.5, 13):
             for xi in np.linspace(0.8, 1.6, 5):
                 times, xs, _, zs = integrate_flow(
-                    H, 0.3, np.array([x]), np.array([xi]),
-                    n_steps=n_steps, with_variational=True, path=True)
+                    H, 0.3, np.array([x]), np.array([xi]), n_steps)
                 for k in range(1, len(times)):
                     c_z = max(c_z, np.linalg.norm(zs[k][0] - np.eye(2))
                               / times[k])

@@ -86,6 +86,15 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "bogus_key" in err
 
 
+def test_seed_key_rejected(tmp_path, capsys):
+    # the suites are deterministic, so no suite takes a seed
+    cfg = tmp_path / "seeded.cfg"
+    cfg.write_text("seed = 1\n")
+    code = main(["audit", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert "'seed'" in capsys.readouterr().err
+
+
 def test_sigma_one_rejected_before_running(tmp_path, capsys):
     code = main(["phase", "--sigma", "1.0", "--out", str(tmp_path)])
     assert code == 2

@@ -30,7 +30,8 @@ def test_flat_flow_closed_form(sigma):
     x = np.array([[0.2], [-1.0], [0.0]])
     xi = np.array([[0.9], [1.4], [2.0]])
     t = 0.37
-    X, Xi = integrate_flow(H, t, x, xi)
+    _, Xs, Xis, _ = integrate_flow(H, t, x, xi, 37)
+    X, Xi = Xs[-1], Xis[-1]
     expected = x + t * sigma * xi * np.abs(xi) ** (sigma - 2.0)
     np.testing.assert_allclose(X, expected, rtol=1e-13)
     np.testing.assert_allclose(Xi, xi, rtol=0, atol=1e-15)
@@ -38,85 +39,97 @@ def test_flat_flow_closed_form(sigma):
 
 def test_flat_flow_negative_frequency():
     H = fractional_symbol(flat_metric(dim=1), 2.0)
-    X, Xi = integrate_flow(H, 0.25, np.array([[0.0]]), np.array([[-1.5]]))
-    np.testing.assert_allclose(X[0, 0], -0.75, rtol=1e-13)
-    np.testing.assert_allclose(Xi[0, 0], -1.5, rtol=1e-15)
+    _, Xs, Xis, _ = integrate_flow(H, 0.25, np.array([[0.0]]), np.array([[-1.5]]), 25)
+    np.testing.assert_allclose(Xs[-1, 0, 0], -0.75, rtol=1e-13)
+    np.testing.assert_allclose(Xis[-1, 0, 0], -1.5, rtol=1e-15)
 
 
 def test_zero_time_is_identity():
     H = _bump_hamiltonian(2.0)
     x = np.array([[0.4], [0.7]])
     xi = np.array([[1.1], [0.9]])
-    X, Xi, Z = integrate_flow(H, 0.0, x, xi, with_variational=True)
-    np.testing.assert_array_equal(X, x)
-    np.testing.assert_array_equal(Xi, xi)
-    np.testing.assert_array_equal(Z, np.broadcast_to(np.eye(2), (2, 2, 2)))
+    times, Xs, Xis, Zs = integrate_flow(H, 0.0, x, xi, 10)
+    np.testing.assert_array_equal(times, [0.0])
+    np.testing.assert_array_equal(Xs, [x])
+    np.testing.assert_array_equal(Xis, [xi])
+    np.testing.assert_array_equal(Zs, [np.broadcast_to(np.eye(2), (2, 2, 2))])
+
+
+def test_integrate_flow_has_one_result_shape():
+    # (times, X, Xi, Z) over n_steps + 1 nodes, or the one start node at t = 0
+    H = _bump_hamiltonian(2.0)
+    for t, nodes in ((0.0, 1), (0.3, 7), (-0.3, 7)):
+        result = integrate_flow(H, t, *_BASE, 6)
+        assert len(result) == 4
+        assert all(isinstance(a, np.ndarray) for a in result)
+        times, Xs, Xis, Zs = result
+        np.testing.assert_array_equal(times, np.linspace(0.0, t, nodes))
+        assert Xs.shape == Xis.shape == (nodes, 3, 1)
+        assert Zs.shape == (nodes, 3, 2, 2)
 
 
 @pytest.mark.parametrize("sigma", sorted(REFERENCE_ENDPOINTS))
 def test_bump_flow_endpoint_matches_reference(sigma):
     H = _bump_hamiltonian(sigma)
-    X, Xi = integrate_flow(H, 0.3, np.array([[0.4]]), np.array([[1.1]]))
+    _, Xs, Xis, _ = integrate_flow(H, 0.3, np.array([[0.4]]), np.array([[1.1]]), 30)
     X_ref, Xi_ref = REFERENCE_ENDPOINTS[sigma]
-    np.testing.assert_allclose(X[0, 0], X_ref, atol=1e-8)
-    np.testing.assert_allclose(Xi[0, 0], Xi_ref, atol=1e-8)
+    np.testing.assert_allclose(Xs[-1, 0, 0], X_ref, atol=1e-8)
+    np.testing.assert_allclose(Xis[-1, 0, 0], Xi_ref, atol=1e-8)
 
 
 def test_flat_variational_block_structure():
     H = fractional_symbol(flat_metric(dim=1), 2.0)
     t = 0.4
-    _, _, Z = integrate_flow(H, t, np.array([[0.3]]), np.array([[1.2]]),
-                             with_variational=True)
-    np.testing.assert_allclose(Z[0], [[1.0, 2.0 * t], [0.0, 1.0]],
+    *_, Zs = integrate_flow(H, t, np.array([[0.3]]), np.array([[1.2]]), 40)
+    np.testing.assert_allclose(Zs[-1, 0], [[1.0, 2.0 * t], [0.0, 1.0]],
                                rtol=0, atol=1e-14)
 
 
 def test_variational_jacobian_matches_differences():
     H = _bump_hamiltonian(2.0)
     t, x0, xi0 = 0.2, 0.4, 1.1
-    _, _, Z = integrate_flow(H, t, np.array([[x0]]), np.array([[xi0]]),
-                             with_variational=True)
+    *_, Zs = integrate_flow(H, t, np.array([[x0]]), np.array([[xi0]]), 20)
     step = 1e-6
 
     def endpoint(xv, xiv):
-        X, Xi = integrate_flow(H, t, np.array([[xv]]), np.array([[xiv]]))
-        return np.array([X[0, 0], Xi[0, 0]])
+        _, Xs, Xis, _ = integrate_flow(H, t, np.array([[xv]]), np.array([[xiv]]), 20)
+        return np.array([Xs[-1, 0, 0], Xis[-1, 0, 0]])
 
     fd = np.column_stack([
         (endpoint(x0 + step, xi0) - endpoint(x0 - step, xi0)) / (2 * step),
         (endpoint(x0, xi0 + step) - endpoint(x0, xi0 - step)) / (2 * step),
     ])
-    np.testing.assert_allclose(Z[0], fd, atol=1e-8)
+    np.testing.assert_allclose(Zs[-1, 0], fd, atol=1e-8)
 
 
 def test_flow_group_property():
     H = _bump_hamiltonian(2.0)
     x = np.array([[0.4], [-0.2], [0.9]])
     xi = np.array([[1.1], [0.9], [1.3]])
-    X1, Xi1 = integrate_flow(H, 0.1, x, xi, dt=0.002)
-    X12, Xi12 = integrate_flow(H, 0.15, X1, Xi1, dt=0.002)
-    Xd, Xid = integrate_flow(H, 0.25, x, xi, dt=0.002)
-    np.testing.assert_allclose(X12, Xd, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(Xi12, Xid, rtol=0, atol=1e-12)
+    _, X1, Xi1, _ = integrate_flow(H, 0.1, x, xi, 50)
+    _, X12, Xi12, _ = integrate_flow(H, 0.15, X1[-1], Xi1[-1], 75)
+    _, Xd, Xid, _ = integrate_flow(H, 0.25, x, xi, 125)
+    np.testing.assert_allclose(X12[-1], Xd[-1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(Xi12[-1], Xid[-1], rtol=0, atol=1e-12)
 
 
 def test_trajectory_nodes_match_endpoint():
+    # 0.3 / 30 and 0.15 / 15 are the same double, so the first half of the
+    # path is the whole path of the half-time flow
     H = _bump_hamiltonian(0.5)
-    t = 0.3
-    times, Xs, Xis, Zs = integrate_flow(H, t, [[0.4]], [[1.1]], n_steps=30,
-                                        with_variational=True, path=True)
+    times, Xs, Xis, Zs = integrate_flow(H, 0.3, [[0.4]], [[1.1]], 30)
     assert times.shape == (31,)
     assert Xs.shape == (31, 1, 1) and Zs.shape == (31, 1, 2, 2)
-    X_end, Xi_end = integrate_flow(H, t, [[0.4]], [[1.1]], n_steps=30)
-    np.testing.assert_array_equal(Xs[-1], X_end)
-    np.testing.assert_array_equal(Xis[-1], Xi_end)
+    half = integrate_flow(H, 0.15, [[0.4]], [[1.1]], 15)
+    for nodes, half_nodes in zip((Xs, Xis, Zs), half[1:]):
+        np.testing.assert_array_equal(nodes[:16], half_nodes)
 
 
 def test_inverse_map_round_trip():
     H = _bump_hamiltonian(2.0)
     y = np.array([[0.3], [0.5]])
     xi = np.array([[1.2], [1.0]])
-    X, _ = integrate_flow(H, 0.3, y, xi, n_steps=30)
+    X = integrate_flow(H, 0.3, y, xi, 30)[1][-1]
     Y, (times, Xs, Xis, Zs) = inverse_map(H, 0.3, X, xi, 30)
     np.testing.assert_allclose(Y, y, atol=1e-10)
     # the returned path is the accepted flow from (Y, xi) and ends on X
@@ -124,8 +137,8 @@ def test_inverse_map_round_trip():
     np.testing.assert_array_equal(Xs[0], Y)
     np.testing.assert_array_equal(Xis[0], xi)
     assert np.max(np.abs(Xs[-1] - X)) <= NEWTON_TOL
-    _, _, Z_end = integrate_flow(H, 0.3, Y, xi, n_steps=30, with_variational=True)
-    np.testing.assert_array_equal(Zs[-1], Z_end)
+    *_, Z_path = integrate_flow(H, 0.3, Y, xi, 30)
+    np.testing.assert_array_equal(Zs[-1], Z_path[-1])
 
 
 def test_inverse_map_zero_time():
@@ -142,14 +155,14 @@ def test_inverse_map_zero_time():
 def test_guard_band_violation_raises():
     H = _bump_hamiltonian(2.0)          # guard band p in (0.3, 3.0)
     with pytest.raises(GuardBandError):
-        integrate_flow(H, 0.1, np.array([[0.0]]), np.array([[2.0]]))
+        integrate_flow(H, 0.1, np.array([[0.0]]), np.array([[2.0]]), 10)
 
 
 def test_guard_band_inactive_without_band():
     metric = gaussian_bump_metric(dim=1, epsilon=0.1)
     H = fractional_symbol(metric, 2.0)
-    X, _ = integrate_flow(H, 0.1, np.array([[0.0]]), np.array([[2.0]]))
-    assert np.isfinite(X).all()
+    _, Xs, _, _ = integrate_flow(H, 0.1, np.array([[0.0]]), np.array([[2.0]]), 10)
+    assert np.isfinite(Xs).all()
 
 
 def _oscillator(band):
@@ -169,12 +182,10 @@ def test_guard_band_checked_along_the_whole_path():
     # from (0, 1) the flow is (sin 2s, cos 2s): p = xi^2 is 1 at s = 0 and at
     # s = pi, but falls to 0 at s = pi/4, far below the band's lower edge
     H = _oscillator((0.5, 2.0))
-    X, Xi = integrate_flow(_oscillator(None), np.pi, [[0.0]], [[1.0]])
-    assert 0.5 < Xi[0, 0] ** 2 < 2.0 and abs(X[0, 0]) < 1e-6
+    _, Xs, Xis, _ = integrate_flow(_oscillator(None), np.pi, [[0.0]], [[1.0]], 315)
+    assert 0.5 < Xis[-1, 0, 0] ** 2 < 2.0 and abs(Xs[-1, 0, 0]) < 1e-6
     with pytest.raises(GuardBandError):
-        integrate_flow(H, np.pi, [[0.0]], [[1.0]])
-    with pytest.raises(GuardBandError):
-        integrate_flow(H, np.pi, [[0.0]], [[1.0]], with_variational=True, path=True)
+        integrate_flow(H, np.pi, [[0.0]], [[1.0]], 315)
 
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -207,20 +218,20 @@ def test_assembled_jet_flows_like_separate_evaluators():
     # from the five evaluators; A is constant, so even A @ Z is exact
     H = _oscillator(None)
     x, xi = np.array([[0.0], [0.3]]), np.array([[1.0], [-0.7]])
-    X, Xi, Z = integrate_flow(H, 1.3, x, xi, n_steps=40, with_variational=True)
-    for got, want in zip((X, Xi, Z), _separate_rk4_path(H, 1.3, x, xi, 40)):
-        np.testing.assert_array_equal(got, want)
+    _, Xs, Xis, Zs = integrate_flow(H, 1.3, x, xi, 40)
+    for got, want in zip((Xs, Xis, Zs), _separate_rk4_path(H, 1.3, x, xi, 40)):
+        np.testing.assert_array_equal(got[-1], want)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0])
 def test_jet_flow_keeps_the_separate_evaluator_values(sigma):
     H = _bump_hamiltonian(sigma)
-    X, Xi, Z = integrate_flow(H, 0.3, *_BASE, n_steps=30, with_variational=True)
+    _, Xs, Xis, Zs = integrate_flow(H, 0.3, *_BASE, 30)
     X_ref, Xi_ref, Z_ref = _separate_rk4_path(H, 0.3, *_BASE, 30)
-    np.testing.assert_array_equal(X, X_ref)
-    np.testing.assert_array_equal(Xi, Xi_ref)
+    np.testing.assert_array_equal(Xs[-1], X_ref)
+    np.testing.assert_array_equal(Xis[-1], Xi_ref)
     # A @ Z may round its 2-term sums differently from the einsum
-    np.testing.assert_allclose(Z, Z_ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(Zs[-1], Z_ref, rtol=0, atol=1e-14)
 
 
 def test_variational_step_evaluates_the_metric_once_per_stage():
@@ -233,7 +244,7 @@ def test_variational_step_evaluates_the_metric_once_per_stage():
 
     H = fractional_symbol(dataclasses.replace(bump, inverse_metric=counted), 2.0,
                           xi_band=(0.3, 3.0))
-    integrate_flow(H, 0.01, *_BASE, n_steps=1, with_variational=True)
+    integrate_flow(H, 0.01, *_BASE, 1)
     assert len(calls) <= 5          # four RK4 stages and the guard-band check
 
 
@@ -242,7 +253,7 @@ def test_newton_trials_flow_only_unconverged_points(monkeypatch):
     t, n_steps = 0.3, 30
     y = np.linspace(-0.6, 0.6, 6)[:, None]
     xi = np.linspace(0.9, 1.3, 6)[:, None]
-    X, _ = integrate_flow(H, t, y, xi, n_steps=n_steps)
+    X = integrate_flow(H, t, y, xi, n_steps)[1][-1]
     # even points start on their base point and are converged from the start
     y0 = np.where(np.arange(6)[:, None] % 2 == 0, y, X)
     sizes = []
@@ -267,7 +278,7 @@ def test_newton_trials_flow_only_unconverged_points(monkeypatch):
 def test_energy_conserved_along_flow(sigma):
     H = _bump_hamiltonian(sigma)
     x, xi = _BASE
-    _, Xs, Xis, _ = integrate_flow(H, 0.3, x, xi, path=True)
+    _, Xs, Xis, _ = integrate_flow(H, 0.3, x, xi, 30)
     ref = H(x, xi)
     drift = max(float(np.max(np.abs(H(X, Xi) - ref))) for X, Xi in zip(Xs, Xis))
     assert drift < 1e-8
@@ -283,7 +294,7 @@ def test_variational_jacobian_symplectic_along_flow(sigma):
     # in any block of the variational right-hand side gives a defect of
     # order t.
     H = _bump_hamiltonian(sigma)
-    times, _, _, Zs = integrate_flow(H, 0.3, *_BASE, with_variational=True, path=True)
+    times, _, _, Zs = integrate_flow(H, 0.3, *_BASE, 30)
     defect = np.abs(np.swapaxes(Zs, -1, -2) @ _J @ Zs - _J)
     assert Zs.shape == (len(times), 3, 2, 2)
     assert float(np.max(defect)) < 1e-8
@@ -311,7 +322,7 @@ def test_negative_time_reverses_flow():
     H = _bump_hamiltonian(2.0)
     x = np.array([[0.4]])
     xi = np.array([[1.1]])
-    X, Xi = integrate_flow(H, 0.2, x, xi)
-    Xb, Xib = integrate_flow(H, -0.2, X, Xi)
-    np.testing.assert_allclose(Xb, x, atol=1e-10)
-    np.testing.assert_allclose(Xib, xi, atol=1e-10)
+    _, Xs, Xis, _ = integrate_flow(H, 0.2, x, xi, 20)
+    _, Xb, Xib, _ = integrate_flow(H, -0.2, Xs[-1], Xis[-1], 20)
+    np.testing.assert_allclose(Xb[-1], x, atol=1e-10)
+    np.testing.assert_allclose(Xib[-1], xi, atol=1e-10)

@@ -1,4 +1,4 @@
-"""Transport amplitudes and the oscillatory composition symbols."""
+"""Transport amplitudes along the phase table's characteristics."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,7 @@ from fracwkb.metric import flat_metric, gaussian_bump_metric, tensor_pairs
 from fracwkb.symbols import (GaussianWindow, SymbolFunction, fractional_symbol,
                              localized_amplitude, make_bump)
 from fracwkb.transport import (SupportViolationError, amplitude_point_data,
-                               compose_symbol_fio_0, compose_symbol_fio_1,
-                               compose_symbol_fio_2_flat, solve_transport,
-                               transport_residual)
+                               solve_transport, transport_residual)
 
 CUT = make_bump(0.3, 3.0, (0.5, 2.0))
 
@@ -38,66 +36,6 @@ def _phase(q0, nt=9, nx=9, t_max=0.1):
     x = np.linspace(-1.2, 1.2, nx)[:, None]
     xi = np.linspace(0.9, 1.4, 3)[:, None]
     return build_phase(q0, np.linspace(0.0, t_max, nt), x, xi)
-
-
-def test_compose0_zero_time_is_pointwise_product():
-    _, q0, a_init = _bump_setup()
-    pt = build_phase(q0, [0.0], np.array([[0.3]]), np.array([[1.1]]))
-    comp = compose_symbol_fio_0(q0, a_init, pt)
-    x = np.array([[0.3], [-0.5]])
-    xi = np.array([[1.1], [0.9]])
-    np.testing.assert_allclose(comp(x, xi), q0(x, xi) * a_init(x, xi),
-                               rtol=1e-13)
-
-
-def test_compose0_unit_symbol_reads_phase_gradient():
-    _, q0, _ = _bump_setup()
-    pt = build_phase(q0, [0.0, 0.08], np.array([[0.3]]), np.array([[1.1]]))
-    one = SymbolFunction(1, lambda pts, cov: np.ones(pts.shape[0]))
-    comp = compose_symbol_fio_0(q0, one, pt, t=0.08)
-    x = np.array([[0.4]])
-    xi = np.array([[1.1]])
-    eta = pt.evaluate(0.08, x, xi).grad_x
-    np.testing.assert_allclose(comp(x, xi), q0(x, eta), rtol=1e-12)
-
-
-def test_compose1_flat_matches_closed_form():
-    _, q0, a_init = _flat_setup()
-    pt = _phase(q0, nt=2, t_max=0.05)
-    comp = compose_symbol_fio_1(q0, a_init, pt, t=0.05)
-    w = _window()
-    x = np.linspace(-0.8, 0.8, 5)[:, None]
-    xi = np.full((5, 1), 1.1)
-    expected = -1j * 2.0 * xi[:, 0] * w.grad(x)[:, 0] * CUT(xi[:, 0] ** 2)
-    np.testing.assert_allclose(comp(x, xi), expected, rtol=0, atol=1e-10)
-
-
-def test_compose1_flat_x_independent_symbol_vanishes():
-    metric, q0, _ = _flat_setup()
-    c = localized_amplitude(metric, CUT)      # constant window: no x dependence
-    pt = _phase(q0, nt=2, t_max=0.05)
-    comp = compose_symbol_fio_1(q0, c, pt, t=0.05)
-    x = np.linspace(-0.8, 0.8, 5)[:, None]
-    xi = np.full((5, 1), 1.1)
-    np.testing.assert_allclose(comp(x, xi), 0.0, rtol=0, atol=1e-10)
-
-
-def test_compose2_flat_matches_closed_form():
-    _, q0, a_init = _flat_setup()
-    pt = _phase(q0, nt=2, t_max=0.05)
-    comp = compose_symbol_fio_2_flat(q0, a_init, pt, t=0.05)
-    w = _window()
-    x = np.linspace(-0.8, 0.8, 5)[:, None]
-    xi = np.full((5, 1), 1.1)
-    expected = -w.hess(x)[:, 0, 0] * CUT(xi[:, 0] ** 2)
-    np.testing.assert_allclose(comp(x, xi), expected, rtol=0, atol=1e-8)
-
-
-def test_compose2_rejects_curved_metric():
-    _, q0, a_init = _bump_setup()
-    pt = build_phase(q0, [0.0, 0.05], np.array([[0.0]]), np.array([[1.1]]))
-    with pytest.raises(ValueError):
-        compose_symbol_fio_2_flat(q0, a_init, pt, t=0.05)
 
 
 def test_amplitude_zero_time_is_initial_data():
