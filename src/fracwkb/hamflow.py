@@ -21,7 +21,6 @@ __all__ = [
     "CausticError",
     "integrate_flow",
     "inverse_map",
-    "flow_horizon",
     "DT_DEFAULT",
     "NEWTON_TOL",
 ]
@@ -51,10 +50,6 @@ def _stage(H, X, Xi, Z):
     A[:, d:, :d] = -hxx
     A[:, d:, d:] = -hxxi
     return gxi, -gx, A @ Z
-
-
-def _step_count(t, dt):
-    return max(1, int(np.ceil(abs(t) / dt - 1e-12)))
 
 
 def _check_guard(H, X, Xi, where):
@@ -164,35 +159,3 @@ def inverse_map(H, t, x, xi, n_steps, y0=None):
         )
     return Y, path
 
-
-def scan_horizon(t_grid, passes):
-    """Largest |t| on the grid such that every grid time of magnitude <= |t| passes.
-
-    `passes(k)` tells whether the k-th grid time meets the condition; it is
-    asked in increasing |t| order and only until the first failure.  t = 0
-    always passes, and a grid whose smallest nonzero time fails gives 0.
-    """
-    mags = np.abs(np.asarray(t_grid, dtype=float))
-    t0 = 0.0
-    for m in np.unique(mags[mags > 0.0]):
-        if not all(passes(k) for k in np.flatnonzero(mags == m)):
-            break
-        t0 = float(m)
-    return t0
-
-
-def flow_horizon(H, t_grid, x, xi, threshold=0.5):
-    """Largest grid time with ||grad_x X - Id|| <= threshold at every sample.
-
-    Scans |t| in increasing order over the grid; the returned horizon is the
-    largest magnitude for which all smaller grid times also satisfy the bound.
-    """
-    d = H.dim
-    t_grid = np.asarray(t_grid, dtype=float)
-
-    def passes(k):
-        *_, Zs = integrate_flow(H, t_grid[k], x, xi, _step_count(t_grid[k], DT_DEFAULT))
-        dev = np.linalg.norm(Zs[-1, :, :d, :d] - np.eye(d), ord=2, axis=(1, 2))
-        return not np.any(dev > threshold)
-
-    return scan_horizon(t_grid, passes)

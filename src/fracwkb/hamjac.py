@@ -8,6 +8,12 @@ and the action integral
 
 with every derivative table (grad_x S = Xi(t, Y, xi), the mixed and pure
 Hessians) read off the variational Jacobian rather than by differencing S.
+The same pass carries the rate of the leading transport amplitude,
+
+    f = (1/2) tr[hess_xixi q0 . hess_xx S],
+
+and its integral along each characteristic: the a_0 integrating factor
+depends on q0 and S alone, so the transport needs no flow of its own.
 The sign convention is fixed here once: the flow module always receives -q0.
 """
 
@@ -17,7 +23,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .metric import as_pairs, as_points, solve_blocks, tensor_pairs
-from .hamflow import DT_DEFAULT, inverse_map, scan_horizon
+from .hamflow import DT_DEFAULT, inverse_map
 
 __all__ = [
     "PhaseTable",
@@ -49,6 +55,8 @@ class PhasePointData:
     hess_xx: np.ndarray      # (n, d, d)
     hess_xxi: np.ndarray     # (n, d, d), [i, j] = d2 S / dx_i dxi_j
     dY_dxi: np.ndarray       # (n, d, d), [i, j] = dY_i / dxi_j
+    rate: np.ndarray         # (n,) complex a_0 transport rate f at (t, x)
+    rate_integral: np.ndarray  # (n,) complex int_0^t f along the characteristic
     hess_asymmetry: float
     trajectory: tuple        # (times, X, Xi, hess_xx S) at every node from (Y, xi)
 
@@ -65,7 +73,9 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, y0=None):
     off-grid evaluation (oscillatory quadrature) and for the transport
     amplitudes: the inverse map's Newton iteration returns the variational
     flow from (Y, xi) it accepted, and composite Simpson along that path
-    gives the action.  The returned trajectory holds the nodes,
+    gives the action and the integral of the transport rate
+    f = (1/2) tr[hess_xixi q0 . hess_xx S], both read off one jet of q0 on
+    the path nodes.  The returned trajectory holds the nodes,
     Xi = grad_x S and hess_xx S = sym(JXi JX^{-1}) at every node of that
     flow; its last node is the returned `hess_xx`.  At t = 0 the path is
     the single node (x, xi).
@@ -84,12 +94,13 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, y0=None):
     H = -q0
     Y, (times, Xs, Xis, Zs) = inverse_map(H, t, x, xi, n_steps, y0=y0)
 
-    # action integrand (Xi . grad_xi H - H) at every node, batched in one call
+    # one jet of H at every node gives the action integrand
+    # (Xi . grad_xi H - H) and hess_xixi q0 = -hess_xixi H for the rate
     flatX = Xs.reshape(-1, d)
     flatXi = Xis.reshape(-1, d)
-    gxi = H.grad_xi(flatX, flatXi).reshape(len(times), n, d)
+    _, gxi, _, hxixi, _ = H.jet(flatX, flatXi)
     hval = H(flatX, flatXi).reshape(len(times), n)
-    integrand = np.sum(Xis * gxi, axis=2) - hval
+    integrand = np.sum(Xis * gxi.reshape(len(times), n, d), axis=2) - hval
     action = simpson(integrand, x=times, axis=0)
     S = np.sum(Y * xi, axis=1) + action
 
@@ -99,6 +110,9 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, y0=None):
     asym = float(np.max(np.abs(B[-1] - np.swapaxes(B[-1], 1, 2)))) if n else 0.0
     dY_dxi = -(JX_inv[-1] @ Zs[-1][:, :d, d:])
 
+    hq = -hxixi.reshape(len(times), n, d, d)
+    rate = 0.5 * np.einsum("tnij,tnji->tn", hq, W).astype(complex)
+
     return PhasePointData(
         S=S,
         Y=Y,
@@ -106,6 +120,8 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, y0=None):
         hess_xx=W[-1],
         hess_xxi=np.swapaxes(JX_inv[-1], 1, 2),
         dY_dxi=dY_dxi,
+        rate=rate[-1],
+        rate_integral=simpson(rate, x=times, axis=0),
         hess_asymmetry=asym,
         trajectory=(times, Xs, Xis, W),
     )
@@ -117,8 +133,9 @@ class PhaseTable:
 
     Tables are indexed [t, x, xi] with trailing component axes; the xi grid is
     a list of covector points, not a tensor product, so anisotropic bands are
-    possible.  `t0` is the certified horizon from the mixed-Hessian condition
-    ||grad_x grad_xi S - Id|| <= 1/2.
+    possible.  `rate` and `rate_integral` are the a_0 transport rate and its
+    integral along each characteristic.  `t0` is the certified horizon from
+    the mixed-Hessian condition ||grad_x grad_xi S - Id|| <= 1/2.
     """
 
     t_grid: np.ndarray
@@ -129,6 +146,8 @@ class PhaseTable:
     grad_x: np.ndarray       # (nt, nx, nxi, d)
     hess_xx: np.ndarray      # (nt, nx, nxi, d, d)
     hess_xxi: np.ndarray     # (nt, nx, nxi, d, d)
+    rate: np.ndarray         # (nt, nx, nxi) complex
+    rate_integral: np.ndarray  # (nt, nx, nxi) complex
     q0: object = field(repr=False)
     dt: float = DT_DEFAULT
     t0: float = 0.0
@@ -168,6 +187,8 @@ def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT):
     Gx = np.empty((nt, nx, nxi, d))
     Hxx = np.empty((nt, nx, nxi, d, d))
     Hxxi = np.empty((nt, nx, nxi, d, d))
+    rate = np.empty((nt, nx, nxi), dtype=complex)
+    rate_integral = np.empty((nt, nx, nxi), dtype=complex)
     worst_asym = 0.0
 
     order = np.argsort(np.abs(t_grid), kind="stable")
@@ -182,12 +203,14 @@ def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT):
         Gx[k] = data.grad_x.reshape(nx, nxi, d)
         Hxx[k] = data.hess_xx.reshape(nx, nxi, d, d)
         Hxxi[k] = data.hess_xxi.reshape(nx, nxi, d, d)
+        rate[k] = data.rate.reshape(nx, nxi)
+        rate_integral[k] = data.rate_integral.reshape(nx, nxi)
         worst_asym = max(worst_asym, data.hess_asymmetry)
 
     table = PhaseTable(
         t_grid=t_grid, x_grid=x_grid, xi_grid=xi_grid,
         S=S, Y=Yt, grad_x=Gx, hess_xx=Hxx, hess_xxi=Hxxi,
-        q0=q0, dt=dt, hess_asymmetry=worst_asym,
+        rate=rate, rate_integral=rate_integral, q0=q0, dt=dt, hess_asymmetry=worst_asym,
     )
     table.t0 = caustic_horizon(table, strict=False)
     return table
@@ -196,17 +219,19 @@ def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT):
 def caustic_horizon(pt, threshold=HORIZON_THRESHOLD, strict=True):
     """Largest grid time with ||grad_x grad_xi S - Id|| <= threshold everywhere.
 
+    Grid times are scanned in increasing |t|; the horizon is the largest
+    magnitude at which every grid time of that or smaller magnitude passes.
     With `strict`, failure already at the smallest nonzero grid time raises
     :class:`HorizonError` (the grid cannot resolve any caustic-free window).
     A time grid containing only t=0 returns 0.
     """
-    eye = np.eye(pt.dim)
-
-    def passes(k):
-        dev = np.linalg.norm(pt.hess_xxi[k] - eye, ord=2, axis=(2, 3))
-        return not np.any(dev > threshold)
-
-    t0 = scan_horizon(pt.t_grid, passes)
+    dev = np.linalg.norm(pt.hess_xxi - np.eye(pt.dim), ord=2, axis=(3, 4))
+    mags = np.abs(pt.t_grid)
+    t0 = 0.0
+    for m in np.unique(mags[mags > 0.0]):
+        if np.any(dev[mags == m] > threshold):
+            break
+        t0 = float(m)
     if strict and t0 == 0.0 and np.any(pt.t_grid != 0.0):
         raise HorizonError(
             "mixed-Hessian condition fails at the first nonzero grid time; "

@@ -1,18 +1,21 @@
-"""Transport amplitudes for the WKB parametrix, solved along characteristics.
+"""Transport amplitudes for the WKB parametrix, read off the phase data.
 
 The leading amplitude rides the Hamiltonian flow: a0(t, x, xi) is the initial
-symbol evaluated at the backward base point Y(t, x, xi), times an integrating
-factor accumulated along the characteristic whose rate f combines the
-xi-Hessian of q0 with the phase's x-Hessian.  The first correction a1 is
+symbol evaluated at the backward base point Y(t, x, xi), times the
+integrating factor exp int_0^t f, whose rate f combines the xi-Hessian of q0
+with the phase's x-Hessian.  Both Y and that integral come with the phase
+(`hamjac.phase_point_data`), so the transport itself is algebra on phase
+data and integrates no characteristic.  The first correction a1 is
 constructed over the flat metric, where its source term, the second-order
-composition of q0 with a0, has a closed form; higher orders and curved
-metrics are declined explicitly rather than approximated.
+composition of q0 with a0, is constant along the characteristic and a1 has
+the closed form -(i t / 2) tr[hess_xixi q0 . hess_xx a_init] at (Y, xi);
+higher orders and curved metrics are declined explicitly rather than
+approximated.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .metric import as_pairs, principal_symbol, tensor_pairs
 from .hamflow import DT_DEFAULT, GuardBandError
@@ -34,7 +37,7 @@ class SupportViolationError(RuntimeError):
 
 @dataclass
 class AmplitudePointData:
-    """Amplitudes and transport coefficients at a batch of (x, xi), one time.
+    """Amplitudes at a batch of (x, xi), one time.
 
     The phase S rides along because the characteristics already carry all of
     its ingredients; oscillatory-quadrature callers then need one flow per
@@ -42,95 +45,74 @@ class AmplitudePointData:
     """
 
     a: np.ndarray            # (order, n) complex
-    V: np.ndarray            # (n, d) transport field (grad_eta q0)(x, grad_x S)
-    f: np.ndarray            # (n,) complex zeroth-order coefficient at (t, x)
     Y: np.ndarray            # (n, d) backward base points
-    S: np.ndarray = None     # (n,) phase values at the same points
+    S: np.ndarray            # (n,) phase values at the same points
 
 
 MAX_POINT_BATCH = 65536
 
 
-def amplitude_point_data(a_init, q0, t, x, xi, q1=None, order=1,
-                         dt=DT_DEFAULT, y0=None):
+def _amplitudes(a_init, q0, t, Y, xi, rate_integral, order):
+    """(order, n) amplitudes from the base points Y and the integral of f.
+
+    a_0 = a_init(Y, xi) exp(int_0^t f).  Over the flat metric the a_1 source
+    -(i/2) tr[hess_xixi q0 . hess_xx a_init] is taken at X(s) + s V = Y at
+    every s, so a_1 = t times its value at (Y, xi); at t = 0 it is zero and
+    not evaluated.  `t` is a scalar or one time per point.
+    """
+    a = np.zeros((order, Y.shape[0]), dtype=complex)
+    a[0] = a_init(Y, xi).astype(complex) * np.exp(rate_integral)
+    if order >= 2 and np.any(t != 0.0):
+        hq = q0.hess_xixi(Y, xi)
+        ha = a_init.hess_xx(Y, xi)
+        a[1] = -0.5j * t * np.einsum("nij,nji->n", hq, ha)
+    return a
+
+
+def amplitude_point_data(a_init, q0, t, x, xi, order=1, dt=DT_DEFAULT):
     """Evaluate a_0 (and a_1 when order=2) at arbitrary (x, xi) batches.
 
-    The characteristic through (t, x, xi) is the flow from (Y, xi); along it
-    the momentum Xi(s) equals grad_x S(s, Z(s), xi), and `phase_point_data`
-    hands back hess_xx S(s, Z(s), xi) at every node, so the rate
-
-        f(s) = (1/2) tr[hess_eta q0(Z, Xi) hess_xx S] + i q1(Z, Xi)
-
-    is read off that trajectory and integrated by composite Simpson.
+    One `phase_point_data` pass gives the base points Y and the integral of
+    the transport rate f = (1/2) tr[hess_xixi q0 . hess_xx S] along the
+    characteristic through (t, x, xi); the amplitudes follow from those.
     Large batches are processed in chunks so the per-node trajectory storage
-    stays bounded.
+    stays bounded.  A characteristic leaving the guard band of q0 raises
+    :class:`SupportViolationError`.
     """
     d = q0.dim
     x, xi = as_pairs(x, xi, d)
     n = x.shape[0]
-    _check_order(q0, q1, order)
+    _check_order(q0, order)
 
     if n > MAX_POINT_BATCH:
-        chunks = []
-        for start in range(0, n, MAX_POINT_BATCH):
-            sl = slice(start, min(start + MAX_POINT_BATCH, n))
-            y0c = None if y0 is None else y0[sl]
-            chunks.append(amplitude_point_data(
-                a_init, q0, t, x[sl], xi[sl], q1=q1, order=order, dt=dt, y0=y0c,
-            ))
+        chunks = [amplitude_point_data(a_init, q0, t, x[s:s + MAX_POINT_BATCH],
+                                       xi[s:s + MAX_POINT_BATCH], order=order, dt=dt)
+                  for s in range(0, n, MAX_POINT_BATCH)]
         return AmplitudePointData(
             a=np.concatenate([c.a for c in chunks], axis=1),
-            V=np.concatenate([c.V for c in chunks], axis=0),
-            f=np.concatenate([c.f for c in chunks], axis=0),
             Y=np.concatenate([c.Y for c in chunks], axis=0),
             S=np.concatenate([c.S for c in chunks], axis=0),
         )
 
     try:
-        data = phase_point_data(q0, t, x, xi, dt=dt, y0=y0)
+        data = phase_point_data(q0, t, x, xi, dt=dt)
     except GuardBandError as err:
         raise SupportViolationError(str(err)) from err
-    times, Xs, Xis, W = data.trajectory
-    n_nodes = len(times)
-    flatX = Xs.reshape(-1, d)
-    flatXi = Xis.reshape(-1, d)
-
-    _, gq, _, hq, _ = q0.jet(flatX, flatXi)
-    hq = hq.reshape(n_nodes, n, d, d)
-    fvals = 0.5 * np.einsum("tnij,tnji->tn", hq, W).astype(complex)
-    if q1 is not None:
-        fvals += 1j * q1(flatX, flatXi).reshape(n_nodes, n)
-    integral = simpson(fvals, x=times, axis=0)
-
-    a = np.zeros((order, n), dtype=complex)
-    a[0] = a_init(data.Y, xi).astype(complex) * np.exp(integral)
-
-    if order >= 2 and n_nodes > 1:
-        # flat-only branch (checked above): f vanishes identically, and the
-        # source i (q0 . a0(s))_2 at the node Z(s) evaluates the x-Hessian of
-        # the translated initial symbol at Z(s) + s V(xi); a one-node path
-        # (t = 0) gives it zero Simpson weight, so a_1 keeps its initial 0
-        args = Xs + times[:, None, None] * gq.reshape(n_nodes, n, d)
-        xi_rep = np.broadcast_to(xi, (n_nodes, n, d)).reshape(-1, d)
-        ha = a_init.hess_xx(args.reshape(-1, d), xi_rep).reshape(n_nodes, n, d, d)
-        g1 = -0.5j * np.einsum("tnij,tnji->tn", hq, ha)
-        a[1] = simpson(g1, x=times, axis=0)
-
-    V = q0.grad_xi(x, data.grad_x)
-    return AmplitudePointData(a=a, V=V, f=fvals[-1], Y=data.Y, S=data.S)
+    a = _amplitudes(a_init, q0, t, data.Y, xi, data.rate_integral, order)
+    return AmplitudePointData(a=a, Y=data.Y, S=data.S)
 
 
-def _check_order(q0, q1, order):
+def _check_order(q0, order):
     if order < 1:
         raise ValueError("amplitude order must be >= 1")
     if order == 1:
         return
     metric = getattr(q0, "metric", None)
     flat = metric is not None and metric.is_flat
-    if order > 2 or not flat or q1 is not None:
+    if order > 2 or not flat:
         raise ValueError(
             "amplitude orders beyond a_0 are only constructed over the flat "
-            "metric with q1 = 0, where the source symbol has a closed form; "
+            "metric, where the source symbol has a closed form; "
             f"got order={order}"
         )
 
@@ -154,7 +136,6 @@ class AmplitudeTable:
     f: np.ndarray            # (nt, nx, nxi) complex
     a_init: object = field(repr=False)
     q0: object = field(repr=False)
-    q1: object = field(default=None, repr=False)
     dt: float = DT_DEFAULT
 
     @property
@@ -163,9 +144,8 @@ class AmplitudeTable:
 
     def evaluate(self, t, x, xi):
         """Fresh amplitude computation at arbitrary points (no interpolation)."""
-        return amplitude_point_data(
-            self.a_init, self.q0, t, x, xi, q1=self.q1, order=self.order, dt=self.dt,
-        )
+        return amplitude_point_data(self.a_init, self.q0, t, x, xi,
+                                    order=self.order, dt=self.dt)
 
     def boundedness_report(self):
         """Grid sup of each |a_j| and (for 1-D grids) its first differences."""
@@ -199,44 +179,37 @@ class AmplitudeTable:
         return {"band": band, "n_outside": int(outside.sum()), "outside_max": worst}
 
 
-def solve_transport(a_init, phase, q0=None, q1=None, N=None):
+def solve_transport(a_init, phase, N=None):
     """Solve the transport hierarchy on the phase table's grid.
 
-    The transport rides the phase table's own characteristics: each time's
-    inverse map starts from the table's base points `phase.Y`, so with the
-    table's q0 one verifying flow confirms them and no second warm-started
-    sweep is needed (a different `q0` still converges from that start).
-    N defaults to 2 over the flat metric and 1 otherwise; initial data are
-    a_0(0) = a_init and a_r(0) = 0.  Characteristics exiting the guard band
-    surface as :class:`SupportViolationError`.
+    The phase table carries the base points `phase.Y` and the integral of the
+    transport rate at every node, so the amplitudes are read off it with no
+    further characteristic; the transport field V = grad_eta q0(x, grad_x S)
+    and the rate f come with them.  N defaults to 2 over the flat metric and
+    1 otherwise; initial data are a_0(0) = a_init and a_r(0) = 0.
     """
-    q0 = q0 or phase.q0
+    q0 = phase.q0
     metric = getattr(q0, "metric", None)
     flat = metric is not None and metric.is_flat
     if N is None:
         N = 2 if flat else 1
-    _check_order(q0, q1, N)
+    _check_order(q0, N)
 
     d = q0.dim
     t_grid = phase.t_grid
     x_grid, xi_grid = phase.x_grid, phase.xi_grid
-    nt, nx, nxi = len(t_grid), x_grid.shape[0], xi_grid.shape[0]
-    xp, xip = tensor_pairs(x_grid, xi_grid)
+    shape = phase.S.shape
+    # every (t, x, xi) node of the table as one batch, t slowest
+    xp, xip = (np.tile(p, (len(t_grid), 1)) for p in tensor_pairs(x_grid, xi_grid))
+    t = np.repeat(t_grid, xp.shape[0] // len(t_grid))
 
-    values = np.empty((N, nt, nx, nxi), dtype=complex)
-    V = np.empty((nt, nx, nxi, d))
-    f = np.empty((nt, nx, nxi), dtype=complex)
-
-    for k, t in enumerate(t_grid):
-        data = amplitude_point_data(a_init, q0, t, xp, xip, q1=q1, order=N,
-                                    dt=phase.dt, y0=phase.Y[k].reshape(-1, d))
-        values[:, k] = data.a.reshape(N, nx, nxi)
-        V[k] = data.V.reshape(nx, nxi, d)
-        f[k] = data.f.reshape(nx, nxi)
+    values = _amplitudes(a_init, q0, t, phase.Y.reshape(-1, d), xip,
+                         phase.rate_integral.ravel(), N).reshape((N,) + shape)
+    V = q0.grad_xi(xp, phase.grad_x.reshape(-1, d)).reshape(shape + (d,))
 
     return AmplitudeTable(
         order=N, t_grid=t_grid, x_grid=x_grid, xi_grid=xi_grid,
-        values=values, V=V, f=f, a_init=a_init, q0=q0, q1=q1, dt=phase.dt,
+        values=values, V=V, f=phase.rate, a_init=a_init, q0=q0, dt=phase.dt,
     )
 
 

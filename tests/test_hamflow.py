@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from fracwkb import hamflow
-from fracwkb.hamflow import (NEWTON_TOL, GuardBandError, flow_horizon,
-                             integrate_flow, inverse_map)
+from fracwkb.hamflow import NEWTON_TOL, GuardBandError, integrate_flow, inverse_map
 from fracwkb.metric import flat_metric, gaussian_bump_metric
 from fracwkb.symbols import SymbolFunction, fractional_symbol
 
@@ -298,24 +297,6 @@ def test_variational_jacobian_symplectic_along_flow(sigma):
     defect = np.abs(np.swapaxes(Zs, -1, -2) @ _J @ Zs - _J)
     assert Zs.shape == (len(times), 3, 2, 2)
     assert float(np.max(defect)) < 1e-8
-
-
-def test_flow_horizon_flat_is_grid_maximum():
-    H = fractional_symbol(flat_metric(dim=1), 2.0)
-    grid = np.linspace(0.0, 0.5, 6)
-    t0 = flow_horizon(H, grid, np.array([[0.0]]), np.array([[1.0]]))
-    assert t0 == 0.5
-
-
-def test_flow_horizon_shrinks_with_threshold():
-    H = _bump_hamiltonian(2.0)
-    x = np.linspace(-1.0, 1.0, 5)[:, None]
-    xi = np.full((5, 1), 1.2)
-    grid = np.linspace(0.0, 2.0, 11)
-    loose = flow_horizon(H, grid, x, xi, threshold=10.0)
-    tight = flow_horizon(H, grid, x, xi, threshold=0.2)
-    assert loose == 2.0
-    assert tight <= loose
 
 
 def test_negative_time_reverses_flow():

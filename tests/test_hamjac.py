@@ -43,6 +43,7 @@ def test_phase_at_zero_time():
     np.testing.assert_array_equal(data.Y, [[0.4], [-0.3]])
     np.testing.assert_array_equal(data.grad_x, [[1.1], [0.9]])
     assert data.hess_asymmetry == 0.0
+    np.testing.assert_array_equal(data.rate_integral, 0.0)
     times, _, _, hess = data.trajectory
     np.testing.assert_array_equal(times, [0.0])
     np.testing.assert_array_equal(hess[-1], data.hess_xx)
@@ -209,6 +210,17 @@ def test_phase_table_evaluate_matches_grid():
     k = pt.t_index(0.08)
     np.testing.assert_allclose(data.S[0], pt.S[k, 3, 1], atol=1e-9)
     np.testing.assert_allclose(data.Y[0], pt.Y[k, 3, 1], atol=1e-9)
+
+
+def test_phase_table_rate_matches_grid():
+    """The a_0 transport rate tables agree with a fresh pass at an interior node."""
+    pt = _bump_table()
+    data = pt.evaluate(0.08, pt.x_grid[3], pt.xi_grid[1])
+    k = pt.t_index(0.08)
+    assert abs(pt.rate_integral[k, 3, 1]) > 1e-4
+    np.testing.assert_allclose(data.rate[0], pt.rate[k, 3, 1], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(data.rate_integral[0], pt.rate_integral[k, 3, 1],
+                               rtol=0, atol=1e-9)
 
 
 def test_mixed_hessian_asymmetry_negligible():

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from fracwkb import hamflow
+from fracwkb import hamflow, hamjac
 from fracwkb.hamjac import build_phase
 from fracwkb.metric import flat_metric, gaussian_bump_metric, tensor_pairs
-from fracwkb.symbols import (GaussianWindow, SymbolFunction, fractional_symbol,
-                             localized_amplitude, make_bump)
+from fracwkb.symbols import GaussianWindow, fractional_symbol, localized_amplitude, make_bump
 from fracwkb.transport import (SupportViolationError, amplitude_point_data,
                                solve_transport, transport_residual)
 
@@ -49,7 +48,7 @@ def test_amplitude_zero_time_is_initial_data():
 
 
 def test_zero_time_skips_the_zero_weight_correction_source(monkeypatch):
-    """On the one-node path at t = 0 Simpson weights the a_1 source by zero."""
+    """a_1 = t times its source at (Y, xi), so t = 0 does not evaluate it."""
     _, q0, a_init = _flat_setup()
     calls = []
     hess_xx = a_init.hess_xx
@@ -59,6 +58,18 @@ def test_zero_time_skips_the_zero_weight_correction_source(monkeypatch):
     assert not calls
     amplitude_point_data(a_init, q0, 0.05, x, xi, order=2)
     assert calls
+
+
+@pytest.mark.parametrize("setup", [_flat_setup, _bump_setup], ids=["flat", "bump"])
+def test_zero_time_evaluates_one_symbol_jet(setup, monkeypatch):
+    """The action and the transport rate share the phase pass's one jet of q0."""
+    _, q0, a_init = setup()
+    calls = []
+    jet = q0._jet
+    monkeypatch.setattr(q0, "_jet", lambda *args: calls.append(1) or jet(*args))
+    x, xi = np.array([[0.2], [-0.4]]), np.array([[1.0], [1.2]])
+    amplitude_point_data(a_init, q0, 0.0, x, xi, order=1)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0])
@@ -110,9 +121,6 @@ def test_order_validation():
         solve_transport(af, ptf, N=3)
     with pytest.raises(ValueError):
         solve_transport(af, ptf, N=0)
-    q1 = SymbolFunction(1, lambda pts, cov: np.zeros(pts.shape[0]))
-    with pytest.raises(ValueError):
-        solve_transport(af, ptf, q1=q1, N=2)
     _, qb, ab = _bump_setup()
     with pytest.raises(ValueError):
         solve_transport(ab, _phase(qb, nt=3), N=2)
@@ -149,39 +157,38 @@ def test_characteristic_leaving_band_raises():
     a_init = localized_amplitude(metric, CUT)
     x = np.array([[0.0]])
     xi = np.array([[1.5]])                       # p = 2.25 outside the band
-    pt_ok = build_phase(fractional_symbol(metric, 2.0), [0.0, 0.05], x, xi)
+    amplitude_point_data(a_init, fractional_symbol(metric, 2.0), 0.05, x, xi)
     with pytest.raises(SupportViolationError):
-        solve_transport(a_init, pt_ok, q0=q0)
+        amplitude_point_data(a_init, q0, 0.05, x, xi)
 
 
 def test_amplitude_table_evaluate_matches_grid():
-    """Every table node agrees with a cold-started evaluation (Newton from x)."""
-    _, q0, a_init = _bump_setup()
-    amp = solve_transport(a_init, _phase(q0, nt=5))
-    xp, xip = tensor_pairs(amp.x_grid, amp.xi_grid)
-    for k, t in enumerate(amp.t_grid):
-        data = amp.evaluate(t, xp, xip)
-        np.testing.assert_allclose(data.a[0], amp.values[0, k].ravel(), rtol=0, atol=1e-9)
+    """Every table node agrees with a cold-started evaluation (Newton from x).
 
-
-def test_solve_transport_makes_one_inverse_map_flow_per_time(monkeypatch):
-    """The inverse maps start at the table's base points and only verify them.
-
-    t = 0 is on the grid too, where the one flow is the zero-step path.
+    The flat table has N = 2, so a_1 is checked at every node too.
     """
+    for setup in (_bump_setup, _flat_setup):
+        _, q0, a_init = setup()
+        amp = solve_transport(a_init, _phase(q0, nt=5))
+        xp, xip = tensor_pairs(amp.x_grid, amp.xi_grid)
+        for k, t in enumerate(amp.t_grid):
+            data = amp.evaluate(t, xp, xip)
+            for j in range(amp.order):
+                np.testing.assert_allclose(data.a[j], amp.values[j, k].ravel(),
+                                           rtol=0, atol=1e-9)
+
+
+def test_solve_transport_makes_no_flow(monkeypatch):
+    """The amplitudes are read off the phase table: no inverse map, no flow."""
     _, q0, a_init = _bump_setup()
     pt = build_phase(q0, np.linspace(-0.1, 0.1, 9), np.linspace(-1.2, 1.2, 9)[:, None],
                      np.linspace(0.9, 1.4, 3)[:, None])
-    flow_times = []
-    integrate_flow = hamflow.integrate_flow
-
-    def counting(H, t, *args, **kwargs):
-        flow_times.append(t)
-        return integrate_flow(H, t, *args, **kwargs)
-
-    monkeypatch.setattr(hamflow, "integrate_flow", counting)
-    solve_transport(a_init, pt)
-    assert sorted(flow_times) == sorted(pt.t_grid)
+    calls = []
+    monkeypatch.setattr(hamflow, "integrate_flow", lambda *args: calls.append("flow"))
+    monkeypatch.setattr(hamjac, "inverse_map", lambda *args, **kw: calls.append("inverse"))
+    amp = solve_transport(a_init, pt)
+    assert calls == []
+    assert np.all(np.abs(amp.values[0]) > 0.0)
 
 
 def test_transport_residual_validation():
