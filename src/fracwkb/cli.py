@@ -18,7 +18,7 @@ from .hamjac import build_phase, caustic_horizon, certify_phase_estimates, hj_re
 from .metric import (audit_assumptions, check_sigma, flat_metric,
                      gaussian_bump_metric)
 from .nlfs import NlfsProblem, conserved, solve_nlfs, solve_nlfw
-from .spectral import (discretize_P_1d, flat_operator, frequency_localize,
+from .spectral import (discretize_P_1d, flat_operator, localized_gaussian,
                        make_grid, modulated_gaussian, sobolev_norm,
                        state_from_values)
 from .strichartz import (classify_pair, measure_semiclassical_scaling,
@@ -330,9 +330,7 @@ def run_strichartz(cfg, outdir):
                      fit.passes(cfg["margin"])))
     grid = make_grid(1, 1024, 2.0 * np.pi)
     h_mid = sweep[len(sweep) // 2]
-    omega_c = np.sqrt(0.5 * (cfg["p1"] + cfg["p2"])) / h_mid
-    v = frequency_localize(
-        modulated_gaussian(grid, np.pi, np.sqrt(h_mid), omega_c), cut, h_mid)
+    v = localized_gaussian(grid, cut, h_mid)
     gap = rescaling_identity_gap(cfg["sigma"], v, h_mid, cfg["p"], cfg["q"])
     rows.append(_row("time-rescaling-gap", gap, 1e-10, gap < 1e-10))
     _write_csv(outdir / "strichartz.csv", ["h", "ratio"],

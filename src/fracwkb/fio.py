@@ -15,8 +15,8 @@ import numpy as np
 from scipy.stats import linregress
 
 from .metric import as_points, tensor_pairs
-from .spectral import (flat_operator, frequency_localize, make_grid,
-                       modulated_gaussian, propagate, state_from_values)
+from .spectral import (flat_operator, localized_gaussian, make_grid, propagate,
+                       state_from_values)
 
 __all__ = [
     "KernelGrid",
@@ -334,9 +334,7 @@ def remainder_decay(phase, amp, h_sweep, t=0.15, reference_propagator=None):
             n *= 2
         grid = make_grid(1, n, L)
         op = flat_operator(grid)
-        omega_c = np.sqrt(0.5 * (cut.plateau[0] + cut.plateau[1])) / h
-        seed_state = modulated_gaussian(grid, 0.5 * L, np.sqrt(h), omega_c)
-        u = frequency_localize(seed_state, cut, h)
+        u = localized_gaussian(grid, cut, h)
         norm = u.l2_norm()
 
         filtered = apply_fio(phase, amp, u, h, 0.0)

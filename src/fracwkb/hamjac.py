@@ -1,10 +1,11 @@
 """Hamilton-Jacobi phases built along Hamiltonian characteristics.
 
 The generating phase of the evolution equation dS/dt - q0(x, grad_x S) = 0,
-S(0) = x.xi, is assembled from the flow of H := -q0 through the inverse map Y
-and the action integral
+S(0) = x.xi, is assembled from the characteristics of q0 through the inverse
+map Y and the action integral
 
-    S(t, x, xi) = Y(t, x, xi) . xi + int_0^t (Xi . grad_xi H - H) along the flow,
+    S(t, x, xi) = Y(t, x, xi) . xi + int_0^{-t} (Xi . grad_xi q0 - q0) dtau
+    along the flow of q0 from (Y, xi),
 
 with every derivative table (grad_x S = Xi(t, Y, xi), the mixed and pure
 Hessians) read off the variational Jacobian rather than by differencing S.
@@ -14,7 +15,8 @@ The same pass carries the rate of the leading transport amplitude,
 
 and its integral along each characteristic: the a_0 integrating factor
 depends on q0 and S alone, so the transport needs no flow of its own.
-The sign convention is fixed here once: the flow module always receives -q0.
+The sign convention is fixed here once: the characteristics are q0's flow
+run backward, from 0 to -t.
 """
 
 from dataclasses import dataclass, field
@@ -91,17 +93,17 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, y0=None):
     flat = metric is not None and metric.is_flat
     n_steps = 2 if flat else _even_steps(t, dt)
 
-    H = -q0
-    Y, (times, Xs, Xis, Zs) = inverse_map(H, t, x, xi, n_steps, y0=y0)
+    Y, (path_times, Xs, Xis, Zs) = inverse_map(q0, -t, x, xi, n_steps, y0=y0)
+    times = 0.0 - path_times            # 0 to t, with the +0.0 first node of linspace
 
-    # one jet of H at every node gives the action integrand
-    # (Xi . grad_xi H - H) and hess_xixi q0 = -hess_xixi H for the rate
+    # one jet of q0 at every node gives the action integrand
+    # (Xi . grad_xi q0 - q0) and hess_xixi q0 for the rate
     flatX = Xs.reshape(-1, d)
     flatXi = Xis.reshape(-1, d)
-    _, gxi, _, hxixi, _ = H.jet(flatX, flatXi)
-    hval = H(flatX, flatXi).reshape(len(times), n)
-    integrand = np.sum(Xis * gxi.reshape(len(times), n, d), axis=2) - hval
-    action = simpson(integrand, x=times, axis=0)
+    _, gxi, _, hxixi, _ = q0.jet(flatX, flatXi)
+    qval = q0(flatX, flatXi).reshape(len(times), n)
+    integrand = np.sum(Xis * gxi.reshape(len(times), n, d), axis=2) - qval
+    action = simpson(integrand, x=path_times, axis=0)
     S = np.sum(Y * xi, axis=1) + action
 
     JX_inv = solve_blocks(Zs[:, :, :d, :d], np.eye(d))
@@ -110,7 +112,7 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, y0=None):
     asym = float(np.max(np.abs(B[-1] - np.swapaxes(B[-1], 1, 2)))) if n else 0.0
     dY_dxi = -(JX_inv[-1] @ Zs[-1][:, :d, d:])
 
-    hq = -hxixi.reshape(len(times), n, d, d)
+    hq = hxixi.reshape(len(times), n, d, d)
     rate = 0.5 * np.einsum("tnij,tnji->tn", hq, W).astype(complex)
 
     return PhasePointData(

@@ -19,6 +19,7 @@ __all__ = [
     "flat_metric",
     "gaussian_bump_metric",
     "principal_symbol",
+    "principal_jet",
     "audit_assumptions",
 ]
 
@@ -211,6 +212,26 @@ def principal_symbol(m, x, xi):
         raise ValueError("non-finite input to principal_symbol")
     G = m.inverse_metric(np.ascontiguousarray(pts))
     return np.einsum("ni,nij,nj->n", cov, G, cov)
+
+
+def principal_jet(m, pts, cov):
+    """p = xi^T G(x) xi and its partials at matched (n, d) batches.
+
+    Returns (G, p, p_x, p_xi, p_xx, p_xxi) from one evaluation of G and its
+    two derivative tables: p_x and p_xi are (n, d), p_xx and p_xxi are
+    (n, d, d) with p_xxi[m, i, j] = d^2 p / dx_i dxi_j.  This is the one
+    place the chain rule of p is written out; the symbols built on p read
+    their derivatives from it.
+    """
+    G = m.inverse_metric(pts)
+    dG = m.inverse_metric_grad(pts)
+    d2G = m.inverse_metric_hess(pts)
+    p = np.einsum("ni,nij,nj->n", cov, G, cov)
+    px = np.einsum("ni,nkij,nj->nk", cov, dG, cov)
+    pxi = 2.0 * np.einsum("nij,nj->ni", G, cov)
+    pxx = np.einsum("ni,nklij,nj->nkl", cov, d2G, cov)
+    pxxi = 2.0 * np.einsum("nkij,nj->nki", dG, cov)
+    return G, p, px, pxi, pxx, pxxi
 
 
 @dataclass

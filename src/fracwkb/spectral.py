@@ -30,6 +30,7 @@ __all__ = [
     "discretize_P_1d",
     "propagate",
     "frequency_localize",
+    "localized_gaussian",
     "sobolev_norm",
     "lp_lq_norm",
     "kernel_projection",
@@ -256,6 +257,14 @@ def frequency_localize(u0, cut, h, op=None):
     """phi(h^2 P) u0; `op` defaults to the flat multiplier on u0's grid."""
     op = op or flat_operator(u0.grid)
     return op.apply_function(u0, lambda lam: cut(h**2 * lam))
+
+
+def localized_gaussian(grid, cut, h):
+    """phi(h^2 P) applied to a width-sqrt(h) Gaussian at the box centre,
+    modulated to the frequency sqrt(mid-plateau)/h of the cutoff."""
+    omega_c = np.sqrt(0.5 * (cut.plateau[0] + cut.plateau[1])) / h
+    seed = modulated_gaussian(grid, 0.5 * grid.length, np.sqrt(h), omega_c)
+    return frequency_localize(seed, cut, h)
 
 
 def sobolev_norm(u, gamma, op=None):

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.stats import linregress
 
 from .fio import ResolutionError
-from .spectral import (flat_operator, frequency_localize, lp_lq_norm,
-                       make_grid, modulated_gaussian, propagate)
+from .spectral import (flat_operator, localized_gaussian, lp_lq_norm, make_grid,
+                       propagate)
 
 __all__ = [
     "AdmissiblePair",
@@ -140,9 +140,7 @@ def _localized_state(cut, h, box_length, grid_cap):
         )
     grid = make_grid(1, n, box_length)
     op = flat_operator(grid)
-    omega_c = np.sqrt(0.5 * (cut.plateau[0] + cut.plateau[1])) / h
-    seed = modulated_gaussian(grid, 0.5 * box_length, np.sqrt(h), omega_c)
-    return frequency_localize(seed, cut, h), op
+    return localized_gaussian(grid, cut, h), op
 
 
 def _sweep(sigma, pair, cut, h_sweep, times, box_length, grid_cap, rescaled):

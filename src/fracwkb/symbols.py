@@ -1,17 +1,17 @@
 """Smooth cutoffs, dyadic partitions and phase-space symbols.
 
 Cutoffs are built from glued exponentials, so they are genuinely C^infinity
-with closed-form support and plateau intervals.  Phase-space symbols carry
-evaluators for values and partial derivatives up to second order; the central
+with closed-form support and plateau intervals.  Phase-space symbols carry a
+value and one jet of partial derivatives up to second order; the central
 factory is :func:`fractional_symbol`, which realizes q0(x, xi) = p(x, xi)^{sigma/2}
-with fully analytic derivatives assembled from the metric's derivative tables.
+with fully analytic derivatives assembled from `metric.principal_jet`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import as_pairs, as_points, check_sigma
+from .metric import as_pairs, as_points, check_sigma, principal_jet
 
 __all__ = [
     "CutoffFunction",
@@ -213,22 +213,21 @@ JET = ("grad_x", "grad_xi", "hess_xx", "hess_xixi", "hess_xxi")
 
 
 class SymbolFunction:
-    """Phase-space symbol a(x, xi) with derivative evaluators up to order 2.
+    """Phase-space symbol a(x, xi) with derivatives up to order 2 from one jet.
 
-    Evaluators receive (n, d) point batches and return (n, ...) arrays.
-    Calling a derivative the symbol was not given raises NotImplementedError.
-    A symbol built from a `jet` closure, which returns all five derivatives
-    in the order of `JET` from one evaluation, reads each evaluator off it.
+    `fn` and `jet` receive (n, d) point batches.  `jet` returns the five
+    derivatives in the order of `JET` from one evaluation, with None for a
+    part the symbol does not carry; each derivative method reads its part
+    off the jet, and a missing part, or a symbol without a jet, raises
+    NotImplementedError.
 
     Index conventions: `grad_x`/`grad_xi` return (n, d); the Hessians return
     (n, d, d) with `hess_xxi[m, i, j] = d^2 a / dx_i dxi_j`.
     """
 
-    def __init__(self, dim, fn, grad_x=None, grad_xi=None, hess_xx=None,
-                 hess_xixi=None, hess_xxi=None, jet=None, xi_band=None, label=""):
+    def __init__(self, dim, fn, jet=None, xi_band=None, label=""):
         self.dim = int(dim)
         self._fn = fn
-        self._evaluators = dict(zip(JET, (grad_x, grad_xi, hess_xx, hess_xixi, hess_xxi)))
         self._jet = jet
         self.xi_band = None if xi_band is None else (float(xi_band[0]), float(xi_band[1]))
         self.label = label
@@ -237,70 +236,44 @@ class SymbolFunction:
         pts, cov = as_pairs(x, xi, self.dim)
         return self._fn(pts, cov)
 
-    def _derivative(self, name, x, xi):
-        """The `name` evaluator at the points; a symbol without it raises."""
-        pts, cov = as_pairs(x, xi, self.dim)
-        if self._jet is not None:
-            return self._jet(pts, cov)[JET.index(name)]
-        analytic = self._evaluators[name]
-        if analytic is None:
-            raise NotImplementedError(f"symbol {self.label!r} has no {name} evaluator")
-        return analytic(pts, cov)
-
     def jet(self, x, xi):
-        """(grad_x, grad_xi, hess_xx, hess_xixi, hess_xxi) at the points.
-
-        One evaluation for a symbol built from a jet closure; otherwise the
-        five evaluators are called in turn.
-        """
+        """(grad_x, grad_xi, hess_xx, hess_xixi, hess_xxi) at the points."""
+        if self._jet is None:
+            raise NotImplementedError(f"symbol {self.label!r} has no derivative jet")
         pts, cov = as_pairs(x, xi, self.dim)
-        if self._jet is not None:
-            return self._jet(pts, cov)
-        return tuple(self._derivative(name, pts, cov) for name in JET)
+        return self._jet(pts, cov)
+
+    def _part(self, name, x, xi):
+        part = None if self._jet is None else self.jet(x, xi)[JET.index(name)]
+        if part is None:
+            raise NotImplementedError(f"symbol {self.label!r} has no {name} evaluator")
+        return part
 
     def grad_x(self, x, xi):
-        return self._derivative("grad_x", x, xi)
+        return self._part("grad_x", x, xi)
 
     def grad_xi(self, x, xi):
-        return self._derivative("grad_xi", x, xi)
+        return self._part("grad_xi", x, xi)
 
     def hess_xx(self, x, xi):
-        return self._derivative("hess_xx", x, xi)
+        return self._part("hess_xx", x, xi)
 
     def hess_xixi(self, x, xi):
-        return self._derivative("hess_xixi", x, xi)
+        return self._part("hess_xixi", x, xi)
 
     def hess_xxi(self, x, xi):
         """Mixed Hessian, [m, i, j] = d^2 a / dx_i dxi_j."""
-        return self._derivative("hess_xxi", x, xi)
-
-    def __neg__(self):
-        def flip(f):
-            return None if f is None else (lambda pts, cov: -f(pts, cov))
-
-        jet = self._jet
-        out = SymbolFunction(
-            self.dim,
-            lambda pts, cov: -self._fn(pts, cov),
-            **{name: flip(f) for name, f in self._evaluators.items()},
-            jet=None if jet is None else (lambda pts, cov: tuple(-a for a in jet(pts, cov))),
-            xi_band=self.xi_band,
-            label=f"-({self.label})" if self.label else "",
-        )
-        for attr in ("metric", "sigma"):
-            if hasattr(self, attr):
-                setattr(out, attr, getattr(self, attr))
-        return out
+        return self._part("hess_xxi", x, xi)
 
 
 def fractional_symbol(metric, sigma, xi_band=None):
     """q0(x, xi) = p(x, xi)^{sigma/2} with analytic derivatives from the metric.
 
-    All first and second partials are assembled from the chain rule applied to
-    p = xi^T G(x) xi, so no finite differencing enters the flow right-hand
-    sides; one jet evaluates G and its two derivative tables once for all
-    five.  `xi_band` optionally records the compact p-interval J on which the
-    construction is meant to live (the guard band for flows).
+    All first and second partials are the chain rule of f(p) = p^{sigma/2}
+    applied to `principal_jet`, so no finite differencing enters the flow
+    right-hand sides and one jet evaluates G and its two derivative tables
+    once for all five.  `xi_band` optionally records the compact p-interval
+    J on which the construction is meant to live (the guard band for flows).
     """
     sigma = check_sigma(sigma)
     s = 0.5 * sigma
@@ -312,14 +285,7 @@ def fractional_symbol(metric, sigma, xi_band=None):
         return p**s
 
     def _jet(pts, cov):
-        G = metric.inverse_metric(pts)
-        dG = metric.inverse_metric_grad(pts)
-        d2G = metric.inverse_metric_hess(pts)
-        p = np.einsum("ni,nij,nj->n", cov, G, cov)
-        px = np.einsum("ni,nkij,nj->nk", cov, dG, cov)
-        pxi = 2.0 * np.einsum("nij,nj->ni", G, cov)
-        pxx = np.einsum("ni,nklij,nj->nkl", cov, d2G, cov)
-        pxxi = 2.0 * np.einsum("nkij,nj->nki", dG, cov)     # [n, i, j] = d2p / dx_i dxi_j
+        G, p, px, pxi, pxx, pxxi = principal_jet(metric, pts, cov)
         c1 = s * p ** (s - 1.0)                             # f'(p) for f(p) = p^s
         c2 = s * (s - 1.0) * p ** (s - 2.0)                 # f''(p)
         c1m, c2m = c1[:, None, None], c2[:, None, None]
@@ -385,50 +351,35 @@ def localized_amplitude(metric, cut, window=None):
     """Initial symbol a(x, xi) = window(x) * cut(p(x, xi)).
 
     The cutoff rides on the principal symbol, so the support automatically sits
-    inside p^{-1}(supp cut) for any metric.  x-derivatives combine the analytic
-    window derivatives with the cutoff profile's closed-form derivatives.
+    inside p^{-1}(supp cut) for any metric.  Its jet carries the x-derivatives
+    only, which combine the analytic window derivatives with the cutoff
+    profile's closed-form derivatives.
     """
     window = window or ConstantWindow(metric.dim)
 
-    def _p(pts, cov):
-        G = metric.inverse_metric(pts)
-        return np.einsum("ni,nij,nj->n", cov, G, cov)
-
     def _fn(pts, cov):
-        return window(pts) * cut(_p(pts, cov))
-
-    def _grad_x(pts, cov):
         G = metric.inverse_metric(pts)
-        dG = metric.inverse_metric_grad(pts)
-        p = np.einsum("ni,nij,nj->n", cov, G, cov)
-        px = np.einsum("ni,nkij,nj->nk", cov, dG, cov)
-        c, dc, _ = cut._jet(p)
-        return window.grad(pts) * c[:, None] + window(pts)[:, None] * dc[:, None] * px
+        return window(pts) * cut(np.einsum("ni,nij,nj->n", cov, G, cov))
 
-    def _hess_xx(pts, cov):
-        G = metric.inverse_metric(pts)
-        dG = metric.inverse_metric_grad(pts)
-        d2G = metric.inverse_metric_hess(pts)
-        p = np.einsum("ni,nij,nj->n", cov, G, cov)
-        px = np.einsum("ni,nkij,nj->nk", cov, dG, cov)
-        pxx = np.einsum("ni,nklij,nj->nkl", cov, d2G, cov)
+    def _jet(pts, cov):
+        _, p, px, _, pxx, _ = principal_jet(metric, pts, cov)
         c, dc, d2c = cut._jet(p)
         w = window(pts)
         gw = window.grad(pts)
-        t = window.hess(pts) * c[:, None, None]
-        t += (gw[:, :, None] * px[:, None, :] + gw[:, None, :] * px[:, :, None]) * dc[:, None, None]
-        t += w[:, None, None] * (
+        grad_x = gw * c[:, None] + w[:, None] * dc[:, None] * px
+        hess_xx = window.hess(pts) * c[:, None, None]
+        hess_xx += (gw[:, :, None] * px[:, None, :] + gw[:, None, :] * px[:, :, None]) * dc[:, None, None]
+        hess_xx += w[:, None, None] * (
             d2c[:, None, None] * px[:, :, None] * px[:, None, :]
             + dc[:, None, None] * pxx
         )
-        return t
+        return grad_x, None, hess_xx, None, None
 
     lo, hi = (cut.support if hasattr(cut, "support") else (None, None))
     sym = SymbolFunction(
         metric.dim,
         _fn,
-        grad_x=_grad_x,
-        hess_xx=_hess_xx,
+        jet=_jet,
         xi_band=(lo, hi) if lo is not None else None,
         label="window*cut(p)",
     )

@@ -166,13 +166,13 @@ def test_guard_band_inactive_without_band():
 
 def _oscillator(band):
     """H = x^2 + xi^2 on the flat metric: rotation with period pi in (x, xi)."""
-    H = SymbolFunction(
-        1, lambda x, xi: x[:, 0] ** 2 + xi[:, 0] ** 2,
-        grad_x=lambda x, xi: 2.0 * x, grad_xi=lambda x, xi: 2.0 * xi,
-        hess_xx=lambda x, xi: np.full((x.shape[0], 1, 1), 2.0),
-        hess_xixi=lambda x, xi: np.full((x.shape[0], 1, 1), 2.0),
-        hess_xxi=lambda x, xi: np.zeros((x.shape[0], 1, 1)),
-        xi_band=band)
+    def jet(x, xi):
+        n = x.shape[0]
+        return (2.0 * x, 2.0 * xi, np.full((n, 1, 1), 2.0),
+                np.full((n, 1, 1), 2.0), np.zeros((n, 1, 1)))
+
+    H = SymbolFunction(1, lambda x, xi: x[:, 0] ** 2 + xi[:, 0] ** 2, jet=jet,
+                       xi_band=band)
     H.metric = flat_metric(dim=1)
     return H
 
@@ -213,8 +213,8 @@ def _separate_rk4_path(H, t, x, xi, n_steps):
 
 
 def test_assembled_jet_flows_like_separate_evaluators():
-    # the oscillator has no jet closure, so SymbolFunction.jet assembles it
-    # from the five evaluators; A is constant, so even A @ Z is exact
+    # the oscillator's jet is one closure, which the reference path reads
+    # one evaluator at a time; A is constant, so even A @ Z is exact
     H = _oscillator(None)
     x, xi = np.array([[0.0], [0.3]]), np.array([[1.0], [-0.7]])
     _, Xs, Xis, Zs = integrate_flow(H, 1.3, x, xi, 40)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fracwkb.hamflow import NEWTON_TOL
+from fracwkb.hamflow import NEWTON_TOL, integrate_flow
 from fracwkb.hamjac import (HorizonError, build_phase, caustic_horizon,
                             certify_phase_estimates, hj_residual,
                             phase_point_data, second_time_derivative)
@@ -82,6 +82,21 @@ def test_trajectory_ends_on_x():
     assert times[-1] == 0.03
     np.testing.assert_array_equal(X[0], data.Y)
     assert np.max(np.abs(X[-1] - xp)) <= NEWTON_TOL
+
+
+def test_trajectory_is_the_backward_flow_of_q0():
+    """The characteristics are q0's own flow to -t from the accepted Y,
+    node for node, with the trajectory's times running from 0 to t."""
+    q0 = _bump_q0()
+    x = np.linspace(-1.5, 1.5, 7)[:, None]
+    xi = np.linspace(0.8, 1.6, 7)[:, None]
+    data = phase_point_data(q0, 0.08, x, xi)
+    times, X, Xi, _ = data.trajectory
+    path_times, X_ref, Xi_ref, _ = integrate_flow(q0, -0.08, data.Y, xi, len(times) - 1)
+    np.testing.assert_array_equal(times, -path_times)
+    assert times[0] == 0.0 and times[-1] == 0.08
+    np.testing.assert_array_equal(X, X_ref)
+    np.testing.assert_array_equal(Xi, Xi_ref)
 
 
 def test_bump_phase_residual_small():

@@ -7,8 +7,9 @@ from fracwkb.metric import flat_metric, gaussian_bump_metric
 from fracwkb.spectral import (SpectralGapError, SpectralOperator,
                               discretize_P_1d, flat_operator,
                               frequency_localize, kernel_projection,
-                              lp_lq_norm, make_grid, measure_bernstein,
-                              modulated_gaussian, plane_wave, propagate,
+                              localized_gaussian, lp_lq_norm, make_grid,
+                              measure_bernstein, modulated_gaussian,
+                              plane_wave, propagate,
                               sobolev_norm, state_from_fourier,
                               state_from_values)
 from fracwkb.symbols import littlewood_paley_partition, make_bump
@@ -85,6 +86,19 @@ def test_propagate_group_property():
     via = propagate(propagate(u, op, 0.5, 0.3), op, 0.5, 0.4)
     direct = propagate(u, op, 0.5, 0.7)
     np.testing.assert_allclose(via.values, direct.values, atol=1e-12)
+
+
+def test_localized_gaussian_sits_in_the_band_at_the_centre():
+    grid = make_grid(1, 512)
+    cut = make_bump(0.25, 4.0, (0.5, 2.0))
+    h = 1.0 / 16.0
+    u = localized_gaussian(grid, cut, h)
+    op = flat_operator(grid)
+    coeffs = op.coefficients(u)
+    outside = (h**2 * op.lam <= 0.25) | (h**2 * op.lam >= 4.0)
+    assert np.max(np.abs(coeffs[outside])) == 0.0
+    peak = grid.meshes()[0][np.argmax(np.abs(u.values))]
+    assert abs(peak - np.pi) < 0.1
 
 
 def test_frequency_localize_plateau_and_tail():

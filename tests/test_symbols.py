@@ -1,5 +1,7 @@
 """Cutoffs, the dyadic partition, and phase-space symbol factories."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,8 +103,8 @@ def test_symbol_without_derivative_raises():
     sym = SymbolFunction(1, lambda pts, cov: pts[:, 0] * cov[:, 0], label="x*xi")
     with pytest.raises(NotImplementedError, match=r"'x\*xi' has no grad_xi"):
         sym.grad_xi([[0.1]], [[1.0]])
-    with pytest.raises(NotImplementedError, match="hess_xx"):
-        (-sym).hess_xx([[0.1]], [[1.0]])
+    with pytest.raises(NotImplementedError, match=r"'x\*xi' has no derivative jet"):
+        sym.jet([[0.1]], [[1.0]])
 
 
 def test_partition_at_zero():
@@ -229,34 +231,40 @@ def _separate_evaluators(m, sigma):
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0, 3.0])
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_fractional_symbol_jet_matches_separate_evaluators(sigma, sign):
+@pytest.mark.parametrize("xi_sign", [1.0, -1.0])
+def test_fractional_symbol_jet_matches_separate_evaluators(sigma, xi_sign):
     m = gaussian_bump_metric(dim=1, epsilon=0.1)
     q0 = fractional_symbol(m, sigma, xi_band=(0.3, 3.0))
-    sym = q0 if sign > 0 else -q0
     rng = np.random.default_rng(11)
     x = rng.uniform(-1.5, 1.5, size=(40, 1))
-    xi = rng.uniform(0.8, 1.6, size=(40, 1))
-    jet = sym.jet(x, xi)
+    xi = xi_sign * rng.uniform(0.8, 1.6, size=(40, 1))
+    jet = q0.jet(x, xi)
     assert len(jet) == len(JET)
     for name, part, ref in zip(JET, jet, _separate_evaluators(m, sigma)):
-        np.testing.assert_array_equal(part, getattr(sym, name)(x, xi), err_msg=name)
-        np.testing.assert_array_equal(part, sign * ref(x, xi), err_msg=name)
+        np.testing.assert_array_equal(part, getattr(q0, name)(x, xi), err_msg=name)
+        np.testing.assert_array_equal(part, ref(x, xi), err_msg=name)
 
 
-def test_jet_assembled_from_separate_evaluators():
-    sym = SymbolFunction(1, lambda pts, cov: pts[:, 0] * cov[:, 0] ** 2,
-                         grad_x=lambda pts, cov: cov**2,
-                         grad_xi=lambda pts, cov: 2.0 * pts * cov,
-                         hess_xx=lambda pts, cov: np.zeros((pts.shape[0], 1, 1)),
-                         hess_xixi=lambda pts, cov: 2.0 * pts[:, :, None],
-                         hess_xxi=lambda pts, cov: 2.0 * cov[:, :, None])
-    x, xi = np.array([[0.5], [-1.0]]), np.array([[2.0], [3.0]])
-    for name, part, neg in zip(JET, sym.jet(x, xi), (-sym).jet(x, xi)):
-        np.testing.assert_array_equal(part, getattr(sym, name)(x, xi))
-        np.testing.assert_array_equal(neg, -part)
-    with pytest.raises(NotImplementedError, match="grad_x"):
-        SymbolFunction(1, lambda pts, cov: pts[:, 0]).jet(x, xi)
+def test_localized_amplitude_jet_carries_the_x_derivatives():
+    bump = gaussian_bump_metric(dim=1, epsilon=0.1)
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return bump.inverse_metric(pts)
+
+    a = localized_amplitude(dataclasses.replace(bump, inverse_metric=counted),
+                            make_bump(0.3, 3.0, (0.5, 2.0)),
+                            window=GaussianWindow(1, center=0.2, width=0.8))
+    x = np.linspace(-1.0, 1.0, 9)[:, None]
+    xi = np.linspace(0.7, 1.5, 9)[:, None]
+    grad_x, grad_xi, hess_xx, hess_xixi, hess_xxi = a.jet(x, xi)
+    assert calls == [9]
+    assert grad_xi is None and hess_xixi is None and hess_xxi is None
+    np.testing.assert_array_equal(grad_x, a.grad_x(x, xi))
+    np.testing.assert_array_equal(hess_xx, a.hess_xx(x, xi))
+    with pytest.raises(NotImplementedError, match=r"'window\*cut\(p\)' has no grad_xi"):
+        a.grad_xi(x, xi)
 
 
 def test_localized_amplitude_derivatives_match_differences():
