@@ -12,9 +12,8 @@ exact multiplier propagator sit on top.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import linregress
 
-from .metric import as_points, tensor_pairs
+from .metric import as_points, loglog_fit, tensor_pairs
 from .spectral import (flat_operator, localized_gaussian, make_grid, propagate,
                        state_from_values)
 
@@ -289,9 +288,7 @@ def dispersive_fit(phase, amp, h, t_samples):
             f"only {int(good.sum())} finite kernel sups out of {t_samples.size}"
         )
     lam = np.abs(t_samples[good]) / h
-    fit = linregress(np.log(lam), np.log(sups[good]))
-    return DispersiveFit(slope=float(fit.slope), intercept=float(fit.intercept),
-                         r2=float(fit.rvalue**2), h=h, t_samples=t_samples,
+    return DispersiveFit(*loglog_fit(lam, sups[good]), h=h, t_samples=t_samples,
                          sups=sups)
 
 
@@ -345,9 +342,7 @@ def remainder_decay(phase, amp, h_sweep, t=0.15, reference_propagator=None):
         approx = apply_fio(phase, amp, u, h, t)
         rems[i] = float(np.sqrt(grid.cell_volume)
                         * np.linalg.norm(ref.values - approx.values)) / norm
-    fit = linregress(np.log(h_sweep), np.log(rems))
-    return RemainderFit(slope=float(fit.slope), intercept=float(fit.intercept),
-                        r2=float(fit.rvalue**2), t=t, order=amp.order,
+    return RemainderFit(*loglog_fit(h_sweep, rems), t=t, order=amp.order,
                         h=h_sweep, remainders=rems)
 
 

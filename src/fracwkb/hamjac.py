@@ -22,7 +22,6 @@ run backward, from 0 to -t.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .metric import as_pairs, as_points, solve_blocks, tensor_pairs
 from .hamflow import DT_DEFAULT, inverse_map
@@ -61,6 +60,17 @@ class PhasePointData:
     rate_integral: np.ndarray  # (n,) complex int_0^t f along the characteristic
     hess_asymmetry: float
     trajectory: tuple        # (times, X, Xi, hess_xx S) at every node from (Y, xi)
+
+
+def _simpson(y, x):
+    """scipy.integrate.simpson(y, x=x, axis=0) on an odd node count, bit for bit (its
+    non-uniform arithmetic); a single node integrates to zeros of y's dtype."""
+    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    h0, h1 = h[0::2], h[1::2]
+    hsum, ratio = h0 + h1, h0 / h1
+    tmp = (y[0:-2:2] * (2.0 - 1.0 / ratio) + y[1:-1:2] * (hsum * (hsum / (h0 * h1)))
+           + y[2::2] * (2.0 - ratio))
+    return np.sum(hsum / 6.0 * tmp, axis=0)
 
 
 def _even_steps(t, dt):
@@ -103,7 +113,7 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, y0=None):
     _, gxi, _, hxixi, _ = q0.jet(flatX, flatXi)
     qval = q0(flatX, flatXi).reshape(len(times), n)
     integrand = np.sum(Xis * gxi.reshape(len(times), n, d), axis=2) - qval
-    action = simpson(integrand, x=path_times, axis=0)
+    action = _simpson(integrand, path_times)
     S = np.sum(Y * xi, axis=1) + action
 
     JX_inv = solve_blocks(Zs[:, :, :d, :d], np.eye(d))
@@ -123,7 +133,7 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, y0=None):
         hess_xxi=np.swapaxes(JX_inv[-1], 1, 2),
         dY_dxi=dY_dxi,
         rate=rate[-1],
-        rate_integral=simpson(rate, x=times, axis=0),
+        rate_integral=_simpson(rate, times),
         hess_asymmetry=asym,
         trajectory=(times, Xs, Xis, W),
     )

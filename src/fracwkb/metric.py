@@ -82,6 +82,21 @@ def solve_blocks(M, B):
     return np.linalg.solve(M, B)
 
 
+def loglog_fit(x, y):
+    """(slope, intercept, r2) of the least-squares line through (log x, log y).
+
+    scipy.stats.linregress's arithmetic: its slope, intercept and rvalue**2
+    bit for bit, and ValueError where it raises (empty input, all x equal).
+    """
+    lx, ly = np.log(x), np.log(y)
+    if lx.size == 0 or (lx.size > 1 and np.amax(lx) == np.amin(lx)):
+        raise ValueError("a log-log fit needs points with at least two distinct x")
+    ssxm, ssxym, _, ssym = np.cov(lx, ly, bias=1).flat
+    slope = ssxym / ssxm
+    r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    return float(slope), float(np.mean(ly) - slope * np.mean(lx)), float(r ** 2)
+
+
 @dataclass(frozen=True)
 class MetricField:
     """Inverse metric g^{jk} on a periodic box, immutable after construction.

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .metric import check_sigma
 from .spectral import propagate, state_from_values
@@ -203,10 +202,14 @@ def picard_iterate(prob, n_iter=8, T_small=None, n_t=65):
     the integral pulled back along the group (interaction picture) and a
     cumulative trapezoid in s, starting from the free evolution.  Successive
     sup-in-time L2 differences must shrink; a ratio >= 1 after the first
-    comparison raises :class:`ContractionError`.
+    comparison raises :class:`ContractionError`.  At least one iteration
+    on at least two time nodes is required (ValueError otherwise).
     """
+    if int(n_iter) < 1 or int(n_t) < 2:
+        raise ValueError(f"need n_iter >= 1 and n_t >= 2, got {n_iter} and {n_t}")
     T = prob.T if T_small is None else float(T_small)
     times = np.linspace(0.0, T, int(n_t))
+    dt = np.diff(times).reshape((-1,) + (1,) * prob.u0.values.ndim)
     grid = prob.u0.grid
     free = [propagate(prob.u0, prob.op, prob.sigma, t) for t in times]
     cur = [s.values.copy() for s in free]
@@ -220,7 +223,8 @@ def picard_iterate(prob, n_iter=8, T_small=None, n_t=65):
             pulled = propagate(state_from_values(grid, nl), prob.op,
                                prob.sigma, -t)
             integrand[i] = pulled.values
-        acc = cumulative_trapezoid(integrand, times, axis=0, initial=0.0)
+        acc = np.zeros_like(integrand)
+        np.cumsum(dt * (integrand[1:] + integrand[:-1]) / 2.0, axis=0, out=acc[1:])
         nxt = []
         delta = 0.0
         for i, t in enumerate(times):

@@ -11,9 +11,8 @@ desk scale and is deliberately capped at modest grid sizes.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import linregress
 
-from .metric import check_sigma
+from .metric import check_sigma, loglog_fit
 
 __all__ = [
     "BoxGrid",
@@ -356,6 +355,4 @@ def measure_bernstein(grid, cut, h_list):
                 loc = frequency_localize(u, cut, h)
                 best = max(best, loc.lq_norm(np.inf) / norm)
         ratios[i] = best
-    fit = linregress(np.log(h_list), np.log(ratios))
-    return BernsteinFit(slope=float(fit.slope), intercept=float(fit.intercept),
-                        r2=float(fit.rvalue**2), h=h_list, ratios=ratios)
+    return BernsteinFit(*loglog_fit(h_list, ratios), h=h_list, ratios=ratios)

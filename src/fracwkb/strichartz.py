@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
 from .fio import ResolutionError
+from .metric import loglog_fit
 from .spectral import (flat_operator, localized_gaussian, lp_lq_norm, make_grid,
                        propagate)
 
@@ -162,9 +162,7 @@ def _sweep(sigma, pair, cut, h_sweep, times, box_length, grid_cap, rescaled):
         u, op = _localized_state(cut, h, box_length, grid_cap)
         states = [propagate(u, op, sigma, t, h=h if rescaled else None) for t in times]
         ratios[i] = lp_lq_norm(states, times, pair.p, pair.q) / u.l2_norm()
-    fit = linregress(np.log(h_sweep), np.log(ratios))
-    return ScalingFit(slope=float(fit.slope), intercept=float(fit.intercept),
-                      r2=float(fit.rvalue**2), exponent_bound=float(bound),
+    return ScalingFit(*loglog_fit(h_sweep, ratios), exponent_bound=float(bound),
                       h=h_sweep, ratios=ratios)
 
 

@@ -3,6 +3,7 @@
 import csv
 import importlib
 import os
+import re
 import runpy
 import shutil
 import subprocess
@@ -169,24 +170,25 @@ def test_report_bytes_deterministic(tmp_path):
         assert first == second
 
 
-def _run_module(args, cwd):
-    """Run ``python -m fracwkb`` in a child process on the imported package."""
+def _run_python(args, cwd):
+    """Run a fresh ``python`` child process on the imported package."""
     package_parent = str(Path(fracwkb.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_parent, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "fracwkb", *args], cwd=cwd,
+    return subprocess.run([sys.executable, *args], cwd=cwd,
                           env=env, capture_output=True, text=True)
 
 
 def test_console_script(tmp_path):
-    proc = _run_module(["audit", "--out", str(tmp_path)], cwd=tmp_path)
+    proc = _run_python(["-m", "fracwkb", "audit", "--out", str(tmp_path)],
+                       cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
     assert (tmp_path / "audit" / "report.csv").exists()
 
-    proc = _run_module(["audit", "--metric", "weird", "--out", str(tmp_path)],
-                       cwd=tmp_path)
+    proc = _run_python(["-m", "fracwkb", "audit", "--metric", "weird",
+                        "--out", str(tmp_path)], cwd=tmp_path)
     assert proc.returncode == 2
     assert "config error" in proc.stderr
 
@@ -218,3 +220,30 @@ def test_entry_point_declaration(monkeypatch):
         runpy.run_module("fracwkb", run_name="__main__")
     assert calls == [None]
     assert exc.value.code == 7
+
+
+def test_imports_load_only_declared_dependencies(tmp_path):
+    """Importing every fracwkb module loads no third-party package but numpy.
+
+    The child records ``sys.modules`` first, since ``site`` may already have
+    loaded packages of its own; every new top-level name outside the
+    standard library must be fracwkb or a ``[project] dependencies`` entry.
+    """
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+                for dep in deps}
+    assert declared == {"numpy"}
+    names = sorted(p.stem for p in Path(fracwkb.__file__).parent.glob("*.py")
+                   if not p.stem.startswith("_"))
+    code = ("import importlib, sys\n"
+            "before = set(sys.modules)\n"
+            f"for name in {names!r}:\n"
+            "    importlib.import_module('fracwkb.' + name)\n"
+            "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "print(*sorted(new - set(sys.stdlib_module_names)))\n")
+    proc = _run_python(["-c", code], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) <= declared | {"fracwkb"}

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from fracwkb.hamflow import NEWTON_TOL, integrate_flow
-from fracwkb.hamjac import (HorizonError, build_phase, caustic_horizon,
-                            certify_phase_estimates, hj_residual,
-                            phase_point_data, second_time_derivative)
+from fracwkb.hamjac import (HorizonError, _simpson, build_phase,
+                            caustic_horizon, certify_phase_estimates,
+                            hj_residual, phase_point_data,
+                            second_time_derivative)
 from fracwkb.metric import flat_metric, gaussian_bump_metric, tensor_pairs
 from fracwkb.symbols import fractional_symbol
 
@@ -241,3 +242,21 @@ def test_phase_table_rate_matches_grid():
 def test_mixed_hessian_asymmetry_negligible():
     pt = _bump_table()
     assert pt.hess_asymmetry < 1e-8
+
+
+@pytest.mark.parametrize("n_nodes", [1, 3, 21])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("trailing", [(4,), (3, 2)])
+def test_simpson_matches_scipy(n_nodes, sign, dtype, trailing):
+    """The phase pass's Simpson rule is scipy's, bit for bit, in both time directions."""
+    integrate = pytest.importorskip("scipy.integrate")
+    rng = np.random.default_rng(n_nodes)
+    x = sign * np.linspace(0.0, 0.37, n_nodes)
+    y = rng.normal(size=(n_nodes,) + trailing).astype(dtype)
+    if dtype is complex:
+        y += 1j * rng.normal(size=y.shape)
+    got = _simpson(y, x)
+    want = integrate.simpson(y, x=x, axis=0)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)

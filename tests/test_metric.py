@@ -5,7 +5,7 @@ import pytest
 
 from fracwkb.metric import (EllipticityError, MetricField, audit_assumptions,
                             check_sigma, flat_metric, gaussian_bump_metric,
-                            principal_symbol, solve_blocks)
+                            loglog_fit, principal_symbol, solve_blocks)
 
 
 def test_principal_symbol_identity_metric():
@@ -123,3 +123,27 @@ def test_solve_blocks_matches_lapack(d):
         np.testing.assert_array_equal(sol, np.linalg.solve(M, R))
     np.testing.assert_allclose(inv, np.linalg.inv(M), rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(sol, np.linalg.solve(M, R), rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_loglog_fit_matches_linregress(n):
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.uniform(0.01, 1.0, n))
+    y = rng.uniform(0.01, 5.0, n)
+    ref = stats.linregress(np.log(x), np.log(y))
+    assert loglog_fit(x, y) == (ref.slope, ref.intercept, ref.rvalue ** 2)
+
+
+def test_loglog_fit_exact_power_law():
+    x = 2.0 ** -np.arange(3, 9)
+    slope, intercept, r2 = loglog_fit(x, 3.0 * x ** -0.75)
+    assert abs(slope + 0.75) < 1e-13
+    assert abs(intercept - np.log(3.0)) < 1e-12
+    assert abs(r2 - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("x, y", [([0.5, 0.5, 0.5], [1.0, 2.0, 3.0]), ([], [])])
+def test_loglog_fit_rejects_degenerate_x(x, y):
+    with pytest.raises(ValueError):
+        loglog_fit(np.asarray(x), np.asarray(y))

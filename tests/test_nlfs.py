@@ -126,6 +126,14 @@ def test_picard_rejects_expanding_window(setup):
         picard_iterate(prob, n_iter=6)
 
 
+@pytest.mark.parametrize("kwargs", [dict(n_iter=0), dict(n_t=1)])
+def test_picard_rejects_empty_iteration(setup, kwargs):
+    """No iteration, or a single time node, measures no contraction."""
+    grid, op = setup
+    with pytest.raises(ValueError):
+        picard_iterate(_problem(grid, op, _combo(grid, [(1, 0.01)])), **kwargs)
+
+
 def test_picard_blowup_guard(setup):
     grid, op = setup
     prob = _problem(grid, op, _combo(grid, [(1, 3.0)]), nu=5.0, mu=-1, T=1.0)
