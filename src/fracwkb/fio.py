@@ -158,7 +158,12 @@ def _xi_hull(amp, x_samples):
 
 @dataclass
 class KernelGrid:
-    """Oscillatory kernel values K_h(t, x, y) on a rectangular (x, y) grid."""
+    """Oscillatory kernel values K_h(t, x, y) on a rectangular (x, y) grid.
+
+    It keeps the xi rule (both intervals' nodes and trapezoid weights) and
+    the y-free factors A e^{iS/h} w on its (x, xi node) pairs, so a refined
+    grid can reuse them (`kernel(..., previous=...)`).
+    """
 
     h: float
     t: float
@@ -166,6 +171,9 @@ class KernelGrid:
     y_grid: np.ndarray
     values: np.ndarray = field(repr=False)
     n_xi: int = 0
+    xi_nodes: np.ndarray = field(default=None, repr=False)     # (m, 1)
+    xi_weights: np.ndarray = field(default=None, repr=False)   # (m,)
+    factors: np.ndarray = field(default=None, repr=False)      # (nx, m)
 
     @property
     def lam(self):
@@ -175,7 +183,29 @@ class KernelGrid:
         return float(np.max(np.abs(self.values)))
 
 
-def kernel(phase, amp, h, t, x_grid, y_grid, n_xi=None):
+def _x_factors(amp, h, t, x_grid, xis, w):
+    """The y-free part A e^{iS/h} w of the kernel integrand, (nx, m)."""
+    A, S = _fio_factors(amp, h, t, x_grid, xis)
+    return A * np.exp(1j * S / h) * w[None, :]
+
+
+def _reused_factors(previous, amp, h, t, x_grid):
+    """x-factors on `x_grid` under `previous`'s xi rule: rows at x nodes the
+    previous grid holds are copied from it, and only the others are solved."""
+    if (previous.h, previous.t) != (h, t):
+        raise ValueError("a kernel grid reuses factors only at its own (h, t)")
+    xis, w = previous.xi_nodes, previous.xi_weights
+    old = previous.x_grid[:, 0]
+    order = np.argsort(old)
+    pos = order[np.minimum(np.searchsorted(old[order], x_grid[:, 0]), old.size - 1)]
+    known = old[pos] == x_grid[:, 0]
+    factors = np.empty((x_grid.shape[0], xis.shape[0]), dtype=complex)
+    factors[known] = previous.factors[pos[known]]
+    factors[~known] = _x_factors(amp, h, t, x_grid[~known], xis, w)
+    return factors
+
+
+def kernel(phase, amp, h, t, x_grid, y_grid, n_xi=None, previous=None):
     """Evaluate K_h(t, x, y) = (2 pi h)^{-d} int e^{i(S - y xi)/h} a dxi.
 
     The xi-support is a pair of sign-symmetric compact intervals; each gets a
@@ -183,69 +213,77 @@ def kernel(phase, amp, h, t, x_grid, y_grid, n_xi=None):
     |grad_xi (S - y xi)| <= max|x| + |t| sup|grad q0| + max|y| and at least
     XI_POINTS_MIN, or exactly `n_xi` points when given.  An unaffordable
     count raises :class:`ResolutionError` naming the need.
+
+    `previous`, a KernelGrid of the same phase and amplitude at the same
+    (h, t) whose spans reach as far as these grids, refines it: its xi rule
+    is kept, and y enters only through e^{-i xi y/h}, so the factors of x
+    nodes it holds are reused and only the new x nodes are solved.
     """
     _check_1d(phase)
     x_grid = as_points(x_grid, 1)
     y_grid = as_points(y_grid, 1)
-    intervals, _, grad_max = _xi_hull(amp, x_grid)
-    M = float(np.max(np.abs(x_grid))) + abs(t) * grad_max + float(np.max(np.abs(y_grid)))
-
-    nx, ny = x_grid.shape[0], y_grid.shape[0]
-    values = np.zeros((nx, ny), dtype=complex)
-    used = 0
-    for lo, hi in intervals:
-        width = hi - lo
-        if n_xi is None:
-            count = int(np.ceil(POINTS_PER_OSC * width * M / (2.0 * np.pi * h))) + 1
-            count = max(count, XI_POINTS_MIN)
-        else:
-            count = int(n_xi)
-        if count > XI_POINTS_CAP:
-            raise ResolutionError(
-                f"oscillation rule asks for {count} xi points on [{lo}, {hi}]; "
-                f"cap is {XI_POINTS_CAP}"
-            )
-        used = max(used, count)
-        xis = np.linspace(lo, hi, count)[:, None]
-        w = np.full(count, width / (count - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-
-        A, S = _fio_factors(amp, h, t, x_grid, xis)
-        E1 = A * np.exp(1j * S / h) * w[None, :]
-        E2 = np.exp(-1j * np.outer(xis[:, 0], y_grid[:, 0]) / h)
-        values += E1 @ E2
-
+    if previous is not None:
+        xis, w, used = previous.xi_nodes, previous.xi_weights, previous.n_xi
+        factors = _reused_factors(previous, amp, h, t, x_grid)
+    else:
+        intervals, _, grad_max = _xi_hull(amp, x_grid)
+        M = float(np.max(np.abs(x_grid))) + abs(t) * grad_max + float(np.max(np.abs(y_grid)))
+        nodes, weights, used = [], [], 0
+        for lo, hi in intervals:
+            width = hi - lo
+            if n_xi is None:
+                count = int(np.ceil(POINTS_PER_OSC * width * M / (2.0 * np.pi * h))) + 1
+                count = max(count, XI_POINTS_MIN)
+            else:
+                count = int(n_xi)
+            if count > XI_POINTS_CAP:
+                raise ResolutionError(
+                    f"oscillation rule asks for {count} xi points on [{lo}, {hi}]; "
+                    f"cap is {XI_POINTS_CAP}"
+                )
+            used = max(used, count)
+            w = np.full(count, width / (count - 1))
+            w[0] *= 0.5
+            w[-1] *= 0.5
+            nodes.append(np.linspace(lo, hi, count))
+            weights.append(w)
+        # both intervals' nodes in one list: one characteristic batch, one product
+        xis, w = np.concatenate(nodes)[:, None], np.concatenate(weights)
+        factors = _x_factors(amp, h, t, x_grid, xis, w)
+    values = factors @ np.exp(-1j * np.outer(xis[:, 0], y_grid[:, 0]) / h)
     values /= 2.0 * np.pi * h
     if not np.all(np.isfinite(values)):
         raise ValueError("kernel produced non-finite entries")
     return KernelGrid(h=h, t=t, x_grid=x_grid, y_grid=y_grid, values=values,
-                      n_xi=used)
+                      n_xi=used, xi_nodes=xis, xi_weights=w, factors=factors)
 
 
 def kernel_sup(phase, amp, h, t, x_span, y_span, tol=SUP_REFINE_TOL, max_rounds=6):
     """Grid max of |K_h(t)| over the spans, refined until it moves < tol.
 
     The first round takes SUP_POINTS_START points per span, and each round
-    doubles them.  When `max_rounds` rounds pass without two successive
-    estimates agreeing to `tol`, raises :class:`ResolutionError` naming the
-    last two estimates.
+    refines n points to 2n - 1, which keep the previous ones: each round's
+    `kernel` reuses the last round's grid, so it keeps the first round's xi
+    rule and solves only its new x nodes.  When `max_rounds` rounds pass
+    without two successive estimates agreeing to `tol`, raises
+    :class:`ResolutionError` naming the last two estimates.
     """
-    prev = cur = None
+    prev = cur = grid = None
     n = SUP_POINTS_START
     for _ in range(max_rounds):
         xg = np.linspace(x_span[0], x_span[1], n)
         yg = np.linspace(y_span[0], y_span[1], n)
-        prev, cur = cur, kernel(phase, amp, h, t, xg, yg).sup()
+        grid = kernel(phase, amp, h, t, xg, yg, previous=grid)
+        prev, cur = cur, grid.sup()
         if prev is not None and abs(cur - prev) <= tol * max(prev, 1e-300):
             return cur
-        n *= 2
+        n = 2 * n - 1
     last = "" if prev is None else (
         f"; the last two rounds gave {prev:.6g} and {cur:.6g} "
         f"(relative change {abs(cur - prev) / max(prev, 1e-300):.3g})")
     raise ResolutionError(
         f"kernel sup at t={t} did not settle to tol={tol} in {max_rounds} "
-        f"rounds (final grid {n // 2} points per span){last}"
+        f"rounds (final grid {grid.x_grid.shape[0]} points per span){last}"
     )
 
 

@@ -41,28 +41,49 @@ class CausticError(RuntimeError):
 
 def _stage(H, X, Xi, Z):
     """The flow field at (X, Xi) and A(t) Z, with A the linearization of the
-    field there, all read off one jet of H."""
-    gx, gxi, hxx, hxixi, hxxi = H.jet(X, Xi)
-    d = X.shape[1]
-    A = np.empty((X.shape[0], 2 * d, 2 * d))
-    A[:, :d, :d] = np.swapaxes(hxxi, 1, 2)
-    A[:, :d, d:] = hxixi
-    A[:, d:, :d] = -hxx
-    A[:, d:, d:] = -hxxi
-    return gxi, -gx, A @ Z
+    field there, all read off one jet of H, and the jet's p for the guard.
+
+    For d = 1 the two rows of A Z are products of the three scalar Hessians
+    with the rows of Z, written out entry by entry (one long loop over the
+    batch each), so no A is built; larger d assembles A and multiplies.
+    """
+    gx, gxi, hxx, hxixi, hxxi, _, p = H.jet(X, Xi)
+    if X.shape[1] == 1:
+        a, b, c = hxxi[:, 0, 0], hxixi[:, 0, 0], hxx[:, 0, 0]
+        AZ = np.empty_like(Z)
+        for k in range(2):
+            z_x, z_xi = Z[:, 0, k], Z[:, 1, k]
+            AZ[:, 0, k] = a * z_x + b * z_xi
+            AZ[:, 1, k] = -c * z_x - a * z_xi
+    else:
+        d = X.shape[1]
+        A = np.empty((X.shape[0], 2 * d, 2 * d))
+        A[:, :d, :d] = np.swapaxes(hxxi, 1, 2)
+        A[:, :d, d:] = hxixi
+        A[:, d:, :d] = -hxx
+        A[:, d:, d:] = -hxxi
+        AZ = A @ Z
+    return (gxi, -gx, AZ), p
 
 
-def _check_guard(H, X, Xi, where):
+def _check_guard(H, X, Xi, p, node, steps, t):
+    """Raise GuardBandError when a path node leaves H's guard band.
+
+    `p` is the principal symbol at the node when the jet carried it (None
+    evaluates it); NaN counts as outside the band.
+    """
     band = getattr(H, "xi_band", None)
     metric = getattr(H, "metric", None)
     if band is None or metric is None:
         return
-    p = principal_symbol(metric, X, Xi)
+    if p is None:
+        p = principal_symbol(metric, X, Xi)
     lo, hi = band
-    if (p < lo).any() or (p > hi).any():
+    if not np.all((p >= lo) & (p <= hi)):
         raise GuardBandError(
             f"trajectory left the guard band p in [{lo}, {hi}] "
-            f"(range [{p.min():.6g}, {p.max():.6g}]){where}"
+            f"(range [{np.min(p):.6g}, {np.max(p):.6g}]) at node {node} of {steps} "
+            f"toward t={t}"
         )
 
 
@@ -75,9 +96,10 @@ def integrate_flow(H, t, x, xi, n_steps):
     path is the single starting node.  `t` may be negative, and the inputs
     are promoted to matched (n, d) batches.
 
-    Every RK4 node is checked against the guard band of H (when H carries
-    one), so a path that leaves the band and returns raises
-    :class:`GuardBandError` too.
+    Every node of a path with steps is checked against the guard band of H
+    (when H carries one), each from the p its first RK4 stage reads and the
+    last one from p evaluated there, so a path that leaves the band and
+    returns raises :class:`GuardBandError` too.
     """
     d = H.dim
     X, Xi = as_pairs(x, xi, d)
@@ -91,30 +113,34 @@ def integrate_flow(H, t, x, xi, n_steps):
     Zs = np.empty((steps + 1, n, 2 * d, 2 * d))
     Xs[0], Xis[0], Zs[0] = X, Xi, np.eye(2 * d)
     for k in range(steps):
-        X, Xi, Z = _rk4_step(H, Xs[k], Xis[k], Zs[k], hstep)
-        _check_guard(H, X, Xi, f" at step {k + 1} of {steps} toward t={t}")
-        Xs[k + 1], Xis[k + 1], Zs[k + 1] = X, Xi, Z
+        (Xs[k + 1], Xis[k + 1], Zs[k + 1]), p = _rk4_step(H, Xs[k], Xis[k], Zs[k], hstep)
+        _check_guard(H, Xs[k], Xis[k], p, k, steps, t)
+    if steps:
+        _check_guard(H, Xs[-1], Xis[-1], None, steps, steps, t)
     return times, Xs, Xis, Zs
 
 
 def _rk4_step(H, X, Xi, Z, h):
-    """One classical RK4 step of (X, Xi) and Z."""
+    """One classical RK4 step of (X, Xi) and Z, with the jet's p at its start."""
     state = (X, Xi, Z)
 
     def shifted(c, k):
         return tuple(y + c * dy for y, dy in zip(state, k))
 
-    k1 = _stage(H, *state)
-    k2 = _stage(H, *shifted(0.5 * h, k1))
-    k3 = _stage(H, *shifted(0.5 * h, k2))
-    k4 = _stage(H, *shifted(h, k3))
+    k1, p = _stage(H, *state)
+    k2 = _stage(H, *shifted(0.5 * h, k1))[0]
+    k3 = _stage(H, *shifted(0.5 * h, k2))[0]
+    k4 = _stage(H, *shifted(h, k3))[0]
     return tuple(y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + e)
-                 for y, a, b, c, e in zip(state, k1, k2, k3, k4))
+                 for y, a, b, c, e in zip(state, k1, k2, k3, k4)), p
 
 
 def inverse_map(H, t, x, xi, n_steps, y0=None):
-    """Solve X(t, Y, xi) = x for Y by damped Newton started at x (or `y0`).
+    """Solve X(t, Y, xi) = x for Y by damped Newton.
 
+    Newton starts at `y0` when given, else at the first-order predictor
+    Y = x - t grad_xi H(x, xi) (at x when t = 0), which is exact when the
+    flow field does not depend on x, so that each flat point flows once.
     Every Newton flow is the variational path on `n_steps` RK4 steps (none
     at t = 0), so the Jacobian grad_y X is its last node and the caller
     gets back the flow it accepted: returns (Y, (times, X, Xi, Z)) with the
@@ -125,15 +151,20 @@ def inverse_map(H, t, x, xi, n_steps, y0=None):
     """
     d = H.dim
     xt, cov = as_pairs(x, xi, d)
-    Y = xt.copy() if y0 is None else as_points(y0, d).copy()
+    if y0 is not None:
+        Y = as_points(y0, d).copy()
+    elif t != 0.0:
+        Y = xt - t * H.jet(xt, cov)[1]
+    else:
+        Y = xt.copy()
 
     path = integrate_flow(H, t, Y, cov, n_steps)
-    _, Xs, _, Zs = path
-    res = np.max(np.abs(Xs[-1] - xt), axis=1)
+    res = np.max(np.abs(path[1][-1] - xt), axis=1)
     for _ in range(NEWTON_MAX_ITER):
         if np.all(res <= NEWTON_TOL):
             return Y, path
         # trials flow only the points a trial may still update
+        _, Xs, _, Zs = path
         active = np.flatnonzero(res > NEWTON_TOL)
         R = Xs[-1, active] - xt[active]
         delta = solve_blocks(Zs[-1, active, :d, :d], R[..., None])[..., 0]
@@ -143,6 +174,10 @@ def inverse_map(H, t, x, xi, n_steps, y0=None):
             trial = integrate_flow(H, t, Y_try, cov[active], n_steps)
             res_try = np.max(np.abs(trial[1][-1] - xt[active]), axis=1)
             improved = res_try < res[active]
+            if active.size == len(Y) and improved.all():
+                # the whole batch was tried and every point improved
+                Y, res, path = Y_try, res_try, trial
+                break
             take = active[improved]
             Y[take], res[take] = Y_try[improved], res_try[improved]
             for nodes, nodes_try in zip(path[1:], trial[1:]):
@@ -158,4 +193,3 @@ def inverse_map(H, t, x, xi, n_steps, y0=None):
             f"at x={xt[worst]}, xi={cov[worst]} (caustic proximity?)"
         )
     return Y, path
-

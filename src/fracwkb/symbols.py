@@ -209,17 +209,18 @@ def semiclassical_psi(cut, sigma):
     return PsiWeight(cut, sigma)
 
 
-JET = ("grad_x", "grad_xi", "hess_xx", "hess_xixi", "hess_xxi")
+JET = ("grad_x", "grad_xi", "hess_xx", "hess_xixi", "hess_xxi", "value", "p")
 
 
 class SymbolFunction:
     """Phase-space symbol a(x, xi) with derivatives up to order 2 from one jet.
 
-    `fn` and `jet` receive (n, d) point batches.  `jet` returns the five
-    derivatives in the order of `JET` from one evaluation, with None for a
-    part the symbol does not carry; each derivative method reads its part
-    off the jet, and a missing part, or a symbol without a jet, raises
-    NotImplementedError.
+    `fn` and `jet` receive (n, d) point batches.  `jet` returns, in the
+    order of `JET` and from one evaluation, the five derivatives, the value
+    and the principal symbol p = xi^T G(x) xi of a symbol built on a metric
+    (the guard band's coordinate), with None for a part the symbol does not
+    carry; each derivative method reads its part off the jet, and a missing
+    part, or a symbol without a jet, raises NotImplementedError.
 
     Index conventions: `grad_x`/`grad_xi` return (n, d); the Hessians return
     (n, d, d) with `hess_xxi[m, i, j] = d^2 a / dx_i dxi_j`.
@@ -237,7 +238,7 @@ class SymbolFunction:
         return self._fn(pts, cov)
 
     def jet(self, x, xi):
-        """(grad_x, grad_xi, hess_xx, hess_xixi, hess_xxi) at the points."""
+        """(grad_x, grad_xi, hess_xx, hess_xixi, hess_xxi, value, p) at the points."""
         if self._jet is None:
             raise NotImplementedError(f"symbol {self.label!r} has no derivative jet")
         pts, cov = as_pairs(x, xi, self.dim)
@@ -272,8 +273,9 @@ def fractional_symbol(metric, sigma, xi_band=None):
     All first and second partials are the chain rule of f(p) = p^{sigma/2}
     applied to `principal_jet`, so no finite differencing enters the flow
     right-hand sides and one jet evaluates G and its two derivative tables
-    once for all five.  `xi_band` optionally records the compact p-interval
-    J on which the construction is meant to live (the guard band for flows).
+    once for all five, and carries q0 and p besides.  `xi_band` optionally
+    records the compact p-interval J on which the construction is meant to
+    live (the guard band for flows).
     """
     sigma = check_sigma(sigma)
     s = 0.5 * sigma
@@ -293,7 +295,9 @@ def fractional_symbol(metric, sigma, xi_band=None):
                 c1[:, None] * pxi,
                 c2m * px[:, :, None] * px[:, None, :] + c1m * pxx,
                 c2m * pxi[:, :, None] * pxi[:, None, :] + 2.0 * c1m * G,
-                c2m * px[:, :, None] * pxi[:, None, :] + c1m * pxxi)
+                c2m * px[:, :, None] * pxi[:, None, :] + c1m * pxxi,
+                p**s,
+                p)
 
     sym = SymbolFunction(
         d,
@@ -353,7 +357,7 @@ def localized_amplitude(metric, cut, window=None):
     The cutoff rides on the principal symbol, so the support automatically sits
     inside p^{-1}(supp cut) for any metric.  Its jet carries the x-derivatives
     only, which combine the analytic window derivatives with the cutoff
-    profile's closed-form derivatives.
+    profile's closed-form derivatives, and the value and p.
     """
     window = window or ConstantWindow(metric.dim)
 
@@ -373,7 +377,7 @@ def localized_amplitude(metric, cut, window=None):
             d2c[:, None, None] * px[:, :, None] * px[:, None, :]
             + dc[:, None, None] * pxx
         )
-        return grad_x, None, hess_xx, None, None
+        return grad_x, None, hess_xx, None, None, w * c, p
 
     lo, hi = (cut.support if hasattr(cut, "support") else (None, None))
     sym = SymbolFunction(

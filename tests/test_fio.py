@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fracwkb import fio
 from fracwkb.fio import (InsufficientDataError, ResolutionError, apply_fio,
                          c_large, dispersive_fit, kernel, kernel_sup,
                          operator_norm_estimate, remainder_decay,
@@ -229,10 +230,11 @@ def _decay_tables(h, n_t):
 
 
 def test_kernel_sup_raises_when_rounds_run_out():
-    # two rounds give 9.81 and 11.78, 20% apart: no estimate to hand back
+    # two rounds give 9.81 (16 points per span) and 12.59 (31 points, which
+    # now include x = y = 0), 28% apart: no estimate to hand back
     h = 2.0**-6
     phase, amp = _decay_tables(h, 10)
-    with pytest.raises(ResolutionError, match=r"9\.808\d* and 11\.78"):
+    with pytest.raises(ResolutionError, match=r"9\.808\d* and 12\.58"):
         kernel_sup(phase, amp, h, 0.03125, (-0.5, 0.5), (-3.0, 3.0),
                    max_rounds=2, tol=1e-9)
 
@@ -246,3 +248,40 @@ def test_kernel_resolves_cutoff_on_small_window():
     got = kernel(phase, amp, h, t, x, y).values
     ref = kernel(phase, amp, h, t, x, y, n_xi=4001).values
     assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-8
+
+
+def test_kernel_sup_solves_each_x_node_once(monkeypatch):
+    h = 2.0**-6
+    phase, amp = _decay_tables(h, 6)
+    solved = []
+    factors = fio._fio_factors
+
+    def recording(amp, h, t, x_grid, xi_grid):
+        solved.append(x_grid[:, 0].copy())
+        return factors(amp, h, t, x_grid, xi_grid)
+
+    monkeypatch.setattr(fio, "_fio_factors", recording)
+    t, x_span, y_span = 0.0625, (-0.5, 0.5), (-3.0, 3.0)
+    sup = kernel_sup(phase, amp, h, t, x_span, y_span)
+    nodes = np.sort(np.concatenate(solved))
+    n = nodes.size
+    assert len(solved) >= 3 and n == 15 * 2 ** (len(solved) - 1) + 1
+    np.testing.assert_array_equal(nodes, np.linspace(*x_span, n))
+    monkeypatch.undo()
+    final = kernel(phase, amp, h, t, np.linspace(*x_span, n), np.linspace(*y_span, n))
+    assert abs(sup - final.sup()) <= 1e-13 * final.sup()
+
+
+def test_kernel_refines_a_previous_grid():
+    h = 2.0**-5
+    phase, amp = _decay_tables(h, 6)
+    x, y = np.linspace(-0.5, 0.5, 7), np.linspace(-2.0, 2.0, 9)
+    coarse = kernel(phase, amp, h, 0.2, x, y)
+    fine_x = np.linspace(-0.5, 0.5, 13)
+    refined = kernel(phase, amp, h, 0.2, fine_x, y, previous=coarse)
+    fresh = kernel(phase, amp, h, 0.2, fine_x, y)
+    assert refined.n_xi == fresh.n_xi
+    np.testing.assert_array_equal(refined.values, fresh.values)
+    np.testing.assert_array_equal(refined.factors[::2], coarse.factors)
+    with pytest.raises(ValueError, match=r"own \(h, t\)"):
+        kernel(phase, amp, h, 0.3, x, y, previous=coarse)

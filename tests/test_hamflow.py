@@ -169,7 +169,8 @@ def _oscillator(band):
     def jet(x, xi):
         n = x.shape[0]
         return (2.0 * x, 2.0 * xi, np.full((n, 1, 1), 2.0),
-                np.full((n, 1, 1), 2.0), np.zeros((n, 1, 1)))
+                np.full((n, 1, 1), 2.0), np.zeros((n, 1, 1)),
+                x[:, 0] ** 2 + xi[:, 0] ** 2, None)
 
     H = SymbolFunction(1, lambda x, xi: x[:, 0] ** 2 + xi[:, 0] ** 2, jet=jet,
                        xi_band=band)
@@ -307,3 +308,98 @@ def test_negative_time_reverses_flow():
     _, Xb, Xib, _ = integrate_flow(H, -0.2, Xs[-1], Xis[-1], 20)
     np.testing.assert_allclose(Xb[-1], x, atol=1e-10)
     np.testing.assert_allclose(Xib[-1], xi, atol=1e-10)
+
+
+def _assembled_AZ(H, X, Xi, Z):
+    """The general-d variational product: A assembled from the jet, then A @ Z."""
+    _, _, hxx, hxixi, hxxi, _, _ = H.jet(X, Xi)
+    A = np.concatenate((np.concatenate((np.swapaxes(hxxi, 1, 2), hxixi), axis=2),
+                        np.concatenate((-hxx, -hxxi), axis=2)), axis=1)
+    return A @ Z
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0])
+@pytest.mark.parametrize("metric", [flat_metric(dim=1), gaussian_bump_metric(dim=1, epsilon=0.1)],
+                         ids=["flat", "bump"])
+def test_one_dimensional_stage_matches_assembled_product(metric, sigma):
+    H = fractional_symbol(metric, sigma, xi_band=(0.3, 3.0))
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1.5, 1.5, size=(64, 1))
+    Xi = rng.choice([-1.0, 1.0], size=(64, 1)) * rng.uniform(0.7, 1.6, size=(64, 1))
+    Z = rng.standard_normal((64, 2, 2))
+    (_, _, AZ), _ = hamflow._stage(H, X, Xi, Z)
+    want = _assembled_AZ(H, X, Xi, Z)
+    if metric.is_flat:
+        np.testing.assert_array_equal(AZ, want)
+    else:
+        assert np.max(np.abs(AZ - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0])
+def test_flat_inverse_map_flows_once_from_the_predictor(sigma, monkeypatch):
+    H = fractional_symbol(flat_metric(dim=1), sigma, xi_band=(0.2, 4.0))
+    x = np.linspace(-1.0, 1.0, 7)[:, None]
+    xi = np.array([[0.6], [-0.9], [1.2], [-1.5], [1.8], [0.8], [-1.1]])
+    calls = []
+    flow = hamflow.integrate_flow
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(hamflow, "integrate_flow", counting)
+    t = -0.4
+    Y, (_, Xs, _, _) = inverse_map(H, t, x, xi, 2)
+    assert calls == [t]
+    assert np.max(np.abs(Xs[-1] - x)) <= NEWTON_TOL
+    np.testing.assert_array_equal(Y, x - t * H.grad_xi(x, xi))
+    # at t = 0 Newton starts, and stays, at x
+    Y0, (times, Xs0, _, _) = inverse_map(H, 0.0, x, xi, 2)
+    np.testing.assert_array_equal(Y0, x)
+    assert len(times) == 1 and calls == [t, 0.0]
+
+
+def test_whole_path_take_matches_the_point_by_point_copy(monkeypatch):
+    H = _bump_hamiltonian(2.0)
+    t, n_steps = 0.3, 30
+    y = np.linspace(-0.6, 0.6, 7)[:, None]
+    xi = np.linspace(0.9, 1.3, 7)[:, None]
+    X = integrate_flow(H, t, y, xi, n_steps)[1][-1]
+    flows = []
+    flow = hamflow.integrate_flow
+
+    def recording(*args, **kwargs):
+        flows.append(flow(*args, **kwargs))
+        return flows[-1]
+
+    monkeypatch.setattr(hamflow, "integrate_flow", recording)
+    # every point starts off its base point, so the first trial takes the whole path
+    Y, path = inverse_map(H, t, X[:6], xi[:6], n_steps, y0=y[:6] + 0.02)
+    assert len(flows) > 1 and any(path is f for f in flows[1:])
+    # the last point starts converged, so every trial copies point by point
+    flows.clear()
+    Y_all, path_all = inverse_map(H, t, X, xi, n_steps,
+                                  y0=np.concatenate((y[:6] + 0.02, y[6:])))
+    assert len(flows) > 1 and path_all is flows[0]
+    np.testing.assert_array_equal(Y, Y_all[:6])
+    np.testing.assert_array_equal(path[0], path_all[0])
+    for arr, arr_all in zip(path[1:], path_all[1:]):
+        np.testing.assert_array_equal(arr, arr_all[:, :6])
+
+
+def test_guard_reads_the_jet_and_checks_every_node(monkeypatch):
+    # the first RK4 stage's jet carries p for its node, and the last node is
+    # evaluated once: one principal_symbol call per path, none per step
+    H = _bump_hamiltonian(2.0)
+    calls = []
+    p_eval = hamflow.principal_symbol
+    monkeypatch.setattr(hamflow, "principal_symbol",
+                        lambda *args: calls.append(1) or p_eval(*args))
+    integrate_flow(H, 0.2, *_BASE, 20)
+    assert len(calls) == 1
+    # a start outside the band raises at node 0
+    with pytest.raises(GuardBandError, match="at node 0 of 4"):
+        integrate_flow(H, 0.01, np.array([[0.0]]), np.array([[2.0]]), 4)
+    # non-finite nodes fail the band check
+    with pytest.raises(GuardBandError):
+        integrate_flow(H, 0.01, np.array([[np.nan]]), np.array([[1.0]]), 4)

@@ -260,3 +260,26 @@ def test_simpson_matches_scipy(n_nodes, sign, dtype, trailing):
     want = integrate.simpson(y, x=x, axis=0)
     assert got.dtype == want.dtype and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0])
+def test_flat_phase_pass_flows_each_point_once(sigma, monkeypatch):
+    # one flat characteristic is two RK4 steps; a second Newton flow per
+    # point would double the point steps
+    from fracwkb import hamflow
+
+    q0 = fractional_symbol(flat_metric(dim=1), sigma, xi_band=(0.2, 4.0))
+    x, xi = tensor_pairs(np.linspace(0.0, 2.0 * np.pi, 9)[:, None],
+                         np.array([[-1.6], [-0.8], [0.9], [1.7]]))
+    point_steps = []
+    step = hamflow._rk4_step
+
+    def counting(H, X, Xi, Z, h):
+        point_steps.append(X.shape[0])
+        return step(H, X, Xi, Z, h)
+
+    monkeypatch.setattr(hamflow, "_rk4_step", counting)
+    for t in (0.3, -0.7):
+        point_steps.clear()
+        phase_point_data(q0, t, x, xi)
+        assert sum(point_steps) == 2 * x.shape[0]

@@ -258,7 +258,7 @@ def test_localized_amplitude_jet_carries_the_x_derivatives():
                             window=GaussianWindow(1, center=0.2, width=0.8))
     x = np.linspace(-1.0, 1.0, 9)[:, None]
     xi = np.linspace(0.7, 1.5, 9)[:, None]
-    grad_x, grad_xi, hess_xx, hess_xixi, hess_xxi = a.jet(x, xi)
+    grad_x, grad_xi, hess_xx, hess_xixi, hess_xxi, _, _ = a.jet(x, xi)
     assert calls == [9]
     assert grad_xi is None and hess_xixi is None and hess_xxi is None
     np.testing.assert_array_equal(grad_x, a.grad_x(x, xi))
@@ -308,3 +308,18 @@ def test_localized_amplitude_inherits_window():
     xi = np.array([[1.0], [1.0]])
     vals = a(x, xi)
     np.testing.assert_allclose(vals, win(x) * cut(np.array([1.0, 1.0])), rtol=1e-13)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0])
+def test_symbol_jets_carry_the_value_and_p(sigma):
+    m = gaussian_bump_metric(dim=1, epsilon=0.1)
+    x = np.linspace(-1.0, 1.0, 8)[:, None]
+    xi = np.linspace(-1.5, 1.5, 8)[:, None]
+    p = principal_symbol(m, x, xi)
+    q0 = fractional_symbol(m, sigma, xi_band=(0.3, 3.0))
+    a = localized_amplitude(m, make_bump(0.3, 3.0, (0.5, 2.0)),
+                            window=GaussianWindow(1, center=0.2, width=0.8))
+    for sym in (q0, a):
+        *_, value, p_jet = sym.jet(x, xi)
+        np.testing.assert_array_equal(value, sym(x, xi))
+        np.testing.assert_array_equal(p_jet, p)

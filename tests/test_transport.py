@@ -163,7 +163,8 @@ def test_characteristic_leaving_band_raises():
 
 
 def test_amplitude_table_evaluate_matches_grid():
-    """Every table node agrees with a cold-started evaluation (Newton from x).
+    """Every table node agrees with a cold-started evaluation (Newton from
+    the predicted start, not the table's warm start).
 
     The flat table has N = 2, so a_1 is checked at every node too.
     """
