@@ -158,12 +158,7 @@ def _xi_hull(amp, x_samples):
 
 @dataclass
 class KernelGrid:
-    """Oscillatory kernel values K_h(t, x, y) on a rectangular (x, y) grid.
-
-    It keeps the xi rule (both intervals' nodes and trapezoid weights) and
-    the y-free factors A e^{iS/h} w on its (x, xi node) pairs, so a refined
-    grid can reuse them (`kernel(..., previous=...)`).
-    """
+    """Oscillatory kernel values K_h(t, x, y) on a rectangular (x, y) grid."""
 
     h: float
     t: float
@@ -171,9 +166,6 @@ class KernelGrid:
     y_grid: np.ndarray
     values: np.ndarray = field(repr=False)
     n_xi: int = 0
-    xi_nodes: np.ndarray = field(default=None, repr=False)     # (m, 1)
-    xi_weights: np.ndarray = field(default=None, repr=False)   # (m,)
-    factors: np.ndarray = field(default=None, repr=False)      # (nx, m)
 
     @property
     def lam(self):
@@ -189,23 +181,7 @@ def _x_factors(amp, h, t, x_grid, xis, w):
     return A * np.exp(1j * S / h) * w[None, :]
 
 
-def _reused_factors(previous, amp, h, t, x_grid):
-    """x-factors on `x_grid` under `previous`'s xi rule: rows at x nodes the
-    previous grid holds are copied from it, and only the others are solved."""
-    if (previous.h, previous.t) != (h, t):
-        raise ValueError("a kernel grid reuses factors only at its own (h, t)")
-    xis, w = previous.xi_nodes, previous.xi_weights
-    old = previous.x_grid[:, 0]
-    order = np.argsort(old)
-    pos = order[np.minimum(np.searchsorted(old[order], x_grid[:, 0]), old.size - 1)]
-    known = old[pos] == x_grid[:, 0]
-    factors = np.empty((x_grid.shape[0], xis.shape[0]), dtype=complex)
-    factors[known] = previous.factors[pos[known]]
-    factors[~known] = _x_factors(amp, h, t, x_grid[~known], xis, w)
-    return factors
-
-
-def kernel(phase, amp, h, t, x_grid, y_grid, n_xi=None, previous=None):
+def kernel(phase, amp, h, t, x_grid, y_grid, n_xi=None, x_factors=_x_factors):
     """Evaluate K_h(t, x, y) = (2 pi h)^{-d} int e^{i(S - y xi)/h} a dxi.
 
     The xi-support is a pair of sign-symmetric compact intervals; each gets a
@@ -214,67 +190,78 @@ def kernel(phase, amp, h, t, x_grid, y_grid, n_xi=None, previous=None):
     XI_POINTS_MIN, or exactly `n_xi` points when given.  An unaffordable
     count raises :class:`ResolutionError` naming the need.
 
-    `previous`, a KernelGrid of the same phase and amplitude at the same
-    (h, t) whose spans reach as far as these grids, refines it: its xi rule
-    is kept, and y enters only through e^{-i xi y/h}, so the factors of x
-    nodes it holds are reused and only the new x nodes are solved.
+    y enters only through e^{-i xi y/h}: `x_factors(amp, h, t, x_grid, xis, w)`
+    gives the rest, A e^{iS/h} w on the (x node, xi node) pairs, by solving
+    the characteristics of every x node unless a caller that has some of
+    them already passes its own (as `kernel_sup` does).
     """
     _check_1d(phase)
     x_grid = as_points(x_grid, 1)
     y_grid = as_points(y_grid, 1)
-    if previous is not None:
-        xis, w, used = previous.xi_nodes, previous.xi_weights, previous.n_xi
-        factors = _reused_factors(previous, amp, h, t, x_grid)
-    else:
-        intervals, _, grad_max = _xi_hull(amp, x_grid)
-        M = float(np.max(np.abs(x_grid))) + abs(t) * grad_max + float(np.max(np.abs(y_grid)))
-        nodes, weights, used = [], [], 0
-        for lo, hi in intervals:
-            width = hi - lo
-            if n_xi is None:
-                count = int(np.ceil(POINTS_PER_OSC * width * M / (2.0 * np.pi * h))) + 1
-                count = max(count, XI_POINTS_MIN)
-            else:
-                count = int(n_xi)
-            if count > XI_POINTS_CAP:
-                raise ResolutionError(
-                    f"oscillation rule asks for {count} xi points on [{lo}, {hi}]; "
-                    f"cap is {XI_POINTS_CAP}"
-                )
-            used = max(used, count)
-            w = np.full(count, width / (count - 1))
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            nodes.append(np.linspace(lo, hi, count))
-            weights.append(w)
-        # both intervals' nodes in one list: one characteristic batch, one product
-        xis, w = np.concatenate(nodes)[:, None], np.concatenate(weights)
-        factors = _x_factors(amp, h, t, x_grid, xis, w)
-    values = factors @ np.exp(-1j * np.outer(xis[:, 0], y_grid[:, 0]) / h)
+    intervals, _, grad_max = _xi_hull(amp, x_grid)
+    M = float(np.max(np.abs(x_grid))) + abs(t) * grad_max + float(np.max(np.abs(y_grid)))
+
+    nodes, weights, used = [], [], 0
+    for lo, hi in intervals:
+        width = hi - lo
+        if n_xi is None:
+            count = int(np.ceil(POINTS_PER_OSC * width * M / (2.0 * np.pi * h))) + 1
+            count = max(count, XI_POINTS_MIN)
+        else:
+            count = int(n_xi)
+        if count > XI_POINTS_CAP:
+            raise ResolutionError(
+                f"oscillation rule asks for {count} xi points on [{lo}, {hi}]; "
+                f"cap is {XI_POINTS_CAP}"
+            )
+        used = max(used, count)
+        w = np.full(count, width / (count - 1))
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        nodes.append(np.linspace(lo, hi, count))
+        weights.append(w)
+    # both intervals' nodes in one list: one characteristic batch, one product
+    xis, w = np.concatenate(nodes)[:, None], np.concatenate(weights)
+    values = (x_factors(amp, h, t, x_grid, xis, w)
+              @ np.exp(-1j * np.outer(xis[:, 0], y_grid[:, 0]) / h))
     values /= 2.0 * np.pi * h
     if not np.all(np.isfinite(values)):
         raise ValueError("kernel produced non-finite entries")
     return KernelGrid(h=h, t=t, x_grid=x_grid, y_grid=y_grid, values=values,
-                      n_xi=used, xi_nodes=xis, xi_weights=w, factors=factors)
+                      n_xi=used)
 
 
 def kernel_sup(phase, amp, h, t, x_span, y_span, tol=SUP_REFINE_TOL, max_rounds=6):
     """Grid max of |K_h(t)| over the spans, refined until it moves < tol.
 
     The first round takes SUP_POINTS_START points per span, and each round
-    refines n points to 2n - 1, which keep the previous ones: each round's
-    `kernel` reuses the last round's grid, so it keeps the first round's xi
-    rule and solves only its new x nodes.  When `max_rounds` rounds pass
-    without two successive estimates agreeing to `tol`, raises
-    :class:`ResolutionError` naming the last two estimates.
+    refines n points to 2n - 1, whose even nodes are the last round's.  When
+    a round's xi rule is the last round's (always so on the flat metric), its
+    `kernel` reuses the factors of those x nodes and solves only the new
+    ones; a rule that moved (a new node can pass an extremum of G) solves
+    every node again.  So each estimate is `kernel(...).sup()` on its grid.
+    When `max_rounds` rounds pass without two successive estimates agreeing
+    to `tol`, raises :class:`ResolutionError` naming the last two estimates.
     """
-    prev = cur = grid = None
+    rule = rows = None      # the last round's xi rule and x-factors
+
+    def nested(amp, h, t, x_grid, xis, w):
+        nonlocal rule, rows
+        if rule is not None and np.array_equal(rule[0], xis) and np.array_equal(rule[1], w):
+            factors = np.empty((x_grid.shape[0], xis.shape[0]), dtype=complex)
+            factors[::2] = rows
+            factors[1::2] = _x_factors(amp, h, t, x_grid[1::2], xis, w)
+        else:
+            factors = _x_factors(amp, h, t, x_grid, xis, w)
+        rule, rows = (xis, w), factors
+        return factors
+
+    prev = cur = None
     n = SUP_POINTS_START
     for _ in range(max_rounds):
         xg = np.linspace(x_span[0], x_span[1], n)
         yg = np.linspace(y_span[0], y_span[1], n)
-        grid = kernel(phase, amp, h, t, xg, yg, previous=grid)
-        prev, cur = cur, grid.sup()
+        prev, cur = cur, kernel(phase, amp, h, t, xg, yg, x_factors=nested).sup()
         if prev is not None and abs(cur - prev) <= tol * max(prev, 1e-300):
             return cur
         n = 2 * n - 1
@@ -283,7 +270,7 @@ def kernel_sup(phase, amp, h, t, x_span, y_span, tol=SUP_REFINE_TOL, max_rounds=
         f"(relative change {abs(cur - prev) / max(prev, 1e-300):.3g})")
     raise ResolutionError(
         f"kernel sup at t={t} did not settle to tol={tol} in {max_rounds} "
-        f"rounds (final grid {grid.x_grid.shape[0]} points per span){last}"
+        f"rounds (final grid {(n + 1) // 2} points per span){last}"
     )
 
 

@@ -159,12 +159,12 @@ def inverse_map(H, t, x, xi, n_steps, y0=None):
         Y = xt.copy()
 
     path = integrate_flow(H, t, Y, cov, n_steps)
-    res = np.max(np.abs(path[1][-1] - xt), axis=1)
+    _, Xs, _, Zs = path
+    res = np.max(np.abs(Xs[-1] - xt), axis=1)
     for _ in range(NEWTON_MAX_ITER):
         if np.all(res <= NEWTON_TOL):
             return Y, path
         # trials flow only the points a trial may still update
-        _, Xs, _, Zs = path
         active = np.flatnonzero(res > NEWTON_TOL)
         R = Xs[-1, active] - xt[active]
         delta = solve_blocks(Zs[-1, active, :d, :d], R[..., None])[..., 0]
@@ -174,10 +174,6 @@ def inverse_map(H, t, x, xi, n_steps, y0=None):
             trial = integrate_flow(H, t, Y_try, cov[active], n_steps)
             res_try = np.max(np.abs(trial[1][-1] - xt[active]), axis=1)
             improved = res_try < res[active]
-            if active.size == len(Y) and improved.all():
-                # the whole batch was tried and every point improved
-                Y, res, path = Y_try, res_try, trial
-                break
             take = active[improved]
             Y[take], res[take] = Y_try[improved], res_try[improved]
             for nodes, nodes_try in zip(path[1:], trial[1:]):

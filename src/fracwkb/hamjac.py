@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import as_pairs, as_points, solve_blocks, tensor_pairs, trace_product
+from .metric import as_pairs, as_points, solve_blocks, tensor_pairs
 from .hamflow import DT_DEFAULT, inverse_map
 
 __all__ = [
@@ -111,6 +111,8 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, y0=None):
     flatX = Xs.reshape(-1, d)
     flatXi = Xis.reshape(-1, d)
     _, gxi, _, hxixi, _, qval, _ = q0.jet(flatX, flatXi)
+    if qval is None:
+        qval = q0(flatX, flatXi)
     integrand = (np.sum(Xis * gxi.reshape(len(times), n, d), axis=2)
                  - qval.reshape(len(times), n))
     action = _simpson(integrand, path_times)
@@ -123,7 +125,7 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, y0=None):
     dY_dxi = -(JX_inv[-1] @ Zs[-1][:, :d, d:])
 
     hq = hxixi.reshape(len(times), n, d, d)
-    rate = 0.5 * trace_product(hq, W).astype(complex)
+    rate = 0.5 * np.einsum("tnij,tnji->tn", hq, W).astype(complex)
 
     return PhasePointData(
         S=S,

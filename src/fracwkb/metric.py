@@ -82,16 +82,6 @@ def solve_blocks(M, B):
     return np.linalg.solve(M, B)
 
 
-def trace_product(A, B):
-    """tr(A B) over the trailing d x d axes of stacked blocks.
-
-    d = 1 multiplies, which is the einsum's value bit for bit.
-    """
-    if A.shape[-1] == 1:
-        return (A * B)[..., 0, 0]
-    return np.einsum("...ij,...ji->...", A, B)
-
-
 def loglog_fit(x, y):
     """(slope, intercept, r2) of the least-squares line through (log x, log y).
 

@@ -219,8 +219,10 @@ class SymbolFunction:
     order of `JET` and from one evaluation, the five derivatives, the value
     and the principal symbol p = xi^T G(x) xi of a symbol built on a metric
     (the guard band's coordinate), with None for a part the symbol does not
-    carry; each derivative method reads its part off the jet, and a missing
-    part, or a symbol without a jet, raises NotImplementedError.
+    carry (a caller that needs the value or p and finds None evaluates it);
+    each derivative method reads its part off the jet, and a missing part,
+    or a symbol without a jet, raises NotImplementedError.  A jet that does
+    not return the seven parts raises ValueError naming them.
 
     Index conventions: `grad_x`/`grad_xi` return (n, d); the Hessians return
     (n, d, d) with `hess_xxi[m, i, j] = d^2 a / dx_i dxi_j`.
@@ -242,7 +244,11 @@ class SymbolFunction:
         if self._jet is None:
             raise NotImplementedError(f"symbol {self.label!r} has no derivative jet")
         pts, cov = as_pairs(x, xi, self.dim)
-        return self._jet(pts, cov)
+        parts = self._jet(pts, cov)
+        if len(parts) != len(JET):
+            raise ValueError(f"jet of symbol {self.label!r} returned {len(parts)} parts, "
+                             f"not the {len(JET)} of {JET}")
+        return parts
 
     def _part(self, name, x, xi):
         part = None if self._jet is None else self.jet(x, xi)[JET.index(name)]

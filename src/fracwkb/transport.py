@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import as_pairs, principal_symbol, tensor_pairs, trace_product
+from .metric import as_pairs, principal_symbol, tensor_pairs
 from .hamflow import DT_DEFAULT, GuardBandError
 from .hamjac import phase_point_data
 
@@ -65,7 +65,7 @@ def _amplitudes(a_init, q0, t, Y, xi, rate_integral, order):
     if order >= 2 and np.any(t != 0.0):
         hq = q0.hess_xixi(Y, xi)
         ha = a_init.hess_xx(Y, xi)
-        a[1] = -0.5j * t * trace_product(hq, ha)
+        a[1] = -0.5j * t * np.einsum("nij,nji->n", hq, ha)
     return a
 
 

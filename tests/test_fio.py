@@ -272,16 +272,27 @@ def test_kernel_sup_solves_each_x_node_once(monkeypatch):
     assert abs(sup - final.sup()) <= 1e-13 * final.sup()
 
 
-def test_kernel_refines_a_previous_grid():
-    h = 2.0**-5
-    phase, amp = _decay_tables(h, 6)
-    x, y = np.linspace(-0.5, 0.5, 7), np.linspace(-2.0, 2.0, 9)
-    coarse = kernel(phase, amp, h, 0.2, x, y)
-    fine_x = np.linspace(-0.5, 0.5, 13)
-    refined = kernel(phase, amp, h, 0.2, fine_x, y, previous=coarse)
-    fresh = kernel(phase, amp, h, 0.2, fine_x, y)
-    assert refined.n_xi == fresh.n_xi
-    np.testing.assert_array_equal(refined.values, fresh.values)
-    np.testing.assert_array_equal(refined.factors[::2], coarse.factors)
-    with pytest.raises(ValueError, match=r"own \(h, t\)"):
-        kernel(phase, amp, h, 0.3, x, y, previous=coarse)
+def test_kernel_sup_solves_again_when_the_xi_rule_moves(monkeypatch):
+    # G = 1 + 0.1 exp(-x^2) peaks at x = 0, which the 16-point span misses and
+    # the 31-point span holds, so the second round's xi hull is wider: it
+    # solves every x node under its own rule, as a fresh kernel does, bit for
+    # bit (the first round's rule moves the sup by 4.4e-14 relative)
+    metric = gaussian_bump_metric(dim=1, epsilon=0.1)
+    q0 = fractional_symbol(metric, 2.0, xi_band=(0.2, 4.0))
+    a_init = localized_amplitude(metric, make_bump(0.3, 3.0, (0.5, 2.0)))
+    phase = build_phase(q0, [0.0, 0.1], np.array([[0.0]]), np.array([[1.0]]))
+    amp = solve_transport(a_init, phase)
+    solved = []
+    factors = fio._fio_factors
+
+    def recording(amp, h, t, x_grid, xi_grid):
+        solved.append(x_grid.shape[0])
+        return factors(amp, h, t, x_grid, xi_grid)
+
+    monkeypatch.setattr(fio, "_fio_factors", recording)
+    h, t, x_span, y_span = 2.0**-3, 0.1, (-0.5, 0.5), (-1.0, 1.0)
+    sup = kernel_sup(phase, amp, h, t, x_span, y_span, tol=1.0, max_rounds=2)
+    assert solved == [16, 31]
+    monkeypatch.undo()
+    final = kernel(phase, amp, h, t, np.linspace(*x_span, 31), np.linspace(*y_span, 31))
+    assert sup == final.sup()

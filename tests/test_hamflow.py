@@ -359,34 +359,6 @@ def test_flat_inverse_map_flows_once_from_the_predictor(sigma, monkeypatch):
     assert len(times) == 1 and calls == [t, 0.0]
 
 
-def test_whole_path_take_matches_the_point_by_point_copy(monkeypatch):
-    H = _bump_hamiltonian(2.0)
-    t, n_steps = 0.3, 30
-    y = np.linspace(-0.6, 0.6, 7)[:, None]
-    xi = np.linspace(0.9, 1.3, 7)[:, None]
-    X = integrate_flow(H, t, y, xi, n_steps)[1][-1]
-    flows = []
-    flow = hamflow.integrate_flow
-
-    def recording(*args, **kwargs):
-        flows.append(flow(*args, **kwargs))
-        return flows[-1]
-
-    monkeypatch.setattr(hamflow, "integrate_flow", recording)
-    # every point starts off its base point, so the first trial takes the whole path
-    Y, path = inverse_map(H, t, X[:6], xi[:6], n_steps, y0=y[:6] + 0.02)
-    assert len(flows) > 1 and any(path is f for f in flows[1:])
-    # the last point starts converged, so every trial copies point by point
-    flows.clear()
-    Y_all, path_all = inverse_map(H, t, X, xi, n_steps,
-                                  y0=np.concatenate((y[:6] + 0.02, y[6:])))
-    assert len(flows) > 1 and path_all is flows[0]
-    np.testing.assert_array_equal(Y, Y_all[:6])
-    np.testing.assert_array_equal(path[0], path_all[0])
-    for arr, arr_all in zip(path[1:], path_all[1:]):
-        np.testing.assert_array_equal(arr, arr_all[:, :6])
-
-
 def test_guard_reads_the_jet_and_checks_every_node(monkeypatch):
     # the first RK4 stage's jet carries p for its node, and the last node is
     # evaluated once: one principal_symbol call per path, none per step

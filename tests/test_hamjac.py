@@ -9,7 +9,7 @@ from fracwkb.hamjac import (HorizonError, _simpson, build_phase,
                             hj_residual, phase_point_data,
                             second_time_derivative)
 from fracwkb.metric import flat_metric, gaussian_bump_metric, tensor_pairs
-from fracwkb.symbols import fractional_symbol
+from fracwkb.symbols import SymbolFunction, fractional_symbol
 
 
 def _bump_q0(sigma=2.0, epsilon=0.1):
@@ -283,3 +283,15 @@ def test_flat_phase_pass_flows_each_point_once(sigma, monkeypatch):
         point_steps.clear()
         phase_point_data(q0, t, x, xi)
         assert sum(point_steps) == 2 * x.shape[0]
+
+
+def test_phase_pass_evaluates_q0_when_its_jet_has_no_value():
+    q0 = _bump_q0()
+    bare = SymbolFunction(1, q0, jet=lambda x, xi: q0.jet(x, xi)[:5] + (None, None),
+                          xi_band=q0.xi_band)
+    bare.metric = q0.metric
+    x, xi = tensor_pairs(np.linspace(-1.0, 1.0, 5)[:, None], np.array([[0.8], [1.4]]))
+    got = phase_point_data(bare, 0.05, x, xi)
+    want = phase_point_data(q0, 0.05, x, xi)
+    for name in ("S", "Y", "rate_integral"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))

@@ -5,8 +5,7 @@ import pytest
 
 from fracwkb.metric import (EllipticityError, MetricField, audit_assumptions,
                             check_sigma, flat_metric, gaussian_bump_metric,
-                            loglog_fit, principal_symbol, solve_blocks,
-                            trace_product)
+                            loglog_fit, principal_symbol, solve_blocks)
 
 
 def test_principal_symbol_identity_metric():
@@ -109,16 +108,6 @@ def test_check_sigma_rejects(bad):
 @pytest.mark.parametrize("good", [0.5, 2.0, 3.0, 2.7])
 def test_check_sigma_accepts(good):
     assert check_sigma(good) == good
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_trace_product_matches_einsum(d):
-    rng = np.random.default_rng(d)
-    A, B = rng.normal(size=(2, 3, 40, d, d))
-    got = trace_product(A, B)
-    assert got.shape == (3, 40)
-    # the d = 1 product is the einsum's value bit for bit
-    np.testing.assert_array_equal(got, np.einsum("tnij,tnji->tn", A, B))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

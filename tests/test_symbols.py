@@ -107,6 +107,14 @@ def test_symbol_without_derivative_raises():
         sym.jet([[0.1]], [[1.0]])
 
 
+def test_jet_without_the_seven_parts_raises():
+    # a jet of the five derivatives alone, without the value and p
+    sym = SymbolFunction(1, lambda pts, cov: pts[:, 0] * cov[:, 0],
+                         jet=lambda pts, cov: (cov, pts, None, None, None), label="x*xi")
+    with pytest.raises(ValueError, match=r"'x\*xi' returned 5 parts, not the 7"):
+        sym.jet([[0.1]], [[1.0]])
+
+
 def test_partition_at_zero():
     part = littlewood_paley_partition(6)
     assert part.phi0(0.0) == 1.0
