@@ -60,6 +60,14 @@ def _check_1d(obj):
         raise ValueError("oscillatory quadrature is implemented on 1-D grids")
 
 
+def _amplitude_band(amp):
+    """The p-band of the initial symbol's support, else q0's guard band."""
+    xi_band = amp.a_init.xi_band or amp.q0.xi_band
+    if xi_band is None:
+        raise ValueError("amplitude carries no xi support information")
+    return xi_band
+
+
 def _mode_band(amp, h, grid):
     """The grid's frequency axis and the indices of the modes in the band.
 
@@ -69,10 +77,8 @@ def _mode_band(amp, h, grid):
     vanishes identically, so the mode contributes nothing.  An empty band
     raises ValueError.
     """
-    xi_band = amp.a_init.xi_band or amp.q0.xi_band
+    xi_band = _amplitude_band(amp)
     guard = amp.q0.xi_band or xi_band
-    if xi_band is None:
-        raise ValueError("amplitude carries no xi support information")
     omega = grid.omega_axis()
     G = amp.q0.metric.inverse_metric(grid.axis()[:, None])[:, 0, 0]
     p_lo = float(np.min(G)) * (h * omega) ** 2
@@ -86,19 +92,19 @@ def _mode_band(amp, h, grid):
 
 
 def _fio_factors(amp, h, t, x_grid, xi_grid):
-    """A = sum_j h^j a_j(t) and S(t) on all (x, xi) pairs, each (nx, nxi).
+    """The FIO matrix A e^{iS/h}, A = sum_j h^j a_j(t), on all (x, xi) pairs, (nx, nxi).
 
-    The FIO matrix is A e^{iS/h}.  Callers multiply it out themselves:
-    numpy evaluates `A * np.exp(...)` on a large temporary in place with the
-    operands swapped, which rounds differently from `A * E` with E named,
-    and each caller keeps the form its recorded values were computed with.
+    The factor E = e^{iS/h} is named: numpy evaluates `A * np.exp(...)` in
+    place on a temporary of 256 KiB or more with the operands swapped, which
+    rounds differently, so `A * E` keeps one rounding at every batch size.
     """
     nx, nxi = x_grid.shape[0], xi_grid.shape[0]
     data = amp.evaluate(t, *tensor_pairs(x_grid, xi_grid))
     A = data.a[0].reshape(nx, nxi).astype(complex)
     for j in range(1, amp.order):
         A += h**j * data.a[j].reshape(nx, nxi)
-    return A, data.S.reshape(nx, nxi)
+    E = np.exp(1j * data.S.reshape(nx, nxi) / h)
+    return A * E
 
 
 def apply_fio(phase, amp, u0, h, t):
@@ -132,9 +138,8 @@ def apply_fio(phase, amp, u0, h, t):
             "amplitude band; localize it first"
         )
 
-    A, S = _fio_factors(amp, h, t, grid.axis()[:, None], h * omega[keep, None])
-    E = np.exp(1j * S / h)
-    return state_from_values(grid, (A * E) @ c[keep])
+    M = _fio_factors(amp, h, t, grid.axis()[:, None], h * omega[keep, None])
+    return state_from_values(grid, M @ c[keep])
 
 
 def _xi_hull(amp, x_samples):
@@ -144,9 +149,7 @@ def _xi_hull(amp, x_samples):
     sup of |grad_xi q0| = sigma |xi|^{sigma-1} over them (the flat speed
     bound every oscillation and reach estimate uses).
     """
-    xi_band = amp.a_init.xi_band or amp.q0.xi_band
-    if xi_band is None:
-        raise ValueError("amplitude carries no xi support information")
+    xi_band = _amplitude_band(amp)
     metric = amp.q0.metric
     G = metric.inverse_metric(x_samples)[:, 0, 0]
     lo = float(np.sqrt(xi_band[0] / np.max(G)))
@@ -177,8 +180,7 @@ class KernelGrid:
 
 def _x_factors(amp, h, t, x_grid, xis, w):
     """The y-free part A e^{iS/h} w of the kernel integrand, (nx, m)."""
-    A, S = _fio_factors(amp, h, t, x_grid, xis)
-    return A * np.exp(1j * S / h) * w[None, :]
+    return _fio_factors(amp, h, t, x_grid, xis) * w[None, :]
 
 
 def kernel(phase, amp, h, t, x_grid, y_grid, n_xi=None, x_factors=_x_factors):
@@ -379,8 +381,7 @@ def operator_norm_estimate(phase, amp, h, t, grid):
     mode matrix; both directions are matrix-free in the state dimension.
     """
     omega, keep = _mode_band(amp, h, grid)
-    A, S = _fio_factors(amp, h, t, grid.axis()[:, None], h * omega[keep, None])
-    M = A * np.exp(1j * S / h)
+    M = _fio_factors(amp, h, t, grid.axis()[:, None], h * omega[keep, None])
 
     rng = np.random.default_rng(0)
     v = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)

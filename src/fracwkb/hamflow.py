@@ -14,7 +14,7 @@ covectors are (n, d) arrays, Jacobians (n, 2d, 2d).
 
 import numpy as np
 
-from .metric import as_pairs, as_points, principal_symbol, solve_blocks
+from .metric import as_pairs, principal_symbol, solve_blocks
 
 __all__ = [
     "GuardBandError",
@@ -99,8 +99,11 @@ def integrate_flow(H, t, x, xi, n_steps):
     Every node of a path with steps is checked against the guard band of H
     (when H carries one), each from the p its first RK4 stage reads and the
     last one from p evaluated there, so a path that leaves the band and
-    returns raises :class:`GuardBandError` too.
+    returns raises :class:`GuardBandError` too.  A nonzero `t` needs
+    `n_steps` >= 1; fewer raise ValueError rather than skip the flow.
     """
+    if t != 0.0 and n_steps < 1:
+        raise ValueError(f"flow to t={t} needs n_steps >= 1, got {n_steps}")
     d = H.dim
     X, Xi = as_pairs(x, xi, d)
     n = X.shape[0]
@@ -135,12 +138,13 @@ def _rk4_step(H, X, Xi, Z, h):
                  for y, a, b, c, e in zip(state, k1, k2, k3, k4)), p
 
 
-def inverse_map(H, t, x, xi, n_steps, y0=None):
+def inverse_map(H, t, x, xi, n_steps):
     """Solve X(t, Y, xi) = x for Y by damped Newton.
 
-    Newton starts at `y0` when given, else at the first-order predictor
-    Y = x - t grad_xi H(x, xi) (at x when t = 0), which is exact when the
-    flow field does not depend on x, so that each flat point flows once.
+    Newton starts at the first-order predictor Y = x - t grad_xi H(x, xi)
+    (at x when t = 0), which is exact when the flow field does not depend
+    on x, so that each flat point flows once; each point's solve depends on
+    that point alone, so any batch gives it the same Y and path.
     Every Newton flow is the variational path on `n_steps` RK4 steps (none
     at t = 0), so the Jacobian grad_y X is its last node and the caller
     gets back the flow it accepted: returns (Y, (times, X, Xi, Z)) with the
@@ -151,12 +155,7 @@ def inverse_map(H, t, x, xi, n_steps, y0=None):
     """
     d = H.dim
     xt, cov = as_pairs(x, xi, d)
-    if y0 is not None:
-        Y = as_points(y0, d).copy()
-    elif t != 0.0:
-        Y = xt - t * H.jet(xt, cov)[1]
-    else:
-        Y = xt.copy()
+    Y = xt - t * H.jet(xt, cov)[1] if t != 0.0 else xt.copy()
 
     path = integrate_flow(H, t, Y, cov, n_steps)
     _, Xs, _, Zs = path

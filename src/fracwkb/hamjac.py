@@ -78,7 +78,7 @@ def _even_steps(t, dt):
     return n + (n % 2)
 
 
-def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, y0=None):
+def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT):
     """Compute S and its derivative blocks at arbitrary (x, xi) batches.
 
     This is the single characteristic pass used for gridded tables, for
@@ -90,8 +90,11 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, y0=None):
     the path nodes.  The returned trajectory holds the nodes,
     Xi = grad_x S and hess_xx S = sym(JXi JX^{-1}) at every node of that
     flow; its last node is the returned `hess_xx`.  At t = 0 the path is
-    the single node (x, xi).
+    the single node (x, xi).  A `dt` that is not positive and finite raises
+    ValueError.
     """
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"phase step dt must be positive and finite, got {dt}")
     d = q0.dim
     x, xi = as_pairs(x, xi, d)
     n = x.shape[0]
@@ -103,7 +106,7 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT, y0=None):
     flat = metric is not None and metric.is_flat
     n_steps = 2 if flat else _even_steps(t, dt)
 
-    Y, (path_times, Xs, Xis, Zs) = inverse_map(q0, -t, x, xi, n_steps, y0=y0)
+    Y, (path_times, Xs, Xis, Zs) = inverse_map(q0, -t, x, xi, n_steps)
     times = 0.0 - path_times            # 0 to t, with the +0.0 first node of linspace
 
     # one jet of q0 at every node gives the action integrand
@@ -185,8 +188,8 @@ class PhaseTable:
 def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT):
     """Build a PhaseTable over the tensor grid t_grid x x_grid x xi_grid.
 
-    The inverse maps are warm-started from the previous time of the same sign,
-    so the Newton iteration stays in its quadratic regime along the sweep.
+    Each time is one `phase_point_data` pass on the tensor batch, so every
+    entry is what `PhaseTable.evaluate` gives on that batch, bit for bit.
     """
     d = q0.dim
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
@@ -205,13 +208,8 @@ def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT):
     rate_integral = np.empty((nt, nx, nxi), dtype=complex)
     worst_asym = 0.0
 
-    order = np.argsort(np.abs(t_grid), kind="stable")
-    warm = {1: None, -1: None}
-    for k in order:
-        t = t_grid[k]
-        sign = 1 if t >= 0.0 else -1
-        data = phase_point_data(q0, t, xp, xip, dt=dt, y0=warm[sign])
-        warm[sign] = data.Y
+    for k, t in enumerate(t_grid):
+        data = phase_point_data(q0, t, xp, xip, dt=dt)
         S[k] = data.S.reshape(nx, nxi)
         Yt[k] = data.Y.reshape(nx, nxi, d)
         Gx[k] = data.grad_x.reshape(nx, nxi, d)

@@ -18,21 +18,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metric import as_pairs, principal_symbol, tensor_pairs
-from .hamflow import DT_DEFAULT, GuardBandError
+from .hamflow import DT_DEFAULT
 from .hamjac import phase_point_data
 
 __all__ = [
     "AmplitudeTable",
     "AmplitudePointData",
-    "SupportViolationError",
     "solve_transport",
     "amplitude_point_data",
     "transport_residual",
 ]
-
-
-class SupportViolationError(RuntimeError):
-    """A characteristic left the compact support guard band."""
 
 
 @dataclass
@@ -77,7 +72,7 @@ def amplitude_point_data(a_init, q0, t, x, xi, order=1, dt=DT_DEFAULT):
     characteristic through (t, x, xi); the amplitudes follow from those.
     Large batches are processed in chunks so the per-node trajectory storage
     stays bounded.  A characteristic leaving the guard band of q0 raises
-    :class:`SupportViolationError`.
+    `hamflow.GuardBandError`.
     """
     d = q0.dim
     x, xi = as_pairs(x, xi, d)
@@ -94,10 +89,7 @@ def amplitude_point_data(a_init, q0, t, x, xi, order=1, dt=DT_DEFAULT):
             S=np.concatenate([c.S for c in chunks], axis=0),
         )
 
-    try:
-        data = phase_point_data(q0, t, x, xi, dt=dt)
-    except GuardBandError as err:
-        raise SupportViolationError(str(err)) from err
+    data = phase_point_data(q0, t, x, xi, dt=dt)
     a = _amplitudes(a_init, q0, t, data.Y, xi, data.rate_integral, order)
     return AmplitudePointData(a=a, Y=data.Y, S=data.S)
 

@@ -133,6 +133,13 @@ def test_module_error_exits_one(tmp_path, capsys):
     assert "nlfs failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dt", ["0", "-0.01"])
+def test_phase_step_that_is_not_positive_exits_one(tmp_path, capsys, dt):
+    code = main(["phase", "--dt", dt, "--out", str(tmp_path)])
+    assert code == 1
+    assert "phase step dt must be positive and finite" in capsys.readouterr().err
+
+
 def test_failed_check_exits_one(tmp_path):
     code = main(["nlfs", "--n", "64", "--T", "0.05", "--amp", "0.5",
                  "--mass_tol", "0.0", "--out", str(tmp_path)])

@@ -251,11 +251,10 @@ def test_variational_step_evaluates_the_metric_once_per_stage():
 def test_newton_trials_flow_only_unconverged_points(monkeypatch):
     H = _bump_hamiltonian(2.0)
     t, n_steps = 0.3, 30
-    y = np.linspace(-0.6, 0.6, 6)[:, None]
+    # on the 16-box, |x| >= 6.5 is far from the bump, where the predictor
+    # already meets NEWTON_TOL; the odd points sit on the bump
+    X = np.array([[7.0], [0.2], [-7.0], [0.5], [6.5], [-0.3]])
     xi = np.linspace(0.9, 1.3, 6)[:, None]
-    X = integrate_flow(H, t, y, xi, n_steps)[1][-1]
-    # even points start on their base point and are converged from the start
-    y0 = np.where(np.arange(6)[:, None] % 2 == 0, y, X)
     sizes = []
     flow = hamflow.integrate_flow
 
@@ -264,14 +263,23 @@ def test_newton_trials_flow_only_unconverged_points(monkeypatch):
         return flow(H, t, x, *args, **kwargs)
 
     monkeypatch.setattr(hamflow, "integrate_flow", recording)
-    Y, path = inverse_map(H, t, X, xi, n_steps, y0=y0)
+    Y, path = inverse_map(H, t, X, xi, n_steps)
     assert sizes[0] == 6 and len(sizes) > 1 and max(sizes[1:]) == 3
     # each point alone is what an all-point trial does for it
     for k in range(6):
-        Yk, path_k = inverse_map(H, t, X[k:k + 1], xi[k:k + 1], n_steps, y0=y0[k:k + 1])
+        Yk, path_k = inverse_map(H, t, X[k:k + 1], xi[k:k + 1], n_steps)
         np.testing.assert_array_equal(Y[k], Yk[0])
         for arr, arr_k in zip(path[1:], path_k[1:]):
             np.testing.assert_array_equal(arr[:, k], arr_k[:, 0])
+
+
+def test_integrate_flow_rejects_a_flow_without_steps():
+    H = fractional_symbol(flat_metric(dim=1), 2.0)
+    for n_steps in (0, -1):
+        with pytest.raises(ValueError, match="n_steps"):
+            integrate_flow(H, 0.5, [[0.1]], [[1.0]], n_steps)
+    # t = 0 takes no step whatever n_steps says
+    assert integrate_flow(H, 0.0, [[0.1]], [[1.0]], 0)[1].shape == (1, 1, 1)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0])

@@ -228,6 +228,26 @@ def test_phase_table_evaluate_matches_grid():
     np.testing.assert_allclose(data.Y[0], pt.Y[k, 3, 1], atol=1e-9)
 
 
+def test_phase_table_entries_are_the_pointwise_pass():
+    # each table time is one pass on the tensor batch, in grid order and on
+    # both signs of t, so the table caches exactly what evaluate computes
+    pt = build_phase(_bump_q0(), np.linspace(-0.2, 0.2, 11),
+                     np.linspace(-1.5, 1.5, 13)[:, None], np.linspace(0.8, 1.6, 5)[:, None])
+    xp, xip = tensor_pairs(pt.x_grid, pt.xi_grid)
+    for k, t in enumerate(pt.t_grid):
+        data = pt.evaluate(t, xp, xip)
+        for name in ("S", "Y", "hess_xx", "rate_integral"):
+            np.testing.assert_array_equal(getattr(data, name).ravel(),
+                                          getattr(pt, name)[k].ravel(), err_msg=name)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
+def test_phase_pass_rejects_a_step_that_is_not_positive_and_finite(dt):
+    for q0 in (_bump_q0(), fractional_symbol(flat_metric(dim=1), 2.0)):
+        with pytest.raises(ValueError, match="dt"):
+            phase_point_data(q0, 0.05, [[0.2]], [[1.0]], dt=dt)
+
+
 def test_phase_table_rate_matches_grid():
     """The a_0 transport rate tables agree with a fresh pass at an interior node."""
     pt = _bump_table()

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from fracwkb import hamflow, hamjac
+from fracwkb.hamflow import GuardBandError
 from fracwkb.hamjac import build_phase
 from fracwkb.metric import flat_metric, gaussian_bump_metric, tensor_pairs
 from fracwkb.symbols import GaussianWindow, fractional_symbol, localized_amplitude, make_bump
-from fracwkb.transport import (SupportViolationError, amplitude_point_data,
-                               solve_transport, transport_residual)
+from fracwkb.transport import amplitude_point_data, solve_transport, transport_residual
 
 CUT = make_bump(0.3, 3.0, (0.5, 2.0))
 
@@ -158,13 +158,12 @@ def test_characteristic_leaving_band_raises():
     x = np.array([[0.0]])
     xi = np.array([[1.5]])                       # p = 2.25 outside the band
     amplitude_point_data(a_init, fractional_symbol(metric, 2.0), 0.05, x, xi)
-    with pytest.raises(SupportViolationError):
+    with pytest.raises(GuardBandError):
         amplitude_point_data(a_init, q0, 0.05, x, xi)
 
 
 def test_amplitude_table_evaluate_matches_grid():
-    """Every table node agrees with a cold-started evaluation (Newton from
-    the predicted start, not the table's warm start).
+    """Every table node agrees with a fresh evaluation on the same batch.
 
     The flat table has N = 2, so a_1 is checked at every node too.
     """
