@@ -18,9 +18,9 @@ from .hamjac import build_phase, caustic_horizon, certify_phase_estimates, hj_re
 from .metric import (audit_assumptions, check_sigma, flat_metric,
                      gaussian_bump_metric)
 from .nlfs import NlfsProblem, conserved, solve_nlfs, solve_nlfw
-from .spectral import (discretize_P_1d, flat_operator, localized_gaussian,
-                       make_grid, modulated_gaussian, sobolev_norm,
-                       state_from_values)
+from .spectral import (EIG_MAX_POINTS, discretize_P_1d, flat_operator,
+                       localized_gaussian, make_grid, modulated_gaussian,
+                       sobolev_norm, state_from_values)
 from .strichartz import (classify_pair, measure_semiclassical_scaling,
                          measure_unscaled_scaling, rescaling_identity_gap)
 from .symbols import (ConstantWindow, fractional_symbol, localized_amplitude,
@@ -92,7 +92,7 @@ SCHEMAS = {
         "epsilon": (float, 0.1, ""),
         "sigma": (float, 2.0, ""), "nu": (float, 3.0, ""), "mu": (float, 1.0, ""),
         "T": (float, 1.0, ""), "dt": (float, 1e-3, ""),
-        "n": (int, 256, "grid points (odd for the bump eigensolver)"),
+        "n": (int, 256, "grid points (odd and below 1024 for the bump eigensolver)"),
         "amp": (float, 1.0, "initial amplitude"),
         "width": (float, 0.5, "initial Gaussian width"),
         "omega": (float, 3.0, "initial modulation frequency"),
@@ -104,7 +104,7 @@ SCHEMAS = {
         "epsilon": (float, 0.1, ""),
         "sigma": (float, 2.0, ""), "nu": (float, 3.0, ""), "mu": (float, 1.0, ""),
         "T": (float, 0.5, ""), "dt": (float, 1e-3, ""),
-        "n": (int, 256, ""),
+        "n": (int, 256, "grid points (odd and below 1024 for the bump eigensolver)"),
         "amp": (float, 1.0, ""), "width": (float, 0.6, ""),
         "omega": (float, 2.0, ""),
         "v1_amp": (float, 0.2, "velocity = v1_amp * Re(v0)"),
@@ -174,7 +174,7 @@ def _write_csv(path, header, records):
         writer = csv.writer(fh)
         writer.writerow(header)
         for record in records:
-            writer.writerow([repr(v) if isinstance(v, float) else v
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v
                              for v in record])
 
 
@@ -344,6 +344,9 @@ def _nlfs_setup(cfg):
         grid = make_grid(1, cfg["n"], m.box_length)
         op = flat_operator(grid)
     else:
+        if cfg["n"] % 2 == 0 or cfg["n"] > EIG_MAX_POINTS:
+            raise ConfigError(f"the bump metric needs an odd n below {EIG_MAX_POINTS}, "
+                              f"got {cfg['n']}")
         op = discretize_P_1d(m, cfg["n"])
         grid = op.grid
     u0 = modulated_gaussian(grid, 0.5 * grid.length, cfg["width"], cfg["omega"])

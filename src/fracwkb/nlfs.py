@@ -211,30 +211,23 @@ def picard_iterate(prob, n_iter=8, T_small=None, n_t=65):
     times = np.linspace(0.0, T, int(n_t))
     dt = np.diff(times).reshape((-1,) + (1,) * prob.u0.values.ndim)
     grid = prob.u0.grid
-    free = [propagate(prob.u0, prob.op, prob.sigma, t) for t in times]
-    cur = [s.values.copy() for s in free]
+    cur = propagate(prob.u0, prob.op, prob.sigma, times).values
     sup0 = float(np.max(np.abs(prob.u0.values)))
 
     diffs = []
     for it in range(int(n_iter)):
-        integrand = np.empty((len(times),) + cur[0].shape, dtype=complex)
-        for i, t in enumerate(times):
-            nl = 1j * prob.mu * np.abs(cur[i]) ** (prob.nu - 1.0) * cur[i]
-            pulled = propagate(state_from_values(grid, nl), prob.op,
-                               prob.sigma, -t)
-            integrand[i] = pulled.values
+        nl = 1j * prob.mu * np.abs(cur) ** (prob.nu - 1.0) * cur
+        integrand = propagate(state_from_values(grid, nl), prob.op,
+                              prob.sigma, -times).values
         acc = np.zeros_like(integrand)
         np.cumsum(dt * (integrand[1:] + integrand[:-1]) / 2.0, axis=0, out=acc[1:])
-        nxt = []
+        nxt = propagate(state_from_values(grid, prob.u0.values + acc),
+                        prob.op, prob.sigma, times).values
         delta = 0.0
         for i, t in enumerate(times):
-            stage = propagate(
-                state_from_values(grid, prob.u0.values + acc[i]),
-                prob.op, prob.sigma, t)
-            _blowup_guard(stage.values, t, sup0)
-            delta = max(delta, float(np.linalg.norm(stage.values - cur[i]))
+            _blowup_guard(nxt[i], t, sup0)
+            delta = max(delta, float(np.linalg.norm(nxt[i] - cur[i]))
                         * math.sqrt(grid.cell_volume))
-            nxt.append(stage.values)
         cur = nxt
         diffs.append(delta)
         if len(diffs) >= 2 and diffs[-2] > PICARD_FLOOR * diffs[0]:
@@ -256,16 +249,16 @@ def _sin_over(mu_vals, t):
     return np.where(small, t, np.sin(t * safe) / safe)
 
 
-def _wave_step(op, sigma, t, v, w):
-    """Exact flow of d_t(v, w) = (w, -Lambda^{2 sigma} v) in the spectral basis."""
+def _wave_step(op, sigma, t, vw):
+    """Exact flow of d_t(v, w) = (w, -Lambda^{2 sigma} v) in the spectral basis,
+    on the stack vw = (v, w), transformed together each way."""
     mu_vals = op.lam ** (0.5 * sigma)
-    cv = op.coefficients(v)
-    cw = op.coefficients(w)
+    cv, cw = op.coefficients(vw)
     c = np.cos(t * mu_vals)
     s_over = _sin_over(mu_vals, t)
     new_v = c * cv + s_over * cw
     new_w = -(mu_vals**2) * s_over * cv + c * cw
-    return op.synthesize(new_v), op.synthesize(new_w)
+    return op.synthesize(np.stack([new_v, new_w]))
 
 
 def solve_nlfw(prob, store_every=None):
@@ -281,21 +274,21 @@ def solve_nlfw(prob, store_every=None):
     if store_every is None:
         store_every = max(1, n // 256)
     sup0 = float(np.max(np.abs(prob.u0.values)))
-    v, w = prob.u0, prob.v1
+    grid = prob.u0.grid
+    v, w = prob.u0.values, prob.v1.values
     times = [0.0]
-    states = [v]
-    velocities = [w]
+    states = [prob.u0]
+    velocities = [prob.v1]
     for k in range(1, n + 1):
-        w_vals = w.values - 0.5 * dt * prob.mu * np.abs(v.values) ** (prob.nu - 1.0) * v.values
-        v, w = _wave_step(prob.op, prob.sigma, dt, v,
-                          state_from_values(w.grid, w_vals))
-        w_vals = w.values - 0.5 * dt * prob.mu * np.abs(v.values) ** (prob.nu - 1.0) * v.values
-        _blowup_guard(v.values, (k - 1) * dt, sup0)
-        w = state_from_values(w.grid, w_vals)
+        w = w - 0.5 * dt * prob.mu * np.abs(v) ** (prob.nu - 1.0) * v
+        v, w = _wave_step(prob.op, prob.sigma, dt,
+                          state_from_values(grid, np.stack([v, w]))).values
+        w = w - 0.5 * dt * prob.mu * np.abs(v) ** (prob.nu - 1.0) * v
+        _blowup_guard(v, (k - 1) * dt, sup0)
         if k % store_every == 0 or k == n:
             times.append(k * dt)
-            states.append(v)
-            velocities.append(w)
+            states.append(state_from_values(grid, v))
+            velocities.append(state_from_values(grid, w))
     return WaveTrajectory(times=np.asarray(times), states=states,
                           velocities=velocities)
 
@@ -377,24 +370,24 @@ def global_continuation(prob, T_total):
         T_loc = min(0.5, T_total - t_done)
         local = NlfsProblem(sigma=prob.sigma, nu=prob.nu, mu=prob.mu, u0=u,
                             T=T_loc, dt=prob.dt, op=prob.op)
-        for _ in range(8):
-            try:
-                probe = picard_iterate(local, n_iter=PROBE_ITERATIONS,
-                                       T_small=T_loc, n_t=17)
-            except ContractionError:
-                probe = None
-            if probe is not None and probe.rate <= PROBE_RATIO:
-                break
-            T_loc *= 0.5
-            local.T = T_loc
-        else:
-            raise ContractionError(
-                f"no contracting window found at t={t_done:.6g}")
         try:
+            for _ in range(8):
+                try:
+                    probe = picard_iterate(local, n_iter=PROBE_ITERATIONS,
+                                           T_small=T_loc, n_t=17)
+                except ContractionError:
+                    probe = None
+                if probe is not None and probe.rate <= PROBE_RATIO:
+                    break
+                T_loc *= 0.5
+                local.T = T_loc
+            else:
+                raise ContractionError(
+                    f"no contracting window found at t={t_done:.6g}")
             leg = solve_nlfs(local)
         except BlowUpError as err:
             raise BlowUpError(t_done + err.t_last,
-                              f"local solve failed at t={t_done + err.t_last:.6g}"
+                              f"local window failed at t={t_done + err.t_last:.6g}"
                               ) from err
         all_times.extend(t_done + leg.times[1:])
         all_states.extend(leg.states[1:])

@@ -68,6 +68,10 @@ class BoxGrid:
     def axis(self):
         return np.arange(self.n) * self.spacing
 
+    def axes(self):
+        """The trailing array axes a field on this grid occupies."""
+        return tuple(range(-self.dim, 0))
+
     def meshes(self):
         return np.meshgrid(*([self.axis()] * self.dim), indexing="ij")
 
@@ -87,6 +91,8 @@ class StateField:
 
     The normalization is c_k = FFT(u) / n^d, so u = sum_k c_k e^{i omega_k x}
     and the Riemann L2 norm equals sqrt(L^d sum |c_k|^2) exactly on the grid.
+    Leading axes in front of the grid's d axes hold a stack of fields, which
+    the transforms take in one call; the norms are for a single field.
     """
 
     grid: BoxGrid
@@ -96,7 +102,8 @@ class StateField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
         if self.fourier is None:
-            self.fourier = np.fft.fftn(self.values) / self.grid.n**self.grid.dim
+            self.fourier = (np.fft.fftn(self.values, axes=self.grid.axes())
+                            / self.grid.n**self.grid.dim)
 
     def l2_norm(self):
         return float(np.sqrt(self.grid.cell_volume * np.sum(np.abs(self.values) ** 2)))
@@ -121,7 +128,8 @@ def state_from_values(grid, values):
 
 
 def state_from_fourier(grid, fourier):
-    values = np.fft.ifftn(np.asarray(fourier, dtype=complex) * grid.n**grid.dim)
+    values = np.fft.ifftn(np.asarray(fourier, dtype=complex) * grid.n**grid.dim,
+                          axes=grid.axes())
     return StateField(grid=grid, values=values, fourier=np.asarray(fourier, dtype=complex))
 
 
@@ -160,6 +168,10 @@ class SpectralOperator:
     stores eigenpairs of the 1-D divergence-form discretization, with the
     basis orthonormal in the volume-weighted inner product and `weight` the
     volume density on the grid.
+
+    The transforms take a stack of fields (leading axes) as readily as one
+    field: on the flat path they are one batched FFT, on the eig path one
+    real matrix product with the basis for the whole stack.
     """
 
     kind: str
@@ -172,12 +184,12 @@ class SpectralOperator:
         """Expansion coefficients of u in the operator's eigenbasis."""
         if self.kind == "flat":
             return u.fourier
-        return self.basis.T @ (u.values * self.weight) * self.grid.spacing
+        return _real_product(self.basis.T, u.values * self.weight) * self.grid.spacing
 
     def synthesize(self, coeffs):
         if self.kind == "flat":
             return state_from_fourier(self.grid, coeffs)
-        return state_from_values(self.grid, self.basis @ coeffs)
+        return state_from_values(self.grid, _real_product(self.basis, coeffs))
 
     def apply_function(self, u, fn):
         """f(P) u for a scalar function of the eigenvalue."""
@@ -189,11 +201,24 @@ def flat_operator(grid):
                             weight=np.ones((grid.n,) * grid.dim))
 
 
+def _real_product(matrix, z):
+    """matrix @ z along the last axis of the complex stack z.
+
+    The stack's fields become the columns of one real product on their float
+    view, so the real matrix is read once and never cast to a complex copy.
+    """
+    cols = np.ascontiguousarray(np.asarray(z, dtype=complex).T)
+    out = matrix @ cols.reshape(cols.shape[0], -1).view(float)
+    return out.view(complex).reshape(cols.shape).T
+
+
 def _derivative_matrix(n, length):
+    """Spectral first derivative: the circulant D[i, j] = col[(i - j) % n],
+    whose first column col is the derivative of the unit impulse."""
     omega = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / length
-    F = np.fft.fft(np.eye(n), axis=0)
-    D = np.real(np.fft.ifft(1j * omega[:, None] * F, axis=0))
-    return D
+    col = np.real(np.fft.ifft(1j * omega))
+    idx = np.arange(n)
+    return col[np.subtract.outer(idx, idx) % n]
 
 
 def discretize_P_1d(metric, n_points):
@@ -245,10 +270,14 @@ def propagate(u0, op, sigma, t, h=None):
     """Apply the half-wave group e^{i t Lambda^sigma} (or its h-scaled form).
 
     With h given the phase is t h^{sigma-1} lam^{sigma/2}, the semiclassical
-    normalization e^{i t h^{-1} (h sqrt(P))^sigma}; both are unitary.
+    normalization e^{i t h^{-1} (h sqrt(P))^sigma}; both are unitary.  An
+    array of times gives the stack of the evolved states, one per time; a
+    stack u0 with times of its own stack shape moves each field by its time.
     """
     check_sigma(sigma)
     scale = 1.0 if h is None else float(h) ** (sigma - 1.0)
+    t = np.asarray(t, dtype=float)
+    t = t.reshape(t.shape + (1,) * op.grid.dim)
     return op.apply_function(u0, lambda lam: np.exp(1j * t * scale * lam ** (0.5 * sigma)))
 
 

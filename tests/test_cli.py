@@ -70,6 +70,33 @@ def test_nlfw_suite_passes(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("suite", ["nlfs", "nlfw"])
+@pytest.mark.parametrize("n", [None, "256", "1025"])
+def test_bump_metric_grid_that_the_eigensolver_cannot_take_exits_two(tmp_path, capsys,
+                                                                     suite, n):
+    """An even n (the default 256) or one above EIG_MAX_POINTS is a config error."""
+    args = [suite, "--metric", "bump", "--out", str(tmp_path)]
+    if n is not None:
+        args += ["--n", n]
+    assert main(args) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_nlfs_suite_on_the_bump_eigenbasis(tmp_path):
+    code = main(["nlfs", "--metric", "bump", "--n", "255", "--T", "0.01",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    rows = _report_rows(tmp_path, "nlfs")
+    assert [row["claim"] for row in rows] == ["mass-drift", "energy-drift"]
+    assert {row["status"] for row in rows} == {"PASS"}
+
+
+def test_phase_report_values_are_numbers(tmp_path):
+    assert main(["phase", "--out", str(tmp_path)]) == 0
+    for row in _report_rows(tmp_path, "phase"):
+        float(row["value"])
+
+
 def test_kernel_zero_time_symmetry(tmp_path, capsys):
     code = main(["kernel", "--t", "0", "--n_x", "9", "--y_lo", "-0.5",
                  "--y_hi", "0.5", "--n_y", "9", "--out", str(tmp_path)])
@@ -127,8 +154,7 @@ def test_bad_metric_value_rejected(tmp_path):
 
 
 def test_module_error_exits_one(tmp_path, capsys):
-    code = main(["nlfs", "--metric", "bump", "--n", "64", "--T", "0.01",
-                 "--out", str(tmp_path)])
+    code = main(["nlfs", "--nu", "1.0", "--T", "0.01", "--out", str(tmp_path)])
     assert code == 1
     assert "nlfs failed" in capsys.readouterr().err
 

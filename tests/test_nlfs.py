@@ -1,15 +1,20 @@
 """Split-step, Picard, and wave solvers with their conservation laws."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fracwkb.nlfs
+from fracwkb.metric import gaussian_bump_metric
 from fracwkb.nlfs import (BlowUpError, ContractionError, NlfsProblem,
-                          conserved, global_continuation, picard_iterate,
-                          sobolev_bound, solve_nlfs, solve_nlfw)
-from fracwkb.spectral import (flat_operator, make_grid, plane_wave, propagate,
+                          _sin_over, _wave_step, conserved,
+                          global_continuation, picard_iterate, sobolev_bound,
+                          solve_nlfs, solve_nlfw)
+from fracwkb.spectral import (discretize_P_1d, flat_operator, make_grid,
+                              modulated_gaussian, plane_wave, propagate,
                               sobolev_norm, state_from_values)
 
 N_GRID = 64
@@ -117,6 +122,60 @@ def test_picard_matches_split_step(setup):
     report = picard_iterate(_problem(grid, op, u0), n_iter=6, n_t=65)
     traj = solve_nlfs(_problem(grid, op, u0, dt=0.001))
     assert np.max(np.abs(traj.final.values - report.final.values)) < 1e-12
+
+
+def _operator(path):
+    if path == "flat":
+        return flat_operator(make_grid(1, N_GRID))
+    return discretize_P_1d(gaussian_bump_metric(dim=1, epsilon=0.1), 65)
+
+
+def _per_state_picard(prob, n_iter, n_t):
+    """The Duhamel iteration with one propagate call per state and time."""
+    times = np.linspace(0.0, prob.T, n_t)
+    grid, op, sigma = prob.u0.grid, prob.op, prob.sigma
+    cur = [propagate(prob.u0, op, sigma, t).values for t in times]
+    diffs = []
+    for _ in range(n_iter):
+        integrand = np.array([
+            propagate(state_from_values(grid, 1j * prob.mu * np.abs(c) ** (prob.nu - 1.0) * c),
+                      op, sigma, -t).values for c, t in zip(cur, times)])
+        acc = np.zeros_like(integrand)
+        acc[1:] = np.cumsum(np.diff(times)[:, None] * (integrand[1:] + integrand[:-1]) / 2.0,
+                            axis=0)
+        nxt = [propagate(state_from_values(grid, prob.u0.values + a), op, sigma, t).values
+               for a, t in zip(acc, times)]
+        diffs.append(max(np.linalg.norm(a - b) for a, b in zip(nxt, cur))
+                     * math.sqrt(grid.cell_volume))
+        cur = nxt
+    return np.array(cur), np.array(diffs)
+
+
+@pytest.mark.parametrize("path", ["flat", "eig"])
+def test_batched_picard_matches_per_state_propagation(path):
+    op = _operator(path)
+    u0 = modulated_gaussian(op.grid, 0.5 * op.grid.length, 0.5, omega=3.0)
+    prob = _problem(op.grid, op, u0, T=0.05)
+    report = picard_iterate(prob, n_iter=4, n_t=9)
+    states, diffs = _per_state_picard(prob, 4, 9)
+    assert_allclose(np.array([s.values for s in report.states]), states,
+                    rtol=1e-13, atol=1e-13)
+    assert_allclose(report.diffs, diffs, rtol=1e-12, atol=1e-13 * diffs[0])
+
+
+@pytest.mark.parametrize("path", ["flat", "eig"])
+def test_wave_step_moves_the_pair_as_each_state_alone(path):
+    op = _operator(path)
+    v = modulated_gaussian(op.grid, 0.5 * op.grid.length, 0.5, omega=3.0)
+    w = state_from_values(op.grid, 0.2 * np.real(v.values).astype(complex))
+    t, mu_vals = 0.05, op.lam ** 1.0
+    cv, cw = op.coefficients(v), op.coefficients(w)
+    c, s_over = np.cos(t * mu_vals), _sin_over(mu_vals, t)
+    want_v = op.synthesize(c * cv + s_over * cw).values
+    want_w = op.synthesize(-(mu_vals**2) * s_over * cv + c * cw).values
+    got = _wave_step(op, 2.0, t, state_from_values(op.grid, np.stack([v.values, w.values])))
+    assert_allclose(got.values[0], want_v, rtol=1e-13, atol=1e-13)
+    assert_allclose(got.values[1], want_w, rtol=1e-13, atol=1e-12)
 
 
 def test_picard_rejects_expanding_window(setup):
@@ -255,6 +314,23 @@ def test_continuation_zero_data(setup):
     assert result.times[-1] == pytest.approx(0.7, abs=1e-12)
     for state in result.states:
         np.testing.assert_array_equal(state.values, 0.0)
+
+
+def test_continuation_blowup_in_a_probe_carries_the_global_time(setup, monkeypatch):
+    """A probe that blows up in the second window reports t_done + t_last."""
+    grid, op = setup
+    u0 = _combo(grid, [(1, 0.3), (4, 0.1)])
+    real_picard = fracwkb.nlfs.picard_iterate
+
+    def probe(local, **kwargs):
+        if local.u0 is not u0:
+            raise BlowUpError(0.01, "probe blew up")
+        return real_picard(local, **kwargs)
+
+    monkeypatch.setattr(fracwkb.nlfs, "picard_iterate", probe)
+    with pytest.raises(BlowUpError) as err:
+        global_continuation(_problem(grid, op, u0, T=1.2, dt=0.01), 1.2)
+    assert err.value.t_last == pytest.approx(0.5 + 0.01, abs=1e-12)
 
 
 @pytest.mark.parametrize("mu", [-1, 0])

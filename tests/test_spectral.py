@@ -1,5 +1,7 @@
 """Periodic functional calculus: grids, propagation and localization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from fracwkb.spectral import (SpectralGapError, SpectralOperator,
                               measure_bernstein, modulated_gaussian,
                               plane_wave, propagate,
                               sobolev_norm, state_from_fourier,
-                              state_from_values)
+                              state_from_values, _derivative_matrix)
 from fracwkb.symbols import littlewood_paley_partition, make_bump
 
 # divergence-form FD + Richardson reference for the epsilon=0.1, L=16 bump
@@ -210,6 +212,79 @@ def test_eigensolver_input_validation():
         discretize_P_1d(metric, 2001)
     with pytest.raises(ValueError):
         discretize_P_1d(gaussian_bump_metric(dim=2, epsilon=0.1), 65)
+
+
+def _bump_state(op, seed=0):
+    rng = np.random.default_rng(seed)
+    n = op.grid.n
+    return state_from_values(op.grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("n", [65, 255])
+def test_eig_transforms_are_the_complex_basis_products(n):
+    """The real products on the float view give the complex-basis products,
+    synthesize undoes coefficients, and a stack transforms as its fields."""
+    op = discretize_P_1d(gaussian_bump_metric(dim=1, epsilon=0.1), n)
+    u = _bump_state(op)
+    basis = op.basis.astype(complex)
+    want = basis.T @ (u.values * op.weight) * op.grid.spacing
+    coeffs = op.coefficients(u)
+    np.testing.assert_allclose(coeffs, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+    back = op.synthesize(coeffs).values
+    np.testing.assert_allclose(back, basis @ coeffs, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(back)))
+    np.testing.assert_allclose(back, u.values, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(u.values)))
+    others = [_bump_state(op, seed) for seed in (1, 2)]
+    stack = state_from_values(op.grid, np.stack([u.values] + [v.values for v in others]))
+    stack_coeffs = op.coefficients(stack)
+    stack_back = op.synthesize(stack_coeffs).values
+    for k, v in enumerate([u] + others):
+        np.testing.assert_allclose(stack_coeffs[k], op.coefficients(v), rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(stack_back[k], op.synthesize(stack_coeffs[k]).values,
+                                   rtol=1e-14, atol=1e-15)
+
+
+def test_eig_transforms_make_no_complex_copy_of_the_basis():
+    """numpy casts a real matrix times a complex vector to a complex copy of
+    the matrix (twice the basis in bytes); the transforms allocate none."""
+    op = discretize_P_1d(gaussian_bump_metric(dim=1, epsilon=0.1), 511)
+    u = _bump_state(op)
+    tracemalloc.start()
+    try:
+        op.synthesize(op.coefficients(u))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < op.basis.nbytes / 4
+
+
+def test_derivative_matrix_is_the_circulant_spectral_derivative():
+    n, length = 129, 16.0
+    omega = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / length
+    want = np.real(np.fft.ifft(1j * omega[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0))
+    D = _derivative_matrix(n, length)
+    np.testing.assert_allclose(D, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+    np.testing.assert_array_equal(np.roll(D, (1, 1), axis=(0, 1)), D)
+
+
+@pytest.mark.parametrize("path", ["flat", "eig"])
+def test_propagate_stack_matches_each_state(path):
+    if path == "flat":
+        op = flat_operator(make_grid(1, 64))
+    else:
+        op = discretize_P_1d(gaussian_bump_metric(dim=1, epsilon=0.1), 65)
+    u = modulated_gaussian(op.grid, 2.0, 0.5, omega=3.0)
+    times = np.array([-0.3, 0.0, 0.1, 0.7])
+    free = propagate(u, op, 2.0, times).values
+    stack = state_from_values(op.grid, np.stack([u.values * (k + 1) for k in range(4)]))
+    moved = propagate(stack, op, 0.5, times, h=0.25).values
+    for k, t in enumerate(times):
+        np.testing.assert_allclose(free[k], propagate(u, op, 2.0, t).values,
+                                   rtol=1e-14, atol=1e-14)
+        one = state_from_values(op.grid, stack.values[k])
+        np.testing.assert_allclose(moved[k], propagate(one, op, 0.5, t, h=0.25).values,
+                                   rtol=1e-14, atol=1e-14)
 
 
 def test_kernel_projection_cases():
