@@ -70,7 +70,8 @@ def _check_guard(H, X, Xi, p, node, steps, t):
     """Raise GuardBandError when a path node leaves H's guard band.
 
     `p` is the principal symbol at the node when the jet carried it (None
-    evaluates it); NaN counts as outside the band.
+    evaluates it); NaN counts as outside the band.  The message names the
+    first point outside, with its own time when `t` is given per point.
     """
     band = getattr(H, "xi_band", None)
     metric = getattr(H, "metric", None)
@@ -79,12 +80,19 @@ def _check_guard(H, X, Xi, p, node, steps, t):
     if p is None:
         p = principal_symbol(metric, X, Xi)
     lo, hi = band
-    if not np.all((p >= lo) & (p <= hi)):
+    inside = (p >= lo) & (p <= hi)
+    if not np.all(inside):
+        k = int(np.argmin(inside))
         raise GuardBandError(
             f"trajectory left the guard band p in [{lo}, {hi}] "
             f"(range [{np.min(p):.6g}, {np.max(p):.6g}]) at node {node} of {steps} "
-            f"toward t={t}"
+            f"toward t={_time_of(t, k)}"
         )
+
+
+def _time_of(t, k):
+    """The time of point(s) k: `t` itself, or its entries when given per point."""
+    return t if np.ndim(t) == 0 else t[k]
 
 
 def integrate_flow(H, t, x, xi, n_steps):
@@ -94,7 +102,10 @@ def integrate_flow(H, t, x, xi, n_steps):
     t, each state array with a leading node axis: X and Xi are (nodes, n, d)
     and Z is (nodes, n, 2d, 2d) with Z = Id at the first node.  At t = 0 the
     path is the single starting node.  `t` may be negative, and the inputs
-    are promoted to matched (n, d) batches.
+    are promoted to matched (n, d) batches.  `t` is a scalar or one time per
+    point; per point, each point steps by its own t / n_steps (a point with
+    t = 0 among others stays put) and `times` is (nodes, n), and every
+    point's path is the one a scalar t gives it, bit for bit.
 
     Every node of a path with steps is checked against the guard band of H
     (when H carries one), each from the p its first RK4 stage reads and the
@@ -102,12 +113,15 @@ def integrate_flow(H, t, x, xi, n_steps):
     returns raises :class:`GuardBandError` too.  A nonzero `t` needs
     `n_steps` >= 1; fewer raise ValueError rather than skip the flow.
     """
-    if t != 0.0 and n_steps < 1:
+    moves = bool(np.any(t != 0.0))
+    if moves and n_steps < 1:
         raise ValueError(f"flow to t={t} needs n_steps >= 1, got {n_steps}")
     d = H.dim
     X, Xi = as_pairs(x, xi, d)
     n = X.shape[0]
-    steps = n_steps if t != 0.0 else 0
+    if np.ndim(t) and np.shape(t) != (n,):
+        raise ValueError(f"per-point times of shape {np.shape(t)} for {n} points")
+    steps = n_steps if moves else 0
     hstep = t / steps if steps else 0.0
 
     times = np.linspace(0.0, t, steps + 1)
@@ -124,18 +138,27 @@ def integrate_flow(H, t, x, xi, n_steps):
 
 
 def _rk4_step(H, X, Xi, Z, h):
-    """One classical RK4 step of (X, Xi) and Z, with the jet's p at its start."""
+    """One classical RK4 step of (X, Xi) and Z, with the jet's p at its start.
+
+    `h` is a scalar or one step per point; `y + c * dy` is the same IEEE
+    operation either way.
+    """
     state = (X, Xi, Z)
 
     def shifted(c, k):
-        return tuple(y + c * dy for y, dy in zip(state, k))
+        return tuple(y + _per_point(c, y) * dy for y, dy in zip(state, k))
 
     k1, p = _stage(H, *state)
     k2 = _stage(H, *shifted(0.5 * h, k1))[0]
     k3 = _stage(H, *shifted(0.5 * h, k2))[0]
     k4 = _stage(H, *shifted(h, k3))[0]
-    return tuple(y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + e)
+    return tuple(y + _per_point(h / 6.0, y) * (a + 2.0 * b + 2.0 * c + e)
                  for y, a, b, c, e in zip(state, k1, k2, k3, k4)), p
+
+
+def _per_point(c, y):
+    """A scalar `c` as it is, or one value per point shaped to scale the batch y."""
+    return c if np.ndim(c) == 0 else c.reshape((-1,) + (1,) * (y.ndim - 1))
 
 
 def inverse_map(H, t, x, xi, n_steps):
@@ -144,18 +167,19 @@ def inverse_map(H, t, x, xi, n_steps):
     Newton starts at the first-order predictor Y = x - t grad_xi H(x, xi)
     (at x when t = 0), which is exact when the flow field does not depend
     on x, so that each flat point flows once; each point's solve depends on
-    that point alone, so any batch gives it the same Y and path.
+    that point alone, so any batch gives it the same Y and path.  `t` is a
+    scalar or one time per point, as in :func:`integrate_flow`.
     Every Newton flow is the variational path on `n_steps` RK4 steps (none
     at t = 0), so the Jacobian grad_y X is its last node and the caller
     gets back the flow it accepted: returns (Y, (times, X, Xi, Z)) with the
     path ending on x to NEWTON_TOL.  Steps that do not reduce the residual
     are repeatedly scaled by the damping factor; a batch that still violates
     the tolerance after NEWTON_MAX_ITER sweeps raises :class:`CausticError`
-    with the worst offending point.
+    with the worst offending point and its time.
     """
     d = H.dim
     xt, cov = as_pairs(x, xi, d)
-    Y = xt - t * H.jet(xt, cov)[1] if t != 0.0 else xt.copy()
+    Y = xt - _per_point(t, xt) * H.jet(xt, cov)[1] if np.any(t != 0.0) else xt.copy()
 
     path = integrate_flow(H, t, Y, cov, n_steps)
     _, Xs, _, Zs = path
@@ -170,13 +194,17 @@ def inverse_map(H, t, x, xi, n_steps):
         lam = np.ones(active.size)
         for _ in range(10):
             Y_try = Y[active] - lam[:, None] * delta
-            trial = integrate_flow(H, t, Y_try, cov[active], n_steps)
+            trial = integrate_flow(H, _time_of(t, active), Y_try, cov[active], n_steps)
             res_try = np.max(np.abs(trial[1][-1] - xt[active]), axis=1)
             improved = res_try < res[active]
             take = active[improved]
             Y[take], res[take] = Y_try[improved], res_try[improved]
-            for nodes, nodes_try in zip(path[1:], trial[1:]):
-                nodes[:, take] = nodes_try[:, improved]
+            # node by node, so no copy of a whole path is made; no name
+            # outlives the trial, which goes before the next one is built
+            for k in (1, 2, 3):
+                for nodes, nodes_try in zip(path[k], trial[k]):
+                    nodes[take] = nodes_try[improved]
+            del trial, nodes_try
             active, delta, lam = active[~improved], delta[~improved], lam[~improved]
             if not active.size:
                 break
@@ -184,7 +212,7 @@ def inverse_map(H, t, x, xi, n_steps):
     if np.any(res > NEWTON_TOL):
         worst = int(np.argmax(res))
         raise CausticError(
-            f"inverse map did not converge at t={t}: residual {res[worst]:.3e} "
+            f"inverse map did not converge at t={_time_of(t, worst)}: residual {res[worst]:.3e} "
             f"at x={xt[worst]}, xi={cov[worst]} (caustic proximity?)"
         )
     return Y, path

@@ -64,8 +64,10 @@ class PhasePointData:
 
 def _simpson(y, x):
     """scipy.integrate.simpson(y, x=x, axis=0) on an odd node count, bit for bit (its
-    non-uniform arithmetic); a single node integrates to zeros of y's dtype."""
-    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    non-uniform arithmetic); a single node integrates to zeros of y's dtype.  The
+    node times x are (nodes,), or (nodes, n) with one column per point of y."""
+    h = np.diff(x, axis=0)
+    h = h.reshape(h.shape + (1,) * (y.ndim - h.ndim))
     h0, h1 = h[0::2], h[1::2]
     hsum, ratio = h0 + h1, h0 / h1
     tmp = (y[0:-2:2] * (2.0 - 1.0 / ratio) + y[1:-1:2] * (hsum * (hsum / (h0 * h1)))
@@ -78,6 +80,24 @@ def _even_steps(t, dt):
     return n + (n % 2)
 
 
+def _step_count(q0, t, dt):
+    """RK4 steps of the phase pass to the time(s) t, after rejecting a dt
+    that is not positive and finite with ValueError.
+
+    On a flat metric the covector is conserved and the flow field is constant
+    along each trajectory, so one RK4 step is already exact and the action
+    integrand is constant; two Simpson intervals close the quadrature.
+    Otherwise the count is even, with steps of at most dt toward the
+    largest |t|.
+    """
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"phase step dt must be positive and finite, got {dt}")
+    metric = getattr(q0, "metric", None)
+    if metric is not None and metric.is_flat:
+        return 2
+    return _even_steps(np.max(np.abs(t), initial=0.0), dt)
+
+
 def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT):
     """Compute S and its derivative blocks at arbitrary (x, xi) batches.
 
@@ -86,49 +106,48 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT):
     amplitudes: the inverse map's Newton iteration returns the variational
     flow from (Y, xi) it accepted, and composite Simpson along that path
     gives the action and the integral of the transport rate
-    f = (1/2) tr[hess_xixi q0 . hess_xx S], both read off one jet of q0 on
-    the path nodes.  The returned trajectory holds the nodes,
+    f = (1/2) tr[hess_xixi q0 . hess_xx S], both read off q0's jet at each
+    path node.  The returned trajectory holds the nodes,
     Xi = grad_x S and hess_xx S = sym(JXi JX^{-1}) at every node of that
     flow; its last node is the returned `hess_xx`.  At t = 0 the path is
     the single node (x, xi).  A `dt` that is not positive and finite raises
     ValueError.
+
+    `t` is a scalar or one time per point.  Per point, every point takes the
+    step count of the largest |t| (see `_step_count`) and its own step, the
+    trajectory's times are (nodes, n), and t = 0 may not share the batch
+    with other times (ValueError); a point whose own |t| has that step count
+    gets what a scalar t gives it, bit for bit.
     """
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"phase step dt must be positive and finite, got {dt}")
+    n_steps = _step_count(q0, t, dt)
     d = q0.dim
     x, xi = as_pairs(x, xi, d)
     n = x.shape[0]
-
-    # Flat metric: the covector is conserved and the flow field is constant
-    # along each trajectory, so one RK4 step is already exact and the action
-    # integrand is constant; two Simpson intervals close the quadrature.
-    metric = getattr(q0, "metric", None)
-    flat = metric is not None and metric.is_flat
-    n_steps = 2 if flat else _even_steps(t, dt)
+    if np.any(t == 0.0) and np.any(t != 0.0):
+        raise ValueError("per-point times mix t = 0 with nonzero t; solve t = 0 apart")
 
     Y, (path_times, Xs, Xis, Zs) = inverse_map(q0, -t, x, xi, n_steps)
     times = 0.0 - path_times            # 0 to t, with the +0.0 first node of linspace
-
-    # one jet of q0 at every node gives the action integrand
-    # (Xi . grad_xi q0 - q0) and hess_xixi q0 for the rate
-    flatX = Xs.reshape(-1, d)
-    flatXi = Xis.reshape(-1, d)
-    _, gxi, _, hxixi, _, qval, _ = q0.jet(flatX, flatXi)
-    if qval is None:
-        qval = q0(flatX, flatXi)
-    integrand = (np.sum(Xis * gxi.reshape(len(times), n, d), axis=2)
-                 - qval.reshape(len(times), n))
-    action = _simpson(integrand, path_times)
-    S = np.sum(Y * xi, axis=1) + action
 
     JX_inv = solve_blocks(Zs[:, :, :d, :d], np.eye(d))
     B = Zs[:, :, d:, :d] @ JX_inv
     W = 0.5 * (B + np.swapaxes(B, 2, 3))
     asym = float(np.max(np.abs(B[-1] - np.swapaxes(B[-1], 1, 2)))) if n else 0.0
     dY_dxi = -(JX_inv[-1] @ Zs[-1][:, :d, d:])
+    del Zs, B               # read off; the quadratures below set the memory peak
 
-    hq = hxixi.reshape(len(times), n, d, d)
-    rate = 0.5 * np.einsum("tnij,tnji->tn", hq, W).astype(complex)
+    # q0's jet, node by node so its temporaries stay one node's size, gives
+    # the action integrand (Xi . grad_xi q0 - q0) and hess_xixi q0 for the rate
+    integrand = np.empty(Xs.shape[:2])
+    rate = np.empty(Xs.shape[:2], dtype=complex)
+    for k, (X, Xi) in enumerate(zip(Xs, Xis)):
+        _, gxi, _, hxixi, _, qval, _ = q0.jet(X, Xi)
+        if qval is None:
+            qval = q0(X, Xi)
+        integrand[k] = np.sum(Xi * gxi, axis=1) - qval
+        rate[k] = 0.5 * np.einsum("nij,nji->n", hxixi, W[k]).astype(complex)
+    action = _simpson(integrand, path_times)
+    S = np.sum(Y * xi, axis=1) + action
 
     return PhasePointData(
         S=S,
@@ -188,8 +207,11 @@ class PhaseTable:
 def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT):
     """Build a PhaseTable over the tensor grid t_grid x x_grid x xi_grid.
 
-    Each time is one `phase_point_data` pass on the tensor batch, so every
-    entry is what `PhaseTable.evaluate` gives on that batch, bit for bit.
+    The grid times that share an RK4 layout (one step count; t = 0 alone)
+    are one `phase_point_data` pass on their tensor batches with one time
+    per point, so every entry is what `PhaseTable.evaluate` gives on the
+    tensor batch, bit for bit.  A `dt` that is not positive and finite
+    raises ValueError.
     """
     d = q0.dim
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
@@ -208,16 +230,22 @@ def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT):
     rate_integral = np.empty((nt, nx, nxi), dtype=complex)
     worst_asym = 0.0
 
-    for k, t in enumerate(t_grid):
-        data = phase_point_data(q0, t, xp, xip, dt=dt)
-        S[k] = data.S.reshape(nx, nxi)
-        Yt[k] = data.Y.reshape(nx, nxi, d)
-        Gx[k] = data.grad_x.reshape(nx, nxi, d)
-        Hxx[k] = data.hess_xx.reshape(nx, nxi, d, d)
-        Hxxi[k] = data.hess_xxi.reshape(nx, nxi, d, d)
-        rate[k] = data.rate.reshape(nx, nxi)
-        rate_integral[k] = data.rate_integral.reshape(nx, nxi)
+    # the longest paths first, so each later group fits in memory the last one freed
+    layouts = np.array([_step_count(q0, t, dt) if t != 0.0 else 0 for t in t_grid])
+    for steps in np.unique(layouts)[::-1]:
+        ks = np.flatnonzero(layouts == steps)
+        m = len(ks)
+        data = phase_point_data(q0, np.repeat(t_grid[ks], nx * nxi), np.tile(xp, (m, 1)),
+                                np.tile(xip, (m, 1)), dt=dt)
+        S[ks] = data.S.reshape(m, nx, nxi)
+        Yt[ks] = data.Y.reshape(m, nx, nxi, d)
+        Gx[ks] = data.grad_x.reshape(m, nx, nxi, d)
+        Hxx[ks] = data.hess_xx.reshape(m, nx, nxi, d, d)
+        Hxxi[ks] = data.hess_xxi.reshape(m, nx, nxi, d, d)
+        rate[ks] = data.rate.reshape(m, nx, nxi)
+        rate_integral[ks] = data.rate_integral.reshape(m, nx, nxi)
         worst_asym = max(worst_asym, data.hess_asymmetry)
+        del data                # before the next group's pass is built
 
     table = PhaseTable(
         t_grid=t_grid, x_grid=x_grid, xi_grid=xi_grid,

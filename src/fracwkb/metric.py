@@ -110,12 +110,12 @@ class MetricField:
     inverse_metric : callable
         Map from an (n, d) array of points to an (n, d, d) array of symmetric
         positive definite matrices G(x).
-    inverse_metric_grad : callable
-        Map to the (n, d, d, d) array of first partials, index [m, j, :, :]
-        holding d/dx_j G at the m-th point.
-    inverse_metric_hess : callable
-        Map to the (n, d, d, d, d) array of second partials, index
-        [m, j, k, :, :] holding d^2/dx_j dx_k G.
+    inverse_metric_jet : callable
+        Map from the points to (G, dG, d2G), all from one evaluation: G as
+        above, dG the (n, d, d, d) array of first partials, index
+        [m, j, :, :] holding d/dx_j G at the m-th point, and d2G the
+        (n, d, d, d, d) array of second partials, index [m, j, k, :, :]
+        holding d^2/dx_j dx_k G.
     derivative_order : int
         Highest order of analytic partial derivatives available (>= 2).
     is_flat : bool
@@ -126,8 +126,7 @@ class MetricField:
     dim: int
     box_length: float
     inverse_metric: callable = field(repr=False)
-    inverse_metric_grad: callable = field(repr=False)
-    inverse_metric_hess: callable = field(repr=False)
+    inverse_metric_jet: callable = field(repr=False)
     derivative_order: int = 2
     is_flat: bool = False
     label: str = ""
@@ -156,20 +155,15 @@ def flat_metric(dim=1):
         n = pts.shape[0]
         return np.broadcast_to(np.eye(dim), (n, dim, dim)).copy()
 
-    def _zero1(pts):
+    def _jet(pts):
         n = pts.shape[0]
-        return np.zeros((n, dim, dim, dim))
-
-    def _zero2(pts):
-        n = pts.shape[0]
-        return np.zeros((n, dim, dim, dim, dim))
+        return _eye(pts), np.zeros((n, dim, dim, dim)), np.zeros((n, dim, dim, dim, dim))
 
     return MetricField(
         dim=dim,
         box_length=FLAT_BOX_LENGTH,
         inverse_metric=_eye,
-        inverse_metric_grad=_zero1,
-        inverse_metric_hess=_zero2,
+        inverse_metric_jet=_jet,
         derivative_order=99,
         is_flat=True,
         label="flat",
@@ -191,25 +185,21 @@ def gaussian_bump_metric(dim=1, epsilon=0.1, box_length=16.0):
         w = 1.0 + epsilon * np.exp(-np.sum(pts**2, axis=1))
         return w[:, None, None] * eye
 
-    def _dg(pts):
-        # d/dx_j w = -2 x_j eps e^{-|x|^2}
+    def _jet(pts):
+        # one exp: w = 1 + e, d/dx_j w = -2 x_j e and
+        # d^2/dx_j dx_k w = (4 x_j x_k - 2 delta_jk) e, with e = eps e^{-|x|^2}
         e = epsilon * np.exp(-np.sum(pts**2, axis=1))
         dw = -2.0 * pts * e[:, None]
-        return dw[:, :, None, None] * eye
-
-    def _d2g(pts):
-        # d^2/dx_j dx_k w = (4 x_j x_k - 2 delta_jk) eps e^{-|x|^2}
-        e = epsilon * np.exp(-np.sum(pts**2, axis=1))
         quad = 4.0 * pts[:, :, None] * pts[:, None, :] - 2.0 * eye
         d2w = quad * e[:, None, None]
-        return d2w[:, :, :, None, None] * eye
+        return ((1.0 + e)[:, None, None] * eye, dw[:, :, None, None] * eye,
+                d2w[:, :, :, None, None] * eye)
 
     return MetricField(
         dim=dim,
         box_length=box_length,
         inverse_metric=_g,
-        inverse_metric_grad=_dg,
-        inverse_metric_hess=_d2g,
+        inverse_metric_jet=_jet,
         derivative_order=2,
         is_flat=(epsilon == 0.0),
         label=f"gaussian_bump(eps={epsilon})",
@@ -232,15 +222,19 @@ def principal_symbol(m, x, xi):
 def principal_jet(m, pts, cov):
     """p = xi^T G(x) xi and its partials at matched (n, d) batches.
 
-    Returns (G, p, p_x, p_xi, p_xx, p_xxi) from one evaluation of G and its
-    two derivative tables: p_x and p_xi are (n, d), p_xx and p_xxi are
-    (n, d, d) with p_xxi[m, i, j] = d^2 p / dx_i dxi_j.  This is the one
-    place the chain rule of p is written out; the symbols built on p read
-    their derivatives from it.
+    Returns (G, p, p_x, p_xi, p_xx, p_xxi) from one evaluation of the
+    metric's jet: p_x and p_xi are (n, d), p_xx and p_xxi are (n, d, d)
+    with p_xxi[m, i, j] = d^2 p / dx_i dxi_j.  This is the one place the
+    chain rule of p is written out; the symbols built on p read their
+    derivatives from it.  For d = 1 every contraction is a product of (n,)
+    arrays, taken in the general path's einsum operand order so the values
+    are the einsum's bit for bit, and returned with unit trailing axes.
     """
-    G = m.inverse_metric(pts)
-    dG = m.inverse_metric_grad(pts)
-    d2G = m.inverse_metric_hess(pts)
+    G, dG, d2G = m.inverse_metric_jet(pts)
+    if m.dim == 1:
+        g, g1, g2, xi = G[:, 0, 0], dG[:, 0, 0, 0], d2G[:, 0, 0, 0, 0], cov[:, 0]
+        return (G, xi * g * xi, (xi * g1 * xi)[:, None], (2.0 * (g * xi))[:, None],
+                (xi * g2 * xi)[:, None, None], (2.0 * (g1 * xi))[:, None, None])
     p = np.einsum("ni,nij,nj->n", cov, G, cov)
     px = np.einsum("ni,nkij,nj->nk", cov, dG, cov)
     pxi = 2.0 * np.einsum("nij,nj->ni", G, cov)
@@ -281,7 +275,7 @@ def audit_assumptions(m, n_samples=201):
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([a.ravel() for a in mesh], axis=-1)
 
-    G = m.inverse_metric(pts)
+    G, dG, d2G = m.inverse_metric_jet(pts)
     if not np.allclose(G, np.swapaxes(G, -1, -2), atol=0.0):
         raise EllipticityError("inverse metric is not exactly symmetric")
     eigs = np.linalg.eigvalsh(G)
@@ -293,8 +287,8 @@ def audit_assumptions(m, n_samples=201):
     C_ell = max(lam_max, 1.0 / lam_min)
 
     C_alpha = {0: float(np.max(np.abs(G)))}
-    C_alpha[1] = float(np.max(np.abs(m.inverse_metric_grad(pts))))
-    C_alpha[2] = float(np.max(np.abs(m.inverse_metric_hess(pts))))
+    C_alpha[1] = float(np.max(np.abs(dG)))
+    C_alpha[2] = float(np.max(np.abs(d2G)))
 
     return AssumptionReport(
         C_ellipticity=C_ell,

@@ -92,7 +92,8 @@ class StateField:
     The normalization is c_k = FFT(u) / n^d, so u = sum_k c_k e^{i omega_k x}
     and the Riemann L2 norm equals sqrt(L^d sum |c_k|^2) exactly on the grid.
     Leading axes in front of the grid's d axes hold a stack of fields, which
-    the transforms take in one call; the norms are for a single field.
+    the transforms take in one call; `l2_norm` is for a single field, and
+    `lq_norm` gives a stack's norms field by field.
     """
 
     grid: BoxGrid
@@ -109,9 +110,13 @@ class StateField:
         return float(np.sqrt(self.grid.cell_volume * np.sum(np.abs(self.values) ** 2)))
 
     def lq_norm(self, q):
+        """The L^q norm of the field, or the array of a stack's norms."""
+        axes, modulus = self.grid.axes(), np.abs(self.values)
         if q == np.inf:
-            return float(np.max(np.abs(self.values)))
-        return float((self.grid.cell_volume * np.sum(np.abs(self.values) ** q)) ** (1.0 / q))
+            norm = np.max(modulus, axis=axes)
+        else:
+            norm = (self.grid.cell_volume * np.sum(modulus ** q, axis=axes)) ** (1.0 / q)
+        return float(norm) if norm.ndim == 0 else norm
 
     def parseval_gap(self):
         """|physical L2 - Fourier-side L2|, an assembly self-check."""
@@ -307,14 +312,21 @@ def sobolev_norm(u, gamma, op=None):
 
 
 def lp_lq_norm(states, times, p, q):
-    """Space-time norm: L^q in space per sample, L^p in time by trapezoid."""
-    states = list(states)
-    if not states:
+    """Space-time norm: L^q in space per sample, L^p in time by trapezoid.
+
+    `states` holds one field per time: a stack of them (one field per row of
+    its leading axis, as `propagate` returns for an array of times) or a
+    sequence of single fields.
+    """
+    if isinstance(states, StateField):
+        vals = np.atleast_1d(states.lq_norm(q))
+    else:
+        vals = np.array([s.lq_norm(q) for s in states])
+    if not vals.size:
         raise ValueError("empty trajectory")
     times = np.asarray(times, dtype=float)
-    if len(times) != len(states):
+    if len(times) != len(vals):
         raise ValueError("times and states must align")
-    vals = np.array([s.lq_norm(q) for s in states])
     if p == np.inf:
         return float(np.max(vals))
     return float(np.trapezoid(vals**p, times) ** (1.0 / p))

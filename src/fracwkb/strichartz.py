@@ -160,7 +160,7 @@ def _sweep(sigma, pair, cut, h_sweep, times, box_length, grid_cap, rescaled):
     ratios = np.empty_like(h_sweep)
     for i, h in enumerate(h_sweep):
         u, op = _localized_state(cut, h, box_length, grid_cap)
-        states = [propagate(u, op, sigma, t, h=h if rescaled else None) for t in times]
+        states = propagate(u, op, sigma, times, h=h if rescaled else None)
         ratios[i] = lp_lq_norm(states, times, pair.p, pair.q) / u.l2_norm()
     return ScalingFit(*loglog_fit(h_sweep, ratios), exponent_bound=float(bound),
                       h=h_sweep, ratios=ratios)
@@ -206,9 +206,7 @@ def rescaling_identity_gap(sigma, v, h, p, q, op=None):
     op = op or flat_operator(v.grid)
     times = np.linspace(-RESCALING_T0, RESCALING_T0, RESCALING_N_T)
     scaled_times = h ** (sigma - 1.0) * times
-    lhs_states = [propagate(v, op, sigma, s) for s in scaled_times]
-    lhs = lp_lq_norm(lhs_states, scaled_times, p, q)
-    rhs_states = [propagate(v, op, sigma, t, h=h) for t in times]
+    lhs = lp_lq_norm(propagate(v, op, sigma, scaled_times), scaled_times, p, q)
     factor = 1.0 if p == np.inf else h ** ((sigma - 1.0) / p)
-    rhs = factor * lp_lq_norm(rhs_states, times, p, q)
+    rhs = factor * lp_lq_norm(propagate(v, op, sigma, times, h=h), times, p, q)
     return abs(lhs - rhs) / max(rhs, 1e-300)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fracwkb import hamflow
-from fracwkb.hamflow import NEWTON_TOL, GuardBandError, integrate_flow, inverse_map
+from fracwkb.hamflow import (NEWTON_TOL, CausticError, GuardBandError, integrate_flow,
+                             inverse_map)
 from fracwkb.metric import flat_metric, gaussian_bump_metric
 from fracwkb.symbols import SymbolFunction, fractional_symbol
 
@@ -238,12 +239,15 @@ def test_variational_step_evaluates_the_metric_once_per_stage():
     bump = gaussian_bump_metric(dim=1, epsilon=0.1)
     calls = []
 
-    def counted(pts):
-        calls.append(len(pts))
-        return bump.inverse_metric(pts)
+    def counting(evaluate):
+        def counted(pts):
+            calls.append(len(pts))
+            return evaluate(pts)
+        return counted
 
-    H = fractional_symbol(dataclasses.replace(bump, inverse_metric=counted), 2.0,
-                          xi_band=(0.3, 3.0))
+    H = fractional_symbol(dataclasses.replace(
+        bump, inverse_metric=counting(bump.inverse_metric),
+        inverse_metric_jet=counting(bump.inverse_metric_jet)), 2.0, xi_band=(0.3, 3.0))
     integrate_flow(H, 0.01, *_BASE, 1)
     assert len(calls) <= 5          # four RK4 stages and the guard-band check
 
@@ -383,3 +387,41 @@ def test_guard_reads_the_jet_and_checks_every_node(monkeypatch):
     # non-finite nodes fail the band check
     with pytest.raises(GuardBandError):
         integrate_flow(H, 0.01, np.array([[np.nan]]), np.array([[1.0]]), 4)
+
+
+def test_per_point_times_give_each_point_its_scalar_flow_and_solve():
+    # one batch of times of both signs, each point stepping by its own t / n
+    H = _bump_hamiltonian(2.0)
+    x = np.array([[0.4], [-0.3], [0.1]])
+    xi = np.array([[1.1], [0.9], [1.3]])
+    t = np.array([0.3, -0.25, 0.28])
+    times, Xs, Xis, Zs = integrate_flow(H, t, x, xi, 30)
+    Y, path = inverse_map(H, t, Xs[-1], xi, 30)
+    assert times.shape == (31, 3) and path[0].shape == (31, 3)
+    for k in range(3):
+        want = integrate_flow(H, t[k], x[k:k + 1], xi[k:k + 1], 30)
+        np.testing.assert_array_equal(times[:, k], want[0])
+        for got, ref in zip((Xs, Xis, Zs), want[1:]):
+            np.testing.assert_array_equal(got[:, k], ref[:, 0])
+        Yk, path_k = inverse_map(H, t[k], Xs[-1, k:k + 1], xi[k:k + 1], 30)
+        np.testing.assert_array_equal(Y[k], Yk[0])
+        for arr, arr_k in zip(path[1:], path_k[1:]):
+            np.testing.assert_array_equal(arr[:, k], arr_k[:, 0])
+    with pytest.raises(ValueError, match="per-point times"):
+        integrate_flow(H, t[:2], x, xi, 30)
+
+
+def test_guard_band_error_names_the_point_s_own_time():
+    H = _bump_hamiltonian(2.0)
+    # p = 1.1 xi^2 leaves the band [0.3, 3] only at the second start
+    with pytest.raises(GuardBandError, match=r"at node 0 of 4 toward t=0\.23$"):
+        integrate_flow(H, np.array([0.1, 0.23]), [[0.0], [0.0]], [[1.0], [2.0]], 4)
+
+
+def test_caustic_error_names_the_worst_point_s_own_time(monkeypatch):
+    # with no Newton sweep, only the predictor's residual on the bump remains;
+    # at |x| = 7 the predictor is already exact
+    monkeypatch.setattr(hamflow, "NEWTON_MAX_ITER", 0)
+    H = _bump_hamiltonian(2.0)
+    with pytest.raises(CausticError, match=r"at t=0\.17: .* at x=\[0\.2\]"):
+        inverse_map(H, np.array([0.3, 0.17]), [[7.0], [0.2]], [[1.0], [1.2]], 20)

@@ -229,16 +229,47 @@ def test_phase_table_evaluate_matches_grid():
 
 
 def test_phase_table_entries_are_the_pointwise_pass():
-    # each table time is one pass on the tensor batch, in grid order and on
-    # both signs of t, so the table caches exactly what evaluate computes
-    pt = build_phase(_bump_q0(), np.linspace(-0.2, 0.2, 11),
+    # on the 0.01 grid each step count holds four times of both signs
+    # (+-0.01 and +-0.02 take 2 steps), which the table solves as one batch;
+    # every entry is still what evaluate computes at its own time
+    pt = build_phase(_bump_q0(), np.linspace(-0.2, 0.2, 41),
                      np.linspace(-1.5, 1.5, 13)[:, None], np.linspace(0.8, 1.6, 5)[:, None])
     xp, xip = tensor_pairs(pt.x_grid, pt.xi_grid)
     for k, t in enumerate(pt.t_grid):
         data = pt.evaluate(t, xp, xip)
-        for name in ("S", "Y", "hess_xx", "rate_integral"):
+        for name in ("S", "Y", "grad_x", "hess_xx", "hess_xxi", "rate", "rate_integral"):
             np.testing.assert_array_equal(getattr(data, name).ravel(),
                                           getattr(pt, name)[k].ravel(), err_msg=name)
+
+
+def test_phase_table_solves_each_step_count_once(monkeypatch):
+    # the benchmark's bump grid: 41 times in 10 step counts and t = 0
+    from fracwkb import hamjac
+
+    times_per_call = []
+    solve = hamjac.inverse_map
+
+    def counting(H, t, *args):
+        times_per_call.append(np.unique(t).size)
+        return solve(H, t, *args)
+
+    monkeypatch.setattr(hamjac, "inverse_map", counting)
+    build_phase(_bump_q0(), np.linspace(-0.2, 0.2, 41), np.linspace(-1.5, 1.5, 61)[:, None],
+                np.linspace(0.8, 1.6, 9)[:, None], dt=0.01)
+    assert sorted(times_per_call) == [1] + [4] * 10
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01, np.nan])
+def test_phase_table_rejects_a_step_that_is_not_positive_and_finite(dt):
+    for q0 in (_bump_q0(), fractional_symbol(flat_metric(dim=1), 2.0)):
+        for t_grid in ([0.0, 0.05, 0.1], [0.0]):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                build_phase(q0, t_grid, [[0.2]], [[1.0]], dt=dt)
+
+
+def test_phase_pass_keeps_t_zero_apart():
+    with pytest.raises(ValueError, match="t = 0"):
+        phase_point_data(_bump_q0(), np.array([0.0, 0.05]), [[0.2], [0.3]], [[1.0], [1.1]])
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
@@ -280,6 +311,28 @@ def test_simpson_matches_scipy(n_nodes, sign, dtype, trailing):
     want = integrate.simpson(y, x=x, axis=0)
     assert got.dtype == want.dtype and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_nodes", [1, 3, 21])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("trailing", [(4,), (3, 2)])
+def test_simpson_per_point_times_match_scipy_column_by_column(n_nodes, sign, dtype, trailing):
+    """Node times given per point: each column is scipy's rule on its own
+    non-uniform times, bit for bit."""
+    integrate = pytest.importorskip("scipy.integrate")
+    rng = np.random.default_rng(n_nodes)
+    steps = rng.uniform(0.01, 0.05, size=(n_nodes - 1, trailing[0]))
+    x = sign * np.concatenate([np.zeros((1, trailing[0])), np.cumsum(steps, axis=0)])
+    y = rng.normal(size=(n_nodes,) + trailing).astype(dtype)
+    if dtype is complex:
+        y += 1j * rng.normal(size=y.shape)
+    got = _simpson(y, x)
+    assert got.dtype == y.dtype and got.shape == trailing
+    for j in range(trailing[0]):
+        # scipy on the whole batch with column j's times, so both sum the same way
+        want = integrate.simpson(y, x=x[:, j], axis=0)[j]
+        np.testing.assert_array_equal(got[j], want)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0])

@@ -73,16 +73,12 @@ def _indefinite_metric():
         w = 1.0 - 2.0 * np.exp(-np.sum(pts**2, axis=1))
         return w[:, None, None] * np.eye(1)
 
-    def _dg(pts):
+    def _jet(pts):
         n = pts.shape[0]
-        return np.zeros((n, 1, 1, 1))
-
-    def _d2g(pts):
-        n = pts.shape[0]
-        return np.zeros((n, 1, 1, 1, 1))
+        return _g(pts), np.zeros((n, 1, 1, 1)), np.zeros((n, 1, 1, 1, 1))
 
     return MetricField(dim=1, box_length=16.0, inverse_metric=_g,
-                       inverse_metric_grad=_dg, inverse_metric_hess=_d2g,
+                       inverse_metric_jet=_jet,
                        derivative_order=2, is_flat=False, label="indefinite")
 
 

@@ -179,6 +179,19 @@ def test_lp_lq_norm_refinement_stable():
     assert abs(coarse - fine) / fine < 5e-3
 
 
+def test_lp_lq_norm_reads_the_rows_of_a_stack():
+    grid = make_grid(1, 64)
+    op = flat_operator(grid)
+    u = modulated_gaussian(grid, 3.0, 0.5, 4.0)
+    times = np.linspace(-0.5, 1.0, 9)
+    stack = propagate(u, op, 2.0, times)
+    fields = [propagate(u, op, 2.0, t) for t in times]
+    for p, q in [(2, 2), (np.inf, 4), (8, 4), (2, np.inf)]:
+        assert lp_lq_norm(stack, times, p, q) == lp_lq_norm(fields, times, p, q)
+    with pytest.raises(ValueError):
+        lp_lq_norm(stack, times[1:], 2, 2)
+
+
 def test_lp_lq_norm_validation():
     grid = make_grid(1, 16)
     with pytest.raises(ValueError):

@@ -204,7 +204,7 @@ def _separate_evaluators(m, sigma):
     s = 0.5 * sigma
 
     def core(pts, cov):
-        G, dG = m.inverse_metric(pts), m.inverse_metric_grad(pts)
+        G, dG, _ = m.inverse_metric_jet(pts)
         p = np.einsum("ni,nij,nj->n", cov, G, cov)
         px = np.einsum("ni,nkij,nj->nk", cov, dG, cov)
         pxi = 2.0 * np.einsum("nij,nj->ni", G, cov)
@@ -220,7 +220,7 @@ def _separate_evaluators(m, sigma):
 
     def hess_xx(pts, cov):
         _, _, p, px, _ = core(pts, cov)
-        pxx = np.einsum("ni,nklij,nj->nkl", cov, m.inverse_metric_hess(pts), cov)
+        pxx = np.einsum("ni,nklij,nj->nkl", cov, m.inverse_metric_jet(pts)[2], cov)
         return (s * (s - 1.0) * (p ** (s - 2.0))[:, None, None] * px[:, :, None] * px[:, None, :]
                 + s * (p ** (s - 1.0))[:, None, None] * pxx)
 
@@ -259,9 +259,9 @@ def test_localized_amplitude_jet_carries_the_x_derivatives():
 
     def counted(pts):
         calls.append(len(pts))
-        return bump.inverse_metric(pts)
+        return bump.inverse_metric_jet(pts)
 
-    a = localized_amplitude(dataclasses.replace(bump, inverse_metric=counted),
+    a = localized_amplitude(dataclasses.replace(bump, inverse_metric_jet=counted),
                             make_bump(0.3, 3.0, (0.5, 2.0)),
                             window=GaussianWindow(1, center=0.2, width=0.8))
     x = np.linspace(-1.0, 1.0, 9)[:, None]
