@@ -103,9 +103,9 @@ def integrate_flow(H, t, x, xi, n_steps):
     and Z is (nodes, n, 2d, 2d) with Z = Id at the first node.  At t = 0 the
     path is the single starting node.  `t` may be negative, and the inputs
     are promoted to matched (n, d) batches.  `t` is a scalar or one time per
-    point; per point, each point steps by its own t / n_steps (a point with
-    t = 0 among others stays put) and `times` is (nodes, n), and every
-    point's path is the one a scalar t gives it, bit for bit.
+    point; per point, each point steps by its own t / n_steps, `times` is
+    (nodes, n), and t = 0 may not share the batch with other times
+    (ValueError).
 
     Every node of a path with steps is checked against the guard band of H
     (when H carries one), each from the p its first RK4 stage reads and the
@@ -114,6 +114,8 @@ def integrate_flow(H, t, x, xi, n_steps):
     `n_steps` >= 1; fewer raise ValueError rather than skip the flow.
     """
     moves = bool(np.any(t != 0.0))
+    if moves and np.any(t == 0.0):
+        raise ValueError("per-point times mix t = 0 with nonzero t; solve t = 0 apart")
     if moves and n_steps < 1:
         raise ValueError(f"flow to t={t} needs n_steps >= 1, got {n_steps}")
     d = H.dim

@@ -123,8 +123,6 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT):
     d = q0.dim
     x, xi = as_pairs(x, xi, d)
     n = x.shape[0]
-    if np.any(t == 0.0) and np.any(t != 0.0):
-        raise ValueError("per-point times mix t = 0 with nonzero t; solve t = 0 apart")
 
     Y, (path_times, Xs, Xis, Zs) = inverse_map(q0, -t, x, xi, n_steps)
     times = 0.0 - path_times            # 0 to t, with the +0.0 first node of linspace

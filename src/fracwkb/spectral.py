@@ -110,13 +110,11 @@ class StateField:
         return float(np.sqrt(self.grid.cell_volume * np.sum(np.abs(self.values) ** 2)))
 
     def lq_norm(self, q):
-        """The L^q norm of the field, or the array of a stack's norms."""
+        """The L^q norm of the field, one per field of a stack."""
         axes, modulus = self.grid.axes(), np.abs(self.values)
         if q == np.inf:
-            norm = np.max(modulus, axis=axes)
-        else:
-            norm = (self.grid.cell_volume * np.sum(modulus ** q, axis=axes)) ** (1.0 / q)
-        return float(norm) if norm.ndim == 0 else norm
+            return np.max(modulus, axis=axes)
+        return (self.grid.cell_volume * np.sum(modulus ** q, axis=axes)) ** (1.0 / q)
 
     def parseval_gap(self):
         """|physical L2 - Fourier-side L2|, an assembly self-check."""
@@ -314,14 +312,10 @@ def sobolev_norm(u, gamma, op=None):
 def lp_lq_norm(states, times, p, q):
     """Space-time norm: L^q in space per sample, L^p in time by trapezoid.
 
-    `states` holds one field per time: a stack of them (one field per row of
-    its leading axis, as `propagate` returns for an array of times) or a
-    sequence of single fields.
+    `states` is a stack with one field per time on its leading axis, as
+    `propagate` returns for an array of times.
     """
-    if isinstance(states, StateField):
-        vals = np.atleast_1d(states.lq_norm(q))
-    else:
-        vals = np.array([s.lq_norm(q) for s in states])
+    vals = np.atleast_1d(states.lq_norm(q))
     if not vals.size:
         raise ValueError("empty trajectory")
     times = np.asarray(times, dtype=float)

@@ -279,10 +279,9 @@ def fractional_symbol(metric, sigma, xi_band=None):
     All first and second partials are the chain rule of f(p) = p^{sigma/2}
     applied to `principal_jet`, so no finite differencing enters the flow
     right-hand sides and one jet evaluates G and its two derivative tables
-    once for all five, and carries q0 and p besides; for d = 1 the same
-    products run on (n,) scalars, with the general values bit for bit.
-    `xi_band` optionally records the compact p-interval J on which the
-    construction is meant to live (the guard band for flows).
+    once for all five, and carries q0 and p besides.  `xi_band` optionally
+    records the compact p-interval J on which the construction is meant to
+    live (the guard band for flows).
     """
     sigma = check_sigma(sigma)
     s = 0.5 * sigma
@@ -306,24 +305,10 @@ def fractional_symbol(metric, sigma, xi_band=None):
                 p**s,
                 p)
 
-    def _scalar_jet(pts, cov):
-        # the same products on the (n,) scalars of a d = 1 jet
-        G, p, px, pxi, pxx, pxxi = principal_jet(metric, pts, cov)
-        g, px, pxi, pxx, pxxi = G[:, 0, 0], px[:, 0], pxi[:, 0], pxx[:, 0, 0], pxxi[:, 0, 0]
-        c1 = s * p ** (s - 1.0)
-        c2 = s * (s - 1.0) * p ** (s - 2.0)
-        return ((c1 * px)[:, None],
-                (c1 * pxi)[:, None],
-                (c2 * px * px + c1 * pxx)[:, None, None],
-                (c2 * pxi * pxi + 2.0 * c1 * g)[:, None, None],
-                (c2 * px * pxi + c1 * pxxi)[:, None, None],
-                p**s,
-                p)
-
     sym = SymbolFunction(
         d,
         _fn,
-        jet=_scalar_jet if d == 1 else _jet,
+        jet=_jet,
         xi_band=xi_band,
         label=f"p^{{{sigma}/2}}",
     )

@@ -409,6 +409,8 @@ def test_per_point_times_give_each_point_its_scalar_flow_and_solve():
             np.testing.assert_array_equal(arr[:, k], arr_k[:, 0])
     with pytest.raises(ValueError, match="per-point times"):
         integrate_flow(H, t[:2], x, xi, 30)
+    with pytest.raises(ValueError, match="t = 0"):
+        integrate_flow(H, np.array([0.3, 0.0, 0.28]), x, xi, 30)
 
 
 def test_guard_band_error_names_the_point_s_own_time():

@@ -300,7 +300,9 @@ def test_mixed_hessian_asymmetry_negligible():
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("trailing", [(4,), (3, 2)])
 def test_simpson_matches_scipy(n_nodes, sign, dtype, trailing):
-    """The phase pass's Simpson rule is scipy's, bit for bit, in both time directions."""
+    """The phase pass's Simpson rule is scipy's, bit for bit, in both time
+    directions; with node times given per point, each column is scipy's rule
+    on its own non-uniform times."""
     integrate = pytest.importorskip("scipy.integrate")
     rng = np.random.default_rng(n_nodes)
     x = sign * np.linspace(0.0, 0.37, n_nodes)
@@ -312,27 +314,13 @@ def test_simpson_matches_scipy(n_nodes, sign, dtype, trailing):
     assert got.dtype == want.dtype and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
 
-
-@pytest.mark.parametrize("n_nodes", [1, 3, 21])
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-@pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("trailing", [(4,), (3, 2)])
-def test_simpson_per_point_times_match_scipy_column_by_column(n_nodes, sign, dtype, trailing):
-    """Node times given per point: each column is scipy's rule on its own
-    non-uniform times, bit for bit."""
-    integrate = pytest.importorskip("scipy.integrate")
-    rng = np.random.default_rng(n_nodes)
     steps = rng.uniform(0.01, 0.05, size=(n_nodes - 1, trailing[0]))
     x = sign * np.concatenate([np.zeros((1, trailing[0])), np.cumsum(steps, axis=0)])
-    y = rng.normal(size=(n_nodes,) + trailing).astype(dtype)
-    if dtype is complex:
-        y += 1j * rng.normal(size=y.shape)
     got = _simpson(y, x)
     assert got.dtype == y.dtype and got.shape == trailing
     for j in range(trailing[0]):
         # scipy on the whole batch with column j's times, so both sum the same way
-        want = integrate.simpson(y, x=x[:, j], axis=0)[j]
-        np.testing.assert_array_equal(got[j], want)
+        np.testing.assert_array_equal(got[j], integrate.simpson(y, x=x[:, j], axis=0)[j])
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0])

@@ -155,7 +155,7 @@ def test_eigenbasis_weighted_orthonormality():
 
 def test_lp_lq_norm_closed_forms():
     grid = make_grid(1, 64)
-    states = [plane_wave(grid, 2) for _ in range(9)]
+    states = state_from_values(grid, np.tile(plane_wave(grid, 2).values, (9, 1)))
     times = np.linspace(0.0, 1.0, 9)
     L = 2.0 * np.pi
     np.testing.assert_allclose(lp_lq_norm(states, times, 2, 2), L ** 0.5,
@@ -171,33 +171,33 @@ def test_lp_lq_norm_refinement_stable():
 
     def sampled(n):
         times = np.linspace(0.0, 1.0, n)
-        states = [state_from_values(grid, (1.0 + t**2) * plane_wave(grid, 1).values)
-                  for t in times]
+        states = state_from_values(grid, (1.0 + times[:, None]**2) * plane_wave(grid, 1).values)
         return lp_lq_norm(states, times, 4, 2)
 
     coarse, fine = sampled(33), sampled(65)
     assert abs(coarse - fine) / fine < 5e-3
 
 
-def test_lp_lq_norm_reads_the_rows_of_a_stack():
+def test_lq_norm_of_a_stack_is_its_fields_norms():
     grid = make_grid(1, 64)
     op = flat_operator(grid)
     u = modulated_gaussian(grid, 3.0, 0.5, 4.0)
     times = np.linspace(-0.5, 1.0, 9)
     stack = propagate(u, op, 2.0, times)
-    fields = [propagate(u, op, 2.0, t) for t in times]
-    for p, q in [(2, 2), (np.inf, 4), (8, 4), (2, np.inf)]:
-        assert lp_lq_norm(stack, times, p, q) == lp_lq_norm(fields, times, p, q)
-    with pytest.raises(ValueError):
-        lp_lq_norm(stack, times[1:], 2, 2)
+    # the q-th root of a stack's sums is numpy's array power, which may round
+    # one ulp away from the scalar power of a single field's sum
+    for q in (2, 4, np.inf):
+        np.testing.assert_allclose(
+            stack.lq_norm(q), [propagate(u, op, 2.0, t).lq_norm(q) for t in times],
+            rtol=1e-15, atol=0)
 
 
 def test_lp_lq_norm_validation():
     grid = make_grid(1, 16)
     with pytest.raises(ValueError):
-        lp_lq_norm([], [], 2, 2)
+        lp_lq_norm(state_from_values(grid, np.empty((0, 16))), [], 2, 2)
     with pytest.raises(ValueError):
-        lp_lq_norm([plane_wave(grid, 0)], [0.0, 1.0], 2, 2)
+        lp_lq_norm(plane_wave(grid, 0), [0.0, 1.0], 2, 2)
 
 
 def test_flat_eigensolver_recovers_squares():
