@@ -76,7 +76,7 @@ SCHEMAS = {
     },
     "strichartz": {
         "sigma": (float, 2.0, ""),
-        "p": (float, 8.0, ""), "q": (float, 4.0, ""), "d": (int, 1, ""),
+        "p": (float, 8.0, ""), "q": (float, 4.0, ""),
         "hmin": (float, 2.0**-9, ""), "hmax": (float, 2.0**-3, ""),
         "mode": (str, "semiclassical", "semiclassical or unscaled"),
         "t0": (float, 1.0, "half-width of the semiclassical time window"),
@@ -302,7 +302,7 @@ def run_dispersive(cfg, outdir):
 
 
 def run_strichartz(cfg, outdir):
-    pair = classify_pair(cfg["p"], cfg["q"], cfg["d"], cfg["sigma"])
+    pair = classify_pair(cfg["p"], cfg["q"], 1, cfg["sigma"])
     rows = [_row("pair-admissible", pair.valid, True, pair.valid)]
     if not pair.valid:
         return rows

@@ -174,10 +174,12 @@ def inverse_map(H, t, x, xi, n_steps):
     Every Newton flow is the variational path on `n_steps` RK4 steps (none
     at t = 0), so the Jacobian grad_y X is its last node and the caller
     gets back the flow it accepted: returns (Y, (times, X, Xi, Z)) with the
-    path ending on x to NEWTON_TOL.  Steps that do not reduce the residual
-    are repeatedly scaled by the damping factor; a batch that still violates
-    the tolerance after NEWTON_MAX_ITER sweeps raises :class:`CausticError`
-    with the worst offending point and its time.
+    path ending on x to NEWTON_TOL.  Each pass flows one trial for every
+    point off x: a trial that lowers the point's residual is taken and its
+    next step is the full Newton step, one that does not halves the step
+    for the next pass.  A batch still off x after NEWTON_MAX_ITER trial
+    flows, or with a step too short to move its start, raises
+    :class:`CausticError` with the worst point and its time.
     """
     d = H.dim
     xt, cov = as_pairs(x, xi, d)
@@ -186,31 +188,31 @@ def inverse_map(H, t, x, xi, n_steps):
     path = integrate_flow(H, t, Y, cov, n_steps)
     _, Xs, _, Zs = path
     res = np.max(np.abs(Xs[-1] - xt), axis=1)
+    # the points still off x, each with its own step; a point on x stays there
+    active = np.flatnonzero(res > NEWTON_TOL)
+    lam = np.ones(active.size)
     for _ in range(NEWTON_MAX_ITER):
-        if np.all(res <= NEWTON_TOL):
+        if not active.size:
             return Y, path
-        # trials flow only the points a trial may still update
-        active = np.flatnonzero(res > NEWTON_TOL)
         R = Xs[-1, active] - xt[active]
         delta = solve_blocks(Zs[-1, active, :d, :d], R[..., None])[..., 0]
-        lam = np.ones(active.size)
-        for _ in range(10):
-            Y_try = Y[active] - lam[:, None] * delta
-            trial = integrate_flow(H, _time_of(t, active), Y_try, cov[active], n_steps)
-            res_try = np.max(np.abs(trial[1][-1] - xt[active]), axis=1)
-            improved = res_try < res[active]
-            take = active[improved]
-            Y[take], res[take] = Y_try[improved], res_try[improved]
-            # node by node, so no copy of a whole path is made; no name
-            # outlives the trial, which goes before the next one is built
-            for k in (1, 2, 3):
-                for nodes, nodes_try in zip(path[k], trial[k]):
-                    nodes[take] = nodes_try[improved]
-            del trial, nodes_try
-            active, delta, lam = active[~improved], delta[~improved], lam[~improved]
-            if not active.size:
-                break
-            lam *= NEWTON_DAMPING
+        Y_try = Y[active] - lam[:, None] * delta
+        if np.any(np.all(Y_try == Y[active], axis=1)):
+            break       # a step too short to move Y: that point is stuck
+        trial = integrate_flow(H, _time_of(t, active), Y_try, cov[active], n_steps)
+        res_try = np.max(np.abs(trial[1][-1] - xt[active]), axis=1)
+        improved = res_try < res[active]
+        take = active[improved]
+        Y[take], res[take] = Y_try[improved], res_try[improved]
+        # node by node, so no copy of a whole path is made; no name
+        # outlives the trial, which goes before the next one is built
+        for k in (1, 2, 3):
+            for nodes, nodes_try in zip(path[k], trial[k]):
+                nodes[take] = nodes_try[improved]
+        del trial, nodes_try
+        lam = np.where(improved, 1.0, NEWTON_DAMPING * lam)
+        off = res[active] > NEWTON_TOL
+        active, lam = active[off], lam[off]
     if np.any(res > NEWTON_TOL):
         worst = int(np.argmax(res))
         raise CausticError(

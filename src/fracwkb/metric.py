@@ -116,8 +116,6 @@ class MetricField:
         [m, j, :, :] holding d/dx_j G at the m-th point, and d2G the
         (n, d, d, d, d) array of second partials, index [m, j, k, :, :]
         holding d^2/dx_j dx_k G.
-    derivative_order : int
-        Highest order of analytic partial derivatives available (>= 2).
     is_flat : bool
         True when G is identically the identity; downstream modules use this
         to unlock closed-form checks and higher expansion orders.
@@ -127,7 +125,6 @@ class MetricField:
     box_length: float
     inverse_metric: callable = field(repr=False)
     inverse_metric_jet: callable = field(repr=False)
-    derivative_order: int = 2
     is_flat: bool = False
     label: str = ""
 
@@ -136,8 +133,6 @@ class MetricField:
             raise ValueError("dim must be a positive integer")
         if not self.box_length > 0:
             raise ValueError("box_length must be positive")
-        if self.derivative_order < 2:
-            raise ValueError("need analytic derivatives up to order >= 2")
 
 
 def check_sigma(sigma):
@@ -164,7 +159,6 @@ def flat_metric(dim=1):
         box_length=FLAT_BOX_LENGTH,
         inverse_metric=_eye,
         inverse_metric_jet=_jet,
-        derivative_order=99,
         is_flat=True,
         label="flat",
     )
@@ -200,7 +194,6 @@ def gaussian_bump_metric(dim=1, epsilon=0.1, box_length=16.0):
         box_length=box_length,
         inverse_metric=_g,
         inverse_metric_jet=_jet,
-        derivative_order=2,
         is_flat=(epsilon == 0.0),
         label=f"gaussian_bump(eps={epsilon})",
     )

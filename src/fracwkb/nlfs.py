@@ -140,6 +140,31 @@ def _rotate(values, mu, nu, tau):
     return values * np.exp(1j * mu * tau * np.abs(values) ** (nu - 1.0))
 
 
+def _strang(prob, fields, kick, drift, store_every):
+    """Strang kick-drift-kick steps of a stack of fields over [0, prob.T].
+
+    `kick(fields)` is the half-step nonlinear update of the stack and
+    `drift(coeffs)` the exact one-step linear flow of its eigenbasis
+    coefficients.  The first field is checked for blow-up after each step.
+    Returns the times and stacks of every `store_every`-th step and the
+    last one, t = 0 left out.
+    """
+    n, dt = _steps(prob.T, prob.dt)
+    if store_every is None:
+        store_every = max(1, n // 256)
+    grid, op = prob.u0.grid, prob.op
+    sup0 = float(np.max(np.abs(prob.u0.values)))
+    times, kept = [], []
+    for k in range(1, n + 1):
+        coeffs = op.coefficients(state_from_values(grid, kick(fields)))
+        fields = kick(op.synthesize(drift(coeffs)).values)
+        _blowup_guard(fields[0], (k - 1) * dt, sup0)
+        if k % store_every == 0 or k == n:
+            times.append(k * dt)
+            kept.append(fields)
+    return times, kept
+
+
 def solve_nlfs(prob, store_every=None):
     """Strang split-step trajectory for the Schrodinger-type equation.
 
@@ -149,23 +174,14 @@ def solve_nlfs(prob, store_every=None):
     occupied mode (dt * lam_max^{sigma/2} below ~1/2) or the splitting error
     dominates.
     """
-    n, dt = _steps(prob.T, prob.dt)
-    if store_every is None:
-        store_every = max(1, n // 256)
-    sup0 = float(np.max(np.abs(prob.u0.values)))
-    times = [0.0]
-    states = [prob.u0]
-    u = prob.u0
-    for k in range(1, n + 1):
-        vals = _rotate(u.values, prob.mu, prob.nu, 0.5 * dt)
-        u = propagate(state_from_values(u.grid, vals), prob.op, prob.sigma, dt)
-        vals = _rotate(u.values, prob.mu, prob.nu, 0.5 * dt)
-        _blowup_guard(vals, (k - 1) * dt, sup0)
-        u = state_from_values(u.grid, vals)
-        if k % store_every == 0 or k == n:
-            times.append(k * dt)
-            states.append(u)
-    return Trajectory(times=np.asarray(times), states=states)
+    dt = _steps(prob.T, prob.dt)[1]
+    flow = np.exp(1j * dt * prob.op.lam ** (0.5 * prob.sigma))
+    times, kept = _strang(prob, prob.u0.values[None],
+                          lambda u: _rotate(u, prob.mu, prob.nu, 0.5 * dt),
+                          lambda c: c * flow, store_every)
+    grid = prob.u0.grid
+    return Trajectory(times=np.asarray([0.0] + times),
+                      states=[prob.u0] + [state_from_values(grid, u[0]) for u in kept])
 
 
 @dataclass
@@ -249,18 +265,6 @@ def _sin_over(mu_vals, t):
     return np.where(small, t, np.sin(t * safe) / safe)
 
 
-def _wave_step(op, sigma, t, vw):
-    """Exact flow of d_t(v, w) = (w, -Lambda^{2 sigma} v) in the spectral basis,
-    on the stack vw = (v, w), transformed together each way."""
-    mu_vals = op.lam ** (0.5 * sigma)
-    cv, cw = op.coefficients(vw)
-    c = np.cos(t * mu_vals)
-    s_over = _sin_over(mu_vals, t)
-    new_v = c * cv + s_over * cw
-    new_w = -(mu_vals**2) * s_over * cv + c * cw
-    return op.synthesize(np.stack([new_v, new_w]))
-
-
 def solve_nlfw(prob, store_every=None):
     """Strang trajectory (v, d_t v) for the wave-type equation.
 
@@ -270,33 +274,25 @@ def solve_nlfw(prob, store_every=None):
     """
     if prob.v1 is None:
         raise ValueError("wave problems need the velocity initial v1")
-    n, dt = _steps(prob.T, prob.dt)
-    if store_every is None:
-        store_every = max(1, n // 256)
-    sup0 = float(np.max(np.abs(prob.u0.values)))
+    dt = _steps(prob.T, prob.dt)[1]
+    mu_vals = prob.op.lam ** (0.5 * prob.sigma)
+    c, s_over = np.cos(dt * mu_vals), _sin_over(mu_vals, dt)
+    back = -(mu_vals**2) * s_over
+
+    def kick(vw):
+        v, w = vw
+        return np.stack([v, w - 0.5 * dt * prob.mu * np.abs(v) ** (prob.nu - 1.0) * v])
+
+    def drift(cvw):
+        cv, cw = cvw
+        return np.stack([c * cv + s_over * cw, back * cv + c * cw])
+
+    times, kept = _strang(prob, np.stack([prob.u0.values, prob.v1.values]), kick, drift,
+                          store_every)
     grid = prob.u0.grid
-    v, w = prob.u0.values, prob.v1.values
-    times = [0.0]
-    states = [prob.u0]
-    velocities = [prob.v1]
-    for k in range(1, n + 1):
-        w = w - 0.5 * dt * prob.mu * np.abs(v) ** (prob.nu - 1.0) * v
-        v, w = _wave_step(prob.op, prob.sigma, dt,
-                          state_from_values(grid, np.stack([v, w]))).values
-        w = w - 0.5 * dt * prob.mu * np.abs(v) ** (prob.nu - 1.0) * v
-        _blowup_guard(v, (k - 1) * dt, sup0)
-        if k % store_every == 0 or k == n:
-            times.append(k * dt)
-            states.append(state_from_values(grid, v))
-            velocities.append(state_from_values(grid, w))
-    return WaveTrajectory(times=np.asarray(times), states=states,
-                          velocities=velocities)
-
-
-def _volume_sum(op, density):
-    """Integral of a pointwise density against the metric volume."""
-    grid_vol = op.grid.cell_volume
-    return float(np.sum(density * op.weight) * grid_vol)
+    return WaveTrajectory(times=np.asarray([0.0] + times),
+                          states=[prob.u0] + [state_from_values(grid, vw[0]) for vw in kept],
+                          velocities=[prob.v1] + [state_from_values(grid, vw[1]) for vw in kept])
 
 
 def conserved(prob, state, velocity=None):
@@ -308,10 +304,11 @@ def conserved(prob, state, velocity=None):
     """
     op = prob.op
     coeffs = op.coefficients(state)
-    base = op.grid.length**op.grid.dim if op.kind == "flat" else 1.0
+    base = op.parseval_factor
     mass = float(base * np.sum(np.abs(coeffs) ** 2))
-    potential = prob.mu / (prob.nu + 1.0) * _volume_sum(
-        op, np.abs(state.values) ** (prob.nu + 1.0))
+    density = np.abs(state.values) ** (prob.nu + 1.0)
+    potential = prob.mu / (prob.nu + 1.0) * float(
+        np.sum(density * op.weight) * op.grid.cell_volume)
     if velocity is None:
         kinetic = 0.5 * float(base * np.sum(op.lam ** (0.5 * prob.sigma)
                                             * np.abs(coeffs) ** 2))

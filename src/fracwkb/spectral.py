@@ -183,6 +183,12 @@ class SpectralOperator:
     basis: np.ndarray = field(default=None, repr=False)   # (n, n), column j = e_j
     weight: np.ndarray = field(default=None, repr=False)
 
+    @property
+    def parseval_factor(self):
+        """c in ||u||^2 = c sum |coefficients|^2: L^d on the flat path, 1 on
+        the weighted-orthonormal eigenbasis."""
+        return self.grid.length**self.grid.dim if self.kind == "flat" else 1.0
+
     def coefficients(self, u):
         """Expansion coefficients of u in the operator's eigenbasis."""
         if self.kind == "flat":
@@ -302,11 +308,8 @@ def sobolev_norm(u, gamma, op=None):
     """Norm with weight (1 + lam)^{gamma/2} on the eigenbasis coefficients."""
     op = op or flat_operator(u.grid)
     coeffs = op.coefficients(u)
-    if op.kind == "flat":
-        base = u.grid.length**u.grid.dim
-    else:
-        base = 1.0
-    return float(np.sqrt(base * np.sum((1.0 + op.lam) ** gamma * np.abs(coeffs) ** 2)))
+    weighted = (1.0 + op.lam) ** gamma * np.abs(coeffs) ** 2
+    return float(np.sqrt(op.parseval_factor * np.sum(weighted)))
 
 
 def lp_lq_norm(states, times, p, q):

@@ -146,13 +146,16 @@ def _localized_state(cut, h, box_length, grid_cap):
 def _sweep(sigma, pair, cut, h_sweep, times, box_length, grid_cap, rescaled):
     """Norm ratio of each h's localized state over `times`, fitted against h.
 
-    `rescaled` propagates with the semiclassical group e^{i t h^{sigma-1}
-    Lambda^sigma} and bounds the slope by pair.total = d/2 - d/q - 1/p;
-    otherwise the group is e^{i t Lambda^sigma} and the bound is
-    gamma + loss.
+    The states are 1-D, so `pair` must be classified for d = 1 (ValueError
+    otherwise).  `rescaled` propagates with the semiclassical group
+    e^{i t h^{sigma-1} Lambda^sigma} and bounds the slope by pair.total =
+    d/2 - d/q - 1/p; otherwise the group is e^{i t Lambda^sigma} and the
+    bound is gamma + loss.
     """
     if not pair.valid:
         raise ValueError(f"pair (p={pair.p}, q={pair.q}) is not admissible")
+    if pair.d != 1:
+        raise ValueError(f"the sweep measures 1-D states; the pair needs d = 1, got {pair.d}")
     if len(h_sweep) < 5:
         raise ValueError("need at least 5 dyadic h values for the sweep fit")
     bound = pair.total if rescaled else pair.gamma + pair.loss

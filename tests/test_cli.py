@@ -143,6 +143,18 @@ def test_bad_strichartz_mode_rejected(tmp_path):
     assert code == 2
 
 
+def test_strichartz_has_no_dimension_key(tmp_path, capsys):
+    # the sweep measures 1-D states, so a d key could only mislabel the bound
+    with pytest.raises(SystemExit) as exc:
+        main(["strichartz", "--d", "3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    cfg = tmp_path / "d3.cfg"
+    cfg.write_text("d = 3\n")
+    assert main(["strichartz", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "unknown key 'd'" in capsys.readouterr().err
+    assert not (tmp_path / "strichartz").exists()
+
+
 def test_short_sweep_rejected(tmp_path):
     code = main(["strichartz", "--hmax", "0.125", "--hmin", "0.03125",
                  "--out", str(tmp_path)])

@@ -277,6 +277,41 @@ def test_newton_trials_flow_only_unconverged_points(monkeypatch):
             np.testing.assert_array_equal(arr[:, k], arr_k[:, 0])
 
 
+def test_damped_newton_points_solve_as_they_do_alone(monkeypatch):
+    # on a strong bump at t = 0.8, x = 1.9 and 2 need damped steps while
+    # the other two take full ones, so each pass flows mixed step lengths
+    H = fractional_symbol(gaussian_bump_metric(dim=1, epsilon=0.9), 2.0,
+                          xi_band=(0.05, 50.0))
+    X, xi = np.array([[-0.5], [0.3], [1.9], [2.0]]), np.ones((4, 1))
+    Y, path = inverse_map(H, 0.8, X, xi, 40)
+    assert np.max(np.abs(path[1][-1] - X)) <= NEWTON_TOL
+    for k in range(4):
+        Yk, path_k = inverse_map(H, 0.8, X[k:k + 1], xi[k:k + 1], 40)
+        np.testing.assert_array_equal(Y[k], Yk[0])
+        for arr, arr_k in zip(path[1:], path_k[1:]):
+            np.testing.assert_array_equal(arr[:, k], arr_k[:, 0])
+    monkeypatch.setattr(hamflow, "NEWTON_DAMPING", 0.25)
+    moved = inverse_map(H, 0.8, X, xi, 40)[0][:, 0] != Y[:, 0]
+    assert list(moved) == [False, False, True, True]
+
+
+def test_newton_gives_up_on_a_caustic_without_repeating_a_trial(monkeypatch):
+    # at t = pi/4 the oscillator sends every start to X = xi, so grad_y X
+    # vanishes up to the RK4 error and no damped step reaches x = 0.3
+    starts = []
+    flow = hamflow.integrate_flow
+
+    def recording(H, t, x, *args):
+        starts.append(float(x[0, 0]))
+        return flow(H, t, x, *args)
+
+    monkeypatch.setattr(hamflow, "integrate_flow", recording)
+    with pytest.raises(CausticError):
+        inverse_map(_oscillator(None), np.pi / 4, [[0.3]], [[1.0]], 40)
+    assert len(starts) <= hamflow.NEWTON_MAX_ITER + 1
+    assert len(set(starts)) == len(starts)
+
+
 def test_integrate_flow_rejects_a_flow_without_steps():
     H = fractional_symbol(flat_metric(dim=1), 2.0)
     for n_steps in (0, -1):

@@ -78,8 +78,7 @@ def _indefinite_metric():
         return _g(pts), np.zeros((n, 1, 1, 1)), np.zeros((n, 1, 1, 1, 1))
 
     return MetricField(dim=1, box_length=16.0, inverse_metric=_g,
-                       inverse_metric_jet=_jet,
-                       derivative_order=2, is_flat=False, label="indefinite")
+                       inverse_metric_jet=_jet, is_flat=False, label="indefinite")
 
 
 def test_audit_rejects_degenerate_metric():

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import fracwkb.nlfs
 from fracwkb.metric import gaussian_bump_metric
 from fracwkb.nlfs import (BlowUpError, ContractionError, NlfsProblem,
-                          _sin_over, _wave_step, conserved,
+                          _sin_over, conserved,
                           global_continuation, picard_iterate, sobolev_bound,
                           solve_nlfs, solve_nlfw)
 from fracwkb.spectral import (discretize_P_1d, flat_operator, make_grid,
@@ -164,18 +164,26 @@ def test_batched_picard_matches_per_state_propagation(path):
 
 
 @pytest.mark.parametrize("path", ["flat", "eig"])
-def test_wave_step_moves_the_pair_as_each_state_alone(path):
+def test_wave_solver_moves_the_pair_as_each_state_alone(path):
+    """solve_nlfw's steps against kick, the exact cos/sin flow with v and w
+    transformed one state at a time, and kick again."""
     op = _operator(path)
     v = modulated_gaussian(op.grid, 0.5 * op.grid.length, 0.5, omega=3.0)
     w = state_from_values(op.grid, 0.2 * np.real(v.values).astype(complex))
-    t, mu_vals = 0.05, op.lam ** 1.0
-    cv, cw = op.coefficients(v), op.coefficients(w)
-    c, s_over = np.cos(t * mu_vals), _sin_over(mu_vals, t)
-    want_v = op.synthesize(c * cv + s_over * cw).values
-    want_w = op.synthesize(-(mu_vals**2) * s_over * cv + c * cw).values
-    got = _wave_step(op, 2.0, t, state_from_values(op.grid, np.stack([v.values, w.values])))
-    assert_allclose(got.values[0], want_v, rtol=1e-13, atol=1e-13)
-    assert_allclose(got.values[1], want_w, rtol=1e-13, atol=1e-12)
+    prob = _problem(op.grid, op, v, T=0.05, v1=w)
+    dt, mu_vals = prob.T / 5, op.lam ** 1.0
+    c, s_over = np.cos(dt * mu_vals), _sin_over(mu_vals, dt)
+    want_v, want_w = v.values, w.values
+    for _ in range(5):
+        want_w = want_w - 0.5 * dt * np.abs(want_v) ** 2 * want_v
+        cv = op.coefficients(state_from_values(op.grid, want_v))
+        cw = op.coefficients(state_from_values(op.grid, want_w))
+        want_v = op.synthesize(c * cv + s_over * cw).values
+        want_w = op.synthesize(-(mu_vals**2) * s_over * cv + c * cw).values
+        want_w = want_w - 0.5 * dt * np.abs(want_v) ** 2 * want_v
+    got_v, got_w = solve_nlfw(prob).final
+    assert_allclose(got_v.values, want_v, rtol=1e-13, atol=1e-13)
+    assert_allclose(got_w.values, want_w, rtol=1e-13, atol=1e-12)
 
 
 def test_picard_rejects_expanding_window(setup):

@@ -147,6 +147,18 @@ def test_sobolev_norm_eigenbasis_mode():
                                rtol=1e-8)
 
 
+@pytest.mark.parametrize("path", ["flat", "eig"])
+def test_parseval_factor_turns_coefficients_into_the_weighted_l2_norm(path):
+    if path == "flat":
+        op = flat_operator(make_grid(1, 64))
+    else:
+        op = discretize_P_1d(gaussian_bump_metric(dim=1, epsilon=0.1), 65)
+    u = modulated_gaussian(op.grid, 2.0, 0.5, omega=3.0)
+    coeff_side = op.parseval_factor * np.sum(np.abs(op.coefficients(u)) ** 2)
+    grid_side = op.grid.cell_volume * np.sum(op.weight * np.abs(u.values) ** 2)
+    np.testing.assert_allclose(coeff_side, grid_side, rtol=1e-12)
+
+
 def test_eigenbasis_weighted_orthonormality():
     op = discretize_P_1d(gaussian_bump_metric(dim=1, epsilon=0.1), 65)
     gram = (op.basis.T * (op.weight * op.grid.spacing)) @ op.basis

@@ -124,6 +124,16 @@ def test_sweep_validation():
         measure_unscaled_scaling(2.0, bad, CUT, h_sweep=SWEEP)
 
 
+def test_sweep_rejects_a_pair_of_another_dimension():
+    # the swept states are 1-D: a d = 3 pair would bound them by -0.725
+    # where d = 1 gives -0.225, so the same slope would pass against it
+    pair = classify_pair(8, 4, 3, 2.0)
+    assert pair.valid
+    for measure in (measure_semiclassical_scaling, measure_unscaled_scaling):
+        with pytest.raises(ValueError, match="d = 1"):
+            measure(2.0, pair, CUT, h_sweep=SWEEP)
+
+
 def test_sweep_grid_cap():
     pair = classify_pair(8, 4, 1, 2.0)
     with pytest.raises(ResolutionError):
