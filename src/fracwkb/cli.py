@@ -56,12 +56,11 @@ SCHEMAS = {
     "kernel": {
         "sigma": (float, 2.0, ""),
         "h": (float, 2.0**-6, ""),
-        "t": (float, 0.125, "kernel time (0 checks symmetry instead of decay)"),
+        "t": (float, 0.125, "kernel time (0 checks symmetry on the x grid instead of decay)"),
         "r1": (float, 0.25, "cutoff support lower edge"),
         "r2": (float, 16.0, "cutoff support upper edge"),
         "p1": (float, 1.0, "cutoff plateau lower edge"),
         "p2": (float, 4.0, "cutoff plateau upper edge"),
-        "band_lo": (float, 0.2, ""), "band_hi": (float, 18.0, ""),
         "x_lo": (float, -0.5, ""), "x_hi": (float, 0.5, ""), "n_x": (int, 33, ""),
         "y_lo": (float, -3.0, ""), "y_hi": (float, 3.0, ""), "n_y": (int, 65, ""),
     },
@@ -225,11 +224,17 @@ def run_phase(cfg, outdir):
     return rows
 
 
-def run_kernel(cfg, outdir):
+def _flat_symbols(cfg):
+    """q0, the cutoff and the initial symbol of the kernel suites; the flow's
+    guard band is the cutoff's support [r1, r2] widened to [0.8 r1, 1.25 r2]."""
     m = flat_metric(dim=1)
-    q0 = fractional_symbol(m, cfg["sigma"], xi_band=(cfg["band_lo"], cfg["band_hi"]))
+    q0 = fractional_symbol(m, cfg["sigma"], xi_band=(0.8 * cfg["r1"], 1.25 * cfg["r2"]))
     cut = make_bump(cfg["r1"], cfg["r2"], (cfg["p1"], cfg["p2"]))
-    amp0 = localized_amplitude(m, cut, window=ConstantWindow(1))
+    return q0, cut, localized_amplitude(m, cut, window=ConstantWindow(1))
+
+
+def run_kernel(cfg, outdir):
+    q0, cut, amp0 = _flat_symbols(cfg)
     t = cfg["t"]
     tab = build_phase(q0, [t if t != 0.0 else 0.0], np.zeros((1, 1)),
                       np.array([[1.0]]), dt=0.01)
@@ -238,18 +243,18 @@ def run_kernel(cfg, outdir):
     yg = np.linspace(cfg["y_lo"], cfg["y_hi"], cfg["n_y"])
     K = kernel(tab, amp, cfg["h"], t, xg, yg)
 
-    xi_hi = np.sqrt(cfg["r2"])
     lam = np.linspace(cfg["r1"], cfg["r2"], 2001)
     mass = 2.0 * float(np.trapezoid(cut(lam) * 0.5 / np.sqrt(lam), lam))
     scaled = K.sup() * 2.0 * np.pi * cfg["h"]
     rows = [_row("kernel-sup-times-h", scaled, 1.05 * mass, scaled <= 1.05 * mass)]
     if t == 0.0:
-        herm = float(np.max(np.abs(K.values - K.values.conj().T))) / K.sup()
+        Kx = kernel(tab, amp, cfg["h"], t, xg, xg)      # K(x_i, x_j) = conj K(x_j, x_i)
+        herm = float(np.max(np.abs(Kx.values - Kx.values.conj().T))) / Kx.sup()
         rows.append(_row("zero-time-hermitian-gap", herm, 1e-8, herm < 1e-8))
     else:
         best = 0.0
         speed_lo = cfg["sigma"] * np.sqrt(cfg["r1"]) ** (cfg["sigma"] - 1.0)
-        speed_hi = cfg["sigma"] * xi_hi ** (cfg["sigma"] - 1.0)
+        speed_hi = cfg["sigma"] * np.sqrt(cfg["r2"]) ** (cfg["sigma"] - 1.0)
         for y in np.linspace(-abs(t) * speed_hi, -abs(t) * speed_lo, 200):
             try:
                 best = max(best, stationary_phase_prediction(amp, cfg["h"], t, 0.0, y))
@@ -282,11 +287,7 @@ def _dispersive_defaults(cfg):
 
 def run_dispersive(cfg, outdir):
     cfg = _dispersive_defaults(cfg)
-    m = flat_metric(dim=1)
-    band = (0.8 * cfg["r1"], 1.25 * cfg["r2"])
-    q0 = fractional_symbol(m, cfg["sigma"], xi_band=band)
-    cut = make_bump(cfg["r1"], cfg["r2"], (cfg["p1"], cfg["p2"]))
-    amp0 = localized_amplitude(m, cut, window=ConstantWindow(1))
+    q0, _, amp0 = _flat_symbols(cfg)
     ts = np.geomspace(2.0 * cfg["h"], cfg["t0"], cfg["n_t"])
     tab = build_phase(q0, ts, np.linspace(0.0, 2.0 * np.pi, 9)[:, None],
                       np.linspace(0.8, 1.6, 3)[:, None], dt=0.01)

@@ -233,8 +233,8 @@ def kernel(phase, amp, h, t, x_grid, y_grid, n_xi=None, x_factors=_x_factors):
                       n_xi=used)
 
 
-def kernel_sup(phase, amp, h, t, x_span, y_span, tol=SUP_REFINE_TOL, max_rounds=6):
-    """Grid max of |K_h(t)| over the spans, refined until it moves < tol.
+def kernel_sup(phase, amp, h, t, x_span, y_span, max_rounds=6):
+    """Grid max of |K_h(t)| over the spans, refined until it moves < SUP_REFINE_TOL.
 
     The first round takes SUP_POINTS_START points per span, and each round
     refines n points to 2n - 1, whose even nodes are the last round's.  When
@@ -243,7 +243,7 @@ def kernel_sup(phase, amp, h, t, x_span, y_span, tol=SUP_REFINE_TOL, max_rounds=
     ones; a rule that moved (a new node can pass an extremum of G) solves
     every node again.  So each estimate is `kernel(...).sup()` on its grid.
     When `max_rounds` rounds pass without two successive estimates agreeing
-    to `tol`, raises :class:`ResolutionError` naming the last two estimates.
+    to SUP_REFINE_TOL, raises :class:`ResolutionError` naming the last two estimates.
     """
     rule = rows = None      # the last round's xi rule and x-factors
 
@@ -264,14 +264,14 @@ def kernel_sup(phase, amp, h, t, x_span, y_span, tol=SUP_REFINE_TOL, max_rounds=
         xg = np.linspace(x_span[0], x_span[1], n)
         yg = np.linspace(y_span[0], y_span[1], n)
         prev, cur = cur, kernel(phase, amp, h, t, xg, yg, x_factors=nested).sup()
-        if prev is not None and abs(cur - prev) <= tol * max(prev, 1e-300):
+        if prev is not None and abs(cur - prev) <= SUP_REFINE_TOL * max(prev, 1e-300):
             return cur
         n = 2 * n - 1
     last = "" if prev is None else (
         f"; the last two rounds gave {prev:.6g} and {cur:.6g} "
         f"(relative change {abs(cur - prev) / max(prev, 1e-300):.3g})")
     raise ResolutionError(
-        f"kernel sup at t={t} did not settle to tol={tol} in {max_rounds} "
+        f"kernel sup at t={t} did not settle to tol={SUP_REFINE_TOL} in {max_rounds} "
         f"rounds (final grid {(n + 1) // 2} points per span){last}"
     )
 

@@ -20,6 +20,7 @@ run backward, from 0 to -t.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -168,8 +169,8 @@ class PhaseTable:
     Tables are indexed [t, x, xi] with trailing component axes; the xi grid is
     a list of covector points, not a tensor product, so anisotropic bands are
     possible.  `rate` and `rate_integral` are the a_0 transport rate and its
-    integral along each characteristic.  `t0` is the certified horizon from
-    the mixed-Hessian condition ||grad_x grad_xi S - Id|| <= 1/2.
+    integral along each characteristic.  `t0`, computed on first read, is
+    the certified horizon of `caustic_horizon`.
     """
 
     t_grid: np.ndarray
@@ -184,12 +185,15 @@ class PhaseTable:
     rate_integral: np.ndarray  # (nt, nx, nxi) complex
     q0: object = field(repr=False)
     dt: float = DT_DEFAULT
-    t0: float = 0.0
     hess_asymmetry: float = 0.0
 
     @property
     def dim(self):
         return self.x_grid.shape[1]
+
+    @cached_property
+    def t0(self):
+        return caustic_horizon(self, strict=False)
 
     def t_index(self, t):
         k = int(np.argmin(np.abs(self.t_grid - t)))
@@ -245,17 +249,15 @@ def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT):
         worst_asym = max(worst_asym, data.hess_asymmetry)
         del data                # before the next group's pass is built
 
-    table = PhaseTable(
+    return PhaseTable(
         t_grid=t_grid, x_grid=x_grid, xi_grid=xi_grid,
         S=S, Y=Yt, grad_x=Gx, hess_xx=Hxx, hess_xxi=Hxxi,
         rate=rate, rate_integral=rate_integral, q0=q0, dt=dt, hess_asymmetry=worst_asym,
     )
-    table.t0 = caustic_horizon(table, strict=False)
-    return table
 
 
-def caustic_horizon(pt, threshold=HORIZON_THRESHOLD, strict=True):
-    """Largest grid time with ||grad_x grad_xi S - Id|| <= threshold everywhere.
+def caustic_horizon(pt, strict=True):
+    """Largest grid time with ||grad_x grad_xi S - Id|| <= HORIZON_THRESHOLD everywhere.
 
     Grid times are scanned in increasing |t|; the horizon is the largest
     magnitude at which every grid time of that or smaller magnitude passes.
@@ -267,7 +269,7 @@ def caustic_horizon(pt, threshold=HORIZON_THRESHOLD, strict=True):
     mags = np.abs(pt.t_grid)
     t0 = 0.0
     for m in np.unique(mags[mags > 0.0]):
-        if np.any(dev[mags == m] > threshold):
+        if np.any(dev[mags == m] > HORIZON_THRESHOLD):
             break
         t0 = float(m)
     if strict and t0 == 0.0 and np.any(pt.t_grid != 0.0):

@@ -86,8 +86,12 @@ def loglog_fit(x, y):
     """(slope, intercept, r2) of the least-squares line through (log x, log y).
 
     scipy.stats.linregress's arithmetic: its slope, intercept and rvalue**2
-    bit for bit, and ValueError where it raises (empty input, all x equal).
+    bit for bit, and ValueError where it raises (empty input, all x equal) or
+    where a sample is not positive and finite.
     """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.all((x > 0.0) & (x < np.inf)) and np.all((y > 0.0) & (y < np.inf))):
+        raise ValueError(f"log-log fit samples must be positive and finite, got x={x}, y={y}")
     lx, ly = np.log(x), np.log(y)
     if lx.size == 0 or (lx.size > 1 and np.amax(lx) == np.amin(lx)):
         raise ValueError("a log-log fit needs points with at least two distinct x")
@@ -107,12 +111,10 @@ class MetricField:
         Spatial dimension d >= 1.
     box_length : float
         Side length L of the periodic box, centered at the origin.
-    inverse_metric : callable
-        Map from an (n, d) array of points to an (n, d, d) array of symmetric
-        positive definite matrices G(x).
     inverse_metric_jet : callable
-        Map from the points to (G, dG, d2G), all from one evaluation: G as
-        above, dG the (n, d, d, d) array of first partials, index
+        Map from an (n, d) array of points to (G, dG, d2G), all from one
+        evaluation: G the (n, d, d) array of symmetric positive definite
+        matrices G(x), dG the (n, d, d, d) array of first partials, index
         [m, j, :, :] holding d/dx_j G at the m-th point, and d2G the
         (n, d, d, d, d) array of second partials, index [m, j, k, :, :]
         holding d^2/dx_j dx_k G.
@@ -123,7 +125,6 @@ class MetricField:
 
     dim: int
     box_length: float
-    inverse_metric: callable = field(repr=False)
     inverse_metric_jet: callable = field(repr=False)
     is_flat: bool = False
     label: str = ""
@@ -133,6 +134,10 @@ class MetricField:
             raise ValueError("dim must be a positive integer")
         if not self.box_length > 0:
             raise ValueError("box_length must be positive")
+
+    def inverse_metric(self, pts):
+        """G(x) at an (n, d) array of points: the first part of the jet."""
+        return self.inverse_metric_jet(pts)[0]
 
 
 def check_sigma(sigma):
@@ -146,18 +151,14 @@ def flat_metric(dim=1):
     """Identity inverse metric on the FLAT_BOX_LENGTH torus; every downstream
     object has a closed form."""
 
-    def _eye(pts):
-        n = pts.shape[0]
-        return np.broadcast_to(np.eye(dim), (n, dim, dim)).copy()
-
     def _jet(pts):
         n = pts.shape[0]
-        return _eye(pts), np.zeros((n, dim, dim, dim)), np.zeros((n, dim, dim, dim, dim))
+        return (np.broadcast_to(np.eye(dim), (n, dim, dim)).copy(),
+                np.zeros((n, dim, dim, dim)), np.zeros((n, dim, dim, dim, dim)))
 
     return MetricField(
         dim=dim,
         box_length=FLAT_BOX_LENGTH,
-        inverse_metric=_eye,
         inverse_metric_jet=_jet,
         is_flat=True,
         label="flat",
@@ -175,10 +176,6 @@ def gaussian_bump_metric(dim=1, epsilon=0.1, box_length=16.0):
         raise ValueError("epsilon must be nonnegative")
     eye = np.eye(dim)
 
-    def _g(pts):
-        w = 1.0 + epsilon * np.exp(-np.sum(pts**2, axis=1))
-        return w[:, None, None] * eye
-
     def _jet(pts):
         # one exp: w = 1 + e, d/dx_j w = -2 x_j e and
         # d^2/dx_j dx_k w = (4 x_j x_k - 2 delta_jk) e, with e = eps e^{-|x|^2}
@@ -192,7 +189,6 @@ def gaussian_bump_metric(dim=1, epsilon=0.1, box_length=16.0):
     return MetricField(
         dim=dim,
         box_length=box_length,
-        inverse_metric=_g,
         inverse_metric_jet=_jet,
         is_flat=(epsilon == 0.0),
         label=f"gaussian_bump(eps={epsilon})",

@@ -16,7 +16,7 @@ spectral side and kick steps for the nonlinearity.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,6 +45,7 @@ SINC_SMALL = 1e-8
 PICARD_FLOOR = 1e-10
 PROBE_RATIO = 0.5       # contraction rate a continuation window must reach
 PROBE_ITERATIONS = 3    # Picard iterations of each continuation probe
+KEPT_STEPS = 256        # a trajectory keeps every max(1, n // KEPT_STEPS)-th of n steps
 
 
 class BlowUpError(RuntimeError):
@@ -140,18 +141,17 @@ def _rotate(values, mu, nu, tau):
     return values * np.exp(1j * mu * tau * np.abs(values) ** (nu - 1.0))
 
 
-def _strang(prob, fields, kick, drift, store_every):
+def _strang(prob, fields, kick, drift):
     """Strang kick-drift-kick steps of a stack of fields over [0, prob.T].
 
     `kick(fields)` is the half-step nonlinear update of the stack and
     `drift(coeffs)` the exact one-step linear flow of its eigenbasis
     coefficients.  The first field is checked for blow-up after each step.
-    Returns the times and stacks of every `store_every`-th step and the
-    last one, t = 0 left out.
+    Returns the times and stacks of every max(1, n // KEPT_STEPS)-th of the
+    n steps and the last one, t = 0 left out.
     """
     n, dt = _steps(prob.T, prob.dt)
-    if store_every is None:
-        store_every = max(1, n // 256)
+    store_every = max(1, n // KEPT_STEPS)
     grid, op = prob.u0.grid, prob.op
     sup0 = float(np.max(np.abs(prob.u0.values)))
     times, kept = [], []
@@ -165,7 +165,7 @@ def _strang(prob, fields, kick, drift, store_every):
     return times, kept
 
 
-def solve_nlfs(prob, store_every=None):
+def solve_nlfs(prob):
     """Strang split-step trajectory for the Schrodinger-type equation.
 
     Half nonlinear rotation, full exact spectral step, half rotation; both
@@ -178,7 +178,7 @@ def solve_nlfs(prob, store_every=None):
     flow = np.exp(1j * dt * prob.op.lam ** (0.5 * prob.sigma))
     times, kept = _strang(prob, prob.u0.values[None],
                           lambda u: _rotate(u, prob.mu, prob.nu, 0.5 * dt),
-                          lambda c: c * flow, store_every)
+                          lambda c: c * flow)
     grid = prob.u0.grid
     return Trajectory(times=np.asarray([0.0] + times),
                       states=[prob.u0] + [state_from_values(grid, u[0]) for u in kept])
@@ -211,8 +211,8 @@ class PicardReport:
         return self.states[-1]
 
 
-def picard_iterate(prob, n_iter=8, T_small=None, n_t=65):
-    """Iterate the Duhamel map on [0, T_small] and report contraction.
+def picard_iterate(prob, n_iter=8, n_t=65):
+    """Iterate the Duhamel map on [0, prob.T] and report contraction.
 
     Iterates u -> e^{itL}u0 + i mu int_0^t e^{i(t-s)L} |u|^{nu-1}u(s) ds with
     the integral pulled back along the group (interaction picture) and a
@@ -223,8 +223,7 @@ def picard_iterate(prob, n_iter=8, T_small=None, n_t=65):
     """
     if int(n_iter) < 1 or int(n_t) < 2:
         raise ValueError(f"need n_iter >= 1 and n_t >= 2, got {n_iter} and {n_t}")
-    T = prob.T if T_small is None else float(T_small)
-    times = np.linspace(0.0, T, int(n_t))
+    times = np.linspace(0.0, prob.T, int(n_t))
     dt = np.diff(times).reshape((-1,) + (1,) * prob.u0.values.ndim)
     grid = prob.u0.grid
     cur = propagate(prob.u0, prob.op, prob.sigma, times).values
@@ -250,7 +249,7 @@ def picard_iterate(prob, n_iter=8, T_small=None, n_t=65):
             if diffs[-1] / diffs[-2] >= 1.0:
                 raise ContractionError(
                     f"successive-difference ratio {diffs[-1] / diffs[-2]:.3f} "
-                    f">= 1 on window T={T}; shrink the window")
+                    f">= 1 on window T={prob.T}; shrink the window")
 
     diffs = np.asarray(diffs)
     ratios = diffs[1:] / np.where(diffs[:-1] > 0.0, diffs[:-1], 1.0)
@@ -265,7 +264,7 @@ def _sin_over(mu_vals, t):
     return np.where(small, t, np.sin(t * safe) / safe)
 
 
-def solve_nlfw(prob, store_every=None):
+def solve_nlfw(prob):
     """Strang trajectory (v, d_t v) for the wave-type equation.
 
     The kick updates the velocity by -mu |v|^{nu-1} v; the drift applies the
@@ -287,8 +286,7 @@ def solve_nlfw(prob, store_every=None):
         cv, cw = cvw
         return np.stack([c * cv + s_over * cw, back * cv + c * cw])
 
-    times, kept = _strang(prob, np.stack([prob.u0.values, prob.v1.values]), kick, drift,
-                          store_every)
+    times, kept = _strang(prob, np.stack([prob.u0.values, prob.v1.values]), kick, drift)
     grid = prob.u0.grid
     return WaveTrajectory(times=np.asarray([0.0] + times),
                           states=[prob.u0] + [state_from_values(grid, vw[0]) for vw in kept],
@@ -365,13 +363,11 @@ def global_continuation(prob, T_total):
     segments = []
     while t_done < T_total - 1e-12:
         T_loc = min(0.5, T_total - t_done)
-        local = NlfsProblem(sigma=prob.sigma, nu=prob.nu, mu=prob.mu, u0=u,
-                            T=T_loc, dt=prob.dt, op=prob.op)
+        local = replace(prob, u0=u, T=T_loc, v1=None)
         try:
             for _ in range(8):
                 try:
-                    probe = picard_iterate(local, n_iter=PROBE_ITERATIONS,
-                                           T_small=T_loc, n_t=17)
+                    probe = picard_iterate(local, n_iter=PROBE_ITERATIONS, n_t=17)
                 except ContractionError:
                     probe = None
                 if probe is not None and probe.rate <= PROBE_RATIO:

@@ -9,6 +9,7 @@ desk scale and is deliberately capped at modest grid sizes.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,10 @@ class BoxGrid:
     n: int
     length: float
 
+    def __post_init__(self):
+        if self.n < 1 or not 0.0 < self.length < np.inf:
+            raise ValueError(f"a grid needs n >= 1 and a finite length > 0, got {self}")
+
     @property
     def spacing(self):
         return self.length / self.n
@@ -87,7 +92,7 @@ class BoxGrid:
 
 @dataclass
 class StateField:
-    """Complex field on a BoxGrid with its discrete Fourier coefficients.
+    """Complex field on a BoxGrid with its Fourier coefficients, computed on first read.
 
     The normalization is c_k = FFT(u) / n^d, so u = sum_k c_k e^{i omega_k x}
     and the Riemann L2 norm equals sqrt(L^d sum |c_k|^2) exactly on the grid.
@@ -98,13 +103,13 @@ class StateField:
 
     grid: BoxGrid
     values: np.ndarray = field(repr=False)
-    fourier: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if self.fourier is None:
-            self.fourier = (np.fft.fftn(self.values, axes=self.grid.axes())
-                            / self.grid.n**self.grid.dim)
+
+    @cached_property
+    def fourier(self):
+        return np.fft.fftn(self.values, axes=self.grid.axes()) / self.grid.n**self.grid.dim
 
     def l2_norm(self):
         return float(np.sqrt(self.grid.cell_volume * np.sum(np.abs(self.values) ** 2)))
@@ -131,9 +136,10 @@ def state_from_values(grid, values):
 
 
 def state_from_fourier(grid, fourier):
-    values = np.fft.ifftn(np.asarray(fourier, dtype=complex) * grid.n**grid.dim,
-                          axes=grid.axes())
-    return StateField(grid=grid, values=values, fourier=np.asarray(fourier, dtype=complex))
+    fourier = np.asarray(fourier, dtype=complex)
+    u = StateField(grid, np.fft.ifftn(fourier * grid.n**grid.dim, axes=grid.axes()))
+    u.fourier = fourier             # fills the cache: the given coefficients, not an FFT
+    return u
 
 
 def plane_wave(grid, k):
@@ -167,21 +173,24 @@ def modulated_gaussian(grid, center, width, omega=0.0):
 class SpectralOperator:
     """Functional calculus data for P = -Delta_g.
 
-    kind "flat" stores the multiplier |omega|^2 on the FFT layout; kind "eig"
-    stores eigenpairs of the 1-D divergence-form discretization, with the
-    basis orthonormal in the volume-weighted inner product and `weight` the
-    volume density on the grid.
+    Without a basis (`kind` "flat") it holds the multiplier |omega|^2 on the
+    FFT layout; with one (`kind` "eig") the eigenpairs of the 1-D
+    divergence-form discretization, with the basis orthonormal in the
+    volume-weighted inner product and `weight` the volume density on the grid.
 
     The transforms take a stack of fields (leading axes) as readily as one
     field: on the flat path they are one batched FFT, on the eig path one
     real matrix product with the basis for the whole stack.
     """
 
-    kind: str
     grid: BoxGrid
     lam: np.ndarray = field(repr=False)
     basis: np.ndarray = field(default=None, repr=False)   # (n, n), column j = e_j
     weight: np.ndarray = field(default=None, repr=False)
+
+    @property
+    def kind(self):
+        return "flat" if self.basis is None else "eig"
 
     @property
     def parseval_factor(self):
@@ -206,8 +215,7 @@ class SpectralOperator:
 
 
 def flat_operator(grid):
-    return SpectralOperator(kind="flat", grid=grid, lam=grid.lam(),
-                            weight=np.ones((grid.n,) * grid.dim))
+    return SpectralOperator(grid=grid, lam=grid.lam(), weight=np.ones((grid.n,) * grid.dim))
 
 
 def _real_product(matrix, z):
@@ -272,7 +280,7 @@ def discretize_P_1d(metric, n_points):
         raise AssemblyError(f"negative eigenvalue {lam[0]:.3e}")
     lam = np.clip(lam, 0.0, None)
     basis = psi / np.sqrt(w * grid.spacing)[:, None]
-    return SpectralOperator(kind="eig", grid=grid, lam=lam, basis=basis, weight=w)
+    return SpectralOperator(grid=grid, lam=lam, basis=basis, weight=w)
 
 
 def propagate(u0, op, sigma, t, h=None):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fio import ResolutionError
-from .metric import loglog_fit
+from .metric import FLAT_BOX_LENGTH, loglog_fit
 from .spectral import (flat_operator, localized_gaussian, lp_lq_norm, make_grid,
                        propagate)
 
@@ -35,7 +35,7 @@ __all__ = [
 
 SLOPE_MARGIN = 0.1
 DYADIC_SWEEP = tuple(2.0**-k for k in range(3, 10))
-GRID_CAP = 1 << 15
+GRID_CAP = 1 << 15       # most grid points a sweep's state may take
 POINTS_PER_MODE = 4
 RESCALING_T0 = 0.5      # half-width of rescaling_identity_gap's window
 RESCALING_N_T = 33      # time nodes of that window
@@ -127,23 +127,23 @@ class ScalingFit:
         return self.slope >= -self.exponent_bound - margin
 
 
-def _localized_state(cut, h, box_length, grid_cap):
-    """Gaussian at frequency ~1/h, localized by phi(h^2 P), on an adequate grid."""
+def _localized_state(cut, h):
+    """Gaussian at frequency ~1/h, localized by phi(h^2 P), on an adequate flat-torus grid."""
     k_max = np.sqrt(cut.support[1]) / h
-    need = int(np.ceil(POINTS_PER_MODE * k_max * box_length / (2.0 * np.pi)))
+    need = int(np.ceil(POINTS_PER_MODE * k_max * FLAT_BOX_LENGTH / (2.0 * np.pi)))
     n = 256
     while n < need:
         n *= 2
-    if n > grid_cap:
+    if n > GRID_CAP:
         raise ResolutionError(
-            f"h={h} needs {need} grid points, above the cap {grid_cap}"
+            f"h={h} needs {need} grid points, above the cap {GRID_CAP}"
         )
-    grid = make_grid(1, n, box_length)
+    grid = make_grid(1, n, FLAT_BOX_LENGTH)
     op = flat_operator(grid)
     return localized_gaussian(grid, cut, h), op
 
 
-def _sweep(sigma, pair, cut, h_sweep, times, box_length, grid_cap, rescaled):
+def _sweep(sigma, pair, cut, h_sweep, times, rescaled):
     """Norm ratio of each h's localized state over `times`, fitted against h.
 
     The states are 1-D, so `pair` must be classified for d = 1 (ValueError
@@ -162,16 +162,14 @@ def _sweep(sigma, pair, cut, h_sweep, times, box_length, grid_cap, rescaled):
     h_sweep = np.asarray(sorted(h_sweep, reverse=True), dtype=float)
     ratios = np.empty_like(h_sweep)
     for i, h in enumerate(h_sweep):
-        u, op = _localized_state(cut, h, box_length, grid_cap)
+        u, op = _localized_state(cut, h)
         states = propagate(u, op, sigma, times, h=h if rescaled else None)
         ratios[i] = lp_lq_norm(states, times, pair.p, pair.q) / u.l2_norm()
     return ScalingFit(*loglog_fit(h_sweep, ratios), exponent_bound=float(bound),
                       h=h_sweep, ratios=ratios)
 
 
-def measure_semiclassical_scaling(sigma, pair, cut, h_sweep=DYADIC_SWEEP,
-                                  t0=1.0, n_t=65, box_length=2.0 * np.pi,
-                                  grid_cap=GRID_CAP):
+def measure_semiclassical_scaling(sigma, pair, cut, h_sweep=DYADIC_SWEEP, t0=1.0, n_t=65):
     """Norm-ratio growth of the h-rescaled group over [-t0, t0].
 
     Each h propagates a frequency-localized Gaussian with the multiplier
@@ -179,13 +177,11 @@ def measure_semiclassical_scaling(sigma, pair, cut, h_sweep=DYADIC_SWEEP,
     fixed window divided by the initial L^2 norm.  The slope bound is the
     sigma-independent exponent d/2 - d/q - 1/p.
     """
-    return _sweep(sigma, pair, cut, h_sweep, np.linspace(-t0, t0, int(n_t)),
-                  box_length, grid_cap, rescaled=True)
+    return _sweep(sigma, pair, cut, h_sweep, np.linspace(-t0, t0, int(n_t)), rescaled=True)
 
 
-def measure_unscaled_scaling(sigma, pair, cut, h_sweep=DYADIC_SWEEP,
-                             interval=(0.0, 1.0), n_t=65,
-                             box_length=2.0 * np.pi, grid_cap=GRID_CAP):
+def measure_unscaled_scaling(sigma, pair, cut, h_sweep=DYADIC_SWEEP, interval=(0.0, 1.0),
+                             n_t=65):
     """Norm-ratio growth of the unrescaled group over a fixed interval.
 
     Same state family as the semiclassical sweep, but the propagator is
@@ -193,8 +189,7 @@ def measure_unscaled_scaling(sigma, pair, cut, h_sweep=DYADIC_SWEEP,
     cumulated bound gamma + loss is the relevant exponent.
     """
     times = np.linspace(float(interval[0]), float(interval[1]), int(n_t))
-    return _sweep(sigma, pair, cut, h_sweep, times, box_length, grid_cap,
-                  rescaled=False)
+    return _sweep(sigma, pair, cut, h_sweep, times, rescaled=False)
 
 
 def rescaling_identity_gap(sigma, v, h, p, q, op=None):

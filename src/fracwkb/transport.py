@@ -119,7 +119,6 @@ class AmplitudeTable:
     recomputes along fresh characteristics rather than interpolating.
     """
 
-    order: int
     t_grid: np.ndarray
     x_grid: np.ndarray       # (nx, d)
     xi_grid: np.ndarray      # (nxi, d)
@@ -133,6 +132,10 @@ class AmplitudeTable:
     @property
     def dim(self):
         return self.x_grid.shape[1]
+
+    @property
+    def order(self):
+        return self.values.shape[0]
 
     def evaluate(self, t, x, xi):
         """Fresh amplitude computation at arbitrary points (no interpolation)."""
@@ -199,10 +202,8 @@ def solve_transport(a_init, phase, N=None):
                          phase.rate_integral.ravel(), N).reshape((N,) + shape)
     V = q0.grad_xi(xp, phase.grad_x.reshape(-1, d)).reshape(shape + (d,))
 
-    return AmplitudeTable(
-        order=N, t_grid=t_grid, x_grid=x_grid, xi_grid=xi_grid,
-        values=values, V=V, f=phase.rate, a_init=a_init, q0=q0, dt=phase.dt,
-    )
+    return AmplitudeTable(t_grid=t_grid, x_grid=x_grid, xi_grid=xi_grid, values=values, V=V,
+                          f=phase.rate, a_init=a_init, q0=q0, dt=phase.dt)
 
 
 def transport_residual(amp, j=0):

@@ -6,6 +6,8 @@ claim.  Configurations are frozen so the measured values are reproducible
 run to run.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -241,7 +243,7 @@ def test_picard_contraction_window_scaling():
     u0 = _combo(grid, [(1, 0.2), (-2, 0.1)])
     prob = NlfsProblem(sigma=2.0, nu=3.0, mu=1, u0=u0, T=0.2, dt=1e-3, op=op)
     full = picard_iterate(prob, n_iter=8, n_t=65)
-    half = picard_iterate(prob, n_iter=8, T_small=0.1, n_t=65)
+    half = picard_iterate(dataclasses.replace(prob, T=0.1), n_iter=8, n_t=65)
     floor = 1e-10 * full.diffs[0]
     for prev, nxt in zip(full.diffs, full.diffs[1:]):
         if prev > floor:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import fracwkb
+from fracwkb import cli
 from fracwkb.cli import main
 
 
@@ -102,6 +103,44 @@ def test_kernel_zero_time_symmetry(tmp_path, capsys):
                  "--y_hi", "0.5", "--n_y", "9", "--out", str(tmp_path)])
     assert code == 0
     assert "zero-time-hermitian-gap" in capsys.readouterr().out
+
+
+def test_kernel_zero_time_symmetry_on_the_default_grid(tmp_path):
+    # 33 x nodes against 65 y nodes: the symmetry is checked on the x grid
+    assert main(["kernel", "--t", "0", "--out", str(tmp_path)]) == 0
+    rows = {row["claim"]: row for row in _report_rows(tmp_path, "kernel")}
+    assert float(rows["zero-time-hermitian-gap"]["value"]) < 1e-8
+    with open(tmp_path / "kernel" / "kernel.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 33 * 65
+
+
+def test_kernel_suites_take_their_guard_band_from_the_cutoff(tmp_path, monkeypatch):
+    bands = []
+
+    def recording(metric, sigma, xi_band=None):
+        bands.append(xi_band)
+        raise RuntimeError("stop after the symbol")
+
+    monkeypatch.setattr(cli, "fractional_symbol", recording)
+    assert main(["kernel", "--r1", "0.5", "--r2", "8.0", "--out", str(tmp_path)]) == 1
+    assert main(["dispersive", "--out", str(tmp_path)]) == 1
+    assert bands == [(0.4, 10.0), (0.8 * 0.25, 1.25 * 3.8)]
+    for key in ("band_lo", "band_hi"):
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel", f"--{key}", "1.0", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+
+def test_empty_or_unbounded_grid_exits_one(tmp_path, capsys):
+    assert main(["nlfs", "--n", "0", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "nlfs failed" in err and "n >= 1" in err and "Traceback" not in err
+
+
+def test_strichartz_fit_of_a_zero_norm_exits_one(tmp_path, capsys):
+    # one time node gives a zero trapezoid norm, whose logarithm is -inf
+    assert main(["strichartz", "--n_t", "1", "--out", str(tmp_path)]) == 1
+    assert "positive and finite" in capsys.readouterr().err
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -229,14 +229,14 @@ def _decay_tables(h, n_t):
     return phase, solve_transport(a_init, phase, N=1)
 
 
-def test_kernel_sup_raises_when_rounds_run_out():
+def test_kernel_sup_raises_when_rounds_run_out(monkeypatch):
     # two rounds give 9.81 (16 points per span) and 12.59 (31 points, which
     # now include x = y = 0), 28% apart: no estimate to hand back
     h = 2.0**-6
     phase, amp = _decay_tables(h, 10)
+    monkeypatch.setattr(fio, "SUP_REFINE_TOL", 1e-9)
     with pytest.raises(ResolutionError, match=r"9\.808\d* and 12\.58"):
-        kernel_sup(phase, amp, h, 0.03125, (-0.5, 0.5), (-3.0, 3.0),
-                   max_rounds=2, tol=1e-9)
+        kernel_sup(phase, amp, h, 0.03125, (-0.5, 0.5), (-3.0, 3.0), max_rounds=2)
 
 
 def test_kernel_resolves_cutoff_on_small_window():
@@ -290,8 +290,9 @@ def test_kernel_sup_solves_again_when_the_xi_rule_moves(monkeypatch):
         return factors(amp, h, t, x_grid, xi_grid)
 
     monkeypatch.setattr(fio, "_fio_factors", recording)
+    monkeypatch.setattr(fio, "SUP_REFINE_TOL", 1.0)
     h, t, x_span, y_span = 2.0**-3, 0.1, (-0.5, 0.5), (-1.0, 1.0)
-    sup = kernel_sup(phase, amp, h, t, x_span, y_span, tol=1.0, max_rounds=2)
+    sup = kernel_sup(phase, amp, h, t, x_span, y_span, max_rounds=2)
     assert solved == [16, 31]
     monkeypatch.undo()
     final = kernel(phase, amp, h, t, np.linspace(*x_span, 31), np.linspace(*y_span, 31))

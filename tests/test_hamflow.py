@@ -245,9 +245,9 @@ def test_variational_step_evaluates_the_metric_once_per_stage():
             return evaluate(pts)
         return counted
 
+    # G alone (`inverse_metric`) is read off the jet too, so this counts both
     H = fractional_symbol(dataclasses.replace(
-        bump, inverse_metric=counting(bump.inverse_metric),
-        inverse_metric_jet=counting(bump.inverse_metric_jet)), 2.0, xi_band=(0.3, 3.0))
+        bump, inverse_metric_jet=counting(bump.inverse_metric_jet)), 2.0, xi_band=(0.3, 3.0))
     integrate_flow(H, 0.01, *_BASE, 1)
     assert len(calls) <= 5          # four RK4 stages and the guard-band check
 

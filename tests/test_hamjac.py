@@ -1,8 +1,11 @@
 """Phase construction: generating function, residuals and horizons."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from fracwkb import hamjac
 from fracwkb.hamflow import NEWTON_TOL, integrate_flow
 from fracwkb.hamjac import (HorizonError, _simpson, build_phase,
                             caustic_horizon, certify_phase_estimates,
@@ -175,23 +178,62 @@ def test_caustic_horizon_flat_is_grid_maximum():
     assert pt.t0 == 0.1
 
 
+def test_horizon_is_computed_on_first_read():
+    pt = _bump_table()
+    assert "t0" not in vars(pt)
+    assert pt.t0 == caustic_horizon(pt, strict=False) == 0.1
+    with pytest.raises(TypeError):
+        dataclasses.replace(pt, t0=0.1)
+
+
+def test_flat_phase_table_in_two_dimensions(monkeypatch):
+    # d = 2 runs the general-d branches: _stage's A @ Z, principal_jet's
+    # einsums and solve_blocks's LAPACK solve
+    solves = []
+    lapack = np.linalg.solve
+
+    def recording(M, B):
+        solves.append(M.shape)
+        return lapack(M, B)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    q0 = fractional_symbol(flat_metric(dim=2), 2.0, xi_band=(0.2, 4.0))
+    x = np.array([[0.0, 0.0], [0.5, -0.3], [-1.0, 0.7]])
+    xi = np.array([[1.0, 0.0], [0.6, -0.8], [0.9, 0.9], [-1.2, 0.4]])
+    t = np.array([0.0, 0.05, -0.1, 0.2])
+    pt = build_phase(q0, t, x, xi)
+    assert solves and all(shape[-2:] == (2, 2) for shape in solves)
+    # S = x . xi + t |xi|^sigma, Y = grad_xi S = x + 2 t xi, grad_x S = xi
+    exact = (x @ xi.T)[None] + t[:, None, None] * np.sum(xi**2, axis=1)
+    assert np.max(np.abs(pt.S - exact)) < 1e-15
+    np.testing.assert_allclose(pt.Y, x[None, :, None] + 2.0 * t[:, None, None, None] * xi,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(pt.grad_x, np.broadcast_to(xi, pt.grad_x.shape), rtol=0,
+                               atol=1e-15)
+    np.testing.assert_allclose(pt.hess_xxi, np.broadcast_to(np.eye(2), pt.hess_xxi.shape),
+                               rtol=0, atol=1e-15)
+
+
 def test_caustic_horizon_zero_only_grid():
     q0 = _bump_q0()
     pt = build_phase(q0, [0.0], np.array([[0.0]]), np.array([[1.0]]))
     assert caustic_horizon(pt) == 0.0
 
 
-def test_caustic_horizon_threshold_ordering():
+def test_caustic_horizon_threshold_ordering(monkeypatch):
     pt = _bump_table()
-    assert caustic_horizon(pt, threshold=0.5) == 0.1
-    tight = caustic_horizon(pt, threshold=0.01, strict=False)
+    assert hamjac.HORIZON_THRESHOLD == 0.5
+    assert caustic_horizon(pt) == 0.1
+    monkeypatch.setattr(hamjac, "HORIZON_THRESHOLD", 0.01)
+    tight = caustic_horizon(pt, strict=False)
     assert 0.0 < tight < 0.1
 
 
-def test_caustic_horizon_strict_raises():
+def test_caustic_horizon_strict_raises(monkeypatch):
     pt = _bump_table()
+    monkeypatch.setattr(hamjac, "HORIZON_THRESHOLD", 1e-6)
     with pytest.raises(HorizonError):
-        caustic_horizon(pt, threshold=1e-6)
+        caustic_horizon(pt)
 
 
 def test_certify_flat_quadratic_constant_vanishes():

@@ -1,5 +1,8 @@
 """Metric field construction, principal symbol, and assumption audits."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -77,8 +80,19 @@ def _indefinite_metric():
         n = pts.shape[0]
         return _g(pts), np.zeros((n, 1, 1, 1)), np.zeros((n, 1, 1, 1, 1))
 
-    return MetricField(dim=1, box_length=16.0, inverse_metric=_g,
-                       inverse_metric_jet=_jet, is_flat=False, label="indefinite")
+    return MetricField(dim=1, box_length=16.0, inverse_metric_jet=_jet, is_flat=False,
+                       label="indefinite")
+
+
+def test_inverse_metric_is_the_first_part_of_the_jet():
+    m = gaussian_bump_metric(dim=1, epsilon=0.1)
+    pts = np.linspace(-3.0, 3.0, 25)[:, None]
+    e = 0.1 * np.exp(-np.sum(pts**2, axis=1))
+    np.testing.assert_array_equal(m.inverse_metric(pts), (1.0 + e)[:, None, None] * np.eye(1))
+    np.testing.assert_array_equal(flat_metric(dim=2).inverse_metric(np.zeros((4, 2))),
+                                  np.broadcast_to(np.eye(2), (4, 2, 2)))
+    with pytest.raises(TypeError):
+        dataclasses.replace(m, inverse_metric=lambda pts: np.ones((len(pts), 1, 1)))
 
 
 def test_audit_rejects_degenerate_metric():
@@ -136,6 +150,18 @@ def test_loglog_fit_exact_power_law():
     assert abs(slope + 0.75) < 1e-13
     assert abs(intercept - np.log(3.0)) < 1e-12
     assert abs(r2 - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("x, y", [([0.25, 0.0, 0.5], [1.0, 2.0, 3.0]),
+                                  ([0.25, 0.5, 1.0], [1.0, np.nan, 3.0]),
+                                  ([0.25, np.inf, 1.0], [1.0, 2.0, 3.0]),
+                                  ([0.25, 0.5, 1.0], [1.0, -2.0, 3.0])])
+def test_loglog_fit_rejects_samples_that_are_not_positive_and_finite(x, y):
+    # the samples are checked before np.log, so no RuntimeWarning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="positive and finite"):
+            loglog_fit(np.asarray(x), np.asarray(y))
 
 
 @pytest.mark.parametrize("x, y", [([0.5, 0.5, 0.5], [1.0, 2.0, 3.0]), ([], [])])

@@ -81,10 +81,11 @@ def test_energy_drift_second_order_in_dt(setup):
     assert 3.5 < drifts[0] / drifts[1] < 4.5
 
 
-def test_trajectory_store_every(setup):
+def test_trajectory_store_every(setup, monkeypatch):
     grid, op = setup
-    traj = solve_nlfs(_problem(grid, op, _combo(grid, [(1, 0.1)]), mu=0),
-                      store_every=2)
+    # 10 steps keep every 10 // 5 = 2nd
+    monkeypatch.setattr(fracwkb.nlfs, "KEPT_STEPS", 5)
+    traj = solve_nlfs(_problem(grid, op, _combo(grid, [(1, 0.1)]), mu=0))
     assert_allclose(traj.times, [0.0, 0.02, 0.04, 0.06, 0.08, 0.1],
                     atol=1e-15)
     assert len(traj.states) == 6

@@ -1,12 +1,13 @@
 """Periodic functional calculus: grids, propagation and localization."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracwkb.metric import flat_metric, gaussian_bump_metric
-from fracwkb.spectral import (SpectralGapError, SpectralOperator,
+from fracwkb.spectral import (BoxGrid, SpectralGapError, SpectralOperator,
                               discretize_P_1d, flat_operator,
                               frequency_localize, kernel_projection,
                               localized_gaussian, lp_lq_norm, make_grid,
@@ -37,6 +38,45 @@ def test_fourier_round_trip():
     v = state_from_fourier(grid, u.fourier)
     np.testing.assert_allclose(v.values, u.values, atol=1e-13)
     assert u.parseval_gap() < 1e-12
+
+
+def test_fourier_is_computed_on_first_read():
+    grid = make_grid(1, 64)
+    u = modulated_gaussian(grid, np.pi, 0.4, omega=5.0)
+    assert "fourier" not in vars(u)
+    np.testing.assert_array_equal(u.fourier, np.fft.fftn(u.values, axes=(-1,)) / 64)
+    assert "fourier" in vars(u)
+    with pytest.raises(TypeError):
+        dataclasses.replace(u, fourier=u.fourier)
+
+
+def test_state_from_fourier_keeps_the_given_coefficients():
+    grid = make_grid(1, 64)
+    c = np.zeros(64, dtype=complex)
+    c[[3, 5]] = [0.5, 0.25j]
+    u = state_from_fourier(grid, c)
+    np.testing.assert_array_equal(u.fourier, c)
+    # a second transform of the values would not give back the zeros exactly
+    assert np.max(np.abs(np.fft.fft(u.values) / 64 - c)) > 0.0
+
+
+def test_eigenbasis_transforms_take_no_fft():
+    op = discretize_P_1d(gaussian_bump_metric(dim=1, epsilon=0.1), 65)
+    u = modulated_gaussian(op.grid, 8.0, 0.5, omega=2.0)
+    v = op.synthesize(op.coefficients(u))
+    assert op.kind == "eig" and flat_operator(op.grid).kind == "flat"
+    assert "fourier" not in vars(u) and "fourier" not in vars(v)
+    with pytest.raises(TypeError):
+        dataclasses.replace(op, kind="flat")
+
+
+@pytest.mark.parametrize("n, length", [(0, 2.0 * np.pi), (-3, 2.0 * np.pi), (8, 0.0),
+                                       (8, -1.0), (8, np.inf), (8, np.nan)])
+def test_grid_rejects_an_empty_or_unbounded_box(n, length):
+    with pytest.raises(ValueError, match="n >= 1"):
+        make_grid(1, n, length)
+    with pytest.raises(ValueError, match="n >= 1"):
+        BoxGrid(1, n, length)
 
 
 def test_propagate_zero_time_identity():
@@ -325,9 +365,9 @@ def test_kernel_projection_cases():
 
 def test_kernel_projection_gap_guard():
     grid = make_grid(1, 5)
-    op = SpectralOperator(kind="eig", grid=grid,
-                          lam=np.array([0.0, 1e-7, 1.0, 2.0, 3.0]),
+    op = SpectralOperator(grid=grid, lam=np.array([0.0, 1e-7, 1.0, 2.0, 3.0]),
                           basis=np.eye(5), weight=np.ones(5))
+    assert op.kind == "eig"
     with pytest.raises(SpectralGapError):
         kernel_projection(op, state_from_values(grid, np.ones(5)))
 

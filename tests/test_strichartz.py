@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fracwkb import strichartz
 from fracwkb.fio import ResolutionError
 from fracwkb.spectral import frequency_localize, make_grid, modulated_gaussian
 from fracwkb.strichartz import (classify_pair, measure_semiclassical_scaling,
@@ -134,11 +135,11 @@ def test_sweep_rejects_a_pair_of_another_dimension():
             measure(2.0, pair, CUT, h_sweep=SWEEP)
 
 
-def test_sweep_grid_cap():
+def test_sweep_grid_cap(monkeypatch):
     pair = classify_pair(8, 4, 1, 2.0)
+    monkeypatch.setattr(strichartz, "GRID_CAP", 512)
     with pytest.raises(ResolutionError):
-        measure_semiclassical_scaling(2.0, pair, CUT, h_sweep=SWEEP,
-                                      n_t=9, grid_cap=512)
+        measure_semiclassical_scaling(2.0, pair, CUT, h_sweep=SWEEP, n_t=9)
 
 
 def test_rescaling_identity_gap_seeded_states():

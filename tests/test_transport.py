@@ -1,5 +1,7 @@
 """Transport amplitudes along the phase table's characteristics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,14 @@ def test_solve_transport_default_orders():
     assert solve_transport(af, _phase(qf, nt=3)).order == 2
     _, qb, ab = _bump_setup()
     assert solve_transport(ab, _phase(qb, nt=3)).order == 1
+
+
+def test_order_is_the_number_of_amplitude_tables():
+    _, qf, af = _flat_setup()
+    amp = solve_transport(af, _phase(qf, nt=3), N=1)
+    assert amp.order == amp.values.shape[0] == 1
+    with pytest.raises(TypeError):
+        dataclasses.replace(amp, order=2)
 
 
 def test_order_validation():
