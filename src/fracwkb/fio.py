@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import as_points, loglog_fit, tensor_pairs
+from .metric import as_points, audit_assumptions, loglog_fit, tensor_pairs
 from .spectral import (flat_operator, localized_gaussian, make_grid, propagate,
                        state_from_values)
 
@@ -55,34 +55,37 @@ class InsufficientDataError(RuntimeError):
     """Too few valid samples to fit a decay exponent."""
 
 
-def _check_1d(obj):
+def _check_args(obj, h):
+    """Reject a grid (or table) that is not 1-D and an h that is not positive and finite."""
     if obj.dim != 1:
         raise ValueError("oscillatory quadrature is implemented on 1-D grids")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
 
 
-def _amplitude_band(amp):
-    """The p-band of the initial symbol's support, else q0's guard band."""
-    xi_band = amp.a_init.xi_band or amp.q0.xi_band
-    if xi_band is None:
+def _support(amp):
+    """The amplitude's p-band (else q0's), q0's guard band (else the p-band)
+    and G's range (G_min, G_max) over the metric's box, from `audit_assumptions`:
+    one support per parametrix, wherever the caller evaluates and wherever
+    the backward base points Y land."""
+    band = amp.a_init.xi_band or amp.q0.xi_band
+    if band is None:
         raise ValueError("amplitude carries no xi support information")
-    return xi_band
+    report = audit_assumptions(amp.q0.metric)
+    return band, amp.q0.xi_band or band, (report.min_eigenvalue, report.max_eigenvalue)
 
 
 def _mode_band(amp, h, grid):
     """The grid's frequency axis and the indices of the modes in the band.
 
-    A mode is kept when its covector p(x, h omega) enters the initial
-    symbol's support for at least one grid point and stays inside the flow
-    guard band for all of them; outside the guard band the amplitude
-    vanishes identically, so the mode contributes nothing.  An empty band
-    raises ValueError.
-    """
-    xi_band = _amplitude_band(amp)
-    guard = amp.q0.xi_band or xi_band
+    A mode is kept when p(x, h omega) enters the initial symbol's support for
+    some x of the box and stays inside the flow guard band for all of them
+    (G's range, `_support`); outside the guard band the amplitude vanishes
+    identically.  An empty band raises ValueError."""
+    xi_band, guard, (g_min, g_max) = _support(amp)
     omega = grid.omega_axis()
-    G = amp.q0.metric.inverse_metric(grid.axis()[:, None])[:, 0, 0]
-    p_lo = float(np.min(G)) * (h * omega) ** 2
-    p_hi = float(np.max(G)) * (h * omega) ** 2
+    p_lo = g_min * (h * omega) ** 2
+    p_hi = g_max * (h * omega) ** 2
     touches = (p_hi >= xi_band[0]) & (p_lo <= xi_band[1])
     inside_guard = (p_lo >= guard[0] * (1.0 - 1e-12)) & (p_hi <= guard[1] * (1.0 + 1e-12))
     keep = np.flatnonzero(touches & inside_guard)
@@ -116,7 +119,7 @@ def apply_fio(phase, amp, u0, h, t):
     retained mode, and coefficient mass outside the amplitude band beyond
     BAND_TOL (relative L2) is rejected rather than silently dropped.
     """
-    _check_1d(u0.grid)
+    _check_args(u0.grid, h)
     if phase.q0 is not amp.q0:
         raise ValueError("phase and amplitude tables disagree on the symbol")
     grid = u0.grid
@@ -142,21 +145,18 @@ def apply_fio(phase, amp, u0, h, t):
     return state_from_values(grid, M @ c[keep])
 
 
-def _xi_hull(amp, x_samples):
-    """Conservative 1-D hull of the amplitude's covector support, both signs.
+def _xi_hull(amp):
+    """Conservative 1-D hull +-[lo, hi] of the amplitude's covector support.
 
-    Returns the intervals [(-hi, -lo), (lo, hi)], their largest |xi| and the
-    sup of |grad_xi q0| = sigma |xi|^{sigma-1} over them (the flat speed
-    bound every oscillation and reach estimate uses).
-    """
-    xi_band = _amplitude_band(amp)
-    metric = amp.q0.metric
-    G = metric.inverse_metric(x_samples)[:, 0, 0]
-    lo = float(np.sqrt(xi_band[0] / np.max(G)))
-    hi = float(np.sqrt(xi_band[1] / np.min(G)))
+    lo = sqrt(band_lo / G_max) and hi = sqrt(band_hi / G_min) over G's range on
+    the box (`_support`); the third value is the speed bound every oscillation
+    and reach estimate uses, sup |grad_xi q0| = sigma G^{sigma/2} |xi|^{sigma-1}
+    over the box and the hull."""
+    xi_band, _, (g_min, g_max) = _support(amp)
+    lo = float(np.sqrt(xi_band[0] / g_max))
+    hi = float(np.sqrt(xi_band[1] / g_min))
     sigma = amp.q0.sigma
-    grad_max = sigma * max(hi ** (sigma - 1.0), lo ** (sigma - 1.0))
-    return [(-hi, -lo), (lo, hi)], hi, grad_max
+    return lo, hi, sigma * g_max ** (sigma / 2.0) * max(hi ** (sigma - 1.0), lo ** (sigma - 1.0))
 
 
 @dataclass
@@ -186,8 +186,8 @@ def _x_factors(amp, h, t, x_grid, xis, w):
 def kernel(phase, amp, h, t, x_grid, y_grid, n_xi=None, x_factors=_x_factors):
     """Evaluate K_h(t, x, y) = (2 pi h)^{-d} int e^{i(S - y xi)/h} a dxi.
 
-    The xi-support is a pair of sign-symmetric compact intervals; each gets a
-    trapezoid rule with POINTS_PER_OSC points per oscillation of the scale
+    The xi-support is the pair of intervals +-[lo, hi] (`_xi_hull`); each gets
+    one trapezoid rule with POINTS_PER_OSC points per oscillation of the scale
     |grad_xi (S - y xi)| <= max|x| + |t| sup|grad q0| + max|y| and at least
     XI_POINTS_MIN, or exactly `n_xi` points when given.  An unaffordable
     count raises :class:`ResolutionError` naming the need.
@@ -197,66 +197,57 @@ def kernel(phase, amp, h, t, x_grid, y_grid, n_xi=None, x_factors=_x_factors):
     the characteristics of every x node unless a caller that has some of
     them already passes its own (as `kernel_sup` does).
     """
-    _check_1d(phase)
+    _check_args(phase, h)
     x_grid = as_points(x_grid, 1)
     y_grid = as_points(y_grid, 1)
-    intervals, _, grad_max = _xi_hull(amp, x_grid)
+    if not (x_grid.size and y_grid.size):
+        raise ValueError(f"{'y_grid' if x_grid.size else 'x_grid'} is empty")
+    lo, hi, grad_max = _xi_hull(amp)
     M = float(np.max(np.abs(x_grid))) + abs(t) * grad_max + float(np.max(np.abs(y_grid)))
 
-    nodes, weights, used = [], [], 0
-    for lo, hi in intervals:
-        width = hi - lo
-        if n_xi is None:
-            count = int(np.ceil(POINTS_PER_OSC * width * M / (2.0 * np.pi * h))) + 1
-            count = max(count, XI_POINTS_MIN)
-        else:
-            count = int(n_xi)
-        if count > XI_POINTS_CAP:
-            raise ResolutionError(
-                f"oscillation rule asks for {count} xi points on [{lo}, {hi}]; "
-                f"cap is {XI_POINTS_CAP}"
-            )
-        used = max(used, count)
-        w = np.full(count, width / (count - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        nodes.append(np.linspace(lo, hi, count))
-        weights.append(w)
+    width = hi - lo
+    count = int(n_xi) if n_xi is not None else max(
+        int(np.ceil(POINTS_PER_OSC * width * M / (2.0 * np.pi * h))) + 1, XI_POINTS_MIN)
+    if count > XI_POINTS_CAP:
+        raise ResolutionError(f"oscillation rule asks for {count} xi points on +-[{lo}, {hi}]; "
+                              f"cap is {XI_POINTS_CAP}")
+    w = np.full(count, width / (count - 1))
+    w[0] *= 0.5
+    w[-1] *= 0.5
     # both intervals' nodes in one list: one characteristic batch, one product
-    xis, w = np.concatenate(nodes)[:, None], np.concatenate(weights)
+    xis = np.concatenate([np.linspace(-hi, -lo, count), np.linspace(lo, hi, count)])[:, None]
+    w = np.concatenate([w, w])
     values = (x_factors(amp, h, t, x_grid, xis, w)
               @ np.exp(-1j * np.outer(xis[:, 0], y_grid[:, 0]) / h))
     values /= 2.0 * np.pi * h
     if not np.all(np.isfinite(values)):
         raise ValueError("kernel produced non-finite entries")
     return KernelGrid(h=h, t=t, x_grid=x_grid, y_grid=y_grid, values=values,
-                      n_xi=used)
+                      n_xi=count)
 
 
 def kernel_sup(phase, amp, h, t, x_span, y_span, max_rounds=6):
     """Grid max of |K_h(t)| over the spans, refined until it moves < SUP_REFINE_TOL.
 
-    The first round takes SUP_POINTS_START points per span, and each round
-    refines n points to 2n - 1, whose even nodes are the last round's.  When
-    a round's xi rule is the last round's (always so on the flat metric), its
-    `kernel` reuses the factors of those x nodes and solves only the new
-    ones; a rule that moved (a new node can pass an extremum of G) solves
-    every node again.  So each estimate is `kernel(...).sup()` on its grid.
-    When `max_rounds` rounds pass without two successive estimates agreeing
-    to SUP_REFINE_TOL, raises :class:`ResolutionError` naming the last two estimates.
+    The first round takes SUP_POINTS_START points per span; each round refines
+    n points to 2n - 1, whose even nodes are the last round's.  Every round
+    shares max|x| and max|y|, hence the xi rule, so its `kernel` reuses the
+    last round's factors and solves only the new x nodes.  Each estimate is
+    `kernel(...).sup()` on its grid; when `max_rounds` rounds pass without two
+    successive estimates agreeing to SUP_REFINE_TOL, raises
+    :class:`ResolutionError` naming the last two estimates.
     """
-    rule = rows = None      # the last round's xi rule and x-factors
+    rows = None             # the last round's x-factors, this round's even rows
 
     def nested(amp, h, t, x_grid, xis, w):
-        nonlocal rule, rows
-        if rule is not None and np.array_equal(rule[0], xis) and np.array_equal(rule[1], w):
-            factors = np.empty((x_grid.shape[0], xis.shape[0]), dtype=complex)
-            factors[::2] = rows
-            factors[1::2] = _x_factors(amp, h, t, x_grid[1::2], xis, w)
+        nonlocal rows
+        if rows is None:
+            rows = _x_factors(amp, h, t, x_grid, xis, w)
         else:
-            factors = _x_factors(amp, h, t, x_grid, xis, w)
-        rule, rows = (xis, w), factors
-        return factors
+            last, rows = rows, np.empty((x_grid.shape[0], xis.shape[0]), dtype=complex)
+            rows[::2] = last
+            rows[1::2] = _x_factors(amp, h, t, x_grid[1::2], xis, w)
+        return rows
 
     prev = cur = None
     n = SUP_POINTS_START
@@ -300,7 +291,7 @@ def dispersive_fit(phase, amp, h, t_samples):
         raise InsufficientDataError(
             f"need at least 6 time samples for the decay fit, got {t_samples.size}"
         )
-    _, _, grad_max = _xi_hull(amp, np.zeros((1, 1)))
+    _, _, grad_max = _xi_hull(amp)
     t_max = float(np.max(np.abs(t_samples)))
     x_span = DECAY_X_SPAN
     reach = max(abs(x_span[0]), abs(x_span[1])) + t_max * grad_max + 0.5
@@ -348,10 +339,11 @@ def remainder_decay(phase, amp, h_sweep, t=0.15, reference_propagator=None):
         raise ValueError("amplitude must carry its frequency cutoff")
 
     h_sweep = np.asarray(sorted(h_sweep, reverse=True), dtype=float)
-    _, xi_hi, _ = _xi_hull(amp, np.zeros((1, 1)))
+    _, xi_hi, _ = _xi_hull(amp)
     L = metric.box_length
     rems = np.empty_like(h_sweep)
     for i, h in enumerate(h_sweep):
+        _check_args(phase, h)
         n = 1
         need = POINTS_PER_OSC * xi_hi * L / (2.0 * np.pi * h)
         while n < 2.0 * need:
@@ -380,6 +372,7 @@ def operator_norm_estimate(phase, amp, h, t, grid):
     acts mode-to-grid, so the adjoint is applied with the conjugate-transposed
     mode matrix; both directions are matrix-free in the state dimension.
     """
+    _check_args(grid, h)
     omega, keep = _mode_band(amp, h, grid)
     M = _fio_factors(amp, h, t, grid.axis()[:, None], h * omega[keep, None])
 
@@ -445,8 +438,7 @@ def stationary_phase_prediction(amp, h, t, x, y):
         raise ValueError("prediction needs t != 0")
     speed = abs(x - y) / abs(t)
     xi_star = (speed / sigma) ** (1.0 / (sigma - 1.0))
-    intervals, _, _ = _xi_hull(amp, np.zeros((1, 1)))
-    lo, hi = intervals[1]
+    lo, hi, _ = _xi_hull(amp)
     if not lo <= xi_star <= hi:
         raise ValueError(
             f"stationary covector {xi_star:.4f} falls outside the band [{lo:.4f}, {hi:.4f}]"

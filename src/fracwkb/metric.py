@@ -239,6 +239,7 @@ class AssumptionReport:
     C_ellipticity: float
     C_alpha: dict
     min_eigenvalue: float
+    max_eigenvalue: float
     n_samples: int
 
     def __str__(self):
@@ -255,10 +256,13 @@ def audit_assumptions(m, n_samples=201):
     The samples are a tensor grid spanning the box, `n_samples` points along
     the axis for d = 1 and 33 per axis otherwise.  Returns the smallest
     constant C with C^{-1}|xi|^2 <= xi^T G xi <= C|xi|^2 over the samples (via
-    eigenvalue extremes of G) together with the observed sup of
-    |partial^alpha g^{jk}| per derivative order.  A sample with a nonpositive
-    eigenvalue raises :class:`EllipticityError`.
+    eigenvalue extremes of G, which the report keeps) together with the
+    observed sup of |partial^alpha g^{jk}| per derivative order.  A sample
+    with a nonpositive eigenvalue raises :class:`EllipticityError`, and
+    `n_samples` below 1 raises ValueError.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     half = 0.5 * m.box_length
     axes = [np.linspace(-half, half, n_samples if m.dim == 1 else 33)] * m.dim
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -283,5 +287,6 @@ def audit_assumptions(m, n_samples=201):
         C_ellipticity=C_ell,
         C_alpha=C_alpha,
         min_eigenvalue=lam_min,
+        max_eigenvalue=lam_max,
         n_samples=pts.shape[0],
     )

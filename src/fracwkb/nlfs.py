@@ -87,6 +87,8 @@ class NlfsProblem:
             raise ValueError(f"mu must be -1, 0 or +1, got {self.mu}")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
+        if self.T == 0.0 or not np.isfinite(self.T):
+            raise ValueError(f"T must be nonzero and finite, got {self.T}")
         odd_int = float(self.nu).is_integer() and int(self.nu) % 2 == 1
         if not odd_int:
             warnings.warn(

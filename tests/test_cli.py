@@ -137,6 +137,18 @@ def test_empty_or_unbounded_grid_exits_one(tmp_path, capsys):
     assert "nlfs failed" in err and "n >= 1" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, key", [
+    (["kernel", "--h", "0"], "h"),
+    (["kernel", "--h", "-0.01"], "h"),
+    (["kernel", "--n_y", "0"], "y_grid"),
+    (["audit", "--n_samples", "0"], "n_samples"),
+])
+def test_bad_scale_or_empty_grid_exits_one_naming_it(tmp_path, capsys, args, key):
+    assert main(args + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{args[0]} failed: {key} " in err and "Traceback" not in err
+
+
 def test_strichartz_fit_of_a_zero_norm_exits_one(tmp_path, capsys):
     # one time node gives a zero trapezoid norm, whose logarithm is -inf
     assert main(["strichartz", "--n_t", "1", "--out", str(tmp_path)]) == 1

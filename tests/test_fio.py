@@ -9,7 +9,7 @@ from fracwkb.fio import (InsufficientDataError, ResolutionError, apply_fio,
                          operator_norm_estimate, remainder_decay,
                          stationary_hessian_check, stationary_phase_prediction)
 from fracwkb.hamjac import build_phase
-from fracwkb.metric import flat_metric, gaussian_bump_metric
+from fracwkb.metric import flat_metric, gaussian_bump_metric, tensor_pairs
 from fracwkb.spectral import (flat_operator, make_grid, plane_wave, propagate,
                               state_from_values)
 from fracwkb.symbols import (GaussianWindow, fractional_symbol,
@@ -117,6 +117,26 @@ def test_kernel_zero_time_hermitian():
     K = kernel(phase, amp, H_REF, 0.0, g, g)
     gap = np.max(np.abs(K.values - K.values.conj().T))
     assert gap < 1e-8 * K.sup()
+
+
+@pytest.mark.parametrize("h", [0.0, -0.01, np.inf, np.nan])
+def test_h_that_is_not_positive_and_finite_is_rejected(h):
+    phase, amp, _ = _kernel_setup()
+    grid = make_grid(1, 512)
+    calls = [lambda: kernel(phase, amp, h, T_REF, [0.0], [0.0]),
+             lambda: apply_fio(phase, amp, plane_wave(grid, 20), h, 0.1),
+             lambda: operator_norm_estimate(phase, amp, h, 0.1, grid),
+             lambda: remainder_decay(phase, amp, [h], t=0.1)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^h must be positive and finite"):
+            call()
+
+
+@pytest.mark.parametrize("x, y, name", [([], [0.0], "x_grid"), ([0.0], [], "y_grid")])
+def test_kernel_rejects_an_empty_grid(x, y, name):
+    phase, amp, _ = _kernel_setup()
+    with pytest.raises(ValueError, match=f"^{name} is empty"):
+        kernel(phase, amp, H_REF, T_REF, x, y)
 
 
 def test_kernel_sup_bounded_by_amplitude_mass():
@@ -250,9 +270,27 @@ def test_kernel_resolves_cutoff_on_small_window():
     assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-8
 
 
-def test_kernel_sup_solves_each_x_node_once(monkeypatch):
-    h = 2.0**-6
-    phase, amp = _decay_tables(h, 6)
+def _bump_tables(t):
+    """Bump (eps = 0.1) sigma = 2 tables out to time t; the cutoff's p-band is (0.3, 3.0)."""
+    metric = gaussian_bump_metric(dim=1, epsilon=0.1)
+    q0 = fractional_symbol(metric, 2.0, xi_band=(0.2, 4.0))
+    a_init = localized_amplitude(metric, make_bump(0.3, 3.0, (0.5, 2.0)))
+    phase = build_phase(q0, [0.0, t], np.array([[0.0]]), np.array([[1.0]]))
+    return phase, solve_transport(a_init, phase)
+
+
+@pytest.mark.parametrize("case", ["flat", "bump"])
+def test_kernel_sup_solves_each_x_node_once(monkeypatch, case):
+    # every round shares max|x| and max|y|, hence its xi rule: a round solves
+    # only the x nodes the last round lacks, also where G varies (the bump
+    # stops after two rounds, SUP_REFINE_TOL being 1 there)
+    if case == "flat":
+        h, t, y_span, rounds, counts = 2.0**-6, 0.0625, (-3.0, 3.0), 6, [16, 15, 30]
+        phase, amp = _decay_tables(h, 6)
+    else:
+        h, t, y_span, rounds, counts = 2.0**-3, 0.1, (-1.0, 1.0), 2, [16, 15]
+        phase, amp = _bump_tables(0.1)
+        monkeypatch.setattr(fio, "SUP_REFINE_TOL", 1.0)
     solved = []
     factors = fio._fio_factors
 
@@ -261,39 +299,28 @@ def test_kernel_sup_solves_each_x_node_once(monkeypatch):
         return factors(amp, h, t, x_grid, xi_grid)
 
     monkeypatch.setattr(fio, "_fio_factors", recording)
-    t, x_span, y_span = 0.0625, (-0.5, 0.5), (-3.0, 3.0)
-    sup = kernel_sup(phase, amp, h, t, x_span, y_span)
+    x_span = (-0.5, 0.5)
+    sup = kernel_sup(phase, amp, h, t, x_span, y_span, max_rounds=rounds)
+    assert [s.size for s in solved] == counts
     nodes = np.sort(np.concatenate(solved))
     n = nodes.size
-    assert len(solved) >= 3 and n == 15 * 2 ** (len(solved) - 1) + 1
     np.testing.assert_array_equal(nodes, np.linspace(*x_span, n))
     monkeypatch.undo()
     final = kernel(phase, amp, h, t, np.linspace(*x_span, n), np.linspace(*y_span, n))
     assert abs(sup - final.sup()) <= 1e-13 * final.sup()
 
 
-def test_kernel_sup_solves_again_when_the_xi_rule_moves(monkeypatch):
-    # G = 1 + 0.1 exp(-x^2) peaks at x = 0, which the 16-point span misses and
-    # the 31-point span holds, so the second round's xi hull is wider: it
-    # solves every x node under its own rule, as a fresh kernel does, bit for
-    # bit (the first round's rule moves the sup by 4.4e-14 relative)
-    metric = gaussian_bump_metric(dim=1, epsilon=0.1)
-    q0 = fractional_symbol(metric, 2.0, xi_band=(0.2, 4.0))
-    a_init = localized_amplitude(metric, make_bump(0.3, 3.0, (0.5, 2.0)))
-    phase = build_phase(q0, [0.0, 0.1], np.array([[0.0]]), np.array([[1.0]]))
-    amp = solve_transport(a_init, phase)
-    solved = []
-    factors = fio._fio_factors
-
-    def recording(amp, h, t, x_grid, xi_grid):
-        solved.append(x_grid.shape[0])
-        return factors(amp, h, t, x_grid, xi_grid)
-
-    monkeypatch.setattr(fio, "_fio_factors", recording)
-    monkeypatch.setattr(fio, "SUP_REFINE_TOL", 1.0)
-    h, t, x_span, y_span = 2.0**-3, 0.1, (-0.5, 0.5), (-1.0, 1.0)
-    sup = kernel_sup(phase, amp, h, t, x_span, y_span, max_rounds=2)
-    assert solved == [16, 31]
-    monkeypatch.undo()
-    final = kernel(phase, amp, h, t, np.linspace(*x_span, 31), np.linspace(*y_span, 31))
-    assert sup == final.sup()
+def test_xi_hull_holds_the_bump_amplitude_support():
+    # a_0(t, x, xi) = a_init(Y, xi) with the backward base point Y about 1.7
+    # from x at t = 0.5, where G differs from its values on the x nodes; a
+    # hull from G on those nodes ends inside the support (a_0 reached 1.0e-2
+    # beyond it), the hull from G's range over the box holds all of it
+    phase, amp = _bump_tables(0.5)
+    x = np.linspace(-0.5, 0.5, 31)[:, None]
+    lo, hi, _ = fio._xi_hull(amp)
+    for a, b in ((-hi, -lo), (lo, hi)):
+        inset = 0.025 * (b - a)
+        xi = np.array([a - 1e-9 * abs(a), b + 1e-9 * abs(b), a + inset, b - inset])
+        a0 = amp.evaluate(0.5, *tensor_pairs(x, xi[:, None])).a[0].reshape(x.size, 4)
+        assert np.all(a0[:, :2] == 0.0)
+        assert np.all(a0[:, 2:] != 0.0)

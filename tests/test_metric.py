@@ -51,14 +51,20 @@ def test_rayleigh_quotient_within_ellipticity_band():
 def test_audit_identity_metric():
     rep = audit_assumptions(flat_metric(dim=1))
     assert rep.C_ellipticity == 1.0
-    assert rep.min_eigenvalue == 1.0
+    assert rep.min_eigenvalue == rep.max_eigenvalue == 1.0
     assert rep.C_alpha[1] == 0.0
     assert rep.C_alpha[2] == 0.0
+
+
+def test_audit_rejects_an_empty_sample():
+    with pytest.raises(ValueError, match="^n_samples must be >= 1"):
+        audit_assumptions(flat_metric(dim=1), n_samples=0)
 
 
 def test_audit_bump_half():
     rep = audit_assumptions(gaussian_bump_metric(dim=1, epsilon=0.5))
     np.testing.assert_allclose(rep.C_ellipticity, 1.5, rtol=0, atol=1e-12)
+    assert rep.max_eigenvalue == rep.C_ellipticity
 
 
 def test_audit_constants_stable_under_refinement():

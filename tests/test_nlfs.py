@@ -355,6 +355,9 @@ def test_continuation_requires_defocusing(setup, mu):
     {"nu": 1.0},
     {"mu": 0.5},
     {"dt": 0.0},
+    {"T": 0.0},
+    {"T": np.inf},
+    {"T": np.nan},
 ])
 def test_problem_validation(setup, over):
     grid, op = setup
