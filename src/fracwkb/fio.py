@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import as_points, audit_assumptions, loglog_fit, tensor_pairs
+from .metric import as_points, audit_assumptions, check_h, loglog_fit, tensor_pairs
 from .spectral import (flat_operator, localized_gaussian, make_grid, propagate,
                        state_from_values)
 
@@ -59,8 +59,7 @@ def _check_args(obj, h):
     """Reject a grid (or table) that is not 1-D and an h that is not positive and finite."""
     if obj.dim != 1:
         raise ValueError("oscillatory quadrature is implemented on 1-D grids")
-    if not 0.0 < h < np.inf:
-        raise ValueError(f"h must be positive and finite, got {h}")
+    check_h(h)
 
 
 def _support(amp):
@@ -76,12 +75,16 @@ def _support(amp):
 
 
 def _mode_band(amp, h, grid):
-    """The grid's frequency axis and the indices of the modes in the band.
+    """The indices of the grid modes in the band and their FIO mode matrix.
 
     A mode is kept when p(x, h omega) enters the initial symbol's support for
     some x of the box and stays inside the flow guard band for all of them
     (G's range, `_support`); outside the guard band the amplitude vanishes
-    identically.  An empty band raises ValueError."""
+    identically.  An empty band raises ValueError, a grid with fewer than
+    POINTS_PER_OSC points per oscillation of the fastest kept mode raises
+    :class:`ResolutionError` naming the need.  The second value builds the
+    mode matrix at a time t when called, so a caller can reject its state
+    before paying for it."""
     xi_band, guard, (g_min, g_max) = _support(amp)
     omega = grid.omega_axis()
     p_lo = g_min * (h * omega) ** 2
@@ -91,7 +94,13 @@ def _mode_band(amp, h, grid):
     keep = np.flatnonzero(touches & inside_guard)
     if keep.size == 0:
         raise ValueError("no grid mode meets the amplitude band at this h")
-    return omega, keep
+    kmax = float(np.max(np.abs(omega[keep])))
+    need = int(np.ceil(POINTS_PER_OSC * kmax * grid.length / (2.0 * np.pi)))
+    if grid.n < need:
+        raise ResolutionError(
+            f"x-grid has {grid.n} points but the retained band needs {need}"
+        )
+    return keep, lambda t: _fio_factors(amp, h, t, grid.axis()[:, None], h * omega[keep, None])
 
 
 def _fio_factors(amp, h, t, x_grid, xi_grid):
@@ -123,14 +132,7 @@ def apply_fio(phase, amp, u0, h, t):
     if phase.q0 is not amp.q0:
         raise ValueError("phase and amplitude tables disagree on the symbol")
     grid = u0.grid
-    omega, keep = _mode_band(amp, h, grid)
-
-    kmax = float(np.max(np.abs(omega[keep])))
-    need = int(np.ceil(POINTS_PER_OSC * kmax * grid.length / (2.0 * np.pi)))
-    if grid.n < need:
-        raise ResolutionError(
-            f"x-grid has {grid.n} points but the retained band needs {need}"
-        )
+    keep, mode_matrix = _mode_band(amp, h, grid)
 
     c = u0.fourier
     total = float(np.sum(np.abs(c) ** 2))
@@ -141,8 +143,7 @@ def apply_fio(phase, amp, u0, h, t):
             "amplitude band; localize it first"
         )
 
-    M = _fio_factors(amp, h, t, grid.axis()[:, None], h * omega[keep, None])
-    return state_from_values(grid, M @ c[keep])
+    return state_from_values(grid, mode_matrix(t) @ c[keep])
 
 
 def _xi_hull(amp):
@@ -151,8 +152,15 @@ def _xi_hull(amp):
     lo = sqrt(band_lo / G_max) and hi = sqrt(band_hi / G_min) over G's range on
     the box (`_support`); the third value is the speed bound every oscillation
     and reach estimate uses, sup |grad_xi q0| = sigma G^{sigma/2} |xi|^{sigma-1}
-    over the box and the hull."""
-    xi_band, _, (g_min, g_max) = _support(amp)
+    over the box and the hull.  The hull's pairs reach p in
+    [band_lo G_min/G_max, band_hi G_max/G_min], and p is conserved along their
+    characteristics: a guard band of q0 that does not hold that range raises
+    ValueError naming both, before any characteristic is flowed."""
+    xi_band, guard, (g_min, g_max) = _support(amp)
+    p_lo, p_hi = xi_band[0] * g_min / g_max, xi_band[1] * g_max / g_min
+    if amp.q0.xi_band is not None and not guard[0] <= p_lo <= p_hi <= guard[1]:
+        raise ValueError(f"q0's guard band [{guard[0]:g}, {guard[1]:g}] does not hold the p "
+                         f"range [{p_lo:.6g}, {p_hi:.6g}] of the amplitude's xi hull")
     lo = float(np.sqrt(xi_band[0] / g_max))
     hi = float(np.sqrt(xi_band[1] / g_min))
     sigma = amp.q0.sigma
@@ -370,11 +378,12 @@ def operator_norm_estimate(phase, amp, h, t, grid):
 
     NORM_ITERATIONS iterations run from a fixed random start.  The operator
     acts mode-to-grid, so the adjoint is applied with the conjugate-transposed
-    mode matrix; both directions are matrix-free in the state dimension.
+    mode matrix; both directions are matrix-free in the state dimension.  The
+    grid must resolve the band as in `apply_fio` (:class:`ResolutionError`).
     """
     _check_args(grid, h)
-    omega, keep = _mode_band(amp, h, grid)
-    M = _fio_factors(amp, h, t, grid.axis()[:, None], h * omega[keep, None])
+    keep, mode_matrix = _mode_band(amp, h, grid)
+    M = mode_matrix(t)
 
     rng = np.random.default_rng(0)
     v = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)

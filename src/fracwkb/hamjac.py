@@ -19,7 +19,7 @@ The sign convention is fixed here once: the characteristics are q0's flow
 run backward, from 0 to -t.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -49,18 +49,17 @@ class HorizonError(RuntimeError):
 
 @dataclass
 class PhasePointData:
-    """Phase and derivative data at a batch of (x, xi) points for one time."""
+    """Phase and derivative data at a batch of (x, xi) points, one time per point."""
 
     S: np.ndarray            # (n,)
     Y: np.ndarray            # (n, d)
     grad_x: np.ndarray       # (n, d)   = Xi(t, Y, xi)
     hess_xx: np.ndarray      # (n, d, d)
     hess_xxi: np.ndarray     # (n, d, d), [i, j] = d2 S / dx_i dxi_j
-    dY_dxi: np.ndarray       # (n, d, d), [i, j] = dY_i / dxi_j
+    dY_dxi: np.ndarray       # (n, d, d), [i, j] = dY_i / dxi_j = d2 S / dxi_i dxi_j
     rate: np.ndarray         # (n,) complex a_0 transport rate f at (t, x)
     rate_integral: np.ndarray  # (n,) complex int_0^t f along the characteristic
-    hess_asymmetry: float
-    trajectory: tuple        # (times, X, Xi, hess_xx S) at every node from (Y, xi)
+    hess_asymmetry: float    # max |B - B^T| of hess_xx S before symmetrizing
 
 
 def _simpson(y, x):
@@ -108,17 +107,16 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT):
     flow from (Y, xi) it accepted, and composite Simpson along that path
     gives the action and the integral of the transport rate
     f = (1/2) tr[hess_xixi q0 . hess_xx S], both read off q0's jet at each
-    path node.  The returned trajectory holds the nodes,
-    Xi = grad_x S and hess_xx S = sym(JXi JX^{-1}) at every node of that
-    flow; its last node is the returned `hess_xx`.  At t = 0 the path is
+    path node; hess_xx S = sym(JXi JX^{-1}) there.  Only the end of the path
+    is returned, so the path is freed with the pass.  At t = 0 the path is
     the single node (x, xi).  A `dt` that is not positive and finite raises
     ValueError.
 
     `t` is a scalar or one time per point.  Per point, every point takes the
-    step count of the largest |t| (see `_step_count`) and its own step, the
-    trajectory's times are (nodes, n), and t = 0 may not share the batch
-    with other times (ValueError); a point whose own |t| has that step count
-    gets what a scalar t gives it, bit for bit.
+    step count of the largest |t| (see `_step_count`) and its own step, and
+    t = 0 may not share the batch with other times (ValueError); a point
+    whose own |t| has that step count gets what a scalar t gives it, bit
+    for bit.
     """
     n_steps = _step_count(q0, t, dt)
     d = q0.dim
@@ -158,34 +156,25 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT):
         rate=rate[-1],
         rate_integral=_simpson(rate, times),
         hess_asymmetry=asym,
-        trajectory=(times, Xs, Xis, W),
     )
 
 
 @dataclass
-class PhaseTable:
-    """Gridded phase S(t, x, xi) with derivative tables and a caustic horizon.
+class PhaseTable(PhasePointData):
+    """Gridded phase S(t, x, xi): the pass's record on a grid, with a caustic horizon.
 
-    Tables are indexed [t, x, xi] with trailing component axes; the xi grid is
-    a list of covector points, not a tensor product, so anisotropic bands are
-    possible.  `rate` and `rate_integral` are the a_0 transport rate and its
-    integral along each characteristic.  `t0`, computed on first read, is
-    the certified horizon of `caustic_horizon`.
+    Every array field of `PhasePointData` is indexed [t, x, xi] with trailing
+    component axes, and `hess_asymmetry` is the worst value over the table.
+    The xi grid is a list of covector points, not a tensor product, so
+    anisotropic bands are possible.  `t0`, computed on first read, is the
+    certified horizon of `caustic_horizon`.
     """
 
     t_grid: np.ndarray
     x_grid: np.ndarray       # (nx, d)
     xi_grid: np.ndarray      # (nxi, d)
-    S: np.ndarray            # (nt, nx, nxi)
-    Y: np.ndarray            # (nt, nx, nxi, d)
-    grad_x: np.ndarray       # (nt, nx, nxi, d)
-    hess_xx: np.ndarray      # (nt, nx, nxi, d, d)
-    hess_xxi: np.ndarray     # (nt, nx, nxi, d, d)
-    rate: np.ndarray         # (nt, nx, nxi) complex
-    rate_integral: np.ndarray  # (nt, nx, nxi) complex
     q0: object = field(repr=False)
     dt: float = DT_DEFAULT
-    hess_asymmetry: float = 0.0
 
     @property
     def dim(self):
@@ -212,48 +201,40 @@ def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT):
     The grid times that share an RK4 layout (one step count; t = 0 alone)
     are one `phase_point_data` pass on their tensor batches with one time
     per point, so every entry is what `PhaseTable.evaluate` gives on the
-    tensor batch, bit for bit.  A `dt` that is not positive and finite
-    raises ValueError.
+    tensor batch, bit for bit.  Each array field of the pass fills its
+    table, allocated at the first pass; each scalar field, a bound over the
+    batch, keeps its worst value.  An empty `t_grid`, or a `dt` that is not
+    positive and finite, raises ValueError.
     """
     d = q0.dim
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if not t_grid.size:
+        raise ValueError("t_grid is empty")
     x_grid = as_points(x_grid, d)
     xi_grid = as_points(xi_grid, d)
-    nt, nx, nxi = len(t_grid), x_grid.shape[0], xi_grid.shape[0]
-
+    grid = (len(t_grid), x_grid.shape[0], xi_grid.shape[0])
     xp, xip = tensor_pairs(x_grid, xi_grid)
 
-    S = np.empty((nt, nx, nxi))
-    Yt = np.empty((nt, nx, nxi, d))
-    Gx = np.empty((nt, nx, nxi, d))
-    Hxx = np.empty((nt, nx, nxi, d, d))
-    Hxxi = np.empty((nt, nx, nxi, d, d))
-    rate = np.empty((nt, nx, nxi), dtype=complex)
-    rate_integral = np.empty((nt, nx, nxi), dtype=complex)
-    worst_asym = 0.0
-
+    tables, worst = {}, {}
     # the longest paths first, so each later group fits in memory the last one freed
     layouts = np.array([_step_count(q0, t, dt) if t != 0.0 else 0 for t in t_grid])
     for steps in np.unique(layouts)[::-1]:
         ks = np.flatnonzero(layouts == steps)
         m = len(ks)
-        data = phase_point_data(q0, np.repeat(t_grid[ks], nx * nxi), np.tile(xp, (m, 1)),
-                                np.tile(xip, (m, 1)), dt=dt)
-        S[ks] = data.S.reshape(m, nx, nxi)
-        Yt[ks] = data.Y.reshape(m, nx, nxi, d)
-        Gx[ks] = data.grad_x.reshape(m, nx, nxi, d)
-        Hxx[ks] = data.hess_xx.reshape(m, nx, nxi, d, d)
-        Hxxi[ks] = data.hess_xxi.reshape(m, nx, nxi, d, d)
-        rate[ks] = data.rate.reshape(m, nx, nxi)
-        rate_integral[ks] = data.rate_integral.reshape(m, nx, nxi)
-        worst_asym = max(worst_asym, data.hess_asymmetry)
-        del data                # before the next group's pass is built
+        data = phase_point_data(q0, np.repeat(t_grid[ks], grid[1] * grid[2]),
+                                np.tile(xp, (m, 1)), np.tile(xip, (m, 1)), dt=dt)
+        for f in fields(PhasePointData):
+            value = getattr(data, f.name)
+            if np.ndim(value) == 0:
+                worst[f.name] = max(worst.get(f.name, 0.0), value)
+                continue
+            if f.name not in tables:
+                tables[f.name] = np.empty(grid + value.shape[1:], dtype=value.dtype)
+            tables[f.name][ks] = value.reshape((m,) + grid[1:] + value.shape[1:])
+        del data, value         # before the next group's pass is built
 
-    return PhaseTable(
-        t_grid=t_grid, x_grid=x_grid, xi_grid=xi_grid,
-        S=S, Y=Yt, grad_x=Gx, hess_xx=Hxx, hess_xxi=Hxxi,
-        rate=rate, rate_integral=rate_integral, q0=q0, dt=dt, hess_asymmetry=worst_asym,
-    )
+    return PhaseTable(**tables, **worst, t_grid=t_grid, x_grid=x_grid, xi_grid=xi_grid,
+                      q0=q0, dt=dt)
 
 
 def caustic_horizon(pt, strict=True):

@@ -147,6 +147,13 @@ def check_sigma(sigma):
     return float(sigma)
 
 
+def check_h(h):
+    """Reject a semiclassical scale h that is not positive and finite."""
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
+    return float(h)
+
+
 def flat_metric(dim=1):
     """Identity inverse metric on the FLAT_BOX_LENGTH torus; every downstream
     object has a closed form."""

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .metric import check_sigma, loglog_fit
+from .metric import check_h, check_sigma, loglog_fit
 
 __all__ = [
     "BoxGrid",
@@ -287,19 +287,22 @@ def propagate(u0, op, sigma, t, h=None):
     """Apply the half-wave group e^{i t Lambda^sigma} (or its h-scaled form).
 
     With h given the phase is t h^{sigma-1} lam^{sigma/2}, the semiclassical
-    normalization e^{i t h^{-1} (h sqrt(P))^sigma}; both are unitary.  An
-    array of times gives the stack of the evolved states, one per time; a
-    stack u0 with times of its own stack shape moves each field by its time.
+    normalization e^{i t h^{-1} (h sqrt(P))^sigma}; both are unitary, and an
+    h that is not positive and finite raises ValueError.  An array of times
+    gives the stack of the evolved states, one per time; a stack u0 with
+    times of its own stack shape moves each field by its time.
     """
     check_sigma(sigma)
-    scale = 1.0 if h is None else float(h) ** (sigma - 1.0)
+    scale = 1.0 if h is None else check_h(h) ** (sigma - 1.0)
     t = np.asarray(t, dtype=float)
     t = t.reshape(t.shape + (1,) * op.grid.dim)
     return op.apply_function(u0, lambda lam: np.exp(1j * t * scale * lam ** (0.5 * sigma)))
 
 
 def frequency_localize(u0, cut, h, op=None):
-    """phi(h^2 P) u0; `op` defaults to the flat multiplier on u0's grid."""
+    """phi(h^2 P) u0; `op` defaults to the flat multiplier on u0's grid.  An h
+    that is not positive and finite raises ValueError."""
+    check_h(h)
     op = op or flat_operator(u0.grid)
     return op.apply_function(u0, lambda lam: cut(h**2 * lam))
 
@@ -307,6 +310,7 @@ def frequency_localize(u0, cut, h, op=None):
 def localized_gaussian(grid, cut, h):
     """phi(h^2 P) applied to a width-sqrt(h) Gaussian at the box centre,
     modulated to the frequency sqrt(mid-plateau)/h of the cutoff."""
+    check_h(h)
     omega_c = np.sqrt(0.5 * (cut.plateau[0] + cut.plateau[1])) / h
     seed = modulated_gaussian(grid, 0.5 * grid.length, np.sqrt(h), omega_c)
     return frequency_localize(seed, cut, h)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fio import ResolutionError
-from .metric import FLAT_BOX_LENGTH, loglog_fit
+from .metric import FLAT_BOX_LENGTH, check_h, loglog_fit
 from .spectral import (flat_operator, localized_gaussian, lp_lq_norm, make_grid,
                        propagate)
 
@@ -106,9 +106,7 @@ def tile_interval(interval, h, sigma):
     length = abs(b - a)
     if not np.isfinite(length):
         raise ValueError("interval must have finite length")
-    h = float(h)
-    if not 0.0 < h:
-        raise ValueError(f"h must be positive, got {h}")
+    h = check_h(h)
     return int(math.ceil(length / (2.0 * h ** (sigma - 1.0))))
 
 

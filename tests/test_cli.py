@@ -50,13 +50,27 @@ def test_stdout_line_format(tmp_path, capsys):
 
 
 def test_strichartz_suite_passes(tmp_path):
-    code = main(["strichartz", "--hmax", "0.125", "--hmin", "0.0078125",
-                 "--n_t", "33", "--out", str(tmp_path)])
-    assert code == 0
-    claims = {row["claim"]: row for row in _report_rows(tmp_path, "strichartz")}
-    assert claims["loss-exponent"]["value"] == "0.125"
-    assert claims["time-rescaling-gap"]["status"] == "PASS"
-    assert (tmp_path / "strichartz" / "strichartz.csv").exists()
+    for mode in ("semiclassical", "unscaled"):
+        out = tmp_path / mode
+        code = main(["strichartz", "--mode", mode, "--hmax", "0.125", "--hmin", "0.0078125",
+                     "--n_t", "33", "--out", str(out)])
+        assert code == 0
+        claims = {row["claim"]: row for row in _report_rows(out, "strichartz")}
+        assert claims["loss-exponent"]["value"] == "0.125"
+        assert claims[f"{mode}-norm-slope"]["status"] == "PASS"
+        assert claims["time-rescaling-gap"]["status"] == "PASS"
+        assert (out / "strichartz" / "strichartz.csv").exists()
+
+
+@pytest.mark.parametrize("suite, claims", [
+    ("kernel", ["kernel-sup-times-h", "stationary-peak-gap"]),
+    ("dispersive", ["dispersive-decay-slope", "dispersive-fit-r2"]),
+], ids=["kernel", "dispersive"])
+def test_fio_suites_pass_at_their_defaults(tmp_path, suite, claims):
+    # the kernel default is t != 0, so its stationary-phase row is checked
+    assert main([suite, "--out", str(tmp_path)]) == 0
+    rows = {row["claim"]: row["status"] for row in _report_rows(tmp_path, suite)}
+    assert rows == dict.fromkeys(claims, "PASS")
 
 
 def test_nlfs_suite_passes(tmp_path):

@@ -10,8 +10,8 @@ from fracwkb.fio import (InsufficientDataError, ResolutionError, apply_fio,
                          stationary_hessian_check, stationary_phase_prediction)
 from fracwkb.hamjac import build_phase
 from fracwkb.metric import flat_metric, gaussian_bump_metric, tensor_pairs
-from fracwkb.spectral import (flat_operator, make_grid, plane_wave, propagate,
-                              state_from_values)
+from fracwkb.spectral import (flat_operator, localized_gaussian, make_grid, plane_wave,
+                              propagate, state_from_values)
 from fracwkb.symbols import (GaussianWindow, fractional_symbol,
                              localized_amplitude, make_bump)
 from fracwkb.transport import solve_transport
@@ -82,6 +82,13 @@ def test_apply_fio_rejects_out_of_band_energy():
                           + plane_wave(grid, 200).values)
     with pytest.raises(ValueError):
         apply_fio(phase, amp, u, 2.0**-4, 0.1)
+
+
+def test_apply_fio_rejects_tables_of_another_symbol():
+    _, amp, _ = _kernel_setup()
+    other, _, _ = _kernel_setup()           # the same settings, another q0
+    with pytest.raises(ValueError, match="phase and amplitude tables disagree"):
+        apply_fio(other, amp, plane_wave(make_grid(1, 512), 20), 2.0**-4, 0.0)
 
 
 def test_apply_fio_rejects_empty_band():
@@ -199,9 +206,22 @@ def test_stationary_hessian_closed_form_2d():
 def test_operator_norm_close_to_unity():
     """Constant-window symbol bounded by 1: the L2 norm sits at the plateau."""
     phase, amp, _ = _kernel_setup()
-    grid = make_grid(1, 512)
+    grid = make_grid(1, 2048)           # the band at H_REF needs all 2,048 points
     est = operator_norm_estimate(phase, amp, H_REF, T_REF, grid)
     assert 0.9 < est < 1.1
+
+
+def test_operator_norm_rejects_unresolved_band():
+    # one resolution rule for both: with the standard cutoff at h = 2^-4 the
+    # band needs 248 points, where the estimate alone used to return a value
+    h = 2.0**-4
+    phase, amp = _decay_tables(h, 6)
+    grid = make_grid(1, 64)
+    u = localized_gaussian(grid, make_bump(0.25, 3.8, (0.5, 3.0)), h)
+    for call in (lambda: apply_fio(phase, amp, u, h, 0.1),
+                 lambda: operator_norm_estimate(phase, amp, h, 0.1, grid)):
+        with pytest.raises(ResolutionError, match="has 64 points but the retained band needs 248"):
+            call()
 
 
 def test_dispersive_fit_requires_enough_samples():
@@ -308,6 +328,35 @@ def test_kernel_sup_solves_each_x_node_once(monkeypatch, case):
     monkeypatch.undo()
     final = kernel(phase, amp, h, t, np.linspace(*x_span, n), np.linspace(*y_span, n))
     assert abs(sup - final.sup()) <= 1e-13 * final.sup()
+
+
+@pytest.mark.parametrize("guard", [(0.2, 4.0), (0.2, 4.75)], ids=["narrow", "wide"])
+def test_kernel_checks_the_guard_band_before_any_flow(monkeypatch, guard):
+    # the standard cutoff's hull on the eps = 0.1 bump reaches p in
+    # [0.25 / 1.1, 3.8 * 1.1]; its pairs beyond 4.0 have a_0 = 0 but used to
+    # raise GuardBandError in the middle of a flow
+    metric = gaussian_bump_metric(dim=1, epsilon=0.1)
+    q0 = fractional_symbol(metric, 2.0, xi_band=guard)
+    a_init = localized_amplitude(metric, make_bump(0.25, 3.8, (0.5, 3.0)))
+    phase = build_phase(q0, [0.0, 0.1], np.array([[0.0]]), np.array([[1.0]]))
+    amp = solve_transport(a_init, phase)
+    solved = []
+    factors = fio._fio_factors
+
+    def recording(*args):
+        solved.append(args[3].shape[0])
+        return factors(*args)
+
+    monkeypatch.setattr(fio, "_fio_factors", recording)
+    x = np.linspace(-0.5, 0.5, 5)
+    if guard[1] < 4.18:
+        with pytest.raises(ValueError, match=r"guard band \[0\.2, 4\] does not hold "
+                                             r"the p range \[0\.227273, 4\.18\]"):
+            kernel(phase, amp, 2.0**-5, 0.1, x, [0.0])
+        assert solved == []
+    else:
+        assert np.all(np.isfinite(kernel(phase, amp, 2.0**-5, 0.1, x, [0.0]).values))
+        assert solved == [5]
 
 
 def test_xi_hull_holds_the_bump_amplitude_support():

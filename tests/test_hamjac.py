@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracwkb import hamjac
-from fracwkb.hamflow import NEWTON_TOL, integrate_flow
+from fracwkb.hamflow import DT_DEFAULT, NEWTON_TOL, integrate_flow, inverse_map
 from fracwkb.hamjac import (HorizonError, _simpson, build_phase,
                             caustic_horizon, certify_phase_estimates,
                             hj_residual, phase_point_data,
@@ -48,59 +48,46 @@ def test_phase_at_zero_time():
     np.testing.assert_array_equal(data.grad_x, [[1.1], [0.9]])
     assert data.hess_asymmetry == 0.0
     np.testing.assert_array_equal(data.rate_integral, 0.0)
-    times, _, _, hess = data.trajectory
-    np.testing.assert_array_equal(times, [0.0])
-    np.testing.assert_array_equal(hess[-1], data.hess_xx)
-
-
-def test_trajectory_carries_phase_derivatives():
-    """(Xi, hess_xx S) at interior nodes match a fresh phase computation there.
-
-    The even nodes are compared: a fresh flow to times[k] takes the same k
-    RK4 steps there, so the gap is rounding plus the Newton tolerance.
-    """
-    q0 = _bump_q0()
-    xi = np.full((9, 1), 1.1)
-    data = phase_point_data(q0, 0.08, np.linspace(-1.5, 1.5, 9)[:, None], xi)
-    times, X, Xi, hess = data.trajectory
-    assert len(times) == 9
-    np.testing.assert_array_equal(hess[-1], data.hess_xx)
-    for k in range(2, len(times) - 1, 2):
-        fresh = phase_point_data(q0, times[k], X[k], xi)
-        np.testing.assert_allclose(Xi[k], fresh.grad_x, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(hess[k], fresh.hess_xx, rtol=0, atol=1e-10)
 
 
 def test_trajectory_ends_on_x():
-    """The trajectory is the flow the Newton iteration accepted.
+    """The pass reads the flow the Newton iteration accepted on its own layout.
 
     t = 0.03 at dt = 0.01 is an odd step count, which the Simpson path
     rounds up to four steps; the Newton iteration runs on that layout, so
-    the path ends on x to the Newton tolerance at every point of the
-    61 x 9 tensor grid.
+    the path from the pass's Y ends on x to the Newton tolerance at every
+    point of the 61 x 9 tensor grid.
     """
+    q0 = _bump_q0()
     xp, xip = tensor_pairs(np.linspace(-1.5, 1.5, 61)[:, None],
                            np.linspace(0.8, 1.6, 9)[:, None])
-    data = phase_point_data(_bump_q0(), 0.03, xp, xip, dt=0.01)
-    times, X, _, _ = data.trajectory
-    assert times[-1] == 0.03
+    data = phase_point_data(q0, 0.03, xp, xip, dt=0.01)
+    n_steps = hamjac._step_count(q0, 0.03, 0.01)
+    assert n_steps == 4
+    Y, (path_times, X, _, _) = inverse_map(q0, -0.03, xp, xip, n_steps)
+    np.testing.assert_array_equal(Y, data.Y)
+    assert -path_times[-1] == 0.03
     np.testing.assert_array_equal(X[0], data.Y)
     assert np.max(np.abs(X[-1] - xp)) <= NEWTON_TOL
 
 
 def test_trajectory_is_the_backward_flow_of_q0():
-    """The characteristics are q0's own flow to -t from the accepted Y,
-    node for node, with the trajectory's times running from 0 to t."""
+    """The characteristics are q0's own flow to -t from the pass's Y, node
+    for node, with the path's times running from 0 to t."""
     q0 = _bump_q0()
     x = np.linspace(-1.5, 1.5, 7)[:, None]
     xi = np.linspace(0.8, 1.6, 7)[:, None]
     data = phase_point_data(q0, 0.08, x, xi)
-    times, X, Xi, _ = data.trajectory
-    path_times, X_ref, Xi_ref, _ = integrate_flow(q0, -0.08, data.Y, xi, len(times) - 1)
-    np.testing.assert_array_equal(times, -path_times)
+    n_steps = hamjac._step_count(q0, 0.08, DT_DEFAULT)
+    Y, (path_times, X, Xi, _) = inverse_map(q0, -0.08, x, xi, n_steps)
+    np.testing.assert_array_equal(Y, data.Y)
+    times = 0.0 - path_times
+    ref_times, X_ref, Xi_ref, _ = integrate_flow(q0, -0.08, data.Y, xi, len(times) - 1)
+    np.testing.assert_array_equal(times, -ref_times)
     assert times[0] == 0.0 and times[-1] == 0.08
     np.testing.assert_array_equal(X, X_ref)
     np.testing.assert_array_equal(Xi, Xi_ref)
+    np.testing.assert_array_equal(Xi[-1], data.grad_x)
 
 
 def test_bump_phase_residual_small():
@@ -277,11 +264,17 @@ def test_phase_table_entries_are_the_pointwise_pass():
     pt = build_phase(_bump_q0(), np.linspace(-0.2, 0.2, 41),
                      np.linspace(-1.5, 1.5, 13)[:, None], np.linspace(0.8, 1.6, 5)[:, None])
     xp, xip = tensor_pairs(pt.x_grid, pt.xi_grid)
+    names = [f.name for f in dataclasses.fields(hamjac.PhasePointData)
+             if f.name != "hess_asymmetry"]
+    assert "dY_dxi" in names and len(names) == 8
+    worst = 0.0
     for k, t in enumerate(pt.t_grid):
         data = pt.evaluate(t, xp, xip)
-        for name in ("S", "Y", "grad_x", "hess_xx", "hess_xxi", "rate", "rate_integral"):
+        for name in names:
             np.testing.assert_array_equal(getattr(data, name).ravel(),
                                           getattr(pt, name)[k].ravel(), err_msg=name)
+        worst = max(worst, data.hess_asymmetry)
+    assert pt.hess_asymmetry == worst
 
 
 def test_phase_table_solves_each_step_count_once(monkeypatch):
@@ -307,6 +300,11 @@ def test_phase_table_rejects_a_step_that_is_not_positive_and_finite(dt):
         for t_grid in ([0.0, 0.05, 0.1], [0.0]):
             with pytest.raises(ValueError, match="dt must be positive and finite"):
                 build_phase(q0, t_grid, [[0.2]], [[1.0]], dt=dt)
+
+
+def test_phase_table_rejects_an_empty_time_grid():
+    with pytest.raises(ValueError, match="t_grid is empty"):
+        build_phase(_bump_q0(), [], [[0.2]], [[1.0]])
 
 
 def test_phase_pass_keeps_t_zero_apart():

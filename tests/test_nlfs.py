@@ -316,6 +316,17 @@ def test_continuation_covers_interval_within_bound(setup):
     assert sup <= result.bound
 
 
+def test_continuation_halves_a_window_that_does_not_contract(setup):
+    # at amplitude 2 the probe of the first 0.5 window does not contract, so
+    # the window is halved twice; the next ones take 0.5 and what is left
+    grid, op = setup
+    u0 = state_from_values(grid, 2.0 * modulated_gaussian(grid, np.pi, 0.5, 3.0).values)
+    result = global_continuation(_problem(grid, op, u0, T=1.0, dt=0.01), 1.0)
+    # (start, length): each window starts where the last ended, out to T = 1
+    assert result.segments == [(0.0, 0.125), (0.125, 0.5), (0.625, 0.375)]
+    assert result.times[-1] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_continuation_zero_data(setup):
     grid, op = setup
     result = global_continuation(

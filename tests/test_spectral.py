@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracwkb.metric import flat_metric, gaussian_bump_metric
+from fracwkb.metric import check_h, flat_metric, gaussian_bump_metric
 from fracwkb.spectral import (BoxGrid, SpectralGapError, SpectralOperator,
                               discretize_P_1d, flat_operator,
                               frequency_localize, kernel_projection,
@@ -152,6 +152,23 @@ def test_frequency_localize_plateau_and_tail():
                                atol=1e-13)
     killed = frequency_localize(plane_wave(grid, 40), cut, h)      # h^2 lam = 25
     assert killed.lq_norm(np.inf) < 1e-13
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, np.inf, np.nan])
+def test_h_that_is_not_positive_and_finite_is_rejected(h):
+    # unchecked, h = -0.1 makes h^{sigma-1} complex and the unitary group
+    # multiplies this state's L2 norm by 723.5, h = inf leaves the state as
+    # it is and h = 0 localizes it to the zero state
+    grid = make_grid(1, 64)
+    cut = make_bump(0.25, 4.0, (0.5, 2.0))
+    u = modulated_gaussian(grid, np.pi, 0.5, 3.0)
+    calls = [lambda: check_h(h),
+             lambda: propagate(u, flat_operator(grid), 0.5, 1.0, h=h),
+             lambda: frequency_localize(u, cut, h),
+             lambda: localized_gaussian(grid, cut, h)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^h must be positive and finite"):
+            call()
 
 
 def test_littlewood_paley_reconstruction():

@@ -80,8 +80,9 @@ def test_tile_interval_validation():
         tile_interval((0.0, 1.0), 0.25, 0.5)
     with pytest.raises(ValueError):
         tile_interval((0.0, np.inf), 0.25, 2.0)
-    with pytest.raises(ValueError):
-        tile_interval((0.0, 1.0), 0.0, 2.0)
+    for h in (0.0, -0.1, np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"^h must be positive and finite"):
+            tile_interval((0.0, 1.0), h, 2.0)
 
 
 def test_conservative_pair_slope_is_flat():
