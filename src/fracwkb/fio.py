@@ -2,20 +2,28 @@
 
 On the periodic box the y-integral of J_h(S, a) collapses onto the discrete
 frequency lattice, so applying the operator to a band-limited state is a sum
-over retained modes with freshly evaluated phase and amplitudes - no
-quadrature error at all.  Kernels K_h(t, x, y) are genuine oscillatory
-xi-integrals and use plain trapezoid with an enforced points-per-oscillation
-rule; sup norms, dispersive-decay fits and the remainder sweep against the
-exact multiplier propagator sit on top.
+over retained modes - no quadrature error at all.  Kernels K_h(t, x, y) are
+genuine oscillatory xi-integrals and use plain trapezoid with an enforced
+points-per-oscillation rule; sup norms, dispersive-decay fits and the
+remainder sweep against the exact multiplier propagator sit on top.
+
+Both evaluate A e^{iS/h} on (x, xi) pairs whose number grows like h^-2, but
+only e^{iS/h} depends on h: the base points Y, S and the a_0 rate integral
+are smooth in (x, xi) and independent of h.  So each call solves the
+characteristics on a Chebyshev-Lobatto grid refined until its interpolant
+passes a check (Candes, Demanet & Ying, SIAM J. Sci. Comput. 29, 2007, do
+the same for the phase) and forms the amplitudes and e^{iS/h} from the
+interpolated fields on every pair.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import as_points, audit_assumptions, check_h, loglog_fit, tensor_pairs
+from .metric import as_points, audit_assumptions, check_h, loglog_fit
 from .spectral import (flat_operator, localized_gaussian, make_grid, propagate,
                        state_from_values)
+from .transport import MAX_POINT_BATCH, _amplitudes
 
 __all__ = [
     "KernelGrid",
@@ -45,6 +53,12 @@ DECAY_X_SPAN = (-0.5, 0.5)     # x-window of dispersive_fit's kernel sups
 BAND_TOL = 1e-8                # relative L2 mass apply_fio may drop off the band
 NORM_ITERATIONS = 15           # power iterations of operator_norm_estimate
 HESSIAN_STEP = 1e-4            # difference step of stationary_hessian_check
+# the FIO's characteristic interpolant: its check tolerance on Y - x, S - x xi
+# and int f, above the Newton noise of S (about 2e-11); its first level and
+# its cap, in Chebyshev-Lobatto nodes per interval
+INTERP_TOL = 1e-10
+INTERP_NODES_START = 9
+INTERP_NODES_CAP = 257
 
 
 class ResolutionError(RuntimeError):
@@ -63,24 +77,24 @@ def _check_args(obj, h):
 
 
 def _support(amp):
-    """The amplitude's p-band (else q0's), q0's guard band (else the p-band)
-    and G's range (G_min, G_max) over the metric's box, from `audit_assumptions`:
+    """The amplitude's p-band (else q0's), q0's guard band (None when it has
+    none) and G's range (G_min, G_max) over the metric's box, from `audit_assumptions`:
     one support per parametrix, wherever the caller evaluates and wherever
     the backward base points Y land."""
     band = amp.a_init.xi_band or amp.q0.xi_band
     if band is None:
         raise ValueError("amplitude carries no xi support information")
     report = audit_assumptions(amp.q0.metric)
-    return band, amp.q0.xi_band or band, (report.min_eigenvalue, report.max_eigenvalue)
+    return band, amp.q0.xi_band, (report.min_eigenvalue, report.max_eigenvalue)
 
 
 def _mode_band(amp, h, grid):
     """The indices of the grid modes in the band and their FIO mode matrix.
 
     A mode is kept when p(x, h omega) enters the initial symbol's support for
-    some x of the box and stays inside the flow guard band for all of them
-    (G's range, `_support`); outside the guard band the amplitude vanishes
-    identically.  An empty band raises ValueError, a grid with fewer than
+    some x of the box and, when q0 has a flow guard band, stays inside it for
+    all of them (G's range, `_support`); outside the guard band the amplitude
+    vanishes identically.  An empty band raises ValueError, a grid with fewer than
     POINTS_PER_OSC points per oscillation of the fastest kept mode raises
     :class:`ResolutionError` naming the need.  The second value builds the
     mode matrix at a time t when called, so a caller can reject its state
@@ -89,9 +103,10 @@ def _mode_band(amp, h, grid):
     omega = grid.omega_axis()
     p_lo = g_min * (h * omega) ** 2
     p_hi = g_max * (h * omega) ** 2
-    touches = (p_hi >= xi_band[0]) & (p_lo <= xi_band[1])
-    inside_guard = (p_lo >= guard[0] * (1.0 - 1e-12)) & (p_hi <= guard[1] * (1.0 + 1e-12))
-    keep = np.flatnonzero(touches & inside_guard)
+    kept = (p_hi >= xi_band[0]) & (p_lo <= xi_band[1])
+    if guard is not None:
+        kept &= (p_lo >= guard[0] * (1.0 - 1e-12)) & (p_hi <= guard[1] * (1.0 + 1e-12))
+    keep = np.flatnonzero(kept)
     if keep.size == 0:
         raise ValueError("no grid mode meets the amplitude band at this h")
     kmax = float(np.max(np.abs(omega[keep])))
@@ -103,20 +118,117 @@ def _mode_band(amp, h, grid):
     return keep, lambda t: _fio_factors(amp, h, t, grid.axis()[:, None], h * omega[keep, None])
 
 
+def _lobatto(segments, k):
+    """k Chebyshev-Lobatto nodes from lo to hi on each (lo, hi) of `segments`,
+    one node where lo == hi.  Level 2k - 1 holds level k's nodes bit for bit,
+    at its even indices."""
+    c = 0.5 * (1.0 - np.cos(np.pi * np.arange(k) / max(k - 1, 1)))
+    return [np.array([lo]) if lo == hi else np.append(lo + (hi - lo) * c[:-1], hi)
+            for lo, hi in segments]
+
+
+def _barycentric(node_sets, points):
+    """(len(points), total nodes) matrix taking values on the concatenated node
+    sets to `points`: each point takes the polynomial through the set whose
+    [first, last] node holds it, in barycentric form with Chebyshev-Lobatto
+    weights; a point on a node takes that node's value exactly."""
+    blocks = []
+    for z in node_sets:
+        w = (-1.0) ** np.arange(z.size)
+        w[[0, -1]] *= 0.5
+        rows = np.flatnonzero((points >= z[0]) & (points <= z[-1]))
+        diff = points[rows, None] - z
+        with np.errstate(divide="ignore", invalid="ignore"):
+            C = w / diff
+        on_node = diff == 0.0
+        hit = on_node.any(axis=1)
+        C[hit] = on_node[hit]
+        block = np.zeros((points.size, z.size))
+        block[rows] = C / C.sum(axis=1, keepdims=True)
+        blocks.append(block)
+    return np.hstack(blocks)
+
+
+def _characteristic_fields(amp, t, axes):
+    """The h-free fields Y - x, S - x xi, Re and Im int_0^t f on a tensor grid,
+    (4, x nodes, xi nodes), with each axis's node sets.
+
+    `axes` holds the (lo, hi) segments of x and of xi.  Each axis starts at
+    INTERP_NODES_START Chebyshev-Lobatto nodes per segment (one where lo ==
+    hi) and is refined on its own, k to 2k - 1 nodes, solving only the pairs
+    that are new, until its level-k interpolant matches the new nodes to
+    INTERP_TOL; the fields are returned on the finer level.  An axis that
+    would need more than INTERP_NODES_CAP nodes raises ResolutionError naming
+    it, its gap and the tolerance."""
+    levels = [1 if all(lo == hi for lo, hi in segs) else INTERP_NODES_START for segs in axes]
+    done = [k == 1 for k in levels]
+    sets, F = None, None
+    while True:
+        new_sets = [_lobatto(segs, k) for segs, k in zip(axes, levels)]
+        x, xi = (np.concatenate(z) for z in new_sets)
+        G = np.empty((4, x.size, xi.size))
+        new = np.ones(G.shape[1:], dtype=bool)
+        if F is not None:
+            old = [np.flatnonzero(np.isin(a, np.concatenate(z))) for a, z in zip((x, xi), sets)]
+            G[:, old[0][:, None], old[1]] = F
+            new[old[0][:, None], old[1]] = False
+        X, XI = (g[new] for g in np.meshgrid(x, xi, indexing="ij"))
+        data = amp.evaluate(t, X[:, None], XI[:, None])
+        G[:, new] = (data.Y[:, 0] - X, data.S - X * XI,
+                     data.rate_integral.real, data.rate_integral.imag)
+        for axis, name in ((0, "x"), (1, "xi")):
+            if done[axis] or F is None:
+                continue
+            B = _barycentric(sets[axis], (x, xi)[axis])
+            coarse = np.take(G, old[axis], axis=axis + 1)
+            guess = B @ coarse if axis == 0 else coarse @ B.T
+            gap = float(np.max(np.abs(guess - G)))
+            if gap <= INTERP_TOL:
+                done[axis] = True
+            elif 2 * levels[axis] - 1 > INTERP_NODES_CAP:
+                raise ResolutionError(
+                    f"the characteristics' interpolant in {name} on {(levels[axis] + 1) // 2} "
+                    f"nodes misses its check by {gap:.3g} > INTERP_TOL = {INTERP_TOL:g}; "
+                    f"its refinement needs more than {INTERP_NODES_CAP} nodes per interval")
+        sets, F = new_sets, G
+        if all(done):
+            return sets, F
+        levels = [k if ok else 2 * k - 1 for k, ok in zip(levels, done)]
+
+
 def _fio_factors(amp, h, t, x_grid, xi_grid):
     """The FIO matrix A e^{iS/h}, A = sum_j h^j a_j(t), on all (x, xi) pairs, (nx, nxi).
 
-    The factor E = e^{iS/h} is named: numpy evaluates `A * np.exp(...)` in
-    place on a temporary of 256 KiB or more with the operands swapped, which
-    rounds differently, so `A * E` keeps one rounding at every batch size.
+    Y, S and the rate integral do not depend on h and are smooth in (x, xi),
+    so the characteristics are solved only on a Chebyshev-Lobatto grid over
+    [min x, max x] by each sign's [min xi, max xi] (`_characteristic_fields`),
+    and Y - x, S - x xi and the rate integral are interpolated onto the
+    pairs.  The amplitudes (`transport._amplitudes`) and E = e^{iS/h} are then
+    formed on every pair, MAX_POINT_BATCH pairs at a time.  E is named:
+    numpy evaluates `A * np.exp(...)` in place on a temporary of 256 KiB or
+    more with the operands swapped, which rounds differently, so `A * E`
+    keeps one rounding at every batch size.
     """
-    nx, nxi = x_grid.shape[0], xi_grid.shape[0]
-    data = amp.evaluate(t, *tensor_pairs(x_grid, xi_grid))
-    A = data.a[0].reshape(nx, nxi).astype(complex)
-    for j in range(1, amp.order):
-        A += h**j * data.a[j].reshape(nx, nxi)
-    E = np.exp(1j * data.S.reshape(nx, nxi) / h)
-    return A * E
+    x, xi = x_grid[:, 0], xi_grid[:, 0]
+    axes = ([(x.min(), x.max())],
+            [(v.min(), v.max()) for v in (xi[xi < 0.0], xi[xi >= 0.0]) if v.size])
+    sets, coarse = _characteristic_fields(amp, t, axes)
+    Bx = _barycentric(sets[0], x)
+    on_xi = coarse @ _barycentric(sets[1], xi).T          # (4, x nodes, nxi)
+    out = np.empty((x.size, xi.size), dtype=complex)
+    rows = max(1, MAX_POINT_BATCH // xi.size)
+    for r in range(0, x.size, rows):
+        dY, dS, re, im = Bx[r:r + rows] @ on_xi
+        Y = x[r:r + rows, None] + dY
+        a = _amplitudes(amp.a_init, amp.q0, t, Y.reshape(-1, 1),
+                        np.broadcast_to(xi, Y.shape).reshape(-1, 1), (re + 1j * im).ravel(),
+                        amp.order)
+        A = a[0].reshape(Y.shape)
+        for j in range(1, amp.order):
+            A += h**j * a[j].reshape(Y.shape)
+        E = np.exp(1j * (np.outer(x[r:r + rows], xi) + dS) / h)
+        out[r:r + rows] = A * E
+    return out
 
 
 def apply_fio(phase, amp, u0, h, t):
@@ -158,7 +270,7 @@ def _xi_hull(amp):
     ValueError naming both, before any characteristic is flowed."""
     xi_band, guard, (g_min, g_max) = _support(amp)
     p_lo, p_hi = xi_band[0] * g_min / g_max, xi_band[1] * g_max / g_min
-    if amp.q0.xi_band is not None and not guard[0] <= p_lo <= p_hi <= guard[1]:
+    if guard is not None and not guard[0] <= p_lo <= p_hi <= guard[1]:
         raise ValueError(f"q0's guard band [{guard[0]:g}, {guard[1]:g}] does not hold the p "
                          f"range [{p_lo:.6g}, {p_hi:.6g}] of the amplitude's xi hull")
     lo = float(np.sqrt(xi_band[0] / g_max))
@@ -186,12 +298,7 @@ class KernelGrid:
         return float(np.max(np.abs(self.values)))
 
 
-def _x_factors(amp, h, t, x_grid, xis, w):
-    """The y-free part A e^{iS/h} w of the kernel integrand, (nx, m)."""
-    return _fio_factors(amp, h, t, x_grid, xis) * w[None, :]
-
-
-def kernel(phase, amp, h, t, x_grid, y_grid, n_xi=None, x_factors=_x_factors):
+def kernel(phase, amp, h, t, x_grid, y_grid, n_xi=None):
     """Evaluate K_h(t, x, y) = (2 pi h)^{-d} int e^{i(S - y xi)/h} a dxi.
 
     The xi-support is the pair of intervals +-[lo, hi] (`_xi_hull`); each gets
@@ -200,10 +307,10 @@ def kernel(phase, amp, h, t, x_grid, y_grid, n_xi=None, x_factors=_x_factors):
     XI_POINTS_MIN, or exactly `n_xi` points when given.  An unaffordable
     count raises :class:`ResolutionError` naming the need.
 
-    y enters only through e^{-i xi y/h}: `x_factors(amp, h, t, x_grid, xis, w)`
-    gives the rest, A e^{iS/h} w on the (x node, xi node) pairs, by solving
-    the characteristics of every x node unless a caller that has some of
-    them already passes its own (as `kernel_sup` does).
+    y enters only through e^{-i xi y/h}; the rest, A e^{iS/h} on the (x node,
+    xi node) pairs, comes from `_fio_factors`, whose characteristics are
+    solved on a coarse grid over the x span and the hull that does not
+    depend on h.
     """
     _check_args(phase, h)
     x_grid = as_points(x_grid, 1)
@@ -222,10 +329,10 @@ def kernel(phase, amp, h, t, x_grid, y_grid, n_xi=None, x_factors=_x_factors):
     w = np.full(count, width / (count - 1))
     w[0] *= 0.5
     w[-1] *= 0.5
-    # both intervals' nodes in one list: one characteristic batch, one product
+    # both intervals' nodes in one list: one interpolant, one product
     xis = np.concatenate([np.linspace(-hi, -lo, count), np.linspace(lo, hi, count)])[:, None]
     w = np.concatenate([w, w])
-    values = (x_factors(amp, h, t, x_grid, xis, w)
+    values = ((_fio_factors(amp, h, t, x_grid, xis) * w)
               @ np.exp(-1j * np.outer(xis[:, 0], y_grid[:, 0]) / h))
     values /= 2.0 * np.pi * h
     if not np.all(np.isfinite(values)):
@@ -238,31 +345,18 @@ def kernel_sup(phase, amp, h, t, x_span, y_span, max_rounds=6):
     """Grid max of |K_h(t)| over the spans, refined until it moves < SUP_REFINE_TOL.
 
     The first round takes SUP_POINTS_START points per span; each round refines
-    n points to 2n - 1, whose even nodes are the last round's.  Every round
-    shares max|x| and max|y|, hence the xi rule, so its `kernel` reuses the
-    last round's factors and solves only the new x nodes.  Each estimate is
-    `kernel(...).sup()` on its grid; when `max_rounds` rounds pass without two
-    successive estimates agreeing to SUP_REFINE_TOL, raises
+    n points to 2n - 1.  Each estimate is `kernel(...).sup()` on its grid,
+    whose characteristics are solved on the same coarse grid in every round
+    (the spans and the hull are fixed); when `max_rounds` rounds pass without
+    two successive estimates agreeing to SUP_REFINE_TOL, raises
     :class:`ResolutionError` naming the last two estimates.
     """
-    rows = None             # the last round's x-factors, this round's even rows
-
-    def nested(amp, h, t, x_grid, xis, w):
-        nonlocal rows
-        if rows is None:
-            rows = _x_factors(amp, h, t, x_grid, xis, w)
-        else:
-            last, rows = rows, np.empty((x_grid.shape[0], xis.shape[0]), dtype=complex)
-            rows[::2] = last
-            rows[1::2] = _x_factors(amp, h, t, x_grid[1::2], xis, w)
-        return rows
-
     prev = cur = None
     n = SUP_POINTS_START
     for _ in range(max_rounds):
         xg = np.linspace(x_span[0], x_span[1], n)
         yg = np.linspace(y_span[0], y_span[1], n)
-        prev, cur = cur, kernel(phase, amp, h, t, xg, yg, x_factors=nested).sup()
+        prev, cur = cur, kernel(phase, amp, h, t, xg, yg).sup()
         if prev is not None and abs(cur - prev) <= SUP_REFINE_TOL * max(prev, 1e-300):
             return cur
         n = 2 * n - 1

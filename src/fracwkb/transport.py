@@ -36,12 +36,14 @@ class AmplitudePointData:
 
     The phase S rides along because the characteristics already carry all of
     its ingredients; oscillatory-quadrature callers then need one flow per
-    batch instead of two.
+    batch instead of two.  Y, S and the rate integral do not depend on h,
+    so the FIO solves them on a coarse grid and interpolates them.
     """
 
     a: np.ndarray            # (order, n) complex
     Y: np.ndarray            # (n, d) backward base points
     S: np.ndarray            # (n,) phase values at the same points
+    rate_integral: np.ndarray  # (n,) complex int_0^t f, the a_0 integrating factor's log
 
 
 MAX_POINT_BATCH = 65536
@@ -87,11 +89,12 @@ def amplitude_point_data(a_init, q0, t, x, xi, order=1, dt=DT_DEFAULT):
             a=np.concatenate([c.a for c in chunks], axis=1),
             Y=np.concatenate([c.Y for c in chunks], axis=0),
             S=np.concatenate([c.S for c in chunks], axis=0),
+            rate_integral=np.concatenate([c.rate_integral for c in chunks], axis=0),
         )
 
     data = phase_point_data(q0, t, x, xi, dt=dt)
     a = _amplitudes(a_init, q0, t, data.Y, xi, data.rate_integral, order)
-    return AmplitudePointData(a=a, Y=data.Y, S=data.S)
+    return AmplitudePointData(a=a, Y=data.Y, S=data.S, rate_integral=data.rate_integral)
 
 
 def _check_order(q0, order):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fracwkb import fio
+from fracwkb import fio, transport
 from fracwkb.fio import (InsufficientDataError, ResolutionError, apply_fio,
                          c_large, dispersive_fit, kernel, kernel_sup,
                          operator_norm_estimate, remainder_decay,
@@ -300,34 +300,114 @@ def _bump_tables(t):
 
 
 @pytest.mark.parametrize("case", ["flat", "bump"])
-def test_kernel_sup_solves_each_x_node_once(monkeypatch, case):
-    # every round shares max|x| and max|y|, hence its xi rule: a round solves
-    # only the x nodes the last round lacks, also where G varies (the bump
-    # stops after two rounds, SUP_REFINE_TOL being 1 there)
+def test_characteristic_solves_per_call_do_not_depend_on_h(monkeypatch, case):
+    # Y, S and the rate integral do not depend on h: `kernel` and `apply_fio`
+    # solve the same coarse grid at h and h/2, far fewer points than the
+    # (x node, xi node) pairs they return
     if case == "flat":
-        h, t, y_span, rounds, counts = 2.0**-6, 0.0625, (-3.0, 3.0), 6, [16, 15, 30]
-        phase, amp = _decay_tables(h, 6)
+        t, cut, length, n = 0.3, (0.25, 3.8, (0.5, 3.0)), 2.0 * np.pi, 256
+        phase, amp = _decay_tables(2.0**-5, 6)
     else:
-        h, t, y_span, rounds, counts = 2.0**-3, 0.1, (-1.0, 1.0), 2, [16, 15]
+        t, cut, length, n = 0.1, (0.3, 3.0, (0.5, 2.0)), 16.0, 1024
         phase, amp = _bump_tables(0.1)
-        monkeypatch.setattr(fio, "SUP_REFINE_TOL", 1.0)
     solved = []
-    factors = fio._fio_factors
+    phase_point_data = transport.phase_point_data
 
-    def recording(amp, h, t, x_grid, xi_grid):
-        solved.append(x_grid[:, 0].copy())
-        return factors(amp, h, t, x_grid, xi_grid)
+    def recording(q0, t, x, xi, dt):
+        solved.append(len(x))
+        return phase_point_data(q0, t, x, xi, dt=dt)
 
-    monkeypatch.setattr(fio, "_fio_factors", recording)
-    x_span = (-0.5, 0.5)
-    sup = kernel_sup(phase, amp, h, t, x_span, y_span, max_rounds=rounds)
-    assert [s.size for s in solved] == counts
-    nodes = np.sort(np.concatenate(solved))
-    n = nodes.size
-    np.testing.assert_array_equal(nodes, np.linspace(*x_span, n))
-    monkeypatch.undo()
-    final = kernel(phase, amp, h, t, np.linspace(*x_span, n), np.linspace(*y_span, n))
-    assert abs(sup - final.sup()) <= 1e-13 * final.sup()
+    monkeypatch.setattr(transport, "phase_point_data", recording)
+    x, y = np.linspace(-0.5, 0.5, 61), np.linspace(-1.0, 1.0, 16)
+    counts = []
+    for h, grid in ((2.0**-4, make_grid(1, n, length)), (2.0**-5, make_grid(1, 2 * n, length))):
+        del solved[:]
+        pairs = x.size * 2 * kernel(phase, amp, h, t, x, y).n_xi
+        assert sum(solved) < pairs / 10
+        counts.append(sum(solved))
+        del solved[:]
+        apply_fio(phase, amp, localized_gaussian(grid, make_bump(*cut), h), h, t)
+        keep, _ = fio._mode_band(amp, h, grid)
+        assert sum(solved) < grid.n * keep.size / 10
+        counts.append(sum(solved))
+    assert counts[:2] == counts[2:]
+
+
+def _direct_factors(amp, h, t, x, xi):
+    """A e^{iS/h} with one characteristic solved for every (x, xi) pair."""
+    data = amp.evaluate(t, *tensor_pairs(x, xi))
+    A = data.a[0].reshape(x.shape[0], xi.shape[0])
+    for j in range(1, amp.order):
+        A = A + h**j * data.a[j].reshape(A.shape)
+    return A * np.exp(1j * data.S.reshape(A.shape) / h)
+
+
+def _kernel_xi_nodes(amp, count):
+    lo, hi, _ = fio._xi_hull(amp)
+    return np.concatenate([np.linspace(-hi, -lo, count), np.linspace(lo, hi, count)])[:, None]
+
+
+def _rel_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("sigma", [2.0, 0.5])
+def test_interpolated_factors_match_the_direct_pass_on_flat(sigma):
+    phase, amp, _ = _kernel_setup(sigma, order=2 if sigma == 2.0 else 1)
+    h, t = 2.0**-5, 0.3
+    x = np.linspace(-0.5, 0.5, 17)[:, None]
+    xi = _kernel_xi_nodes(amp, 301)
+    assert _rel_gap(fio._fio_factors(amp, h, t, x, xi), _direct_factors(amp, h, t, x, xi)) <= 1e-12
+    grid = make_grid(1, 2048)
+    keep, mode_matrix = fio._mode_band(amp, h, grid)
+    want = _direct_factors(amp, h, t, grid.axis()[:, None], h * grid.omega_axis()[keep, None])
+    assert _rel_gap(mode_matrix(t), want) <= 1e-12
+
+
+def test_interpolated_factors_match_the_direct_pass_on_the_bump():
+    # the direct pass carries Newton noise of about 2e-11 in S, i.e. about
+    # 1e-9 relative in e^{iS/h} at these h
+    phase, amp = _bump_tables(0.25)
+    h, t = 2.0**-5, 0.25
+    x = np.linspace(-0.5, 0.5, 33)[:, None]
+    xi = _kernel_xi_nodes(amp, 257)
+    assert _rel_gap(fio._fio_factors(amp, h, t, x, xi), _direct_factors(amp, h, t, x, xi)) <= 1e-8
+    h = 2.0**-4
+    grid = make_grid(1, 1024, 16.0)
+    keep, mode_matrix = fio._mode_band(amp, h, grid)
+    rows = slice(None, None, 8)              # the direct pass on every 8th x node
+    want = _direct_factors(amp, h, t, grid.axis()[rows, None], h * grid.omega_axis()[keep, None])
+    assert _rel_gap(mode_matrix(t)[rows], want) <= 1e-8
+
+
+def test_interpolant_that_cannot_meet_its_tolerance_raises(monkeypatch):
+    # below rounding no level passes its check: the xi axis (x is one node)
+    # reaches INTERP_NODES_CAP and the error names its gap
+    phase, amp, _ = _kernel_setup(0.5)
+    monkeypatch.setattr(fio, "INTERP_TOL", 1e-18)
+    with pytest.raises(ResolutionError, match=r"in xi on 129 nodes misses its check by "
+                                              r"\d\.\d+e-\d+ > INTERP_TOL = 1e-18"):
+        kernel(phase, amp, H_REF, T_REF, [0.0], [0.0])
+
+
+def test_mode_band_without_a_guard_band_keeps_every_live_mode():
+    # with no guard band on q0 the band is the touch test alone: every mode
+    # on which a_0 = a_init is nonzero at some x of the box is kept (the
+    # amplitude's p-band used to stand in as a guard and dropped 8 of them)
+    metric = gaussian_bump_metric(dim=1, epsilon=0.1)
+    q0 = fractional_symbol(metric, 2.0)
+    a_init = localized_amplitude(metric, make_bump(0.3, 3.0, (0.5, 2.0)))
+    amp = solve_transport(a_init, build_phase(q0, [0.0, 0.1], np.array([[0.0]]),
+                                              np.array([[1.0]])))
+    h = 2.0**-4
+    grid = make_grid(1, 2048, 16.0)
+    keep, _ = fio._mode_band(amp, h, grid)
+    omega = grid.omega_axis()
+    modes = np.flatnonzero(np.abs(h * omega) < 2.5)
+    a0 = a_init(*tensor_pairs(grid.axis()[:, None], h * omega[modes, None]))
+    live = modes[np.any(a0.reshape(grid.n, modes.size) != 0.0, axis=0)]
+    assert live.size == 98
+    assert np.all(np.isin(live, keep))
 
 
 @pytest.mark.parametrize("guard", [(0.2, 4.0), (0.2, 4.75)], ids=["narrow", "wide"])
