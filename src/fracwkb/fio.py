@@ -298,13 +298,13 @@ class KernelGrid:
         return float(np.max(np.abs(self.values)))
 
 
-def kernel(phase, amp, h, t, x_grid, y_grid, n_xi=None):
+def kernel(phase, amp, h, t, x_grid, y_grid):
     """Evaluate K_h(t, x, y) = (2 pi h)^{-d} int e^{i(S - y xi)/h} a dxi.
 
     The xi-support is the pair of intervals +-[lo, hi] (`_xi_hull`); each gets
     one trapezoid rule with POINTS_PER_OSC points per oscillation of the scale
     |grad_xi (S - y xi)| <= max|x| + |t| sup|grad q0| + max|y| and at least
-    XI_POINTS_MIN, or exactly `n_xi` points when given.  An unaffordable
+    XI_POINTS_MIN; `KernelGrid.n_xi` reports the count.  An unaffordable
     count raises :class:`ResolutionError` naming the need.
 
     y enters only through e^{-i xi y/h}; the rest, A e^{iS/h} on the (x node,
@@ -321,8 +321,8 @@ def kernel(phase, amp, h, t, x_grid, y_grid, n_xi=None):
     M = float(np.max(np.abs(x_grid))) + abs(t) * grad_max + float(np.max(np.abs(y_grid)))
 
     width = hi - lo
-    count = int(n_xi) if n_xi is not None else max(
-        int(np.ceil(POINTS_PER_OSC * width * M / (2.0 * np.pi * h))) + 1, XI_POINTS_MIN)
+    count = max(int(np.ceil(POINTS_PER_OSC * width * M / (2.0 * np.pi * h))) + 1,
+                XI_POINTS_MIN)
     if count > XI_POINTS_CAP:
         raise ResolutionError(f"oscillation rule asks for {count} xi points on +-[{lo}, {hi}]; "
                               f"cap is {XI_POINTS_CAP}")

@@ -62,19 +62,6 @@ class PhasePointData:
     hess_asymmetry: float    # max |B - B^T| of hess_xx S before symmetrizing
 
 
-def _simpson(y, x):
-    """scipy.integrate.simpson(y, x=x, axis=0) on an odd node count, bit for bit (its
-    non-uniform arithmetic); a single node integrates to zeros of y's dtype.  The
-    node times x are (nodes,), or (nodes, n) with one column per point of y."""
-    h = np.diff(x, axis=0)
-    h = h.reshape(h.shape + (1,) * (y.ndim - h.ndim))
-    h0, h1 = h[0::2], h[1::2]
-    hsum, ratio = h0 + h1, h0 / h1
-    tmp = (y[0:-2:2] * (2.0 - 1.0 / ratio) + y[1:-1:2] * (hsum * (hsum / (h0 * h1)))
-           + y[2::2] * (2.0 - ratio))
-    return np.sum(hsum / 6.0 * tmp, axis=0)
-
-
 def _even_steps(t, dt):
     n = max(2, int(np.ceil(abs(t) / dt - 1e-12)))
     return n + (n % 2)
@@ -103,13 +90,13 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT):
 
     This is the single characteristic pass used for gridded tables, for
     off-grid evaluation (oscillatory quadrature) and for the transport
-    amplitudes: the inverse map's Newton iteration returns the variational
-    flow from (Y, xi) it accepted, and composite Simpson along that path
-    gives the action and the integral of the transport rate
-    f = (1/2) tr[hess_xixi q0 . hess_xx S], both read off q0's jet at each
-    path node; hess_xx S = sym(JXi JX^{-1}) there.  Only the end of the path
-    is returned, so the path is freed with the pass.  At t = 0 the path is
-    the single node (x, xi).  A `dt` that is not positive and finite raises
+    amplitudes: the inverse map's Newton iteration returns the end of the
+    variational flow from (Y, xi) it accepted, with the action and the
+    integral of the transport rate f = (1/2) tr[hess_xixi q0 . hess_xx S]
+    that the flow summed by composite Simpson over its RK4 nodes;
+    hess_xx S = sym(JXi JX^{-1}) at the end.  The flow stores no node, so the
+    pass's memory does not grow with the step count.  At t = 0 the flow
+    is its start (x, xi).  A `dt` that is not positive and finite raises
     ValueError.
 
     `t` is a scalar or one time per point.  Per point, every point takes the
@@ -123,38 +110,23 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT):
     x, xi = as_pairs(x, xi, d)
     n = x.shape[0]
 
-    Y, (path_times, Xs, Xis, Zs) = inverse_map(q0, -t, x, xi, n_steps)
-    times = 0.0 - path_times            # 0 to t, with the +0.0 first node of linspace
-
-    JX_inv = solve_blocks(Zs[:, :, :d, :d], np.eye(d))
-    B = Zs[:, :, d:, :d] @ JX_inv
-    W = 0.5 * (B + np.swapaxes(B, 2, 3))
-    asym = float(np.max(np.abs(B[-1] - np.swapaxes(B[-1], 1, 2)))) if n else 0.0
-    dY_dxi = -(JX_inv[-1] @ Zs[-1][:, :d, d:])
-    del Zs, B               # read off; the quadratures below set the memory peak
-
-    # q0's jet, node by node so its temporaries stay one node's size, gives
-    # the action integrand (Xi . grad_xi q0 - q0) and hess_xixi q0 for the rate
-    integrand = np.empty(Xs.shape[:2])
-    rate = np.empty(Xs.shape[:2], dtype=complex)
-    for k, (X, Xi) in enumerate(zip(Xs, Xis)):
-        _, gxi, _, hxixi, _, qval, _ = q0.jet(X, Xi)
-        if qval is None:
-            qval = q0(X, Xi)
-        integrand[k] = np.sum(Xi * gxi, axis=1) - qval
-        rate[k] = 0.5 * np.einsum("nij,nji->n", hxixi, W[k]).astype(complex)
-    action = _simpson(integrand, path_times)
-    S = np.sum(Y * xi, axis=1) + action
+    # the characteristics run from 0 to -t, so the rate's integral to t is
+    # minus the flow's
+    Y, flow = inverse_map(q0, -t, x, xi, n_steps)
+    Z = flow.Z
+    JX_inv = solve_blocks(Z[:, :d, :d], np.eye(d))
+    B = Z[:, d:, :d] @ JX_inv
+    asym = float(np.max(np.abs(B - np.swapaxes(B, 1, 2)))) if n else 0.0
 
     return PhasePointData(
-        S=S,
+        S=np.sum(Y * xi, axis=1) + flow.action,
         Y=Y,
-        grad_x=Xis[-1],
-        hess_xx=W[-1],
-        hess_xxi=np.swapaxes(JX_inv[-1], 1, 2),
-        dY_dxi=dY_dxi,
-        rate=rate[-1],
-        rate_integral=_simpson(rate, times),
+        grad_x=flow.Xi,
+        hess_xx=0.5 * (B + np.swapaxes(B, 1, 2)),
+        hess_xxi=np.swapaxes(JX_inv, 1, 2),
+        dY_dxi=-(JX_inv @ Z[:, :d, d:]),
+        rate=flow.rate.astype(complex),
+        rate_integral=(-flow.rate_integral).astype(complex),
         hess_asymmetry=asym,
     )
 
@@ -216,9 +188,8 @@ def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT):
     xp, xip = tensor_pairs(x_grid, xi_grid)
 
     tables, worst = {}, {}
-    # the longest paths first, so each later group fits in memory the last one freed
     layouts = np.array([_step_count(q0, t, dt) if t != 0.0 else 0 for t in t_grid])
-    for steps in np.unique(layouts)[::-1]:
+    for steps in np.unique(layouts):
         ks = np.flatnonzero(layouts == steps)
         m = len(ks)
         data = phase_point_data(q0, np.repeat(t_grid[ks], grid[1] * grid[2]),

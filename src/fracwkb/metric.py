@@ -132,8 +132,8 @@ class MetricField:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if not self.box_length > 0:
-            raise ValueError("box_length must be positive")
+        if not 0.0 < self.box_length < np.inf:
+            raise ValueError(f"box_length must be positive and finite, got {self.box_length}")
 
     def inverse_metric(self, pts):
         """G(x) at an (n, d) array of points: the first part of the jet."""
@@ -179,8 +179,8 @@ def gaussian_bump_metric(dim=1, epsilon=0.1, box_length=16.0):
     The default box is wide enough that exp(-|x|^2) is below machine epsilon at
     the boundary, so periodization does not spoil smoothness.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0.0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be nonnegative and finite, got {epsilon}")
     eye = np.eye(dim)
 
     def _jet(pts):

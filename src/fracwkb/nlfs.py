@@ -85,8 +85,8 @@ class NlfsProblem:
             raise ValueError(f"nu must exceed 1, got {self.nu}")
         if self.mu not in (-1.0, 0.0, 1.0, -1, 0, 1):
             raise ValueError(f"mu must be -1, 0 or +1, got {self.mu}")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.T == 0.0 or not np.isfinite(self.T):
             raise ValueError(f"T must be nonzero and finite, got {self.T}")
         odd_int = float(self.nu).is_integer() and int(self.nu) % 2 == 1

@@ -46,7 +46,7 @@ class AmplitudePointData:
     rate_integral: np.ndarray  # (n,) complex int_0^t f, the a_0 integrating factor's log
 
 
-MAX_POINT_BATCH = 65536
+MAX_POINT_BATCH = 65536     # fine (x, xi) pairs per batch of the FIO's factors
 
 
 def _amplitudes(a_init, q0, t, Y, xi, rate_integral, order):
@@ -72,26 +72,12 @@ def amplitude_point_data(a_init, q0, t, x, xi, order=1, dt=DT_DEFAULT):
     One `phase_point_data` pass gives the base points Y and the integral of
     the transport rate f = (1/2) tr[hess_xixi q0 . hess_xx S] along the
     characteristic through (t, x, xi); the amplitudes follow from those.
-    Large batches are processed in chunks so the per-node trajectory storage
-    stays bounded.  A characteristic leaving the guard band of q0 raises
+    The pass stores no path, so a batch of any size is one pass.  A
+    characteristic leaving the guard band of q0 raises
     `hamflow.GuardBandError`.
     """
-    d = q0.dim
-    x, xi = as_pairs(x, xi, d)
-    n = x.shape[0]
+    x, xi = as_pairs(x, xi, q0.dim)
     _check_order(q0, order)
-
-    if n > MAX_POINT_BATCH:
-        chunks = [amplitude_point_data(a_init, q0, t, x[s:s + MAX_POINT_BATCH],
-                                       xi[s:s + MAX_POINT_BATCH], order=order, dt=dt)
-                  for s in range(0, n, MAX_POINT_BATCH)]
-        return AmplitudePointData(
-            a=np.concatenate([c.a for c in chunks], axis=1),
-            Y=np.concatenate([c.Y for c in chunks], axis=0),
-            S=np.concatenate([c.S for c in chunks], axis=0),
-            rate_integral=np.concatenate([c.rate_integral for c in chunks], axis=0),
-        )
-
     data = phase_point_data(q0, t, x, xi, dt=dt)
     a = _amplitudes(a_init, q0, t, data.Y, xi, data.rate_integral, order)
     return AmplitudePointData(a=a, Y=data.Y, S=data.S, rate_integral=data.rate_integral)

@@ -16,7 +16,7 @@ from fracwkb.fio import (dispersive_fit, remainder_decay,
                          stationary_hessian_check)
 from fracwkb.hamflow import integrate_flow
 from fracwkb.hamjac import build_phase, hj_residual
-from fracwkb.metric import flat_metric, gaussian_bump_metric
+from fracwkb.metric import flat_metric, gaussian_bump_metric, tensor_pairs
 from fracwkb.nlfs import (NlfsProblem, conserved, global_continuation,
                           picard_iterate, sobolev_bound, solve_nlfs,
                           solve_nlfw)
@@ -93,16 +93,17 @@ def test_flow_bound_constants_stable():
     """sup |Z - I|/|t| and sup |X - x|/|t| finite, stable across step counts."""
     q0 = _bump_q0()
 
+    x, xi = tensor_pairs(np.linspace(-1.5, 1.5, 13)[:, None],
+                         np.linspace(0.8, 1.6, 5)[:, None])
+
     def constants(n_steps):
+        # the batch at each node time k t / n, flowed there in k steps
         c_z = c_y = 0.0
-        for x in np.linspace(-1.5, 1.5, 13):
-            for xi in np.linspace(0.8, 1.6, 5):
-                times, xs, _, zs = integrate_flow(
-                    q0, -0.3, np.array([x]), np.array([xi]), n_steps)
-                for k in range(1, len(times)):
-                    c_z = max(c_z, np.linalg.norm(zs[k][0] - np.eye(2))
-                              / abs(times[k]))
-                    c_y = max(c_y, abs(xs[k][0, 0] - x) / abs(times[k]))
+        times = np.linspace(0.0, -0.3, n_steps + 1)
+        for k in range(1, n_steps + 1):
+            X, _, Z, *_ = integrate_flow(q0, times[k], x, xi, k)
+            c_z = max(c_z, np.max(np.linalg.norm(Z - np.eye(2), axis=(1, 2))) / abs(times[k]))
+            c_y = max(c_y, np.max(np.abs(X - x)) / abs(times[k]))
         return c_z, c_y
 
     coarse = constants(30)

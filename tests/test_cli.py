@@ -236,6 +236,13 @@ def test_module_error_exits_one(tmp_path, capsys):
     assert "nlfs failed" in capsys.readouterr().err
 
 
+def test_nlfs_step_that_is_not_finite_exits_one(tmp_path, capsys):
+    code = main(["nlfs", "--dt", "inf", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "nlfs failed" in err and "dt must be positive and finite" in err
+
+
 @pytest.mark.parametrize("dt", ["0", "-0.01"])
 def test_phase_step_that_is_not_positive_exits_one(tmp_path, capsys, dt):
     code = main(["phase", "--dt", dt, "--out", str(tmp_path)])

@@ -105,13 +105,6 @@ def test_kernel_matches_quadrature_reference():
     assert K.lam == pytest.approx(8.0)
 
 
-def test_kernel_fixed_point_count():
-    phase, amp, _ = _kernel_setup()
-    K = kernel(phase, amp, H_REF, T_REF, np.array([0.0]), np.array([-0.5]),
-               n_xi=75)
-    assert K.n_xi == 75
-
-
 def test_kernel_resolution_cap():
     phase, amp, _ = _kernel_setup()
     with pytest.raises(ResolutionError):
@@ -279,14 +272,18 @@ def test_kernel_sup_raises_when_rounds_run_out(monkeypatch):
         kernel_sup(phase, amp, h, 0.03125, (-0.5, 0.5), (-3.0, 3.0), max_rounds=2)
 
 
-def test_kernel_resolves_cutoff_on_small_window():
+def test_kernel_resolves_cutoff_on_small_window(monkeypatch):
     # here the phase barely oscillates across the xi band, so the xi count
-    # is set by the floor, which must resolve the cutoff chi(xi^2) itself
+    # is set by the floor, which must resolve the cutoff chi(xi^2) itself;
+    # the reference raises the floor to 4001 points
     h = 2.0**-5
     phase, amp = _decay_tables(h, 6)
     t, x, y = 0.054, np.array([0.151, -0.016]), np.array([0.314, -0.022, 0.156, -0.007])
     got = kernel(phase, amp, h, t, x, y).values
-    ref = kernel(phase, amp, h, t, x, y, n_xi=4001).values
+    monkeypatch.setattr(fio, "XI_POINTS_MIN", 4001)
+    K_ref = kernel(phase, amp, h, t, x, y)
+    assert K_ref.n_xi == 4001
+    ref = K_ref.values
     assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-8
 
 

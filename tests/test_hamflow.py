@@ -1,13 +1,14 @@
 """Bicharacteristic flow, variational Jacobians and the inverse map."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from fracwkb import hamflow
-from fracwkb.hamflow import (NEWTON_TOL, CausticError, GuardBandError, integrate_flow,
-                             inverse_map)
+from fracwkb.hamflow import (NEWTON_TOL, CausticError, FlowEnd, GuardBandError,
+                             integrate_flow, inverse_map)
 from fracwkb.metric import flat_metric, gaussian_bump_metric
 from fracwkb.symbols import SymbolFunction, fractional_symbol
 
@@ -30,8 +31,7 @@ def test_flat_flow_closed_form(sigma):
     x = np.array([[0.2], [-1.0], [0.0]])
     xi = np.array([[0.9], [1.4], [2.0]])
     t = 0.37
-    _, Xs, Xis, _ = integrate_flow(H, t, x, xi, 37)
-    X, Xi = Xs[-1], Xis[-1]
+    X, Xi, *_ = integrate_flow(H, t, x, xi, 37)
     expected = x + t * sigma * xi * np.abs(xi) ** (sigma - 2.0)
     np.testing.assert_allclose(X, expected, rtol=1e-13)
     np.testing.assert_allclose(Xi, xi, rtol=0, atol=1e-15)
@@ -39,117 +39,128 @@ def test_flat_flow_closed_form(sigma):
 
 def test_flat_flow_negative_frequency():
     H = fractional_symbol(flat_metric(dim=1), 2.0)
-    _, Xs, Xis, _ = integrate_flow(H, 0.25, np.array([[0.0]]), np.array([[-1.5]]), 25)
-    np.testing.assert_allclose(Xs[-1, 0, 0], -0.75, rtol=1e-13)
-    np.testing.assert_allclose(Xis[-1, 0, 0], -1.5, rtol=1e-15)
+    X, Xi, *_ = integrate_flow(H, 0.25, np.array([[0.0]]), np.array([[-1.5]]), 25)
+    np.testing.assert_allclose(X[0, 0], -0.75, rtol=1e-13)
+    np.testing.assert_allclose(Xi[0, 0], -1.5, rtol=1e-15)
 
 
 def test_zero_time_is_identity():
     H = _bump_hamiltonian(2.0)
     x = np.array([[0.4], [0.7]])
     xi = np.array([[1.1], [0.9]])
-    times, Xs, Xis, Zs = integrate_flow(H, 0.0, x, xi, 10)
-    np.testing.assert_array_equal(times, [0.0])
-    np.testing.assert_array_equal(Xs, [x])
-    np.testing.assert_array_equal(Xis, [xi])
-    np.testing.assert_array_equal(Zs, [np.broadcast_to(np.eye(2), (2, 2, 2))])
+    end = integrate_flow(H, 0.0, x, xi, 10)
+    np.testing.assert_array_equal(end.X, x)
+    np.testing.assert_array_equal(end.Xi, xi)
+    np.testing.assert_array_equal(end.Z, np.broadcast_to(np.eye(2), (2, 2, 2)))
+    for integral in (end.action, end.rate_integral, end.rate):
+        np.testing.assert_array_equal(integral, [0.0, 0.0])
+    # the end is a copy: the caller's start is not handed back
+    assert not np.shares_memory(end.X, x) and not np.shares_memory(end.Xi, xi)
 
 
 def test_integrate_flow_has_one_result_shape():
-    # (times, X, Xi, Z) over n_steps + 1 nodes, or the one start node at t = 0
+    # the end of the flow and its integrals, one row per point, at every t
     H = _bump_hamiltonian(2.0)
-    for t, nodes in ((0.0, 1), (0.3, 7), (-0.3, 7)):
+    for t in (0.0, 0.3, -0.3):
         result = integrate_flow(H, t, *_BASE, 6)
-        assert len(result) == 4
+        assert isinstance(result, FlowEnd) and len(result) == 6
         assert all(isinstance(a, np.ndarray) for a in result)
-        times, Xs, Xis, Zs = result
-        np.testing.assert_array_equal(times, np.linspace(0.0, t, nodes))
-        assert Xs.shape == Xis.shape == (nodes, 3, 1)
-        assert Zs.shape == (nodes, 3, 2, 2)
+        assert result.X.shape == result.Xi.shape == (3, 1)
+        assert result.Z.shape == (3, 2, 2)
+        assert result.action.shape == result.rate_integral.shape == result.rate.shape == (3,)
+
+
+def test_odd_step_count_has_no_integrals():
+    # Simpson's weights need an even step count: with 15 steps they would
+    # give an action 2.2% off, so the flow hands back NaN integrals instead
+    H = _bump_hamiltonian(2.0)
+    odd, even = (integrate_flow(H, 0.15, [[0.4]], [[1.1]], n) for n in (15, 16))
+    assert np.isnan(odd.action).all() and np.isnan(odd.rate_integral).all()
+    assert np.isfinite(even.action).all() and np.isfinite(even.rate_integral).all()
+    np.testing.assert_allclose(odd.X, even.X, rtol=0, atol=1e-10)
+    assert np.isfinite(odd.rate).all()
 
 
 @pytest.mark.parametrize("sigma", sorted(REFERENCE_ENDPOINTS))
 def test_bump_flow_endpoint_matches_reference(sigma):
     H = _bump_hamiltonian(sigma)
-    _, Xs, Xis, _ = integrate_flow(H, 0.3, np.array([[0.4]]), np.array([[1.1]]), 30)
+    X, Xi, *_ = integrate_flow(H, 0.3, np.array([[0.4]]), np.array([[1.1]]), 30)
     X_ref, Xi_ref = REFERENCE_ENDPOINTS[sigma]
-    np.testing.assert_allclose(Xs[-1, 0, 0], X_ref, atol=1e-8)
-    np.testing.assert_allclose(Xis[-1, 0, 0], Xi_ref, atol=1e-8)
+    np.testing.assert_allclose(X[0, 0], X_ref, atol=1e-8)
+    np.testing.assert_allclose(Xi[0, 0], Xi_ref, atol=1e-8)
 
 
 def test_flat_variational_block_structure():
     H = fractional_symbol(flat_metric(dim=1), 2.0)
     t = 0.4
-    *_, Zs = integrate_flow(H, t, np.array([[0.3]]), np.array([[1.2]]), 40)
-    np.testing.assert_allclose(Zs[-1, 0], [[1.0, 2.0 * t], [0.0, 1.0]],
+    Z = integrate_flow(H, t, np.array([[0.3]]), np.array([[1.2]]), 40).Z
+    np.testing.assert_allclose(Z[0], [[1.0, 2.0 * t], [0.0, 1.0]],
                                rtol=0, atol=1e-14)
 
 
 def test_variational_jacobian_matches_differences():
     H = _bump_hamiltonian(2.0)
     t, x0, xi0 = 0.2, 0.4, 1.1
-    *_, Zs = integrate_flow(H, t, np.array([[x0]]), np.array([[xi0]]), 20)
+    Z = integrate_flow(H, t, np.array([[x0]]), np.array([[xi0]]), 20).Z
     step = 1e-6
 
     def endpoint(xv, xiv):
-        _, Xs, Xis, _ = integrate_flow(H, t, np.array([[xv]]), np.array([[xiv]]), 20)
-        return np.array([Xs[-1, 0, 0], Xis[-1, 0, 0]])
+        X, Xi, *_ = integrate_flow(H, t, np.array([[xv]]), np.array([[xiv]]), 20)
+        return np.array([X[0, 0], Xi[0, 0]])
 
     fd = np.column_stack([
         (endpoint(x0 + step, xi0) - endpoint(x0 - step, xi0)) / (2 * step),
         (endpoint(x0, xi0 + step) - endpoint(x0, xi0 - step)) / (2 * step),
     ])
-    np.testing.assert_allclose(Zs[-1, 0], fd, atol=1e-8)
+    np.testing.assert_allclose(Z[0], fd, atol=1e-8)
 
 
 def test_flow_group_property():
     H = _bump_hamiltonian(2.0)
     x = np.array([[0.4], [-0.2], [0.9]])
     xi = np.array([[1.1], [0.9], [1.3]])
-    _, X1, Xi1, _ = integrate_flow(H, 0.1, x, xi, 50)
-    _, X12, Xi12, _ = integrate_flow(H, 0.15, X1[-1], Xi1[-1], 75)
-    _, Xd, Xid, _ = integrate_flow(H, 0.25, x, xi, 125)
-    np.testing.assert_allclose(X12[-1], Xd[-1], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(Xi12[-1], Xid[-1], rtol=0, atol=1e-12)
+    X1, Xi1, *_ = integrate_flow(H, 0.1, x, xi, 50)
+    X12, Xi12, *_ = integrate_flow(H, 0.15, X1, Xi1, 75)
+    Xd, Xid, *_ = integrate_flow(H, 0.25, x, xi, 125)
+    np.testing.assert_allclose(X12, Xd, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(Xi12, Xid, rtol=0, atol=1e-12)
 
 
 def test_trajectory_nodes_match_endpoint():
-    # 0.3 / 30 and 0.15 / 15 are the same double, so the first half of the
-    # path is the whole path of the half-time flow
+    # 0.3 / 30 and 0.15 / 15 are the same double, so the half-time flow ends
+    # on the whole flow's middle node: a flow restarted there ends where the
+    # whole flow does, bit for bit in (X, Xi), and the Jacobians compose
     H = _bump_hamiltonian(0.5)
-    times, Xs, Xis, Zs = integrate_flow(H, 0.3, [[0.4]], [[1.1]], 30)
-    assert times.shape == (31,)
-    assert Xs.shape == (31, 1, 1) and Zs.shape == (31, 1, 2, 2)
-    half = integrate_flow(H, 0.15, [[0.4]], [[1.1]], 15)
-    for nodes, half_nodes in zip((Xs, Xis, Zs), half[1:]):
-        np.testing.assert_array_equal(nodes[:16], half_nodes)
+    whole = integrate_flow(H, 0.3, [[0.4]], [[1.1]], 30)
+    first = integrate_flow(H, 0.15, [[0.4]], [[1.1]], 15)
+    second = integrate_flow(H, 0.15, first.X, first.Xi, 15)
+    np.testing.assert_array_equal(second.X, whole.X)
+    np.testing.assert_array_equal(second.Xi, whole.Xi)
+    np.testing.assert_allclose(second.Z @ first.Z, whole.Z, rtol=0, atol=1e-14)
 
 
 def test_inverse_map_round_trip():
     H = _bump_hamiltonian(2.0)
     y = np.array([[0.3], [0.5]])
     xi = np.array([[1.2], [1.0]])
-    X = integrate_flow(H, 0.3, y, xi, 30)[1][-1]
-    Y, (times, Xs, Xis, Zs) = inverse_map(H, 0.3, X, xi, 30)
+    X = integrate_flow(H, 0.3, y, xi, 30).X
+    Y, flow = inverse_map(H, 0.3, X, xi, 30)
     np.testing.assert_allclose(Y, y, atol=1e-10)
-    # the returned path is the accepted flow from (Y, xi) and ends on X
-    np.testing.assert_array_equal(times, np.linspace(0.0, 0.3, 31))
-    np.testing.assert_array_equal(Xs[0], Y)
-    np.testing.assert_array_equal(Xis[0], xi)
-    assert np.max(np.abs(Xs[-1] - X)) <= NEWTON_TOL
-    *_, Z_path = integrate_flow(H, 0.3, Y, xi, 30)
-    np.testing.assert_array_equal(Zs[-1], Z_path[-1])
+    # the returned end is the accepted flow from (Y, xi), integrals and all,
+    # and it lies on X
+    assert np.max(np.abs(flow.X - X)) <= NEWTON_TOL
+    for got, want in zip(flow, integrate_flow(H, 0.3, Y, xi, 30)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_inverse_map_zero_time():
     H = _bump_hamiltonian(2.0)
     x = np.array([[0.7]])
-    Y, (times, Xs, Xis, Zs) = inverse_map(H, 0.0, x, np.array([[1.0]]), 4)
+    Y, flow = inverse_map(H, 0.0, x, np.array([[1.0]]), 4)
     np.testing.assert_array_equal(Y, x)
-    np.testing.assert_array_equal(times, [0.0])
-    np.testing.assert_array_equal(Xs, [x])
-    np.testing.assert_array_equal(Xis, [[[1.0]]])
-    np.testing.assert_array_equal(Zs, [[np.eye(2)]])
+    np.testing.assert_array_equal(flow.X, x)
+    np.testing.assert_array_equal(flow.Xi, [[1.0]])
+    np.testing.assert_array_equal(flow.Z, [np.eye(2)])
 
 
 def test_guard_band_violation_raises():
@@ -161,8 +172,8 @@ def test_guard_band_violation_raises():
 def test_guard_band_inactive_without_band():
     metric = gaussian_bump_metric(dim=1, epsilon=0.1)
     H = fractional_symbol(metric, 2.0)
-    _, Xs, _, _ = integrate_flow(H, 0.1, np.array([[0.0]]), np.array([[2.0]]), 10)
-    assert np.isfinite(Xs).all()
+    X = integrate_flow(H, 0.1, np.array([[0.0]]), np.array([[2.0]]), 10).X
+    assert np.isfinite(X).all()
 
 
 def _oscillator(band):
@@ -183,14 +194,38 @@ def test_guard_band_checked_along_the_whole_path():
     # from (0, 1) the flow is (sin 2s, cos 2s): p = xi^2 is 1 at s = 0 and at
     # s = pi, but falls to 0 at s = pi/4, far below the band's lower edge
     H = _oscillator((0.5, 2.0))
-    _, Xs, Xis, _ = integrate_flow(_oscillator(None), np.pi, [[0.0]], [[1.0]], 315)
-    assert 0.5 < Xis[-1, 0, 0] ** 2 < 2.0 and abs(Xs[-1, 0, 0]) < 1e-6
+    X, Xi, *_ = integrate_flow(_oscillator(None), np.pi, [[0.0]], [[1.0]], 315)
+    assert 0.5 < Xi[0, 0] ** 2 < 2.0 and abs(X[0, 0]) < 1e-6
     with pytest.raises(GuardBandError):
         integrate_flow(H, np.pi, [[0.0]], [[1.0]], 315)
 
 
+def test_flow_onto_a_caustic_returns_its_end():
+    # at s = pi/4 the oscillator's Z_xx = cos 2s vanishes up to the RK4
+    # error: the flow still ends there, with the rate f = -tan 2s huge; a
+    # node with Z_xx exactly 0 gives a non-finite rate, and neither warns
+    H = _oscillator(None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        end = integrate_flow(H, np.pi / 4, [[0.0]], [[1.0]], 40)
+        np.testing.assert_allclose(end.X, [[1.0]], rtol=0, atol=1e-7)
+        np.testing.assert_allclose(end.Xi, [[0.0]], rtol=0, atol=1e-7)
+        np.testing.assert_allclose(end.Z[0], [[0.0, 1.0], [-1.0, 0.0]], rtol=0, atol=1e-7)
+        assert end.rate[0] < -1e6 and end.rate_integral[0] < -1e4
+        on_caustic = np.array([[[0.0, 1.0], [-1.0, 0.0]]])
+        _, f = hamflow._integrands(H, end.X, end.Xi, on_caustic, H.jet(end.X, end.Xi))
+        assert not np.isfinite(f).any()
+
+
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _BASE = (np.array([[0.4], [0.0], [-0.8]]), np.array([[1.1], [1.4], [0.9]]))
+
+
+def _node_flows(H, t, x, xi, n_steps):
+    """The flow's state at each of its n_steps + 1 uniform node times: the
+    batch flowed to k t / n_steps in k steps, for k = 0 .. n_steps."""
+    times = np.linspace(0.0, t, n_steps + 1)
+    return [integrate_flow(H, s, x, xi, k) for k, s in enumerate(times)]
 
 
 def _separate_rk4_path(H, t, x, xi, n_steps):
@@ -219,20 +254,20 @@ def test_assembled_jet_flows_like_separate_evaluators():
     # one evaluator at a time; A is constant, so even A @ Z is exact
     H = _oscillator(None)
     x, xi = np.array([[0.0], [0.3]]), np.array([[1.0], [-0.7]])
-    _, Xs, Xis, Zs = integrate_flow(H, 1.3, x, xi, 40)
-    for got, want in zip((Xs, Xis, Zs), _separate_rk4_path(H, 1.3, x, xi, 40)):
-        np.testing.assert_array_equal(got[-1], want)
+    X, Xi, Z, *_ = integrate_flow(H, 1.3, x, xi, 40)
+    for got, want in zip((X, Xi, Z), _separate_rk4_path(H, 1.3, x, xi, 40)):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0])
 def test_jet_flow_keeps_the_separate_evaluator_values(sigma):
     H = _bump_hamiltonian(sigma)
-    _, Xs, Xis, Zs = integrate_flow(H, 0.3, *_BASE, 30)
+    X, Xi, Z, *_ = integrate_flow(H, 0.3, *_BASE, 30)
     X_ref, Xi_ref, Z_ref = _separate_rk4_path(H, 0.3, *_BASE, 30)
-    np.testing.assert_array_equal(Xs[-1], X_ref)
-    np.testing.assert_array_equal(Xis[-1], Xi_ref)
+    np.testing.assert_array_equal(X, X_ref)
+    np.testing.assert_array_equal(Xi, Xi_ref)
     # A @ Z may round its 2-term sums differently from the einsum
-    np.testing.assert_allclose(Zs[-1], Z_ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(Z, Z_ref, rtol=0, atol=1e-14)
 
 
 def test_variational_step_evaluates_the_metric_once_per_stage():
@@ -249,7 +284,7 @@ def test_variational_step_evaluates_the_metric_once_per_stage():
     H = fractional_symbol(dataclasses.replace(
         bump, inverse_metric_jet=counting(bump.inverse_metric_jet)), 2.0, xi_band=(0.3, 3.0))
     integrate_flow(H, 0.01, *_BASE, 1)
-    assert len(calls) <= 5          # four RK4 stages and the guard-band check
+    assert len(calls) <= 5          # four RK4 stages and the end node's jet
 
 
 def test_newton_trials_flow_only_unconverged_points(monkeypatch):
@@ -267,14 +302,14 @@ def test_newton_trials_flow_only_unconverged_points(monkeypatch):
         return flow(H, t, x, *args, **kwargs)
 
     monkeypatch.setattr(hamflow, "integrate_flow", recording)
-    Y, path = inverse_map(H, t, X, xi, n_steps)
+    Y, end = inverse_map(H, t, X, xi, n_steps)
     assert sizes[0] == 6 and len(sizes) > 1 and max(sizes[1:]) == 3
     # each point alone is what an all-point trial does for it
     for k in range(6):
-        Yk, path_k = inverse_map(H, t, X[k:k + 1], xi[k:k + 1], n_steps)
+        Yk, end_k = inverse_map(H, t, X[k:k + 1], xi[k:k + 1], n_steps)
         np.testing.assert_array_equal(Y[k], Yk[0])
-        for arr, arr_k in zip(path[1:], path_k[1:]):
-            np.testing.assert_array_equal(arr[:, k], arr_k[:, 0])
+        for arr, arr_k in zip(end, end_k):
+            np.testing.assert_array_equal(arr[k], arr_k[0])
 
 
 def test_damped_newton_points_solve_as_they_do_alone(monkeypatch):
@@ -283,13 +318,13 @@ def test_damped_newton_points_solve_as_they_do_alone(monkeypatch):
     H = fractional_symbol(gaussian_bump_metric(dim=1, epsilon=0.9), 2.0,
                           xi_band=(0.05, 50.0))
     X, xi = np.array([[-0.5], [0.3], [1.9], [2.0]]), np.ones((4, 1))
-    Y, path = inverse_map(H, 0.8, X, xi, 40)
-    assert np.max(np.abs(path[1][-1] - X)) <= NEWTON_TOL
+    Y, flow = inverse_map(H, 0.8, X, xi, 40)
+    assert np.max(np.abs(flow.X - X)) <= NEWTON_TOL
     for k in range(4):
-        Yk, path_k = inverse_map(H, 0.8, X[k:k + 1], xi[k:k + 1], 40)
+        Yk, flow_k = inverse_map(H, 0.8, X[k:k + 1], xi[k:k + 1], 40)
         np.testing.assert_array_equal(Y[k], Yk[0])
-        for arr, arr_k in zip(path[1:], path_k[1:]):
-            np.testing.assert_array_equal(arr[:, k], arr_k[:, 0])
+        for arr, arr_k in zip(flow, flow_k):
+            np.testing.assert_array_equal(arr[k], arr_k[0])
     monkeypatch.setattr(hamflow, "NEWTON_DAMPING", 0.25)
     moved = inverse_map(H, 0.8, X, xi, 40)[0][:, 0] != Y[:, 0]
     assert list(moved) == [False, False, True, True]
@@ -318,16 +353,16 @@ def test_integrate_flow_rejects_a_flow_without_steps():
         with pytest.raises(ValueError, match="n_steps"):
             integrate_flow(H, 0.5, [[0.1]], [[1.0]], n_steps)
     # t = 0 takes no step whatever n_steps says
-    assert integrate_flow(H, 0.0, [[0.1]], [[1.0]], 0)[1].shape == (1, 1, 1)
+    assert integrate_flow(H, 0.0, [[0.1]], [[1.0]], 0).X.shape == (1, 1)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0])
 def test_energy_conserved_along_flow(sigma):
     H = _bump_hamiltonian(sigma)
     x, xi = _BASE
-    _, Xs, Xis, _ = integrate_flow(H, 0.3, x, xi, 30)
     ref = H(x, xi)
-    drift = max(float(np.max(np.abs(H(X, Xi) - ref))) for X, Xi in zip(Xs, Xis))
+    drift = max(float(np.max(np.abs(H(X, Xi) - ref)))
+                for X, Xi, *_ in _node_flows(H, 0.3, x, xi, 30))
     assert drift < 1e-8
 
 
@@ -341,9 +376,9 @@ def test_variational_jacobian_symplectic_along_flow(sigma):
     # in any block of the variational right-hand side gives a defect of
     # order t.
     H = _bump_hamiltonian(sigma)
-    times, _, _, Zs = integrate_flow(H, 0.3, *_BASE, 30)
+    Zs = np.array([end.Z for end in _node_flows(H, 0.3, *_BASE, 30)])
     defect = np.abs(np.swapaxes(Zs, -1, -2) @ _J @ Zs - _J)
-    assert Zs.shape == (len(times), 3, 2, 2)
+    assert Zs.shape == (31, 3, 2, 2)
     assert float(np.max(defect)) < 1e-8
 
 
@@ -351,10 +386,10 @@ def test_negative_time_reverses_flow():
     H = _bump_hamiltonian(2.0)
     x = np.array([[0.4]])
     xi = np.array([[1.1]])
-    _, Xs, Xis, _ = integrate_flow(H, 0.2, x, xi, 20)
-    _, Xb, Xib, _ = integrate_flow(H, -0.2, Xs[-1], Xis[-1], 20)
-    np.testing.assert_allclose(Xb[-1], x, atol=1e-10)
-    np.testing.assert_allclose(Xib[-1], xi, atol=1e-10)
+    X, Xi, *_ = integrate_flow(H, 0.2, x, xi, 20)
+    Xb, Xib, *_ = integrate_flow(H, -0.2, X, Xi, 20)
+    np.testing.assert_allclose(Xb, x, atol=1e-10)
+    np.testing.assert_allclose(Xib, xi, atol=1e-10)
 
 
 def _assembled_AZ(H, X, Xi, Z):
@@ -396,26 +431,28 @@ def test_flat_inverse_map_flows_once_from_the_predictor(sigma, monkeypatch):
 
     monkeypatch.setattr(hamflow, "integrate_flow", counting)
     t = -0.4
-    Y, (_, Xs, _, _) = inverse_map(H, t, x, xi, 2)
+    Y, end = inverse_map(H, t, x, xi, 2)
     assert calls == [t]
-    assert np.max(np.abs(Xs[-1] - x)) <= NEWTON_TOL
+    assert np.max(np.abs(end.X - x)) <= NEWTON_TOL
     np.testing.assert_array_equal(Y, x - t * H.grad_xi(x, xi))
     # at t = 0 Newton starts, and stays, at x
-    Y0, (times, Xs0, _, _) = inverse_map(H, 0.0, x, xi, 2)
+    Y0, end0 = inverse_map(H, 0.0, x, xi, 2)
     np.testing.assert_array_equal(Y0, x)
-    assert len(times) == 1 and calls == [t, 0.0]
+    np.testing.assert_array_equal(end0.X, x)
+    assert calls == [t, 0.0]
 
 
 def test_guard_reads_the_jet_and_checks_every_node(monkeypatch):
-    # the first RK4 stage's jet carries p for its node, and the last node is
-    # evaluated once: one principal_symbol call per path, none per step
+    # the first RK4 stage's jet carries p for its node, and the end node's
+    # jet, read for the integrals, carries it for the last: no
+    # principal_symbol call per step, nor at the end
     H = _bump_hamiltonian(2.0)
     calls = []
     p_eval = hamflow.principal_symbol
     monkeypatch.setattr(hamflow, "principal_symbol",
                         lambda *args: calls.append(1) or p_eval(*args))
     integrate_flow(H, 0.2, *_BASE, 20)
-    assert len(calls) == 1
+    assert len(calls) == 0
     # a start outside the band raises at node 0
     with pytest.raises(GuardBandError, match="at node 0 of 4"):
         integrate_flow(H, 0.01, np.array([[0.0]]), np.array([[2.0]]), 4)
@@ -430,18 +467,16 @@ def test_per_point_times_give_each_point_its_scalar_flow_and_solve():
     x = np.array([[0.4], [-0.3], [0.1]])
     xi = np.array([[1.1], [0.9], [1.3]])
     t = np.array([0.3, -0.25, 0.28])
-    times, Xs, Xis, Zs = integrate_flow(H, t, x, xi, 30)
-    Y, path = inverse_map(H, t, Xs[-1], xi, 30)
-    assert times.shape == (31, 3) and path[0].shape == (31, 3)
+    end = integrate_flow(H, t, x, xi, 30)
+    Y, flow = inverse_map(H, t, end.X, xi, 30)
     for k in range(3):
         want = integrate_flow(H, t[k], x[k:k + 1], xi[k:k + 1], 30)
-        np.testing.assert_array_equal(times[:, k], want[0])
-        for got, ref in zip((Xs, Xis, Zs), want[1:]):
-            np.testing.assert_array_equal(got[:, k], ref[:, 0])
-        Yk, path_k = inverse_map(H, t[k], Xs[-1, k:k + 1], xi[k:k + 1], 30)
+        for got, ref in zip(end, want):
+            np.testing.assert_array_equal(got[k], ref[0])
+        Yk, flow_k = inverse_map(H, t[k], end.X[k:k + 1], xi[k:k + 1], 30)
         np.testing.assert_array_equal(Y[k], Yk[0])
-        for arr, arr_k in zip(path[1:], path_k[1:]):
-            np.testing.assert_array_equal(arr[:, k], arr_k[:, 0])
+        for arr, arr_k in zip(flow, flow_k):
+            np.testing.assert_array_equal(arr[k], arr_k[0])
     with pytest.raises(ValueError, match="per-point times"):
         integrate_flow(H, t[:2], x, xi, 30)
     with pytest.raises(ValueError, match="t = 0"):

@@ -1,13 +1,14 @@
 """Phase construction: generating function, residuals and horizons."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracwkb import hamjac
 from fracwkb.hamflow import DT_DEFAULT, NEWTON_TOL, integrate_flow, inverse_map
-from fracwkb.hamjac import (HorizonError, _simpson, build_phase,
+from fracwkb.hamjac import (HorizonError, build_phase,
                             caustic_horizon, certify_phase_estimates,
                             hj_residual, phase_point_data,
                             second_time_derivative)
@@ -53,10 +54,10 @@ def test_phase_at_zero_time():
 def test_trajectory_ends_on_x():
     """The pass reads the flow the Newton iteration accepted on its own layout.
 
-    t = 0.03 at dt = 0.01 is an odd step count, which the Simpson path
-    rounds up to four steps; the Newton iteration runs on that layout, so
-    the path from the pass's Y ends on x to the Newton tolerance at every
-    point of the 61 x 9 tensor grid.
+    t = 0.03 at dt = 0.01 is an odd step count, which the Simpson sums
+    round up to four steps; the Newton iteration runs on that layout, so
+    the flow from the pass's Y to -t in four steps ends on x to the Newton
+    tolerance at every point of the 61 x 9 tensor grid.
     """
     q0 = _bump_q0()
     xp, xip = tensor_pairs(np.linspace(-1.5, 1.5, 61)[:, None],
@@ -64,30 +65,30 @@ def test_trajectory_ends_on_x():
     data = phase_point_data(q0, 0.03, xp, xip, dt=0.01)
     n_steps = hamjac._step_count(q0, 0.03, 0.01)
     assert n_steps == 4
-    Y, (path_times, X, _, _) = inverse_map(q0, -0.03, xp, xip, n_steps)
+    Y, end = inverse_map(q0, -0.03, xp, xip, n_steps)
     np.testing.assert_array_equal(Y, data.Y)
-    assert -path_times[-1] == 0.03
-    np.testing.assert_array_equal(X[0], data.Y)
-    assert np.max(np.abs(X[-1] - xp)) <= NEWTON_TOL
+    np.testing.assert_array_equal(integrate_flow(q0, -0.03, data.Y, xip, 4).X, end.X)
+    assert np.max(np.abs(end.X - xp)) <= NEWTON_TOL
 
 
 def test_trajectory_is_the_backward_flow_of_q0():
-    """The characteristics are q0's own flow to -t from the pass's Y, node
-    for node, with the path's times running from 0 to t."""
+    """The characteristics are q0's own flow to -t from the pass's Y: the
+    pass reads the end and both integrals off that flow, the rate's with
+    its sign turned so that it runs from 0 to t."""
     q0 = _bump_q0()
     x = np.linspace(-1.5, 1.5, 7)[:, None]
     xi = np.linspace(0.8, 1.6, 7)[:, None]
     data = phase_point_data(q0, 0.08, x, xi)
     n_steps = hamjac._step_count(q0, 0.08, DT_DEFAULT)
-    Y, (path_times, X, Xi, _) = inverse_map(q0, -0.08, x, xi, n_steps)
+    Y, end = inverse_map(q0, -0.08, x, xi, n_steps)
     np.testing.assert_array_equal(Y, data.Y)
-    times = 0.0 - path_times
-    ref_times, X_ref, Xi_ref, _ = integrate_flow(q0, -0.08, data.Y, xi, len(times) - 1)
-    np.testing.assert_array_equal(times, -ref_times)
-    assert times[0] == 0.0 and times[-1] == 0.08
-    np.testing.assert_array_equal(X, X_ref)
-    np.testing.assert_array_equal(Xi, Xi_ref)
-    np.testing.assert_array_equal(Xi[-1], data.grad_x)
+    ref = integrate_flow(q0, -0.08, data.Y, xi, n_steps)
+    for got, want in zip(end, ref):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(ref.Xi, data.grad_x)
+    np.testing.assert_array_equal(data.S, np.sum(data.Y * xi, axis=1) + ref.action)
+    np.testing.assert_array_equal(data.rate, ref.rate)
+    np.testing.assert_array_equal(data.rate_integral, -ref.rate_integral)
 
 
 def test_bump_phase_residual_small():
@@ -335,32 +336,70 @@ def test_mixed_hessian_asymmetry_negligible():
     assert pt.hess_asymmetry < 1e-8
 
 
+def _node_integrands(q0, Y, xi, s, n_steps):
+    """The action integrand and the a_0 rate at the n_steps + 1 nodes of the
+    flow from (Y, xi) to the time(s) s, node k rebuilt as the flow to k s / n
+    in k steps: (nodes, n) arrays each, with the node times."""
+    times = np.linspace(0.0, s, n_steps + 1)
+    g, f = [], []
+    for k, tk in enumerate(times):
+        X, Xi, Z, *_ = integrate_flow(q0, tk, Y, xi, k)
+        _, gxi, _, hxixi, *_ = q0.jet(X, Xi)
+        g.append(Xi[:, 0] * gxi[:, 0] - q0(X, Xi))
+        f.append(0.5 * hxixi[:, 0, 0] * Z[:, 1, 0] / Z[:, 0, 0])
+    return np.array(g), np.array(f), times.reshape(n_steps + 1, -1)
+
+
 @pytest.mark.parametrize("n_nodes", [1, 3, 21])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("trailing", [(4,), (3, 2)])
 def test_simpson_matches_scipy(n_nodes, sign, dtype, trailing):
-    """The phase pass's Simpson rule is scipy's, bit for bit, in both time
-    directions; with node times given per point, each column is scipy's rule
-    on its own non-uniform times."""
-    integrate = pytest.importorskip("scipy.integrate")
-    rng = np.random.default_rng(n_nodes)
-    x = sign * np.linspace(0.0, 0.37, n_nodes)
-    y = rng.normal(size=(n_nodes,) + trailing).astype(dtype)
-    if dtype is complex:
-        y += 1j * rng.normal(size=y.shape)
-    got = _simpson(y, x)
-    want = integrate.simpson(y, x=x, axis=0)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    np.testing.assert_array_equal(got, want)
+    """The phase pass's integrals are scipy's Simpson rule over the node
+    integrands, on the bump for sigma = 0.5 and 2, to 1e-14 relative.
 
-    steps = rng.uniform(0.01, 0.05, size=(n_nodes - 1, trailing[0]))
-    x = sign * np.concatenate([np.zeros((1, trailing[0])), np.cumsum(steps, axis=0)])
-    got = _simpson(y, x)
-    assert got.dtype == y.dtype and got.shape == trailing
-    for j in range(trailing[0]):
-        # scipy on the whole batch with column j's times, so both sum the same way
-        np.testing.assert_array_equal(got[j], integrate.simpson(y, x=x[:, j], axis=0)[j])
+    `n_nodes` is the pass's RK4 node count (one node at t = 0), `sign` the
+    sign of t, `dtype` the integral's (the real action S - Y.xi, the complex
+    rate integral), and `trailing` the batch: 4 points at one time, or 3
+    points at 2 times each (one time per point).
+    """
+    integrate = pytest.importorskip("scipy.integrate")
+    x = np.linspace(-1.0, 1.0, trailing[0])[:, None]
+    xi = np.linspace(0.9, 1.3, trailing[0])[:, None]
+    t = sign * (0.3 if n_nodes > 1 else 0.0)
+    if len(trailing) > 1:
+        x, xi = np.repeat(x, trailing[1], axis=0), np.repeat(xi, trailing[1], axis=0)
+        t = t * np.tile(np.linspace(0.8, 1.0, trailing[1]), trailing[0])
+    n_steps = max(n_nodes - 1, 1)
+    for sigma in (0.5, 2.0):
+        q0 = _bump_q0(sigma)
+        data = phase_point_data(q0, t, x, xi, dt=0.3 / n_steps)
+        g, f, times = _node_integrands(q0, data.Y, xi, -t, n_nodes - 1)
+        if dtype is float:
+            got, y, grid = data.S - np.sum(data.Y * xi, axis=1), g, times
+        else:
+            got, y, grid = data.rate_integral, f.astype(complex), -times
+        assert got.dtype == np.dtype(dtype)
+        want = np.array([integrate.simpson(y[:, j], x=grid[:, j % grid.shape[1]])
+                         for j in range(y.shape[1])])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
+def test_phase_pass_memory_does_not_grow_with_the_step_count():
+    """The flow sums its integrals as it steps and stores no node, so the
+    pass's allocation peak on a fixed batch is the same at 6 and 50 steps."""
+    q0 = _bump_q0()
+    x, xi = tensor_pairs(np.linspace(-1.5, 1.5, 500)[:, None],
+                         np.linspace(0.8, 1.3, 10)[:, None])
+    peaks = []
+    for t in (0.05, 0.5):
+        tracemalloc.start()
+        try:
+            phase_point_data(q0, t, x, xi)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0])

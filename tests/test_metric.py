@@ -114,6 +114,20 @@ def test_principal_symbol_rejects_non_finite():
         principal_symbol(m, np.array([[0.0]]), np.array([[np.inf]]))
 
 
+@pytest.mark.parametrize("length", [np.inf, np.nan, 0.0])
+def test_metric_rejects_a_box_that_is_not_positive_and_finite(length):
+    with pytest.raises(ValueError, match="box_length"):
+        dataclasses.replace(flat_metric(dim=1), box_length=length)
+    with pytest.raises(ValueError, match="box_length"):
+        gaussian_bump_metric(dim=1, box_length=length)
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -0.1])
+def test_bump_metric_rejects_an_epsilon_that_is_not_nonnegative_and_finite(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        gaussian_bump_metric(dim=1, epsilon=epsilon)
+
+
 @pytest.mark.parametrize("bad", [0.0, 1.0, -2.0])
 def test_check_sigma_rejects(bad):
     with pytest.raises(ValueError):

@@ -376,6 +376,15 @@ def test_problem_validation(setup, over):
         _problem(grid, op, _combo(grid, [(1, 0.1)]), **over)
 
 
+@pytest.mark.parametrize("dt", [np.inf, np.nan])
+def test_problem_rejects_a_step_that_is_not_finite(setup, dt):
+    # an infinite step would run one step of length T; NaN would reach the
+    # step count's int conversion
+    grid, op = setup
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        _problem(grid, op, _combo(grid, [(1, 0.1)]), dt=dt)
+
+
 def test_non_odd_nu_warns(setup):
     grid, op = setup
     with pytest.warns(UserWarning):
