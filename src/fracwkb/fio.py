@@ -37,9 +37,7 @@ __all__ = [
     "dispersive_fit",
     "remainder_decay",
     "operator_norm_estimate",
-    "stationary_hessian_check",
     "stationary_phase_prediction",
-    "c_large",
 ]
 
 POINTS_PER_OSC = 8
@@ -52,7 +50,6 @@ SUP_POINTS_START = 16          # points per span in kernel_sup's first round
 DECAY_X_SPAN = (-0.5, 0.5)     # x-window of dispersive_fit's kernel sups
 BAND_TOL = 1e-8                # relative L2 mass apply_fio may drop off the band
 NORM_ITERATIONS = 15           # power iterations of operator_norm_estimate
-HESSIAN_STEP = 1e-4            # difference step of stationary_hessian_check
 # the FIO's characteristic interpolant: its check tolerance on Y - x, S - x xi
 # and int f, above the Newton noise of S (about 2e-11); its first level and
 # its cap, in Chebyshev-Lobatto nodes per interval
@@ -150,8 +147,8 @@ def _barycentric(node_sets, points):
 
 
 def _characteristic_fields(amp, t, axes):
-    """The h-free fields Y - x, S - x xi, Re and Im int_0^t f on a tensor grid,
-    (4, x nodes, xi nodes), with each axis's node sets.
+    """The h-free fields Y - x, S - x xi and int_0^t f on a tensor grid,
+    (3, x nodes, xi nodes), with each axis's node sets.
 
     `axes` holds the (lo, hi) segments of x and of xi.  Each axis starts at
     INTERP_NODES_START Chebyshev-Lobatto nodes per segment (one where lo ==
@@ -166,7 +163,7 @@ def _characteristic_fields(amp, t, axes):
     while True:
         new_sets = [_lobatto(segs, k) for segs, k in zip(axes, levels)]
         x, xi = (np.concatenate(z) for z in new_sets)
-        G = np.empty((4, x.size, xi.size))
+        G = np.empty((3, x.size, xi.size))
         new = np.ones(G.shape[1:], dtype=bool)
         if F is not None:
             old = [np.flatnonzero(np.isin(a, np.concatenate(z))) for a, z in zip((x, xi), sets)]
@@ -174,8 +171,7 @@ def _characteristic_fields(amp, t, axes):
             new[old[0][:, None], old[1]] = False
         X, XI = (g[new] for g in np.meshgrid(x, xi, indexing="ij"))
         data = amp.evaluate(t, X[:, None], XI[:, None])
-        G[:, new] = (data.Y[:, 0] - X, data.S - X * XI,
-                     data.rate_integral.real, data.rate_integral.imag)
+        G[:, new] = data.Y[:, 0] - X, data.S - X * XI, data.rate_integral
         for axis, name in ((0, "x"), (1, "xi")):
             if done[axis] or F is None:
                 continue
@@ -214,14 +210,14 @@ def _fio_factors(amp, h, t, x_grid, xi_grid):
             [(v.min(), v.max()) for v in (xi[xi < 0.0], xi[xi >= 0.0]) if v.size])
     sets, coarse = _characteristic_fields(amp, t, axes)
     Bx = _barycentric(sets[0], x)
-    on_xi = coarse @ _barycentric(sets[1], xi).T          # (4, x nodes, nxi)
+    on_xi = coarse @ _barycentric(sets[1], xi).T          # (3, x nodes, nxi)
     out = np.empty((x.size, xi.size), dtype=complex)
     rows = max(1, MAX_POINT_BATCH // xi.size)
     for r in range(0, x.size, rows):
-        dY, dS, re, im = Bx[r:r + rows] @ on_xi
+        dY, dS, rate_integral = Bx[r:r + rows] @ on_xi
         Y = x[r:r + rows, None] + dY
         a = _amplitudes(amp.a_init, amp.q0, t, Y.reshape(-1, 1),
-                        np.broadcast_to(xi, Y.shape).reshape(-1, 1), (re + 1j * im).ravel(),
+                        np.broadcast_to(xi, Y.shape).reshape(-1, 1), rate_integral.ravel(),
                         amp.order)
         A = a[0].reshape(Y.shape)
         for j in range(1, amp.order):
@@ -497,35 +493,6 @@ def operator_norm_estimate(phase, amp, h, t, grid):
     return float(est)
 
 
-def stationary_hessian_check(sigma, eta):
-    """Compare det hess |eta|^sigma assembled by differencing with the closed form.
-
-    The differences use the step HESSIAN_STEP.  The closed form is
-    sigma^d |sigma - 1| |eta|^{(sigma-2) d}: the Hessian has one radial
-    eigenvalue sigma(sigma-1)|eta|^{sigma-2} and d-1 tangential ones
-    sigma |eta|^{sigma-2}.
-    """
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    d = eta.size
-
-    def phi(v):
-        return np.linalg.norm(v) ** sigma
-
-    Hs = np.empty((d, d))
-    for i in range(d):
-        for j in range(d):
-            ei = np.zeros(d)
-            ej = np.zeros(d)
-            ei[i] = HESSIAN_STEP
-            ej[j] = HESSIAN_STEP
-            Hs[i, j] = (phi(eta + ei + ej) - phi(eta + ei - ej)
-                        - phi(eta - ei + ej) + phi(eta - ei - ej)) / (4.0 * HESSIAN_STEP**2)
-    assembled = abs(float(np.linalg.det(Hs)))
-    closed = sigma**d * abs(sigma - 1.0) * np.linalg.norm(eta) ** ((sigma - 2.0) * d)
-    gap = abs(assembled - closed) / max(1.0, closed)
-    return {"assembled": assembled, "closed_form": float(closed), "gap": float(gap)}
-
-
 def stationary_phase_prediction(amp, h, t, x, y):
     """Leading stationary-phase value of |K_h(t, x, y)| over the flat metric.
 
@@ -552,8 +519,3 @@ def stationary_phase_prediction(amp, h, t, x, y):
     hess = sigma * abs(sigma - 1.0) * xi_star ** (sigma - 2.0)
     lam = abs(t) / h
     return (2.0 * np.pi * h) ** (-1.0) * np.sqrt(2.0 * np.pi / lam) * aval / np.sqrt(hess)
-
-
-def c_large(sigma, xi_max):
-    """Threshold |x - y|/t above which the kernel phase has no critical point."""
-    return 2.0 * sigma * xi_max ** (sigma - 1.0) + 1.0

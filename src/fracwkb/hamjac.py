@@ -37,7 +37,6 @@ __all__ = [
     "certify_phase_estimates",
     "caustic_horizon",
     "hj_residual",
-    "second_time_derivative",
 ]
 
 HORIZON_THRESHOLD = 0.5
@@ -57,8 +56,8 @@ class PhasePointData:
     hess_xx: np.ndarray      # (n, d, d)
     hess_xxi: np.ndarray     # (n, d, d), [i, j] = d2 S / dx_i dxi_j
     dY_dxi: np.ndarray       # (n, d, d), [i, j] = dY_i / dxi_j = d2 S / dxi_i dxi_j
-    rate: np.ndarray         # (n,) complex a_0 transport rate f at (t, x)
-    rate_integral: np.ndarray  # (n,) complex int_0^t f along the characteristic
+    rate: np.ndarray         # (n,) a_0 transport rate f at (t, x)
+    rate_integral: np.ndarray  # (n,) int_0^t f along the characteristic
     hess_asymmetry: float    # max |B - B^T| of hess_xx S before symmetrizing
 
 
@@ -125,8 +124,8 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT):
         hess_xx=0.5 * (B + np.swapaxes(B, 1, 2)),
         hess_xxi=np.swapaxes(JX_inv, 1, 2),
         dY_dxi=-(JX_inv @ Z[:, :d, d:]),
-        rate=flow.rate.astype(complex),
-        rate_integral=(-flow.rate_integral).astype(complex),
+        rate=flow.rate,
+        rate_integral=-flow.rate_integral,
         hess_asymmetry=asym,
     )
 
@@ -155,12 +154,6 @@ class PhaseTable(PhasePointData):
     @cached_property
     def t0(self):
         return caustic_horizon(self, strict=False)
-
-    def t_index(self, t):
-        k = int(np.argmin(np.abs(self.t_grid - t)))
-        if abs(self.t_grid[k] - t) > 1e-12:
-            raise ValueError(f"t={t} is not on the phase time grid")
-        return k
 
     def evaluate(self, t, x, xi):
         """Fresh phase computation at arbitrary points (no interpolation)."""
@@ -306,27 +299,3 @@ def hj_residual(pt):
         res[1:-1] = np.abs(dSdt - qvals)[1:-1]
         valid = res[1:-1]
     return res, float(np.max(valid))
-
-
-def second_time_derivative(pt, k=None):
-    """d2S/dt2 from the derivative tables (no differencing of S).
-
-    Differentiating dS/dt = q0(x, grad_x S) once more in t gives, with
-    g = grad_eta q0 evaluated at (x, grad_x S),
-
-        d2S/dt2 = g . grad_x q0(x, grad_x S) + g . (hess_xx S) g.
-
-    Returns the (nt, nx, nxi) array, or one time slice when `k` is given.
-    """
-    q0 = pt.q0
-    nt, nx, nxi = pt.S.shape
-    ks = range(nt) if k is None else [k]
-    out = np.empty((len(ks), nx, nxi))
-    xp, _ = tensor_pairs(pt.x_grid, pt.xi_grid)
-    for i, kk in enumerate(ks):
-        eta = pt.grad_x[kk].reshape(nx * nxi, -1)
-        gx, g, *_ = q0.jet(xp, eta)
-        W = pt.hess_xx[kk].reshape(nx * nxi, g.shape[1], g.shape[1])
-        val = np.sum(g * gx, axis=1) + np.einsum("ni,nij,nj->n", g, W, g)
-        out[i] = val.reshape(nx, nxi)
-    return out[0] if k is not None else out

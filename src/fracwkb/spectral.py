@@ -20,7 +20,6 @@ __all__ = [
     "StateField",
     "SpectralOperator",
     "AssemblyError",
-    "SpectralGapError",
     "make_grid",
     "state_from_values",
     "state_from_fourier",
@@ -33,21 +32,16 @@ __all__ = [
     "localized_gaussian",
     "sobolev_norm",
     "lp_lq_norm",
-    "kernel_projection",
+    "BernsteinFit",
     "measure_bernstein",
 ]
 
 EIG_MAX_POINTS = 1024
-KERNEL_THRESHOLD = 1e-8
 BERNSTEIN_STATES = 3
 
 
 class AssemblyError(RuntimeError):
     """The discretized operator failed its symmetry or positivity checks."""
-
-
-class SpectralGapError(RuntimeError):
-    """No clean separation between kernel modes and the rest of the spectrum."""
 
 
 @dataclass(frozen=True)
@@ -120,11 +114,6 @@ class StateField:
         if q == np.inf:
             return np.max(modulus, axis=axes)
         return (self.grid.cell_volume * np.sum(modulus ** q, axis=axes)) ** (1.0 / q)
-
-    def parseval_gap(self):
-        """|physical L2 - Fourier-side L2|, an assembly self-check."""
-        four = np.sqrt(self.grid.length**self.grid.dim * np.sum(np.abs(self.fourier) ** 2))
-        return abs(self.l2_norm() - float(four))
 
 
 def make_grid(dim=1, n=256, length=2.0 * np.pi):
@@ -339,27 +328,6 @@ def lp_lq_norm(states, times, p, q):
     if p == np.inf:
         return float(np.max(vals))
     return float(np.trapezoid(vals**p, times) ** (1.0 / p))
-
-
-def kernel_projection(op, u):
-    """Projection onto the zero modes of an eigendecomposed operator.
-
-    Kernel modes are eigenvalues below 1e-8 * lam_max; eigenvalues within a
-    decade above that threshold make the split ambiguous and raise
-    :class:`SpectralGapError`.
-    """
-    if op.kind != "eig":
-        raise ValueError("kernel projection needs the eigendecomposition path")
-    lam_max = float(op.lam[-1]) if op.lam[-1] > 0 else 1.0
-    thr = KERNEL_THRESHOLD * lam_max
-    in_gap = (op.lam >= thr) & (op.lam < 10.0 * thr)
-    if np.any(in_gap):
-        raise SpectralGapError(
-            f"{int(in_gap.sum())} eigenvalues inside the kernel gap decade"
-        )
-    coeffs = op.coefficients(u)
-    coeffs = np.where(op.lam < thr, coeffs, 0.0)
-    return op.synthesize(coeffs)
 
 
 @dataclass

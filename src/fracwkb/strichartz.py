@@ -1,23 +1,21 @@
 """Admissible-pair arithmetic and space-time norm scaling sweeps.
 
 The bookkeeping side is exact exponent arithmetic: which (p, q) pairs are
-admissible in dimension d, the smoothing exponent gamma, the compact-domain
-loss (sigma - 1)/p, and the interval tiling count behind the long-time
-estimate.  The measurement side sweeps dyadic h, builds frequency-localized
-Gaussian states, propagates them with the exact multiplier on the periodic
-box, and fits the L^p_t L^q_x / L^2 norm ratio against h.  Every estimate
-under test is an upper bound, so fits are judged one-sided: the measured
-slope must not fall below minus the predicted exponent by more than the
-margin.
+admissible in dimension d, the smoothing exponent gamma and the
+compact-domain loss (sigma - 1)/p.  The measurement side sweeps dyadic h,
+builds frequency-localized Gaussian states, propagates them with the exact
+multiplier on the periodic box, and fits the L^p_t L^q_x / L^2 norm ratio
+against h.  Every estimate under test is an upper bound, so fits are judged
+one-sided: the measured slope must not fall below minus the predicted
+exponent by more than the margin.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fio import ResolutionError
-from .metric import FLAT_BOX_LENGTH, check_h, loglog_fit
+from .metric import FLAT_BOX_LENGTH, loglog_fit
 from .spectral import (flat_operator, localized_gaussian, lp_lq_norm, make_grid,
                        propagate)
 
@@ -25,7 +23,6 @@ __all__ = [
     "AdmissiblePair",
     "ScalingFit",
     "classify_pair",
-    "tile_interval",
     "measure_semiclassical_scaling",
     "measure_unscaled_scaling",
     "rescaling_identity_gap",
@@ -88,26 +85,6 @@ def classify_pair(p, q, d, sigma):
     total = 0.5 * d - d * inv_q - inv_p
     return AdmissiblePair(p=p, q=q, d=d, sigma=sigma, valid=True,
                           gamma=gamma, loss=loss, total=total)
-
-
-def tile_interval(interval, h, sigma):
-    """Number of length-2h^{sigma-1} tiles covering the interval.
-
-    Only meaningful for sigma >= 1, where the semiclassical time scale
-    h^{sigma-1} is shorter than the unit interval; below that the roles
-    flip and no cumulation is needed.
-    """
-    if sigma < 1.0:
-        raise ValueError(
-            "tiling applies to sigma >= 1; for sigma < 1 a unit interval is "
-            "already covered by one semiclassical window"
-        )
-    a, b = float(interval[0]), float(interval[1])
-    length = abs(b - a)
-    if not np.isfinite(length):
-        raise ValueError("interval must have finite length")
-    h = check_h(h)
-    return int(math.ceil(length / (2.0 * h ** (sigma - 1.0))))
 
 
 @dataclass

@@ -19,9 +19,9 @@ __all__ = [
     "LittlewoodPaleyPartition",
     "SymbolFunction",
     "GaussianWindow",
+    "ConstantWindow",
     "make_bump",
     "littlewood_paley_partition",
-    "semiclassical_psi",
     "fractional_symbol",
     "localized_amplitude",
 ]
@@ -71,14 +71,16 @@ class CutoffFunction:
     """Smooth bump equal to 1 on a plateau and 0 outside a compact support.
 
     Values rise from 0 at r1 to 1 at the plateau's left edge and fall back to 0
-    at r2.  The function is monotone on each ramp.
+    at r2.  The function is monotone on each ramp.  Edges that are not
+    ordered as 0 < r1 < plateau < r2 < inf raise ValueError.
     """
 
     def __init__(self, r1, r2, plateau):
         p1, p2 = float(plateau[0]), float(plateau[1])
-        if not (0.0 < r1 < p1 < p2 < r2):
+        if not (0.0 < r1 < p1 < p2 < r2 < np.inf):
             raise ValueError(
-                f"need 0 < r1 < plateau < r2, got r1={r1}, plateau=({p1},{p2}), r2={r2}"
+                f"cutoff needs 0 < r1 < plateau < r2 < inf, "
+                f"got r1={r1}, plateau=({p1},{p2}), r2={r2}"
             )
         self.support = (float(r1), float(r2))
         self.plateau = (p1, p2)
@@ -118,11 +120,11 @@ class CutoffFunction:
 
 
 class LowPassCutoff:
-    """Smooth low-pass profile: 1 on (-inf, r1], 0 on [r2, inf)."""
+    """Smooth low-pass profile: 1 on (-inf, r1], 0 on [r2, inf), for finite 0 < r1 < r2."""
 
     def __init__(self, r1, r2):
-        if not 0.0 < r1 < r2:
-            raise ValueError("need 0 < r1 < r2")
+        if not 0.0 < r1 < r2 < np.inf:
+            raise ValueError(f"cutoff needs 0 < r1 < r2 < inf, got r1={r1}, r2={r2}")
         self.plateau_edge = float(r1)
         self.support_edge = float(r2)
 
@@ -144,9 +146,9 @@ class LittlewoodPaleyPartition:
     """Dyadic partition of unity phi0(lam) + sum_k phi(4^{-k} lam) = 1.
 
     Built by telescoping a low-pass chi: phi(lam) = chi(lam) - chi(4 lam), so
-    phi(4^{-k} lam) = chi(4^{-k} lam) - chi(4^{-(k-1)} lam) and the truncated
-    sum collapses to chi(4^{-k_max} lam), which equals 1 exactly for
-    lam <= coverage_limit.
+    phi(4^{-k} lam) = chi(4^{-k} lam) - chi(4^{-(k-1)} lam) and the sum to
+    k_max collapses to chi(4^{-k_max} lam), which equals 1 exactly for lam up
+    to chi's plateau edge times 4^{k_max}.
     """
 
     phi0: LowPassCutoff
@@ -155,27 +157,6 @@ class LittlewoodPaleyPartition:
     def phi(self, lam):
         lam = np.asarray(lam, dtype=float)
         return self.phi0(lam) - self.phi0(4.0 * lam)
-
-    @property
-    def coverage_limit(self):
-        """Largest lam up to which the truncated sum still equals 1."""
-        return self.phi0.plateau_edge * 4.0**self.k_max
-
-    def partial_sum(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        total = self.phi0(lam)
-        for k in range(1, self.k_max + 1):
-            total = total + self.phi(lam / 4.0**k)
-        return total
-
-    def check(self, lams):
-        """Max deviation |1 - partial sum| on `lams`, with truncation flags."""
-        lams = np.asarray(lams, dtype=float)
-        sums = self.partial_sum(lams)
-        covered = lams <= self.coverage_limit
-        dev_covered = float(np.max(np.abs(1.0 - sums[covered]))) if covered.any() else 0.0
-        truncated = [float(l) for l in lams[~covered]]
-        return {"max_deviation": dev_covered, "truncated_lams": truncated}
 
 
 def littlewood_paley_partition(k_max):
@@ -187,26 +168,6 @@ def littlewood_paley_partition(k_max):
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     return LittlewoodPaleyPartition(phi0=LowPassCutoff(1.0, 4.0), k_max=int(k_max))
-
-
-class PsiWeight:
-    """lam -> cut(lam) * lam^{sigma/2}; agrees with the pure power on the plateau."""
-
-    def __init__(self, cut, sigma):
-        self.cut = cut
-        self.sigma = check_sigma(sigma)
-
-    def __call__(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        power = np.where(lam > 0.0, np.abs(lam) ** (0.5 * self.sigma), 0.0)
-        return self.cut(lam) * power
-
-
-def semiclassical_psi(cut, sigma):
-    """Attach the sqrt-power weight lam^{sigma/2} to a cutoff supported off 0."""
-    if isinstance(cut, CutoffFunction) and cut.support[0] <= 0.0:
-        raise ValueError("cutoff must be supported away from 0")
-    return PsiWeight(cut, sigma)
 
 
 JET = ("grad_x", "grad_xi", "hess_xx", "hess_xixi", "hess_xxi", "value", "p")

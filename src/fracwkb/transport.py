@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import as_pairs, principal_symbol, tensor_pairs
+from .metric import as_pairs, tensor_pairs
 from .hamflow import DT_DEFAULT
 from .hamjac import phase_point_data
 
@@ -43,7 +43,7 @@ class AmplitudePointData:
     a: np.ndarray            # (order, n) complex
     Y: np.ndarray            # (n, d) backward base points
     S: np.ndarray            # (n,) phase values at the same points
-    rate_integral: np.ndarray  # (n,) complex int_0^t f, the a_0 integrating factor's log
+    rate_integral: np.ndarray  # (n,) int_0^t f, the a_0 integrating factor's log
 
 
 MAX_POINT_BATCH = 65536     # fine (x, xi) pairs per batch of the FIO's factors
@@ -58,7 +58,7 @@ def _amplitudes(a_init, q0, t, Y, xi, rate_integral, order):
     not evaluated.  `t` is a scalar or one time per point.
     """
     a = np.zeros((order, Y.shape[0]), dtype=complex)
-    a[0] = a_init(Y, xi).astype(complex) * np.exp(rate_integral)
+    a[0] = a_init(Y, xi) * np.exp(rate_integral)
     if order >= 2 and np.any(t != 0.0):
         hq = q0.hess_xixi(Y, xi)
         ha = a_init.hess_xx(Y, xi)
@@ -103,8 +103,8 @@ class AmplitudeTable:
     """Gridded WKB amplitudes a_j(t, x, xi) with their transport coefficients.
 
     `values[j]` holds a_j on the (t, x, xi) grid; `V` and `f` are the
-    transport field and zeroth-order coefficient at the same nodes, kept for
-    residual checks and audits.  Off-grid values come from `evaluate`, which
+    transport field and zeroth-order coefficient at the same nodes, which
+    `transport_residual` reads.  Off-grid values come from `evaluate`, which
     recomputes along fresh characteristics rather than interpolating.
     """
 
@@ -113,7 +113,7 @@ class AmplitudeTable:
     xi_grid: np.ndarray      # (nxi, d)
     values: np.ndarray       # (order, nt, nx, nxi) complex
     V: np.ndarray            # (nt, nx, nxi, d)
-    f: np.ndarray            # (nt, nx, nxi) complex
+    f: np.ndarray            # (nt, nx, nxi)
     a_init: object = field(repr=False)
     q0: object = field(repr=False)
     dt: float = DT_DEFAULT
@@ -130,37 +130,6 @@ class AmplitudeTable:
         """Fresh amplitude computation at arbitrary points (no interpolation)."""
         return amplitude_point_data(self.a_init, self.q0, t, x, xi,
                                     order=self.order, dt=self.dt)
-
-    def boundedness_report(self):
-        """Grid sup of each |a_j| and (for 1-D grids) its first differences."""
-        report = {}
-        for j in range(self.order):
-            entry = {"sup": float(np.max(np.abs(self.values[j])))}
-            if self.dim == 1 and self.x_grid.shape[0] > 1:
-                dax = np.gradient(self.values[j], self.x_grid[:, 0], axis=1)
-                entry["sup_grad_x"] = float(np.max(np.abs(dax)))
-            if self.dim == 1 and self.xi_grid.shape[0] > 1:
-                daxi = np.gradient(self.values[j], self.xi_grid[:, 0], axis=2)
-                entry["sup_grad_xi"] = float(np.max(np.abs(daxi)))
-            report[j] = entry
-        report["V_sup"] = float(np.max(np.abs(self.V)))
-        report["f_sup"] = float(np.max(np.abs(self.f)))
-        return report
-
-    def support_report(self, band=None):
-        """Max |a_j| at grid nodes whose p(x, xi) lies outside the guard band."""
-        band = band if band is not None else self.q0.xi_band
-        if band is None:
-            raise ValueError("no guard band configured for the support check")
-        metric = self.q0.metric
-        nx, nxi = self.x_grid.shape[0], self.xi_grid.shape[0]
-        xp, xip = tensor_pairs(self.x_grid, self.xi_grid)
-        p = principal_symbol(metric, xp, xip).reshape(nx, nxi)
-        outside = (p < band[0]) | (p > band[1])
-        if not outside.any():
-            return {"band": band, "n_outside": 0, "outside_max": 0.0}
-        worst = float(np.max(np.abs(self.values[:, :, outside])))
-        return {"band": band, "n_outside": int(outside.sum()), "outside_max": worst}
 
 
 def solve_transport(a_init, phase, N=None):

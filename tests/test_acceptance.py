@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracwkb.fio import (dispersive_fit, remainder_decay,
-                         stationary_hessian_check)
+from fracwkb.fio import dispersive_fit, remainder_decay
 from fracwkb.hamflow import integrate_flow
-from fracwkb.hamjac import build_phase, hj_residual
+from fracwkb.hamjac import build_phase, hj_residual, phase_point_data
 from fracwkb.metric import flat_metric, gaussian_bump_metric, tensor_pairs
 from fracwkb.nlfs import (NlfsProblem, conserved, global_continuation,
                           picard_iterate, sobolev_bound, solve_nlfs,
@@ -135,11 +134,18 @@ def test_dispersive_decay_exponent():
 
 
 def test_stationary_hessian_determinant_identity():
-    """Assembled det of the mixed phase Hessian matches the closed form."""
+    """The phase pass's xi-Hessian of S matches the closed form.
+
+    Over the flat metric S = x.xi + t |xi|^sigma, so |det dY_dxi| / t^d at
+    x = 0, t = 0.1 is det hess |xi|^sigma, the oracle value at xi = eta.
+    """
+    t = 0.1
     for (sigma, eta), frozen in sorted(HESSIAN_DETS.items()):
-        report = stationary_hessian_check(sigma, np.array(eta))
-        assert_allclose(report["closed_form"], frozen, rtol=1e-9)
-        assert report["gap"] < 1e-6
+        d = len(eta)
+        q0 = fractional_symbol(flat_metric(dim=d), sigma)
+        data = phase_point_data(q0, t, np.zeros((1, d)), np.array([eta]))
+        det = abs(float(np.linalg.det(data.dY_dxi[0]))) / t**d
+        assert_allclose(det, frozen, rtol=1e-9)
 
 
 def test_wkb_remainder_order():

@@ -156,11 +156,15 @@ def test_empty_or_unbounded_grid_exits_one(tmp_path, capsys):
     (["kernel", "--h", "-0.01"], "h"),
     (["kernel", "--n_y", "0"], "y_grid"),
     (["audit", "--n_samples", "0"], "n_samples"),
+    (["kernel", "--r2", "inf"], "cutoff"),
+    (["strichartz", "--r2", "inf"], "cutoff"),
+    (["dispersive", "--r2", "inf"], "cutoff"),
 ])
 def test_bad_scale_or_empty_grid_exits_one_naming_it(tmp_path, capsys, args, key):
     assert main(args + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert f"{args[0]} failed: {key} " in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 def test_strichartz_fit_of_a_zero_norm_exits_one(tmp_path, capsys):

@@ -10,8 +10,7 @@ from fracwkb import hamjac
 from fracwkb.hamflow import DT_DEFAULT, NEWTON_TOL, integrate_flow, inverse_map
 from fracwkb.hamjac import (HorizonError, build_phase,
                             caustic_horizon, certify_phase_estimates,
-                            hj_residual, phase_point_data,
-                            second_time_derivative)
+                            hj_residual, phase_point_data)
 from fracwkb.metric import flat_metric, gaussian_bump_metric, tensor_pairs
 from fracwkb.symbols import SymbolFunction, fractional_symbol
 
@@ -149,16 +148,6 @@ def test_phase_hessians_match_differences():
     np.testing.assert_allclose(fd_dy, data.dY_dxi[0, 0, 0], atol=1e-7)
 
 
-def test_second_time_derivative_matches_differencing():
-    pt = _bump_table(nt=21)
-    k = 10
-    dt = pt.t_grid[1] - pt.t_grid[0]
-    stencil = (-pt.S[k + 2] + 16 * pt.S[k + 1] - 30 * pt.S[k]
-               + 16 * pt.S[k - 1] - pt.S[k - 2]) / (12 * dt**2)
-    np.testing.assert_allclose(second_time_derivative(pt, k=k), stencil,
-                               atol=1e-4)
-
-
 def test_caustic_horizon_flat_is_grid_maximum():
     q0 = fractional_symbol(flat_metric(dim=1), 2.0)
     pt = build_phase(q0, [0.0, 0.05, 0.1], np.array([[0.0]]), np.array([[1.0]]))
@@ -242,18 +231,11 @@ def test_certify_bump_constants_stable_under_refinement():
     assert set(report_a.by_order) == {"value/|t|", "grad_x/|t|", "grad_xi/|t|"}
 
 
-def test_phase_table_t_index():
-    pt = _bump_table()
-    assert pt.t_index(0.1) == 10
-    assert pt.t_index(0.0) == 0
-    with pytest.raises(ValueError):
-        pt.t_index(0.033)
-
-
 def test_phase_table_evaluate_matches_grid():
     pt = _bump_table()
+    k = 8
+    assert pt.t_grid[k] == 0.08
     data = pt.evaluate(0.08, pt.x_grid[3], pt.xi_grid[1])
-    k = pt.t_index(0.08)
     np.testing.assert_allclose(data.S[0], pt.S[k, 3, 1], atol=1e-9)
     np.testing.assert_allclose(data.Y[0], pt.Y[k, 3, 1], atol=1e-9)
 
@@ -323,8 +305,9 @@ def test_phase_pass_rejects_a_step_that_is_not_positive_and_finite(dt):
 def test_phase_table_rate_matches_grid():
     """The a_0 transport rate tables agree with a fresh pass at an interior node."""
     pt = _bump_table()
+    k = 8
+    assert pt.t_grid[k] == 0.08
     data = pt.evaluate(0.08, pt.x_grid[3], pt.xi_grid[1])
-    k = pt.t_index(0.08)
     assert abs(pt.rate_integral[k, 3, 1]) > 1e-4
     np.testing.assert_allclose(data.rate[0], pt.rate[k, 3, 1], rtol=0, atol=1e-9)
     np.testing.assert_allclose(data.rate_integral[0], pt.rate_integral[k, 3, 1],
@@ -352,16 +335,16 @@ def _node_integrands(q0, Y, xi, s, n_steps):
 
 @pytest.mark.parametrize("n_nodes", [1, 3, 21])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("integral", [pytest.param("action", id="float"), "rate"])
 @pytest.mark.parametrize("trailing", [(4,), (3, 2)])
-def test_simpson_matches_scipy(n_nodes, sign, dtype, trailing):
+def test_simpson_matches_scipy(n_nodes, sign, integral, trailing):
     """The phase pass's integrals are scipy's Simpson rule over the node
     integrands, on the bump for sigma = 0.5 and 2, to 1e-14 relative.
 
     `n_nodes` is the pass's RK4 node count (one node at t = 0), `sign` the
-    sign of t, `dtype` the integral's (the real action S - Y.xi, the complex
-    rate integral), and `trailing` the batch: 4 points at one time, or 3
-    points at 2 times each (one time per point).
+    sign of t, `integral` the real integral under test (id float: the action
+    S - Y.xi; rate: the rate integral), and `trailing` the batch: 4 points
+    at one time, or 3 points at 2 times each (one time per point).
     """
     integrate = pytest.importorskip("scipy.integrate")
     x = np.linspace(-1.0, 1.0, trailing[0])[:, None]
@@ -375,11 +358,11 @@ def test_simpson_matches_scipy(n_nodes, sign, dtype, trailing):
         q0 = _bump_q0(sigma)
         data = phase_point_data(q0, t, x, xi, dt=0.3 / n_steps)
         g, f, times = _node_integrands(q0, data.Y, xi, -t, n_nodes - 1)
-        if dtype is float:
+        if integral == "action":
             got, y, grid = data.S - np.sum(data.Y * xi, axis=1), g, times
         else:
-            got, y, grid = data.rate_integral, f.astype(complex), -times
-        assert got.dtype == np.dtype(dtype)
+            got, y, grid = data.rate_integral, f, -times
+        assert got.dtype == np.dtype(float)
         want = np.array([integrate.simpson(y[:, j], x=grid[:, j % grid.shape[1]])
                          for j in range(y.shape[1])])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))

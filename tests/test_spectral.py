@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from fracwkb.metric import check_h, flat_metric, gaussian_bump_metric
-from fracwkb.spectral import (BoxGrid, SpectralGapError, SpectralOperator,
-                              discretize_P_1d, flat_operator,
-                              frequency_localize, kernel_projection,
-                              localized_gaussian, lp_lq_norm, make_grid,
+from fracwkb.spectral import (BoxGrid, discretize_P_1d, flat_operator,
+                              frequency_localize, localized_gaussian,
+                              lp_lq_norm, make_grid,
                               measure_bernstein, modulated_gaussian,
                               plane_wave, propagate,
                               sobolev_norm, state_from_fourier,
@@ -24,12 +23,19 @@ BUMP_EIGS = [0.0, 0.1558489529, 0.1558489529, 0.6233958114, 0.6233958114,
              3.8962238151]
 
 
+def _parseval_gap(u):
+    """|physical L2 - Fourier-side L2|: with c_k = FFT(u) / n^d the two are
+    ||u||_2 and sqrt(L^d sum |c_k|^2)."""
+    fourier_side = np.sqrt(u.grid.length**u.grid.dim * np.sum(np.abs(u.fourier) ** 2))
+    return abs(u.l2_norm() - float(fourier_side))
+
+
 def test_plane_wave_norms():
     grid = make_grid(1, 128)
     u = plane_wave(grid, 3)
     np.testing.assert_allclose(u.l2_norm(), np.sqrt(2.0 * np.pi), rtol=1e-13)
     np.testing.assert_allclose(u.lq_norm(np.inf), 1.0, rtol=1e-13)
-    assert u.parseval_gap() < 1e-12
+    assert _parseval_gap(u) < 1e-12
 
 
 def test_fourier_round_trip():
@@ -37,7 +43,7 @@ def test_fourier_round_trip():
     u = modulated_gaussian(grid, np.pi, 0.4, omega=5.0)
     v = state_from_fourier(grid, u.fourier)
     np.testing.assert_allclose(v.values, u.values, atol=1e-13)
-    assert u.parseval_gap() < 1e-12
+    assert _parseval_gap(u) < 1e-12
 
 
 def test_fourier_is_computed_on_first_read():
@@ -367,26 +373,6 @@ def test_propagate_stack_matches_each_state(path):
         one = state_from_values(op.grid, stack.values[k])
         np.testing.assert_allclose(moved[k], propagate(one, op, 0.5, t, h=0.25).values,
                                    rtol=1e-14, atol=1e-14)
-
-
-def test_kernel_projection_cases():
-    op = discretize_P_1d(flat_metric(dim=1), 65)
-    const = state_from_values(op.grid, np.ones(65))
-    np.testing.assert_allclose(kernel_projection(op, const).values,
-                               const.values, atol=1e-12)
-    wave = plane_wave(op.grid, 1)
-    assert kernel_projection(op, wave).l2_norm() < 1e-12
-    with pytest.raises(ValueError):
-        kernel_projection(flat_operator(make_grid(1, 16)), const)
-
-
-def test_kernel_projection_gap_guard():
-    grid = make_grid(1, 5)
-    op = SpectralOperator(grid=grid, lam=np.array([0.0, 1e-7, 1.0, 2.0, 3.0]),
-                          basis=np.eye(5), weight=np.ones(5))
-    assert op.kind == "eig"
-    with pytest.raises(SpectralGapError):
-        kernel_projection(op, state_from_values(grid, np.ones(5)))
 
 
 def test_bernstein_localization_slope():

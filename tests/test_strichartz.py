@@ -8,7 +8,7 @@ from fracwkb.fio import ResolutionError
 from fracwkb.spectral import frequency_localize, make_grid, modulated_gaussian
 from fracwkb.strichartz import (classify_pair, measure_semiclassical_scaling,
                                 measure_unscaled_scaling,
-                                rescaling_identity_gap, tile_interval)
+                                rescaling_identity_gap)
 from fracwkb.symbols import make_bump
 
 CUT = make_bump(0.25, 3.8, (0.5, 3.0))
@@ -58,31 +58,6 @@ def test_classify_pair_invalid(p, q, d):
 def test_classify_pair_rejects_bad_sigma():
     with pytest.raises(ValueError):
         classify_pair(8, 4, 1, 0.0)
-
-
-def test_tile_interval_counts():
-    assert tile_interval((0.0, 1.0), 0.5, 2.0) == 1
-    assert tile_interval((0.0, 1.0), 0.25, 2.0) == 2
-    assert tile_interval((0.0, 1.0), 2.0**-5, 2.0) == 16
-    assert tile_interval((0.0, 1.0), 0.5, 3.0) == 2
-    assert tile_interval((-1.0, 1.0), 0.25, 2.0) == 4
-
-
-def test_tile_interval_halving_doubles():
-    for k in range(2, 7):
-        h = 2.0**-k
-        assert tile_interval((0.0, 1.0), h / 2.0, 2.0) == \
-            2 * tile_interval((0.0, 1.0), h, 2.0)
-
-
-def test_tile_interval_validation():
-    with pytest.raises(ValueError):
-        tile_interval((0.0, 1.0), 0.25, 0.5)
-    with pytest.raises(ValueError):
-        tile_interval((0.0, np.inf), 0.25, 2.0)
-    for h in (0.0, -0.1, np.inf, np.nan):
-        with pytest.raises(ValueError, match=r"^h must be positive and finite"):
-            tile_interval((0.0, 1.0), h, 2.0)
 
 
 def test_conservative_pair_slope_is_flat():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from fracwkb.metric import flat_metric, gaussian_bump_metric, principal_symbol
-from fracwkb.symbols import (JET, ConstantWindow, GaussianWindow, SymbolFunction,
-                             fractional_symbol, littlewood_paley_partition,
-                             localized_amplitude, make_bump, semiclassical_psi)
+from fracwkb.symbols import (JET, ConstantWindow, GaussianWindow, LowPassCutoff,
+                             SymbolFunction, fractional_symbol, littlewood_paley_partition,
+                             localized_amplitude, make_bump)
 
 # mpmath 50-digit values of the glued-exponential construction
 # (notes/oracles/bump_values.py)
@@ -71,6 +71,11 @@ def test_bump_rejects_inverted_intervals():
         make_bump(0.25, 4.0, (2.0, 0.5))
     with pytest.raises(ValueError):
         make_bump(-1.0, 4.0, (0.5, 2.0))
+    # r2 = inf satisfies 0 < r1 < ... < r2 on its own
+    for cut in (lambda r2: make_bump(0.25, r2, (0.5, 2.0)), lambda r2: LowPassCutoff(1.0, r2)):
+        for r2 in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="cutoff needs"):
+                cut(r2)
 
 
 def test_bump_derivative_vanishes_off_ramps():
@@ -122,44 +127,17 @@ def test_partition_at_zero():
         assert part.phi(0.0 / 4.0**k) == 0.0
 
 
-def test_partition_sums_to_one_in_coverage():
-    part = littlewood_paley_partition(6)
-    lams = np.geomspace(1e-3, part.coverage_limit, 400)
-    report = part.check(lams)
-    assert report["max_deviation"] < 1e-12
-    assert report["truncated_lams"] == []
-
-
-def test_partition_flags_truncation():
-    part = littlewood_paley_partition(3)
-    lam_far = 4.0 ** (3 + 2)
-    report = part.check(np.array([1.0, lam_far]))
-    assert report["truncated_lams"] == [lam_far]
-    assert part.partial_sum(lam_far) < 1.0
-
-
 def test_partition_blocks_telescope():
-    part = littlewood_paley_partition(4)
-    lams = np.geomspace(0.05, 40.0, 200)
-    direct = part.phi0(lams) + sum(part.phi(lams / 4.0**k) for k in range(1, 5))
-    np.testing.assert_allclose(direct, part.partial_sum(lams), rtol=0, atol=1e-15)
-
-
-@pytest.mark.parametrize("sigma,lam,expected", [
-    (2.0, 1.0, 1.0),
-    (3.0, 4.0, 8.0),
-    (0.5, 9.0, 0.0),   # beyond the cutoff support, weight or not
-])
-def test_semiclassical_psi_plateau_values(sigma, lam, expected):
-    cut = make_bump(0.25, 5.0, (0.5, 4.0))
-    psi = semiclassical_psi(cut, sigma)
-    np.testing.assert_allclose(psi(lam), expected, rtol=1e-13)
-
-
-def test_semiclassical_psi_rejects_sigma_one():
-    cut = make_bump(0.25, 4.0, (0.5, 2.0))
-    with pytest.raises(ValueError):
-        semiclassical_psi(cut, 1.0)
+    """phi0(lam) + sum_{k <= K} phi(lam / 4^k) = phi0(lam / 4^K), which is 1
+    for lam <= 4^K (phi0's plateau edge is 1) and falls below 1 beyond."""
+    for k_max in (3, 4, 6):
+        part = littlewood_paley_partition(k_max)
+        lams = np.geomspace(1e-3, 4.0 ** (k_max + 2), 400)
+        total = part.phi0(lams) + sum(part.phi(lams / 4.0**k) for k in range(1, k_max + 1))
+        np.testing.assert_allclose(total, part.phi0(lams / 4.0**k_max), rtol=0, atol=1e-15)
+        covered = lams <= 4.0**k_max
+        np.testing.assert_allclose(total[covered], 1.0, rtol=0, atol=1e-12)
+        assert total[-1] < 1.0
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0, 3.0])
