@@ -66,9 +66,12 @@ class InsufficientDataError(RuntimeError):
     """Too few valid samples to fit a decay exponent."""
 
 
-def _check_args(obj, h):
-    """Reject a grid (or table) that is not 1-D and an h that is not positive and finite."""
-    if obj.dim != 1:
+def _check_args(phase, amp, h):
+    """Reject phase and amplitude tables of different symbols or of a symbol
+    that is not 1-D, and an h that is not positive and finite."""
+    if phase.q0 is not amp.q0:
+        raise ValueError("phase and amplitude tables disagree on the symbol")
+    if amp.q0.dim != 1:
         raise ValueError("oscillatory quadrature is implemented on 1-D grids")
     check_h(h)
 
@@ -95,7 +98,9 @@ def _mode_band(amp, h, grid):
     POINTS_PER_OSC points per oscillation of the fastest kept mode raises
     :class:`ResolutionError` naming the need.  The second value builds the
     mode matrix at a time t when called, so a caller can reject its state
-    before paying for it."""
+    before paying for it.  A grid that is not 1-D raises ValueError."""
+    if grid.dim != 1:
+        raise ValueError("oscillatory quadrature is implemented on 1-D grids")
     xi_band, guard, (g_min, g_max) = _support(amp)
     omega = grid.omega_axis()
     p_lo = g_min * (h * omega) ** 2
@@ -126,14 +131,16 @@ def _lobatto(segments, k):
 
 def _barycentric(node_sets, points):
     """(len(points), total nodes) matrix taking values on the concatenated node
-    sets to `points`: each point takes the polynomial through the set whose
-    [first, last] node holds it, in barycentric form with Chebyshev-Lobatto
-    weights; a point on a node takes that node's value exactly."""
+    sets to `points`: each point takes the polynomial through the first set
+    whose [first, last] node holds it, in barycentric form with Chebyshev-
+    Lobatto weights; a point on a node takes that node's value exactly."""
     blocks = []
+    taken = np.zeros(points.size, dtype=bool)
     for z in node_sets:
         w = (-1.0) ** np.arange(z.size)
         w[[0, -1]] *= 0.5
-        rows = np.flatnonzero((points >= z[0]) & (points <= z[-1]))
+        rows = np.flatnonzero((points >= z[0]) & (points <= z[-1]) & ~taken)
+        taken[rows] = True
         diff = points[rows, None] - z
         with np.errstate(divide="ignore", invalid="ignore"):
             C = w / diff
@@ -236,9 +243,7 @@ def apply_fio(phase, amp, u0, h, t):
     retained mode, and coefficient mass outside the amplitude band beyond
     BAND_TOL (relative L2) is rejected rather than silently dropped.
     """
-    _check_args(u0.grid, h)
-    if phase.q0 is not amp.q0:
-        raise ValueError("phase and amplitude tables disagree on the symbol")
+    _check_args(phase, amp, h)
     grid = u0.grid
     keep, mode_matrix = _mode_band(amp, h, grid)
 
@@ -308,7 +313,7 @@ def kernel(phase, amp, h, t, x_grid, y_grid):
     solved on a coarse grid over the x span and the hull that does not
     depend on h.
     """
-    _check_args(phase, h)
+    _check_args(phase, amp, h)
     x_grid = as_points(x_grid, 1)
     y_grid = as_points(y_grid, 1)
     if not (x_grid.size and y_grid.size):
@@ -347,6 +352,7 @@ def kernel_sup(phase, amp, h, t, x_span, y_span, max_rounds=6):
     two successive estimates agreeing to SUP_REFINE_TOL, raises
     :class:`ResolutionError` naming the last two estimates.
     """
+    _check_args(phase, amp, h)
     prev = cur = None
     n = SUP_POINTS_START
     for _ in range(max_rounds):
@@ -384,6 +390,7 @@ def dispersive_fit(phase, amp, h, t_samples):
     contain the stationary set x - y ~ t grad q0(xi) over all samples.  Fewer
     than 6 requested or 4 finite samples raise :class:`InsufficientDataError`.
     """
+    _check_args(phase, amp, h)
     t_samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
     if t_samples.size < 6:
         raise InsufficientDataError(
@@ -441,7 +448,7 @@ def remainder_decay(phase, amp, h_sweep, t=0.15, reference_propagator=None):
     L = metric.box_length
     rems = np.empty_like(h_sweep)
     for i, h in enumerate(h_sweep):
-        _check_args(phase, h)
+        _check_args(phase, amp, h)
         n = 1
         need = POINTS_PER_OSC * xi_hi * L / (2.0 * np.pi * h)
         while n < 2.0 * need:
@@ -471,7 +478,7 @@ def operator_norm_estimate(phase, amp, h, t, grid):
     mode matrix; both directions are matrix-free in the state dimension.  The
     grid must resolve the band as in `apply_fio` (:class:`ResolutionError`).
     """
-    _check_args(grid, h)
+    _check_args(phase, amp, h)
     keep, mode_matrix = _mode_band(amp, h, grid)
     M = mode_matrix(t)
 

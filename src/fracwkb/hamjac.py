@@ -20,7 +20,6 @@ run backward, from 0 to -t.
 """
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -132,13 +131,12 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT):
 
 @dataclass
 class PhaseTable(PhasePointData):
-    """Gridded phase S(t, x, xi): the pass's record on a grid, with a caustic horizon.
+    """Gridded phase S(t, x, xi): the pass's record on a grid.
 
     Every array field of `PhasePointData` is indexed [t, x, xi] with trailing
     component axes, and `hess_asymmetry` is the worst value over the table.
     The xi grid is a list of covector points, not a tensor product, so
-    anisotropic bands are possible.  `t0`, computed on first read, is the
-    certified horizon of `caustic_horizon`.
+    anisotropic bands are possible.
     """
 
     t_grid: np.ndarray
@@ -150,10 +148,6 @@ class PhaseTable(PhasePointData):
     @property
     def dim(self):
         return self.x_grid.shape[1]
-
-    @cached_property
-    def t0(self):
-        return caustic_horizon(self, strict=False)
 
     def evaluate(self, t, x, xi):
         """Fresh phase computation at arbitrary points (no interpolation)."""

@@ -288,12 +288,11 @@ def propagate(u0, op, sigma, t, h=None):
     return op.apply_function(u0, lambda lam: np.exp(1j * t * scale * lam ** (0.5 * sigma)))
 
 
-def frequency_localize(u0, cut, h, op=None):
-    """phi(h^2 P) u0; `op` defaults to the flat multiplier on u0's grid.  An h
-    that is not positive and finite raises ValueError."""
+def frequency_localize(u0, cut, h):
+    """phi(h^2 P) u0 by the flat multiplier on u0's grid.  An h that is not
+    positive and finite raises ValueError."""
     check_h(h)
-    op = op or flat_operator(u0.grid)
-    return op.apply_function(u0, lambda lam: cut(h**2 * lam))
+    return flat_operator(u0.grid).apply_function(u0, lambda lam: cut(h**2 * lam))
 
 
 def localized_gaussian(grid, cut, h):

@@ -167,7 +167,7 @@ def measure_unscaled_scaling(sigma, pair, cut, h_sweep=DYADIC_SWEEP, interval=(0
     return _sweep(sigma, pair, cut, h_sweep, times, rescaled=False)
 
 
-def rescaling_identity_gap(sigma, v, h, p, q, op=None):
+def rescaling_identity_gap(sigma, v, h, p, q):
     """Relative gap in the change-of-variables identity between the two groups.
 
     With t0 = RESCALING_T0, the unrescaled group over the shrunk window
@@ -176,7 +176,7 @@ def rescaling_identity_gap(sigma, v, h, p, q, op=None):
     through the same scale factor the quadratures agree to rounding, so the
     gap is a pure floating-point check.
     """
-    op = op or flat_operator(v.grid)
+    op = flat_operator(v.grid)
     times = np.linspace(-RESCALING_T0, RESCALING_T0, RESCALING_N_T)
     scaled_times = h ** (sigma - 1.0) * times
     lhs = lp_lq_norm(propagate(v, op, sigma, scaled_times), scaled_times, p, q)

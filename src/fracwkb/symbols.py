@@ -109,12 +109,6 @@ class CutoffFunction:
                 rise[1] / a * fall[0] - rise[0] * fall[1] / b,
                 rise[2] / a**2 * fall[0] + rise[0] * fall[2] / b**2)
 
-    def derivative(self, lam, order=1):
-        """Closed-form derivative of order 0, 1 or 2 (see `_jet`)."""
-        if order not in (0, 1, 2):
-            raise ValueError(f"cutoff derivatives are available up to order 2, got {order}")
-        return self._jet(lam)[order]
-
     def __repr__(self):
         return f"CutoffFunction(support={self.support}, plateau={self.plateau})"
 

@@ -5,7 +5,8 @@ symbol evaluated at the backward base point Y(t, x, xi), times the
 integrating factor exp int_0^t f, whose rate f combines the xi-Hessian of q0
 with the phase's x-Hessian.  Both Y and that integral come with the phase
 (`hamjac.phase_point_data`), so the transport itself is algebra on phase
-data and integrates no characteristic.  The first correction a1 is
+data and integrates no characteristic, and its records are the phase pass's
+records with the amplitudes added.  The first correction a1 is
 constructed over the flat metric, where its source term, the second-order
 composition of q0 with a0, is constant along the characteristic and a1 has
 the closed form -(i t / 2) tr[hess_xixi q0 . hess_xx a_init] at (Y, xi);
@@ -13,13 +14,13 @@ higher orders and curved metrics are declined explicitly rather than
 approximated.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .metric import as_pairs, tensor_pairs
 from .hamflow import DT_DEFAULT
-from .hamjac import phase_point_data
+from .hamjac import PhasePointData, PhaseTable, phase_point_data
 
 __all__ = [
     "AmplitudeTable",
@@ -31,19 +32,15 @@ __all__ = [
 
 
 @dataclass
-class AmplitudePointData:
-    """Amplitudes at a batch of (x, xi), one time.
+class AmplitudePointData(PhasePointData):
+    """The phase pass's record at a batch of (x, xi), with the amplitudes there.
 
-    The phase S rides along because the characteristics already carry all of
-    its ingredients; oscillatory-quadrature callers then need one flow per
-    batch instead of two.  Y, S and the rate integral do not depend on h,
-    so the FIO solves them on a coarse grid and interpolates them.
+    Oscillatory-quadrature callers need one pass per batch, not two; Y, S and
+    the rate integral do not depend on h, so the FIO solves them on a coarse
+    grid and interpolates them.
     """
 
     a: np.ndarray            # (order, n) complex
-    Y: np.ndarray            # (n, d) backward base points
-    S: np.ndarray            # (n,) phase values at the same points
-    rate_integral: np.ndarray  # (n,) int_0^t f, the a_0 integrating factor's log
 
 
 MAX_POINT_BATCH = 65536     # fine (x, xi) pairs per batch of the FIO's factors
@@ -80,47 +77,41 @@ def amplitude_point_data(a_init, q0, t, x, xi, order=1, dt=DT_DEFAULT):
     _check_order(q0, order)
     data = phase_point_data(q0, t, x, xi, dt=dt)
     a = _amplitudes(a_init, q0, t, data.Y, xi, data.rate_integral, order)
-    return AmplitudePointData(a=a, Y=data.Y, S=data.S, rate_integral=data.rate_integral)
+    return AmplitudePointData(**vars(data), a=a)
 
 
 def _check_order(q0, order):
-    if order < 1:
-        raise ValueError("amplitude order must be >= 1")
-    if order == 1:
-        return
+    """The amplitude order: `order`, or when None 2 over the flat metric and
+    1 otherwise.  An order below 1, above 2, or of 2 off the flat metric
+    raises ValueError."""
     metric = getattr(q0, "metric", None)
     flat = metric is not None and metric.is_flat
-    if order > 2 or not flat:
+    if order is None:
+        return 2 if flat else 1
+    if order < 1:
+        raise ValueError("amplitude order must be >= 1")
+    if order > 2 or (order == 2 and not flat):
         raise ValueError(
             "amplitude orders beyond a_0 are only constructed over the flat "
             "metric, where the source symbol has a closed form; "
             f"got order={order}"
         )
+    return order
 
 
 @dataclass
-class AmplitudeTable:
-    """Gridded WKB amplitudes a_j(t, x, xi) with their transport coefficients.
+class AmplitudeTable(PhaseTable):
+    """Gridded WKB amplitudes a_j(t, x, xi): the phase table with its amplitudes.
 
-    `values[j]` holds a_j on the (t, x, xi) grid; `V` and `f` are the
-    transport field and zeroth-order coefficient at the same nodes, which
-    `transport_residual` reads.  Off-grid values come from `evaluate`, which
-    recomputes along fresh characteristics rather than interpolating.
+    `values[j]` holds a_j on the phase table's (t, x, xi) grid, and every
+    field of the phase table is the one the amplitudes were read off; its
+    `rate` is the transport's zeroth-order coefficient f.  Off-grid values
+    come from `evaluate`, which recomputes along fresh characteristics
+    rather than interpolating.
     """
 
-    t_grid: np.ndarray
-    x_grid: np.ndarray       # (nx, d)
-    xi_grid: np.ndarray      # (nxi, d)
-    values: np.ndarray       # (order, nt, nx, nxi) complex
-    V: np.ndarray            # (nt, nx, nxi, d)
-    f: np.ndarray            # (nt, nx, nxi)
-    a_init: object = field(repr=False)
-    q0: object = field(repr=False)
-    dt: float = DT_DEFAULT
-
-    @property
-    def dim(self):
-        return self.x_grid.shape[1]
+    values: np.ndarray = field(kw_only=True)     # (order, nt, nx, nxi) complex
+    a_init: object = field(kw_only=True, repr=False)
 
     @property
     def order(self):
@@ -135,42 +126,33 @@ class AmplitudeTable:
 def solve_transport(a_init, phase, N=None):
     """Solve the transport hierarchy on the phase table's grid.
 
-    The phase table carries the base points `phase.Y` and the integral of the
-    transport rate at every node, so the amplitudes are read off it with no
-    further characteristic; the transport field V = grad_eta q0(x, grad_x S)
-    and the rate f come with them.  N defaults to 2 over the flat metric and
-    1 otherwise; initial data are a_0(0) = a_init and a_r(0) = 0.
+    The phase table carries the base points `phase.Y` and the integral of
+    the transport rate at every node, so the amplitudes are read off it with
+    no further characteristic.  The table returned shares every field of
+    `phase` (no copy).  N defaults to 2 over the flat metric and 1
+    otherwise (`_check_order`); initial data are a_0(0) = a_init and
+    a_r(0) = 0.
     """
-    q0 = phase.q0
-    metric = getattr(q0, "metric", None)
-    flat = metric is not None and metric.is_flat
-    if N is None:
-        N = 2 if flat else 1
-    _check_order(q0, N)
-
-    d = q0.dim
-    t_grid = phase.t_grid
-    x_grid, xi_grid = phase.x_grid, phase.xi_grid
-    shape = phase.S.shape
+    N = _check_order(phase.q0, N)
+    nt = len(phase.t_grid)
     # every (t, x, xi) node of the table as one batch, t slowest
-    xp, xip = (np.tile(p, (len(t_grid), 1)) for p in tensor_pairs(x_grid, xi_grid))
-    t = np.repeat(t_grid, xp.shape[0] // len(t_grid))
-
-    values = _amplitudes(a_init, q0, t, phase.Y.reshape(-1, d), xip,
-                         phase.rate_integral.ravel(), N).reshape((N,) + shape)
-    V = q0.grad_xi(xp, phase.grad_x.reshape(-1, d)).reshape(shape + (d,))
-
-    return AmplitudeTable(t_grid=t_grid, x_grid=x_grid, xi_grid=xi_grid, values=values, V=V,
-                          f=phase.rate, a_init=a_init, q0=q0, dt=phase.dt)
+    xip = np.tile(tensor_pairs(phase.x_grid, phase.xi_grid)[1], (nt, 1))
+    t = np.repeat(phase.t_grid, xip.shape[0] // nt)
+    values = _amplitudes(a_init, phase.q0, t, phase.Y.reshape(xip.shape), xip,
+                         phase.rate_integral.ravel(), N).reshape((N,) + phase.S.shape)
+    return AmplitudeTable(**{f.name: getattr(phase, f.name) for f in fields(PhaseTable)},
+                          values=values, a_init=a_init)
 
 
 def transport_residual(amp, j=0):
     """|da_j/dt - V . grad_x a_j - f a_j - source_j| on the grid (1-D only).
 
-    Time and space derivatives use 4th-order central stencils on uniform
-    grids, so the reported max reflects the construction.  The source is zero
-    for j=0 and the closed-form flat term for j=1.  Returns the residual
-    array (NaN at nodes without a full stencil) and the max over the rest.
+    V = grad_xi q0(x, grad_x S) is the transport field and f the table's
+    `rate`.  Time and space derivatives use 4th-order central stencils on
+    uniform grids, so the reported max reflects the construction.  The
+    source is zero for j=0 and the closed-form flat term for j=1.  Returns
+    the residual array (NaN at nodes without a full stencil) and the max
+    over the rest.
     """
     if amp.dim != 1:
         raise ValueError("residual check is implemented for 1-D grids")
@@ -190,11 +172,11 @@ def transport_residual(amp, j=0):
     dadt = (-a[4:] + 8.0 * a[3:-1] - 8.0 * a[1:-3] + a[:-4]) / (12.0 * dt)
     dadx = (-a[:, 4:] + 8.0 * a[:, 3:-1] - 8.0 * a[:, 1:-3] + a[:, :-4]) / (12.0 * dx)
 
-    rhs = amp.V[..., 0] * np.pad(dadx, ((0, 0), (2, 2), (0, 0)),
-                                 constant_values=np.nan)
-    rhs = rhs + amp.f * a
+    xp, xip = tensor_pairs(amp.x_grid, amp.xi_grid)
+    V = amp.q0.grad_xi(np.tile(xp, (nt, 1)), amp.grad_x.reshape(-1, 1)).reshape(nt, nx, nxi)
+    rhs = V * np.pad(dadx, ((0, 0), (2, 2), (0, 0)), constant_values=np.nan)
+    rhs = rhs + amp.rate * a
     if j == 1:
-        xp, xip = tensor_pairs(amp.x_grid, amp.xi_grid)
         hq = amp.q0.hess_xixi(xp, xip).reshape(nx, nxi, 1, 1)[..., 0, 0]
         a0 = amp.values[0]
         d2a0 = (-a0[:, 4:] + 16.0 * a0[:, 3:-1] - 30.0 * a0[:, 2:-2]

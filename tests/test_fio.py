@@ -84,11 +84,20 @@ def test_apply_fio_rejects_out_of_band_energy():
         apply_fio(phase, amp, u, 2.0**-4, 0.1)
 
 
-def test_apply_fio_rejects_tables_of_another_symbol():
+@pytest.mark.parametrize("call", [
+    lambda p, a: apply_fio(p, a, plane_wave(make_grid(1, 512), 20), 2.0**-4, 0.0),
+    lambda p, a: kernel(p, a, H_REF, T_REF, [0.0], [0.0]),
+    lambda p, a: kernel_sup(p, a, H_REF, T_REF, (-0.5, 0.5), (-0.5, 0.5)),
+    lambda p, a: dispersive_fit(p, a, H_REF, np.linspace(0.1, 0.5, 6)),
+    lambda p, a: remainder_decay(p, a, [2.0**-4]),
+    lambda p, a: operator_norm_estimate(p, a, 2.0**-4, 0.1, make_grid(1, 512)),
+], ids=["apply_fio", "kernel", "kernel_sup", "dispersive_fit", "remainder_decay",
+        "operator_norm_estimate"])
+def test_consumers_reject_tables_of_another_symbol(call):
     _, amp, _ = _kernel_setup()
     other, _, _ = _kernel_setup()           # the same settings, another q0
     with pytest.raises(ValueError, match="phase and amplitude tables disagree"):
-        apply_fio(other, amp, plane_wave(make_grid(1, 512), 20), 2.0**-4, 0.0)
+        call(other, amp)
 
 
 def test_apply_fio_rejects_empty_band():
@@ -351,6 +360,17 @@ def test_interpolated_factors_match_the_direct_pass_on_the_bump():
     rows = slice(None, None, 8)              # the direct pass on every 8th x node
     want = _direct_factors(amp, h, t, grid.axis()[rows, None], h * grid.omega_axis()[keep, None])
     assert _rel_gap(mode_matrix(t)[rows], want) <= 1e-8
+
+
+def test_barycentric_counts_a_shared_endpoint_once():
+    """Each point takes one node set: the first whose range holds it."""
+    sets = fio._lobatto([(0.0, 8.0), (8.0, 16.0)], 9)
+    points = np.array([2.0, 8.0, 12.5])
+    B = fio._barycentric(sets, points)
+    np.testing.assert_allclose(B.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    # 9 nodes per set interpolate sin to 3e-3; a doubled row gives 1.98 at x = 8
+    np.testing.assert_allclose(B @ np.sin(np.concatenate(sets)), np.sin(points),
+                               rtol=0, atol=5e-3)
 
 
 def test_interpolant_that_cannot_meet_its_tolerance_raises(monkeypatch):

@@ -109,6 +109,20 @@ def test_flat_correction_residual_is_stencil_limited():
     assert maxima[9] / maxima[17] > 6.0
 
 
+def test_amplitude_table_is_the_phase_table_with_amplitudes():
+    """Every field of the phase table is shared, not copied; V and f are not stored."""
+    _, q0, a_init = _bump_setup()
+    pt = _phase(q0, nt=3)
+    amp = solve_transport(a_init, pt)
+    assert isinstance(amp, hamjac.PhaseTable)
+    for f in dataclasses.fields(hamjac.PhaseTable):
+        assert getattr(amp, f.name) is getattr(pt, f.name), f.name
+    assert not hasattr(amp, "V") and not hasattr(amp, "f")
+    data = amp.evaluate(0.05, amp.x_grid, amp.xi_grid[:1])
+    assert isinstance(data, hamjac.PhasePointData)
+    assert [f.name for f in dataclasses.fields(data)][-1] == "a"
+
+
 def test_solve_transport_default_orders():
     _, qf, af = _flat_setup()
     assert solve_transport(af, _phase(qf, nt=3)).order == 2
