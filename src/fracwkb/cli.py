@@ -303,6 +303,9 @@ def run_dispersive(cfg, outdir):
 
 
 def run_strichartz(cfg, outdir):
+    if not 0.0 < cfg["hmin"] <= cfg["hmax"] < np.inf:
+        raise ConfigError(f"hmin and hmax must satisfy 0 < hmin <= hmax < inf, "
+                          f"got hmin={cfg['hmin']} and hmax={cfg['hmax']}")
     pair = classify_pair(cfg["p"], cfg["q"], 1, cfg["sigma"])
     rows = [_row("pair-admissible", pair.valid, True, pair.valid)]
     if not pair.valid:

@@ -49,7 +49,6 @@ SUP_REFINE_TOL = 0.01
 SUP_POINTS_START = 16          # points per span in kernel_sup's first round
 DECAY_X_SPAN = (-0.5, 0.5)     # x-window of dispersive_fit's kernel sups
 BAND_TOL = 1e-8                # relative L2 mass apply_fio may drop off the band
-NORM_ITERATIONS = 15           # power iterations of operator_norm_estimate
 # the FIO's characteristic interpolant: its check tolerance on Y - x, S - x xi
 # and int f, above the Newton noise of S (about 2e-11); its first level and
 # its cap, in Chebyshev-Lobatto nodes per interval
@@ -76,39 +75,51 @@ def _check_args(phase, amp, h):
     check_h(h)
 
 
-def _support(amp):
-    """The amplitude's p-band (else q0's), q0's guard band (None when it has
-    none) and G's range (G_min, G_max) over the metric's box, from `audit_assumptions`:
-    one support per parametrix, wherever the caller evaluates and wherever
-    the backward base points Y land."""
-    band = amp.a_init.xi_band or amp.q0.xi_band
-    if band is None:
+def _xi_hull(amp):
+    """Conservative 1-D hull +-[lo, hi] of the amplitude's covector support:
+    the one support rule of every FIO consumer.
+
+    The amplitude's p-band (else q0's) and G's range (G_min, G_max) over the
+    metric's box, from `audit_assumptions`, give lo = sqrt(band_lo / G_max)
+    and hi = sqrt(band_hi / G_min), wherever the caller evaluates and wherever
+    the backward base points Y land; the third value is the speed bound every
+    oscillation and reach estimate uses, sup |grad_xi q0| = sigma
+    G^{sigma/2} |xi|^{sigma-1} over the box and the hull.  The hull's pairs
+    reach p in [band_lo G_min/G_max, band_hi G_max/G_min], and p is conserved
+    along their characteristics: a guard band of q0 that does not hold that
+    range raises ValueError naming both, before any characteristic is flowed."""
+    xi_band = amp.a_init.xi_band or amp.q0.xi_band
+    if xi_band is None:
         raise ValueError("amplitude carries no xi support information")
     report = audit_assumptions(amp.q0.metric)
-    return band, amp.q0.xi_band, (report.min_eigenvalue, report.max_eigenvalue)
+    g_min, g_max = report.min_eigenvalue, report.max_eigenvalue
+    guard = amp.q0.xi_band
+    p_lo, p_hi = xi_band[0] * g_min / g_max, xi_band[1] * g_max / g_min
+    if guard is not None and not guard[0] <= p_lo <= p_hi <= guard[1]:
+        raise ValueError(f"q0's guard band [{guard[0]:g}, {guard[1]:g}] does not hold the p "
+                         f"range [{p_lo:.6g}, {p_hi:.6g}] of the amplitude's xi hull")
+    lo = float(np.sqrt(xi_band[0] / g_max))
+    hi = float(np.sqrt(xi_band[1] / g_min))
+    sigma = amp.q0.sigma
+    return lo, hi, sigma * g_max ** (sigma / 2.0) * max(hi ** (sigma - 1.0), lo ** (sigma - 1.0))
 
 
 def _mode_band(amp, h, grid):
     """The indices of the grid modes in the band and their FIO mode matrix.
 
-    A mode is kept when p(x, h omega) enters the initial symbol's support for
-    some x of the box and, when q0 has a flow guard band, stays inside it for
-    all of them (G's range, `_support`); outside the guard band the amplitude
-    vanishes identically.  An empty band raises ValueError, a grid with fewer than
+    A mode is kept when h|omega| lies in the xi hull [lo, hi] (`_xi_hull`),
+    which rejects a guard band of q0 that does not hold it before any flow.
+    An empty band raises ValueError, a grid with fewer than
     POINTS_PER_OSC points per oscillation of the fastest kept mode raises
     :class:`ResolutionError` naming the need.  The second value builds the
     mode matrix at a time t when called, so a caller can reject its state
     before paying for it.  A grid that is not 1-D raises ValueError."""
     if grid.dim != 1:
         raise ValueError("oscillatory quadrature is implemented on 1-D grids")
-    xi_band, guard, (g_min, g_max) = _support(amp)
+    lo, hi, _ = _xi_hull(amp)
     omega = grid.omega_axis()
-    p_lo = g_min * (h * omega) ** 2
-    p_hi = g_max * (h * omega) ** 2
-    kept = (p_hi >= xi_band[0]) & (p_lo <= xi_band[1])
-    if guard is not None:
-        kept &= (p_lo >= guard[0] * (1.0 - 1e-12)) & (p_hi <= guard[1] * (1.0 + 1e-12))
-    keep = np.flatnonzero(kept)
+    h_omega = h * np.abs(omega)
+    keep = np.flatnonzero((lo <= h_omega) & (h_omega <= hi))
     if keep.size == 0:
         raise ValueError("no grid mode meets the amplitude band at this h")
     kmax = float(np.max(np.abs(omega[keep])))
@@ -257,27 +268,6 @@ def apply_fio(phase, amp, u0, h, t):
         )
 
     return state_from_values(grid, mode_matrix(t) @ c[keep])
-
-
-def _xi_hull(amp):
-    """Conservative 1-D hull +-[lo, hi] of the amplitude's covector support.
-
-    lo = sqrt(band_lo / G_max) and hi = sqrt(band_hi / G_min) over G's range on
-    the box (`_support`); the third value is the speed bound every oscillation
-    and reach estimate uses, sup |grad_xi q0| = sigma G^{sigma/2} |xi|^{sigma-1}
-    over the box and the hull.  The hull's pairs reach p in
-    [band_lo G_min/G_max, band_hi G_max/G_min], and p is conserved along their
-    characteristics: a guard band of q0 that does not hold that range raises
-    ValueError naming both, before any characteristic is flowed."""
-    xi_band, guard, (g_min, g_max) = _support(amp)
-    p_lo, p_hi = xi_band[0] * g_min / g_max, xi_band[1] * g_max / g_min
-    if guard is not None and not guard[0] <= p_lo <= p_hi <= guard[1]:
-        raise ValueError(f"q0's guard band [{guard[0]:g}, {guard[1]:g}] does not hold the p "
-                         f"range [{p_lo:.6g}, {p_hi:.6g}] of the amplitude's xi hull")
-    lo = float(np.sqrt(xi_band[0] / g_max))
-    hi = float(np.sqrt(xi_band[1] / g_min))
-    sigma = amp.q0.sigma
-    return lo, hi, sigma * g_max ** (sigma / 2.0) * max(hi ** (sigma - 1.0), lo ** (sigma - 1.0))
 
 
 @dataclass
@@ -471,33 +461,16 @@ def remainder_decay(phase, amp, h_sweep, t=0.15, reference_propagator=None):
 
 
 def operator_norm_estimate(phase, amp, h, t, grid):
-    """L2 operator norm of J_h(S, a) by power iteration on the normal map.
+    """L2 operator norm of J_h(S, a) on the grid's band-limited states, exactly.
 
-    NORM_ITERATIONS iterations run from a fixed random start.  The operator
-    acts mode-to-grid, so the adjoint is applied with the conjugate-transposed
-    mode matrix; both directions are matrix-free in the state dimension.  The
-    grid must resolve the band as in `apply_fio` (:class:`ResolutionError`).
+    A state with kept coefficients c has ||u||^2 = L sum |c_k|^2, and its image
+    M c on the grid carries the cell volume L/n, so the norm is the largest
+    singular value of the mode matrix M over sqrt(n).  The grid must resolve
+    the band as in `apply_fio` (:class:`ResolutionError`).
     """
     _check_args(phase, amp, h)
-    keep, mode_matrix = _mode_band(amp, h, grid)
-    M = mode_matrix(t)
-
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(NORM_ITERATIONS):
-        c = np.fft.fft(v) / grid.n
-        w = M @ c[keep]
-        back = np.zeros(grid.n, dtype=complex)
-        back[keep] = M.conj().T @ w
-        v = np.fft.ifft(back)
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            return 0.0
-        est = np.sqrt(nrm)
-        v /= nrm
-    return float(est)
+    _, mode_matrix = _mode_band(amp, h, grid)
+    return float(np.linalg.svd(mode_matrix(t), compute_uv=False)[0] / np.sqrt(grid.n))
 
 
 def stationary_phase_prediction(amp, h, t, x, y):

@@ -142,8 +142,8 @@ class MetricField:
 
 def check_sigma(sigma):
     """Reject dispersion exponents outside (0, inf) \\ {1}."""
-    if not sigma > 0.0 or sigma == 1.0:
-        raise ValueError(f"sigma must be positive and != 1, got {sigma}")
+    if not 0.0 < sigma < np.inf or sigma == 1.0:
+        raise ValueError(f"sigma must be positive, finite and != 1, got {sigma}")
     return float(sigma)
 
 

@@ -81,8 +81,8 @@ class NlfsProblem:
 
     def __post_init__(self):
         check_sigma(self.sigma)
-        if self.nu <= 1.0:
-            raise ValueError(f"nu must exceed 1, got {self.nu}")
+        if not 1.0 < self.nu < np.inf:
+            raise ValueError(f"nu must exceed 1 and be finite, got {self.nu}")
         if self.mu not in (-1.0, 0.0, 1.0, -1, 0, 1):
             raise ValueError(f"mu must be -1, 0 or +1, got {self.mu}")
         if not 0.0 < self.dt < np.inf:

@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 EIG_MAX_POINTS = 1024
-BERNSTEIN_STATES = 3
 
 
 class AssemblyError(RuntimeError):
@@ -344,11 +343,11 @@ def measure_bernstein(grid, cut, h_list):
     """Fit sup ||phi(h^2 P)u||_inf / ||u||_2 against h on band-limited states.
 
     Random phases do not saturate the L2 -> Linf bound (they only reach a
-    log factor), so the test states are localized point sources at random
-    centers: these are the reproducing-kernel extremizers, and the measured
-    ratio equals the operator norm of the localizer.  Each h takes the best
-    of BERNSTEIN_STATES sources at centres drawn from a fixed seed.  Expected
-    slope -d/2.
+    log factor), so the test state is a localized point source: it is the
+    reproducing-kernel extremizer, and the measured ratio equals the operator
+    norm of the localizer.  The localizer is a Fourier multiplier on the
+    periodic grid, so every centre gives the same ratio; the source sits at
+    the first node.  Expected slope -d/2.
     """
     h_list = np.asarray(sorted(h_list), dtype=float)
     support_hi = getattr(cut, "support", (None, getattr(cut, "support_edge", None)))[1]
@@ -358,18 +357,13 @@ def measure_bernstein(grid, cut, h_list):
         raise ValueError(
             f"grid cannot hold the h={h_list[0]} band; need about n={need} points"
         )
-    rng = np.random.default_rng(0)
-    ratios = np.empty_like(h_list)
+    delta = np.zeros((grid.n,) * grid.dim)
+    delta[(0,) * grid.dim] = 1.0
+    source = state_from_values(grid, delta)
+    ratios = np.zeros_like(h_list)
     for i, h in enumerate(h_list):
-        best = 0.0
-        for _ in range(BERNSTEIN_STATES):
-            delta = np.zeros((grid.n,) * grid.dim)
-            idx = tuple(rng.integers(0, grid.n, size=grid.dim))
-            delta[idx] = 1.0
-            u = frequency_localize(state_from_values(grid, delta), cut, h)
-            norm = u.l2_norm()
-            if norm > 0.0:
-                loc = frequency_localize(u, cut, h)
-                best = max(best, loc.lq_norm(np.inf) / norm)
-        ratios[i] = best
+        u = frequency_localize(source, cut, h)
+        norm = u.l2_norm()
+        if norm > 0.0:
+            ratios[i] = frequency_localize(u, cut, h).lq_norm(np.inf) / norm
     return BernsteinFit(*loglog_fit(h_list, ratios), h=h_list, ratios=ratios)

@@ -68,8 +68,8 @@ def classify_pair(p, q, d, sigma):
     q = float(q)
     d = int(d)
     sigma = float(sigma)
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     inv_p = 0.0 if p == np.inf else 1.0 / p
     inv_q = 0.0 if q == np.inf else 1.0 / q
     ok = (

@@ -230,6 +230,14 @@ def test_short_sweep_rejected(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("bounds", [("--hmin", "0"), ("--hmin", "-0.01"), ("--hmax", "inf")],
+                         ids=["hmin-zero", "hmin-negative", "hmax-inf"])
+def test_sweep_bounds_outside_the_open_half_line_rejected(tmp_path, capsys, bounds):
+    # with any of these the dyadic sweep never ends: h sinks to 0.0 or stays inf
+    assert main(["strichartz", *bounds, "--out", str(tmp_path)]) == 2
+    assert "hmin and hmax must satisfy 0 < hmin <= hmax < inf" in capsys.readouterr().err
+
+
 def test_bad_metric_value_rejected(tmp_path):
     assert main(["audit", "--metric", "weird", "--out", str(tmp_path)]) == 2
 

@@ -186,7 +186,8 @@ def test_operator_norm_close_to_unity():
     phase, amp, _ = _kernel_setup()
     grid = make_grid(1, 2048)           # the band at H_REF needs all 2,048 points
     est = operator_norm_estimate(phase, amp, H_REF, T_REF, grid)
-    assert 0.9 < est < 1.1
+    # the flat constant-window FIO is a multiplier whose symbol peaks at 1
+    assert abs(est - 1.0) <= 1e-12
 
 
 def test_operator_norm_rejects_unresolved_band():
@@ -407,10 +408,12 @@ def test_mode_band_without_a_guard_band_keeps_every_live_mode():
 def test_kernel_checks_the_guard_band_before_any_flow(monkeypatch, guard):
     # the standard cutoff's hull on the eps = 0.1 bump reaches p in
     # [0.25 / 1.1, 3.8 * 1.1]; its pairs beyond 4.0 have a_0 = 0 but used to
-    # raise GuardBandError in the middle of a flow
+    # raise GuardBandError in the middle of a flow; apply_fio and
+    # operator_norm_estimate read the same hull and raise the same error
     metric = gaussian_bump_metric(dim=1, epsilon=0.1)
     q0 = fractional_symbol(metric, 2.0, xi_band=guard)
-    a_init = localized_amplitude(metric, make_bump(0.25, 3.8, (0.5, 3.0)))
+    cut = make_bump(0.25, 3.8, (0.5, 3.0))
+    a_init = localized_amplitude(metric, cut)
     phase = build_phase(q0, [0.0, 0.1], np.array([[0.0]]), np.array([[1.0]]))
     amp = solve_transport(a_init, phase)
     solved = []
@@ -422,14 +425,33 @@ def test_kernel_checks_the_guard_band_before_any_flow(monkeypatch, guard):
 
     monkeypatch.setattr(fio, "_fio_factors", recording)
     x = np.linspace(-0.5, 0.5, 5)
-    if guard[1] < 4.18:
-        with pytest.raises(ValueError, match=r"guard band \[0\.2, 4\] does not hold "
-                                             r"the p range \[0\.227273, 4\.18\]"):
-            kernel(phase, amp, 2.0**-5, 0.1, x, [0.0])
-        assert solved == []
+    h, grid = 2.0**-4, make_grid(1, 1024, metric.box_length)
+    calls = [lambda: kernel(phase, amp, 2.0**-5, 0.1, x, [0.0]).values,
+             lambda: apply_fio(phase, amp, localized_gaussian(grid, cut, h), h, 0.1).values,
+             lambda: operator_norm_estimate(phase, amp, h, 0.1, grid)]
+    for call in calls:
+        if guard[1] < 4.18:
+            with pytest.raises(ValueError, match=r"guard band \[0\.2, 4\] does not hold "
+                                                 r"the p range \[0\.227273, 4\.18\]"):
+                call()
+        else:
+            assert np.all(np.isfinite(call()))
+    assert solved == ([] if guard[1] < 4.18 else [5, grid.n, grid.n])
+
+
+@pytest.mark.parametrize("bump", [False, True], ids=["flat", "bump"])
+def test_mode_band_keeps_the_modes_in_the_xi_hull(bump):
+    if bump:
+        phase, amp = _bump_tables(0.1)
+        h, grid = 2.0**-4, make_grid(1, 2048, 16.0)
     else:
-        assert np.all(np.isfinite(kernel(phase, amp, 2.0**-5, 0.1, x, [0.0]).values))
-        assert solved == [5]
+        phase, amp, _ = _kernel_setup()
+        h, grid = H_REF, make_grid(1, 2048)
+    lo, hi, _ = fio._xi_hull(amp)
+    h_omega = h * np.abs(grid.omega_axis())
+    keep, _ = fio._mode_band(amp, h, grid)
+    assert keep.size > 0
+    np.testing.assert_array_equal(keep, np.flatnonzero((lo <= h_omega) & (h_omega <= hi)))
 
 
 def test_xi_hull_holds_the_bump_amplitude_support():

@@ -128,7 +128,7 @@ def test_bump_metric_rejects_an_epsilon_that_is_not_nonnegative_and_finite(epsil
         gaussian_bump_metric(dim=1, epsilon=epsilon)
 
 
-@pytest.mark.parametrize("bad", [0.0, 1.0, -2.0])
+@pytest.mark.parametrize("bad", [0.0, 1.0, -2.0, np.inf, np.nan])
 def test_check_sigma_rejects(bad):
     with pytest.raises(ValueError):
         check_sigma(bad)

@@ -369,6 +369,8 @@ def test_continuation_requires_defocusing(setup, mu):
     {"T": 0.0},
     {"T": np.inf},
     {"T": np.nan},
+    {"nu": np.inf},
+    {"nu": np.nan},
 ])
 def test_problem_validation(setup, over):
     grid, op = setup

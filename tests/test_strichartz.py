@@ -60,6 +60,14 @@ def test_classify_pair_rejects_bad_sigma():
         classify_pair(8, 4, 1, 0.0)
 
 
+@pytest.mark.parametrize("sigma", [np.inf, np.nan])
+def test_classify_pair_rejects_a_sigma_that_is_not_finite(sigma):
+    # sigma = inf would give gamma = -inf; sigma = 1, the wave case, is valid
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        classify_pair(8, 4, 1, sigma)
+    assert classify_pair(8, 4, 1, 1.0).valid
+
+
 def test_conservative_pair_slope_is_flat():
     """(inf, 2) costs nothing: the ratio is forced to 1 by unitarity."""
     pair = classify_pair(np.inf, 2, 1, 2.0)
