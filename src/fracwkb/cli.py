@@ -189,6 +189,9 @@ def _write_report(outdir, rows):
 
 
 def run_phase(cfg, outdir):
+    if cfg["n_t"] < 5 or cfg["t_max"] == 0.0:
+        raise ConfigError(f"the residual stencil needs n_t >= 5 and t_max != 0, "
+                          f"got n_t={cfg['n_t']} and t_max={cfg['t_max']}")
     m = _metric_from(cfg)
     q0 = fractional_symbol(m, cfg["sigma"], xi_band=(cfg["band_lo"], cfg["band_hi"]))
     xs = np.linspace(cfg["x_lo"], cfg["x_hi"], cfg["n_x"])[:, None]
@@ -368,7 +371,7 @@ def run_nlfs(cfg, outdir):
     mass_drift = energy_drift = 0.0
     for t, s in zip(traj.times, traj.states):
         q = conserved(prob, s)
-        mass_drift = max(mass_drift, abs(q.mass - q0.mass) / q0.mass)
+        mass_drift = max(mass_drift, abs(q.mass - q0.mass) / max(q0.mass, 1e-30))
         energy_drift = max(energy_drift, abs(q.energy - q0.energy) / max(abs(q0.energy), 1e-30))
         records.append((float(t), q.mass, q.energy,
                         float(np.max(np.abs(s.values))),

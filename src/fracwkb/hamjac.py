@@ -162,15 +162,16 @@ def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT):
     per point, so every entry is what `PhaseTable.evaluate` gives on the
     tensor batch, bit for bit.  Each array field of the pass fills its
     table, allocated at the first pass; each scalar field, a bound over the
-    batch, keeps its worst value.  An empty `t_grid`, or a `dt` that is not
-    positive and finite, raises ValueError.
+    batch, keeps its worst value.  An empty `t_grid`, `x_grid` or `xi_grid`,
+    or a `dt` that is not positive and finite, raises ValueError.
     """
     d = q0.dim
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if not t_grid.size:
-        raise ValueError("t_grid is empty")
     x_grid = as_points(x_grid, d)
     xi_grid = as_points(xi_grid, d)
+    for name, g in (("t_grid", t_grid), ("x_grid", x_grid), ("xi_grid", xi_grid)):
+        if not len(g):
+            raise ValueError(f"{name} is empty")
     grid = (len(t_grid), x_grid.shape[0], xi_grid.shape[0])
     xp, xip = tensor_pairs(x_grid, xi_grid)
 
@@ -195,12 +196,12 @@ def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT):
                       q0=q0, dt=dt)
 
 
-def caustic_horizon(pt, strict=True):
+def caustic_horizon(pt):
     """Largest grid time with ||grad_x grad_xi S - Id|| <= HORIZON_THRESHOLD everywhere.
 
     Grid times are scanned in increasing |t|; the horizon is the largest
     magnitude at which every grid time of that or smaller magnitude passes.
-    With `strict`, failure already at the smallest nonzero grid time raises
+    Failure already at the smallest nonzero grid time raises
     :class:`HorizonError` (the grid cannot resolve any caustic-free window).
     A time grid containing only t=0 returns 0.
     """
@@ -211,7 +212,7 @@ def caustic_horizon(pt, strict=True):
         if np.any(dev[mags == m] > HORIZON_THRESHOLD):
             break
         t0 = float(m)
-    if strict and t0 == 0.0 and np.any(pt.t_grid != 0.0):
+    if t0 == 0.0 and np.any(pt.t_grid != 0.0):
         raise HorizonError(
             "mixed-Hessian condition fails at the first nonzero grid time; "
             "refine the time grid or shrink the window"
@@ -259,37 +260,40 @@ def certify_phase_estimates(pt):
     return PhaseEstimateReport(C1=max(c0, c1x, c1xi), C2=c2, by_order=by_order)
 
 
+def _uniform_step(grid, name):
+    """The spacing of a uniform grid of at least 5 nodes with a nonzero step;
+    any other grid raises ValueError."""
+    if len(grid) < 5:
+        raise ValueError(f"need at least 5 uniform nodes in {name}, got {len(grid)}")
+    spacings = np.diff(grid)
+    if spacings[0] == 0.0 or not np.allclose(spacings, spacings[0], rtol=1e-12, atol=0.0):
+        raise ValueError(f"{name} grid must be uniform with a nonzero step")
+    return spacings[0]
+
+
+def _central(a, step, axis, order=1):
+    """4th-order central first (order=1) or second (order=2) difference of
+    `a` along `axis`, NaN on the two nodes at each end."""
+    a = np.moveaxis(a, axis, 0)
+    out = np.full(a.shape, np.nan, dtype=a.dtype)
+    if order == 1:
+        out[2:-2] = (-a[4:] + 8.0 * a[3:-1] - 8.0 * a[1:-3] + a[:-4]) / (12.0 * step)
+    else:
+        out[2:-2] = (-a[4:] + 16.0 * a[3:-1] - 30.0 * a[2:-2] + 16.0 * a[1:-3]
+                     - a[:-4]) / (12.0 * step**2)
+    return np.moveaxis(out, 0, axis)
+
+
 def hj_residual(pt):
     """|dS/dt - q0(x, grad_x S)| on the grid, with dS/dt by time differencing.
 
-    On a uniform time grid with >= 5 nodes a 4th-order central stencil is
-    used, so the reported residual reflects the construction rather than the
-    differencing; otherwise np.gradient (2nd order).  Returns the residual
-    array (nt, nx, nxi) with NaN at times where no centered stencil fits, and
-    the max over the valid interior.
+    dS/dt is the 4th-order central difference on a time grid that is uniform
+    with at least 5 nodes and a nonzero step (else ValueError), so the residual
+    reflects the construction rather than the differencing.  Returns the
+    residual array (nt, nx, nxi), NaN at the two times at each end, and its max.
     """
-    nt, nx, nxi = pt.S.shape
-    if nt < 3:
-        raise ValueError("need at least 3 time nodes for the residual check")
-    tg = pt.t_grid
-    spacings = np.diff(tg)
-    uniform = np.allclose(spacings, spacings[0], rtol=1e-12, atol=0.0)
-
-    qvals = np.empty_like(pt.S)
+    dt = _uniform_step(pt.t_grid, "t")
     xp, _ = tensor_pairs(pt.x_grid, pt.xi_grid)
-    for k in range(nt):
-        eta = pt.grad_x[k].reshape(nx * nxi, -1)
-        qvals[k] = pt.q0(xp, eta).reshape(nx, nxi)
-
-    res = np.full_like(pt.S, np.nan)
-    if uniform and nt >= 5:
-        dt = spacings[0]
-        S = pt.S
-        dSdt = (-S[4:] + 8.0 * S[3:-1] - 8.0 * S[1:-3] + S[:-4]) / (12.0 * dt)
-        res[2:-2] = np.abs(dSdt - qvals[2:-2])
-        valid = res[2:-2]
-    else:
-        dSdt = np.gradient(pt.S, tg, axis=0)
-        res[1:-1] = np.abs(dSdt - qvals)[1:-1]
-        valid = res[1:-1]
-    return res, float(np.max(valid))
+    qvals = pt.q0(np.tile(xp, (len(pt.t_grid), 1)), pt.grad_x.reshape(pt.S.size, -1))
+    res = np.abs(_central(pt.S, dt, 0) - qvals.reshape(pt.S.shape))
+    return res, float(np.max(res[2:-2]))

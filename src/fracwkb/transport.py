@@ -20,7 +20,7 @@ import numpy as np
 
 from .metric import as_pairs, tensor_pairs
 from .hamflow import DT_DEFAULT
-from .hamjac import PhasePointData, PhaseTable, phase_point_data
+from .hamjac import PhasePointData, PhaseTable, _central, _uniform_step, phase_point_data
 
 __all__ = [
     "AmplitudeTable",
@@ -147,47 +147,26 @@ def solve_transport(a_init, phase, N=None):
 def transport_residual(amp, j=0):
     """|da_j/dt - V . grad_x a_j - f a_j - source_j| on the grid (1-D only).
 
-    V = grad_xi q0(x, grad_x S) is the transport field and f the table's
-    `rate`.  Time and space derivatives use 4th-order central stencils on
-    uniform grids, so the reported max reflects the construction.  The
-    source is zero for j=0 and the closed-form flat term for j=1.  Returns
-    the residual array (NaN at nodes without a full stencil) and the max
-    over the rest.
+    V = grad_xi q0(x, grad_x S) is the transport field, f the table's `rate`,
+    and every derivative `hj_residual`'s 4th-order central difference, on t
+    and x grids uniform with >= 5 nodes and a nonzero step (else ValueError).
+    The source is zero for j=0 and the closed-form flat term for j=1.  Returns
+    the residual array (NaN at the two nodes at each end of t and of x) and
+    the max over the rest.
     """
     if amp.dim != 1:
         raise ValueError("residual check is implemented for 1-D grids")
     if not 0 <= j < amp.order:
         raise ValueError(f"table holds orders 0..{amp.order - 1}, got j={j}")
-    nt, nx, nxi = amp.values.shape[1:]
-    if nt < 5 or nx < 5:
-        raise ValueError("need at least 5 uniform nodes in t and x")
-    tg, xg = amp.t_grid, amp.x_grid[:, 0]
-    for g, name in ((tg, "t"), (xg, "x")):
-        sp = np.diff(g)
-        if not np.allclose(sp, sp[0], rtol=1e-12, atol=0.0):
-            raise ValueError(f"{name} grid must be uniform for the stencil")
-    dt, dx = tg[1] - tg[0], xg[1] - xg[0]
+    dt = _uniform_step(amp.t_grid, "t")
+    dx = _uniform_step(amp.x_grid[:, 0], "x")
+    nt, nx, nxi = amp.S.shape
     a = amp.values[j]
-
-    dadt = (-a[4:] + 8.0 * a[3:-1] - 8.0 * a[1:-3] + a[:-4]) / (12.0 * dt)
-    dadx = (-a[:, 4:] + 8.0 * a[:, 3:-1] - 8.0 * a[:, 1:-3] + a[:, :-4]) / (12.0 * dx)
-
     xp, xip = tensor_pairs(amp.x_grid, amp.xi_grid)
     V = amp.q0.grad_xi(np.tile(xp, (nt, 1)), amp.grad_x.reshape(-1, 1)).reshape(nt, nx, nxi)
-    rhs = V * np.pad(dadx, ((0, 0), (2, 2), (0, 0)), constant_values=np.nan)
-    rhs = rhs + amp.rate * a
+    rhs = V * _central(a, dx, 1) + amp.rate * a
     if j == 1:
-        hq = amp.q0.hess_xixi(xp, xip).reshape(nx, nxi, 1, 1)[..., 0, 0]
-        a0 = amp.values[0]
-        d2a0 = (-a0[:, 4:] + 16.0 * a0[:, 3:-1] - 30.0 * a0[:, 2:-2]
-                + 16.0 * a0[:, 1:-3] - a0[:, :-4]) / (12.0 * dx**2)
-        g1 = -0.5j * hq[None, :, :] * np.pad(d2a0, ((0, 0), (2, 2), (0, 0)),
-                                             constant_values=np.nan)
-        rhs = rhs + g1
-    elif j != 0:
-        raise ValueError("residual sources are available for j in {0, 1}")
-
-    res = np.full_like(a, np.nan, dtype=float)
-    res[2:-2] = np.abs(dadt - rhs[2:-2])
-    valid = res[2:-2, 2:-2]
-    return res, float(np.nanmax(valid))
+        hq = amp.q0.hess_xixi(xp, xip).reshape(nx, nxi)
+        rhs = rhs + -0.5j * hq * _central(amp.values[0], dx, 1, order=2)
+    res = np.abs(_central(a, dt, 0) - rhs)
+    return res, float(np.nanmax(res[2:-2, 2:-2]))

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from fracwkb.fio import dispersive_fit, remainder_decay
 from fracwkb.hamflow import integrate_flow
-from fracwkb.hamjac import build_phase, hj_residual, phase_point_data
+from fracwkb.hamjac import build_phase, caustic_horizon, hj_residual, phase_point_data
 from fracwkb.metric import flat_metric, gaussian_bump_metric, tensor_pairs
 from fracwkb.nlfs import (NlfsProblem, conserved, global_continuation,
                           picard_iterate, sobolev_bound, solve_nlfs,
@@ -131,6 +131,25 @@ def test_dispersive_decay_exponent():
         fit = dispersive_fit(tab, amp, h, ts)
         print(f"sigma={sigma}: decay slope {fit.slope:.4f}")
         assert abs(fit.slope + 0.5) <= 0.1
+
+
+def test_bump_dispersive_decay_exponent():
+    """On the eps = 0.1 bump metric, sup |K_h(t)| decays like (t/h)^{-1/2} too.
+
+    The fit stays inside the caustic-free window: the horizon of the table
+    is its largest time.
+    """
+    h = 2.0**-5
+    bump = gaussian_bump_metric(dim=1, epsilon=0.1)
+    q0 = fractional_symbol(bump, 2.0, xi_band=(0.2, 4.75))
+    a_init = localized_amplitude(bump, make_bump(*CUT_STANDARD), window=ConstantWindow(1))
+    ts = np.geomspace(2.0 * h, 1.0, 6)
+    tab = build_phase(q0, ts, np.linspace(0.0, 2.0 * np.pi, 9)[:, None],
+                      np.linspace(0.8, 1.6, 3)[:, None], dt=0.01)
+    assert caustic_horizon(tab) == ts[-1]
+    fit = dispersive_fit(tab, solve_transport(a_init, tab, N=1), h, ts)
+    print(f"bump decay slope {fit.slope:.4f}, r2 {fit.r2:.3f}")
+    assert abs(fit.slope + 0.5) <= 0.1
 
 
 def test_stationary_hessian_determinant_identity():

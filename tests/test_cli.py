@@ -106,6 +106,23 @@ def test_nlfs_suite_on_the_bump_eigenbasis(tmp_path):
     assert {row["status"] for row in rows} == {"PASS"}
 
 
+@pytest.mark.parametrize("flag", [("--n_t", "4"), ("--t_max", "0")], ids=["n_t-4", "t_max-0"])
+def test_phase_grid_the_residual_stencil_cannot_take_exits_two(tmp_path, capsys, flag):
+    # the 4th-order time stencil needs five nodes and a nonzero step
+    assert main(["phase", *flag, "--out", str(tmp_path)]) == 2
+    assert "needs n_t >= 5 and t_max != 0" in capsys.readouterr().err
+    assert not (tmp_path / "phase" / "phase.csv").exists()
+
+
+def test_nlfs_of_the_zero_state_passes(tmp_path):
+    # zero mass: the drift is taken relative to max(mass, 1e-30), as the energy's is
+    code = main(["nlfs", "--n", "64", "--T", "0.1", "--amp", "0", "--out", str(tmp_path)])
+    assert code == 0
+    rows = {row["claim"]: row for row in _report_rows(tmp_path, "nlfs")}
+    assert float(rows["mass-drift"]["value"]) == 0.0
+    assert {row["status"] for row in rows.values()} == {"PASS"}
+
+
 def test_phase_report_values_are_numbers(tmp_path):
     assert main(["phase", "--out", str(tmp_path)]) == 0
     for row in _report_rows(tmp_path, "phase"):
@@ -159,6 +176,8 @@ def test_empty_or_unbounded_grid_exits_one(tmp_path, capsys):
     (["kernel", "--r2", "inf"], "cutoff"),
     (["strichartz", "--r2", "inf"], "cutoff"),
     (["dispersive", "--r2", "inf"], "cutoff"),
+    (["phase", "--n_x", "0"], "x_grid"),
+    (["phase", "--n_xi", "0"], "xi_grid"),
 ])
 def test_bad_scale_or_empty_grid_exits_one_naming_it(tmp_path, capsys, args, key):
     assert main(args + ["--out", str(tmp_path)]) == 1

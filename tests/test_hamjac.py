@@ -109,12 +109,18 @@ def test_residual_rejects_short_grids():
 
 
 def test_residual_on_nonuniform_grid():
+    # five nodes, so the error is the spacing's and not the node count's
     q0 = _bump_q0()
-    pt = build_phase(q0, [0.0, 0.02, 0.05, 0.1], np.array([[0.4]]),
+    pt = build_phase(q0, [0.0, 0.02, 0.05, 0.07, 0.1], np.array([[0.4]]),
                      np.array([[1.1]]))
-    res, rmax = hj_residual(pt)
-    assert np.isfinite(rmax)
-    assert np.isnan(res[0]).all() and np.isnan(res[-1]).all()
+    with pytest.raises(ValueError, match="t grid must be uniform"):
+        hj_residual(pt)
+
+
+def test_residual_rejects_a_zero_time_step():
+    pt = build_phase(_bump_q0(), [0.05] * 5, np.array([[0.4]]), np.array([[1.1]]))
+    with pytest.raises(ValueError, match="nonzero step"):
+        hj_residual(pt)
 
 
 def test_phase_generates_the_flow():
@@ -219,7 +225,7 @@ def test_caustic_horizon_threshold_ordering(monkeypatch):
     assert hamjac.HORIZON_THRESHOLD == 0.5
     assert caustic_horizon(pt) == 0.1
     monkeypatch.setattr(hamjac, "HORIZON_THRESHOLD", 0.01)
-    tight = caustic_horizon(pt, strict=False)
+    tight = caustic_horizon(pt)
     assert 0.0 < tight < 0.1
 
 
@@ -305,6 +311,13 @@ def test_phase_table_rejects_a_step_that_is_not_positive_and_finite(dt):
 def test_phase_table_rejects_an_empty_time_grid():
     with pytest.raises(ValueError, match="t_grid is empty"):
         build_phase(_bump_q0(), [], [[0.2]], [[1.0]])
+
+
+@pytest.mark.parametrize("empty", ["x_grid", "xi_grid"])
+def test_phase_table_rejects_an_empty_point_grid(empty):
+    grids = {"x_grid": [[0.2]], "xi_grid": [[1.0]], empty: np.empty((0, 1))}
+    with pytest.raises(ValueError, match=f"^{empty} is empty$"):
+        build_phase(_bump_q0(), [0.0, 0.05], **grids)
 
 
 def test_phase_pass_keeps_t_zero_apart():

@@ -216,3 +216,11 @@ def test_transport_residual_validation():
                      np.array([[1.0], [1.2]]))
     with pytest.raises(ValueError):
         transport_residual(solve_transport(a_init, pt))
+
+
+def test_transport_residual_rejects_a_zero_time_step():
+    _, q0, a_init = _flat_setup()
+    pt = build_phase(q0, [0.05] * 5, np.linspace(-1.2, 1.2, 9)[:, None],
+                     np.array([[1.0], [1.2]]))
+    with pytest.raises(ValueError, match="nonzero step"):
+        transport_residual(solve_transport(a_init, pt))
