@@ -189,8 +189,8 @@ def _write_report(outdir, rows):
 
 
 def run_phase(cfg, outdir):
-    if cfg["n_t"] < 5 or cfg["t_max"] == 0.0:
-        raise ConfigError(f"the residual stencil needs n_t >= 5 and t_max != 0, "
+    if cfg["n_t"] < 5 or cfg["t_max"] == 0.0 or not np.isfinite(cfg["t_max"]):
+        raise ConfigError(f"the residual stencil needs n_t >= 5 and t_max != 0 and finite, "
                           f"got n_t={cfg['n_t']} and t_max={cfg['t_max']}")
     m = _metric_from(cfg)
     q0 = fractional_symbol(m, cfg["sigma"], xi_band=(cfg["band_lo"], cfg["band_hi"]))

@@ -17,7 +17,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .metric import as_pairs, principal_symbol, solve_blocks
+from .metric import as_pairs, solve_blocks
 
 __all__ = [
     "GuardBandError",
@@ -77,34 +77,27 @@ def _stage(H, X, Xi, Z):
     return (gxi, -gx, AZ), jet
 
 
-def _integrands(H, X, Xi, Z, jet):
-    """The action integrand and the rate f at a node, from H's jet there (H
-    itself when the jet has no value).  A singular Z_xx gives a non-finite f
-    (a caustic), not a warning.
+def _integrands(Xi, Z, jet):
+    """The action integrand and the rate f at a node, from H's jet there.
+    A singular Z_xx gives a non-finite f (a caustic), not a warning.
     """
-    _, gxi, _, hxixi, _, value, _ = jet
-    if value is None:
-        value = H(X, Xi)
-    d = X.shape[1]
+    d = Xi.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         B = Z[:, d:, :d] @ solve_blocks(Z[:, :d, :d], np.eye(d))
         W = 0.5 * (B + np.swapaxes(B, 1, 2))
-        return np.sum(Xi * gxi, axis=1) - value, 0.5 * np.einsum("nij,nji->n", hxixi, W)
+        return (np.sum(Xi * jet.grad_xi, axis=1) - jet.value,
+                0.5 * np.einsum("nij,nji->n", jet.hess_xixi, W))
 
 
-def _check_guard(H, X, Xi, p, node, steps, t):
-    """Raise GuardBandError when a flow node leaves H's guard band.
+def _check_guard(band, p, node, steps, t):
+    """Raise GuardBandError when a flow node's p leaves the guard `band`
+    (None for a symbol without one).
 
-    `p` is the principal symbol at the node when the jet carried it (None
-    evaluates it); NaN counts as outside the band.  The message names the
-    first point outside, with its own time when `t` is given per point.
+    NaN counts as outside the band.  The message names the first point
+    outside, with its own time when `t` is given per point.
     """
-    band = getattr(H, "xi_band", None)
-    metric = getattr(H, "metric", None)
-    if band is None or metric is None:
+    if band is None:
         return
-    if p is None:
-        p = principal_symbol(metric, X, Xi)
     lo, hi = band
     inside = (p >= lo) & (p <= hi)
     if not np.all(inside):
@@ -159,16 +152,16 @@ def integrate_flow(H, t, x, xi, n_steps):
     action, rate_sum = np.zeros(n), np.zeros(n)
     for k in range(steps):
         (X_next, Xi_next, Z_next), jet = _rk4_step(H, X, Xi, Z, hstep)
-        _check_guard(H, X, Xi, jet[6], k, steps, t)
+        _check_guard(H.xi_band, jet.p, k, steps, t)
         weight = 1.0 if k == 0 else 4.0 if k % 2 else 2.0
-        g, f = _integrands(H, X, Xi, Z, jet)
+        g, f = _integrands(Xi, Z, jet)
         action += weight * g
         rate_sum += weight * f
         X, Xi, Z = X_next, Xi_next, Z_next
     jet = H.jet(X, Xi)
     if steps:
-        _check_guard(H, X, Xi, jet[6], steps, steps, t)
-    g, f = _integrands(H, X, Xi, Z, jet)
+        _check_guard(H.xi_band, jet.p, steps, steps, t)
+    g, f = _integrands(Xi, Z, jet)
     scale = hstep / 3.0 if steps % 2 == 0 else np.nan
     return FlowEnd(X, Xi, Z, scale * (action + g), scale * (rate_sum + f), f)
 
@@ -217,7 +210,7 @@ def inverse_map(H, t, x, xi, n_steps):
     """
     d = H.dim
     xt, cov = as_pairs(x, xi, d)
-    Y = xt - _per_point(t, xt) * H.jet(xt, cov)[1] if np.any(t != 0.0) else xt.copy()
+    Y = xt - _per_point(t, xt) * H.jet(xt, cov).grad_xi if np.any(t != 0.0) else xt.copy()
 
     flow = integrate_flow(H, t, Y, cov, n_steps)
     res = np.max(np.abs(flow.X - xt), axis=1)

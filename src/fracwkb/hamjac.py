@@ -67,7 +67,8 @@ def _even_steps(t, dt):
 
 def _step_count(q0, t, dt):
     """RK4 steps of the phase pass to the time(s) t, after rejecting a dt
-    that is not positive and finite with ValueError.
+    that is not positive and finite, or a t that is not finite, with
+    ValueError.
 
     On a flat metric the covector is conserved and the flow field is constant
     along each trajectory, so one RK4 step is already exact and the action
@@ -77,8 +78,9 @@ def _step_count(q0, t, dt):
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"phase step dt must be positive and finite, got {dt}")
-    metric = getattr(q0, "metric", None)
-    if metric is not None and metric.is_flat:
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"phase time t must be finite, got {t}")
+    if q0.metric is not None and q0.metric.is_flat:
         return 2
     return _even_steps(np.max(np.abs(t), initial=0.0), dt)
 
@@ -94,8 +96,8 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT):
     that the flow summed by composite Simpson over its RK4 nodes;
     hess_xx S = sym(JXi JX^{-1}) at the end.  The flow stores no node, so the
     pass's memory does not grow with the step count.  At t = 0 the flow
-    is its start (x, xi).  A `dt` that is not positive and finite raises
-    ValueError.
+    is its start (x, xi).  A `dt` that is not positive and finite, or a `t`
+    that is not finite, raises ValueError.
 
     `t` is a scalar or one time per point.  Per point, every point takes the
     step count of the largest |t| (see `_step_count`) and its own step, and
@@ -163,7 +165,8 @@ def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT):
     tensor batch, bit for bit.  Each array field of the pass fills its
     table, allocated at the first pass; each scalar field, a bound over the
     batch, keeps its worst value.  An empty `t_grid`, `x_grid` or `xi_grid`,
-    or a `dt` that is not positive and finite, raises ValueError.
+    a `dt` that is not positive and finite, or a time that is not finite,
+    raises ValueError.
     """
     d = q0.dim
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))

@@ -351,9 +351,12 @@ def global_continuation(prob, T_total):
 
     Each window length starts at min(1/2, remaining) and is halved until a
     Picard probe of PROBE_ITERATIONS iterations contracts with rate <=
-    PROBE_RATIO; the split-step solver then advances the window and the loop
-    restarts from its endpoint.  The conserved-quantity bound on H^{sigma/2}
-    is recorded for monitoring.
+    PROBE_RATIO; a probe that diverges, by ContractionError or BlowUpError,
+    does not contract, and eight windows without a contracting probe raise
+    ContractionError.  The split-step solver then advances the window (a
+    blow-up there raises BlowUpError at the global time) and the loop
+    restarts from its endpoint.  The conserved-quantity bound on
+    H^{sigma/2} is recorded for monitoring.
     """
     if prob.mu != 1:
         raise ValueError("global continuation requires mu = +1 (defocusing)")
@@ -366,19 +369,18 @@ def global_continuation(prob, T_total):
     while t_done < T_total - 1e-12:
         T_loc = min(0.5, T_total - t_done)
         local = replace(prob, u0=u, T=T_loc, v1=None)
+        for _ in range(8):
+            try:
+                probe = picard_iterate(local, n_iter=PROBE_ITERATIONS, n_t=17)
+            except (ContractionError, BlowUpError):
+                probe = None
+            if probe is not None and probe.rate <= PROBE_RATIO:
+                break
+            T_loc *= 0.5
+            local.T = T_loc
+        else:
+            raise ContractionError(f"no contracting window found at t={t_done:.6g}")
         try:
-            for _ in range(8):
-                try:
-                    probe = picard_iterate(local, n_iter=PROBE_ITERATIONS, n_t=17)
-                except ContractionError:
-                    probe = None
-                if probe is not None and probe.rate <= PROBE_RATIO:
-                    break
-                T_loc *= 0.5
-                local.T = T_loc
-            else:
-                raise ContractionError(
-                    f"no contracting window found at t={t_done:.6g}")
             leg = solve_nlfs(local)
         except BlowUpError as err:
             raise BlowUpError(t_done + err.t_last,

@@ -350,9 +350,9 @@ def measure_bernstein(grid, cut, h_list):
     the first node.  Expected slope -d/2.
     """
     h_list = np.asarray(sorted(h_list), dtype=float)
-    support_hi = getattr(cut, "support", (None, getattr(cut, "support_edge", None)))[1]
+    support_hi = cut.support[1]
     lam_max = float(np.max(grid.lam()))
-    if support_hi is not None and support_hi / h_list[0] ** 2 > lam_max:
+    if support_hi / h_list[0] ** 2 > lam_max:
         need = int(np.ceil(grid.n * np.sqrt(support_hi / h_list[0] ** 2 / lam_max)))
         raise ValueError(
             f"grid cannot hold the h={h_list[0]} band; need about n={need} points"

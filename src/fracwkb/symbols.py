@@ -7,6 +7,7 @@ factory is :func:`fractional_symbol`, which realizes q0(x, xi) = p(x, xi)^{sigma
 with fully analytic derivatives assembled from `metric.principal_jet`.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ __all__ = [
     "CutoffFunction",
     "LowPassCutoff",
     "LittlewoodPaleyPartition",
+    "Jet",
     "SymbolFunction",
     "GaussianWindow",
     "ConstantWindow",
@@ -114,20 +116,23 @@ class CutoffFunction:
 
 
 class LowPassCutoff:
-    """Smooth low-pass profile: 1 on (-inf, r1], 0 on [r2, inf), for finite 0 < r1 < r2."""
+    """Smooth low-pass profile: 1 on (-inf, r1], 0 on [r2, inf), for finite 0 < r1 < r2.
+
+    As a cutoff of P (lam >= 0) its support is [0, r2] and its plateau [0, r1].
+    """
 
     def __init__(self, r1, r2):
         if not 0.0 < r1 < r2 < np.inf:
             raise ValueError(f"cutoff needs 0 < r1 < r2 < inf, got r1={r1}, r2={r2}")
-        self.plateau_edge = float(r1)
-        self.support_edge = float(r2)
+        self.support = (0.0, float(r2))
+        self.plateau = (0.0, float(r1))
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
-        return smooth_step((self.support_edge - lam) / (self.support_edge - self.plateau_edge))
+        return smooth_step((self.support[1] - lam) / (self.support[1] - self.plateau[1]))
 
     def __repr__(self):
-        return f"LowPassCutoff({self.plateau_edge}, {self.support_edge})"
+        return f"LowPassCutoff({self.plateau[1]}, {self.support[1]})"
 
 
 def make_bump(r1, r2, plateau):
@@ -164,30 +169,33 @@ def littlewood_paley_partition(k_max):
     return LittlewoodPaleyPartition(phi0=LowPassCutoff(1.0, 4.0), k_max=int(k_max))
 
 
-JET = ("grad_x", "grad_xi", "hess_xx", "hess_xixi", "hess_xxi", "value", "p")
+# One evaluation of a symbol: its first and second partials, its value and
+# the principal symbol p = xi^T G(x) xi it lives on, the guard band's coordinate.
+Jet = namedtuple("Jet", "grad_x grad_xi hess_xx hess_xixi hess_xxi value p")
 
 
 class SymbolFunction:
     """Phase-space symbol a(x, xi) with derivatives up to order 2 from one jet.
 
-    `fn` and `jet` receive (n, d) point batches.  `jet` returns, in the
-    order of `JET` and from one evaluation, the five derivatives, the value
-    and the principal symbol p = xi^T G(x) xi of a symbol built on a metric
-    (the guard band's coordinate), with None for a part the symbol does not
-    carry (a caller that needs the value or p and finds None evaluates it);
-    each derivative method reads its part off the jet, and a missing part,
-    or a symbol without a jet, raises NotImplementedError.  A jet that does
-    not return the seven parts raises ValueError naming them.
+    `fn` and `jet` receive (n, d) point batches.  `jet` returns the seven
+    parts of a `Jet` from one evaluation.  The value and p are required: a
+    jet without the seven parts, or with None for its value or p, raises
+    ValueError naming them.  A derivative the symbol does not carry may be
+    None: each derivative method reads its part off the jet, and a missing
+    part raises NotImplementedError.  `xi_band` is the compact p-interval
+    the symbol is meant to live on (the guard band of its flows), and
+    `metric` the metric p is built on, None for a symbol on no metric.
 
     Index conventions: `grad_x`/`grad_xi` return (n, d); the Hessians return
     (n, d, d) with `hess_xxi[m, i, j] = d^2 a / dx_i dxi_j`.
     """
 
-    def __init__(self, dim, fn, jet=None, xi_band=None, label=""):
+    def __init__(self, dim, fn, jet, xi_band=None, metric=None, label=""):
         self.dim = int(dim)
         self._fn = fn
         self._jet = jet
         self.xi_band = None if xi_band is None else (float(xi_band[0]), float(xi_band[1]))
+        self.metric = metric
         self.label = label
 
     def __call__(self, x, xi):
@@ -195,18 +203,17 @@ class SymbolFunction:
         return self._fn(pts, cov)
 
     def jet(self, x, xi):
-        """(grad_x, grad_xi, hess_xx, hess_xixi, hess_xxi, value, p) at the points."""
-        if self._jet is None:
-            raise NotImplementedError(f"symbol {self.label!r} has no derivative jet")
+        """The `Jet` of the symbol at the points."""
         pts, cov = as_pairs(x, xi, self.dim)
         parts = self._jet(pts, cov)
-        if len(parts) != len(JET):
-            raise ValueError(f"jet of symbol {self.label!r} returned {len(parts)} parts, "
-                             f"not the {len(JET)} of {JET}")
-        return parts
+        jet = Jet(*parts) if len(parts) == len(Jet._fields) else None
+        if jet is None or jet.value is None or jet.p is None:
+            raise ValueError(f"jet of symbol {self.label!r} must return the seven parts "
+                             f"{Jet._fields}, with a value and p")
+        return jet
 
     def _part(self, name, x, xi):
-        part = None if self._jet is None else self.jet(x, xi)[JET.index(name)]
+        part = getattr(self.jet(x, xi), name)
         if part is None:
             raise NotImplementedError(f"symbol {self.label!r} has no {name} evaluator")
         return part
@@ -260,14 +267,8 @@ def fractional_symbol(metric, sigma, xi_band=None):
                 p**s,
                 p)
 
-    sym = SymbolFunction(
-        d,
-        _fn,
-        jet=_jet,
-        xi_band=xi_band,
-        label=f"p^{{{sigma}/2}}",
-    )
-    sym.metric = metric
+    sym = SymbolFunction(d, _fn, _jet, xi_band=xi_band, metric=metric,
+                         label=f"p^{{{sigma}/2}}")
     sym.sigma = sigma
     return sym
 
@@ -340,15 +341,7 @@ def localized_amplitude(metric, cut, window=None):
         )
         return grad_x, None, hess_xx, None, None, w * c, p
 
-    lo, hi = (cut.support if hasattr(cut, "support") else (None, None))
-    sym = SymbolFunction(
-        metric.dim,
-        _fn,
-        jet=_jet,
-        xi_band=(lo, hi) if lo is not None else None,
-        label="window*cut(p)",
-    )
-    sym.metric = metric
+    sym = SymbolFunction(metric.dim, _fn, _jet, xi_band=cut.support, metric=metric,
+                         label="window*cut(p)")
     sym.cut = cut
-    sym.window = window
     return sym

@@ -84,8 +84,7 @@ def _check_order(q0, order):
     """The amplitude order: `order`, or when None 2 over the flat metric and
     1 otherwise.  An order below 1, above 2, or of 2 off the flat metric
     raises ValueError."""
-    metric = getattr(q0, "metric", None)
-    flat = metric is not None and metric.is_flat
+    flat = q0.metric is not None and q0.metric.is_flat
     if order is None:
         return 2 if flat else 1
     if order < 1:

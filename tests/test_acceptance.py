@@ -133,14 +133,17 @@ def test_dispersive_decay_exponent():
         assert abs(fit.slope + 0.5) <= 0.1
 
 
-def test_bump_dispersive_decay_exponent():
-    """On the eps = 0.1 bump metric, sup |K_h(t)| decays like (t/h)^{-1/2} too.
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
+def test_bump_dispersive_decay_exponent(eps):
+    """On the bump metrics of eps up to 0.2, sup |K_h(t)| decays like
+    (t/h)^{-1/2} too.
 
     The fit stays inside the caustic-free window: the horizon of the table
-    is its largest time.
+    is its largest time.  At eps = 0.2 the amplitude's xi hull reaches p in
+    [0.208, 4.56], inside the guard band.
     """
     h = 2.0**-5
-    bump = gaussian_bump_metric(dim=1, epsilon=0.1)
+    bump = gaussian_bump_metric(dim=1, epsilon=eps)
     q0 = fractional_symbol(bump, 2.0, xi_band=(0.2, 4.75))
     a_init = localized_amplitude(bump, make_bump(*CUT_STANDARD), window=ConstantWindow(1))
     ts = np.geomspace(2.0 * h, 1.0, 6)
@@ -148,7 +151,7 @@ def test_bump_dispersive_decay_exponent():
                       np.linspace(0.8, 1.6, 3)[:, None], dt=0.01)
     assert caustic_horizon(tab) == ts[-1]
     fit = dispersive_fit(tab, solve_transport(a_init, tab, N=1), h, ts)
-    print(f"bump decay slope {fit.slope:.4f}, r2 {fit.r2:.3f}")
+    print(f"eps={eps}: bump decay slope {fit.slope!r}, r2 {fit.r2:.3f}")
     assert abs(fit.slope + 0.5) <= 0.1
 
 

@@ -106,12 +106,27 @@ def test_nlfs_suite_on_the_bump_eigenbasis(tmp_path):
     assert {row["status"] for row in rows} == {"PASS"}
 
 
-@pytest.mark.parametrize("flag", [("--n_t", "4"), ("--t_max", "0")], ids=["n_t-4", "t_max-0"])
+@pytest.mark.parametrize("flag", [("--n_t", "4"), ("--t_max", "0"), ("--t_max", "nan"),
+                                  ("--t_max", "inf")],
+                         ids=["n_t-4", "t_max-0", "t_max-nan", "t_max-inf"])
 def test_phase_grid_the_residual_stencil_cannot_take_exits_two(tmp_path, capsys, flag):
-    # the 4th-order time stencil needs five nodes and a nonzero step
+    # the 4th-order time stencil needs five nodes and a nonzero, finite step
     assert main(["phase", *flag, "--out", str(tmp_path)]) == 2
     assert "needs n_t >= 5 and t_max != 0" in capsys.readouterr().err
     assert not (tmp_path / "phase" / "phase.csv").exists()
+
+
+def test_flag_that_does_not_parse_as_its_type_exits_two(tmp_path, capsys):
+    assert main(["phase", "--n_t", "abc", "--out", str(tmp_path)]) == 2
+    assert "config error: key 'n_t'" in capsys.readouterr().err
+    assert not (tmp_path / "phase").exists()
+
+
+def test_pair_that_is_not_admissible_fails_and_stops_the_suite(tmp_path, capsys):
+    # p = 1 is below the p >= 2 of an admissible pair: no sweep is measured
+    assert main(["strichartz", "--p", "1", "--out", str(tmp_path)]) == 1
+    assert "FAIL pair-admissible" in capsys.readouterr().out
+    assert [row["claim"] for row in _report_rows(tmp_path, "strichartz")] == ["pair-admissible"]
 
 
 def test_nlfs_of_the_zero_state_passes(tmp_path):

@@ -170,6 +170,20 @@ def test_stationary_phase_prediction_validation():
         stationary_phase_prediction(amp, H_REF, T_REF, 0.0, -10.0)
     with pytest.raises(ValueError):
         stationary_phase_prediction(amp, H_REF, 0.0, 0.0, -0.5)
+    with pytest.raises(ValueError, match="closed-form stationary point needs the flat metric"):
+        stationary_phase_prediction(_bump_tables(0.1)[1], H_REF, T_REF, 0.0, -0.5)
+
+
+def test_consumers_reject_a_symbol_or_grid_that_is_not_1d():
+    metric = flat_metric(dim=2)
+    q0 = fractional_symbol(metric, 2.0, xi_band=(0.2, 4.0))
+    phase = build_phase(q0, [0.0, 0.1], [[0.0, 0.0]], [[1.0, 0.0]])
+    amp = solve_transport(localized_amplitude(metric, make_bump(0.25, 3.8, (0.5, 3.0))), phase)
+    with pytest.raises(ValueError, match="implemented on 1-D grids"):
+        kernel(phase, amp, H_REF, T_REF, [0.0], [0.0])
+    phase, amp, _ = _kernel_setup()
+    with pytest.raises(ValueError, match="implemented on 1-D grids"):
+        apply_fio(phase, amp, plane_wave(make_grid(2, 16), [1, 0]), 2.0**-4, 0.1)
 
 
 def test_kernel_negligible_beyond_critical_speed():
@@ -209,6 +223,20 @@ def test_dispersive_fit_requires_enough_samples():
         dispersive_fit(phase, amp, H_REF, np.linspace(0.1, 0.5, 5))
 
 
+def test_dispersive_fit_requires_four_nonzero_sups():
+    # a window centred far outside the sup's x span: every sup is 0
+    h = 2.0**-3
+    metric = flat_metric(dim=1)
+    q0 = fractional_symbol(metric, 2.0, xi_band=(0.2, 4.0))
+    a_init = localized_amplitude(metric, make_bump(0.25, 3.8, (0.5, 3.0)),
+                                 window=GaussianWindow(1, center=100.0, width=0.1))
+    ts = np.geomspace(2.0 * h, 1.0, 6)
+    phase = build_phase(q0, ts, np.linspace(0.0, 2.0 * np.pi, 9)[:, None],
+                        np.linspace(0.8, 1.6, 3)[:, None])
+    with pytest.raises(InsufficientDataError, match="only 0 finite kernel sups out of 6"):
+        dispersive_fit(phase, solve_transport(a_init, phase, N=1), h, ts)
+
+
 def test_remainder_decay_order_gap():
     metric = flat_metric(dim=1)
     q0 = fractional_symbol(metric, 2.0, xi_band=(0.2, 4.0))
@@ -228,13 +256,20 @@ def test_remainder_decay_order_gap():
 
 
 def test_remainder_decay_rejects_curved_metric():
-    metric = gaussian_bump_metric(dim=1, epsilon=0.1)
-    q0 = fractional_symbol(metric, 2.0, xi_band=(0.3, 3.0))
-    a_init = localized_amplitude(metric, make_bump(0.3, 3.0, (0.5, 2.0)))
-    phase = build_phase(q0, [0.0, 0.1], np.array([[0.0]]), np.array([[1.0]]))
-    amp = solve_transport(a_init, phase)
+    phase, amp = _bump_tables(0.1)
     with pytest.raises(ValueError):
         remainder_decay(phase, amp, [0.1, 0.05], t=0.1)
+
+
+def test_remainder_decay_needs_the_amplitude_cutoff():
+    # the reference state is localized by the amplitude's cutoff, and an
+    # initial symbol that is not a localized amplitude carries none
+    metric = flat_metric(dim=1)
+    q0 = fractional_symbol(metric, 2.0, xi_band=(0.2, 4.0))
+    phase = build_phase(q0, [0.0, 0.1], np.array([[0.0]]), np.array([[1.0]]))
+    amp = solve_transport(fractional_symbol(metric, 2.0, xi_band=(0.25, 3.8)), phase)
+    with pytest.raises(ValueError, match="amplitude must carry its frequency cutoff"):
+        remainder_decay(phase, amp, [2.0**-3, 2.0**-4])
 
 
 def _decay_tables(h, n_t):

@@ -176,27 +176,34 @@ def test_guard_band_inactive_without_band():
     assert np.isfinite(X).all()
 
 
-def _oscillator(band):
-    """H = x^2 + xi^2 on the flat metric: rotation with period pi in (x, xi)."""
+def _oscillator(band, metric=None):
+    """H = x^2 + xi^2 with p = xi^2: rotation with period pi in (x, xi)."""
     def jet(x, xi):
         n = x.shape[0]
         return (2.0 * x, 2.0 * xi, np.full((n, 1, 1), 2.0),
                 np.full((n, 1, 1), 2.0), np.zeros((n, 1, 1)),
-                x[:, 0] ** 2 + xi[:, 0] ** 2, None)
+                x[:, 0] ** 2 + xi[:, 0] ** 2, xi[:, 0] ** 2)
 
-    H = SymbolFunction(1, lambda x, xi: x[:, 0] ** 2 + xi[:, 0] ** 2, jet=jet,
-                       xi_band=band)
-    H.metric = flat_metric(dim=1)
-    return H
+    return SymbolFunction(1, lambda x, xi: x[:, 0] ** 2 + xi[:, 0] ** 2, jet,
+                          xi_band=band, metric=metric)
 
 
 def test_guard_band_checked_along_the_whole_path():
     # from (0, 1) the flow is (sin 2s, cos 2s): p = xi^2 is 1 at s = 0 and at
     # s = pi, but falls to 0 at s = pi/4, far below the band's lower edge
-    H = _oscillator((0.5, 2.0))
+    H = _oscillator((0.5, 2.0), metric=flat_metric(dim=1))
     X, Xi, *_ = integrate_flow(_oscillator(None), np.pi, [[0.0]], [[1.0]], 315)
     assert 0.5 < Xi[0, 0] ** 2 < 2.0 and abs(X[0, 0]) < 1e-6
     with pytest.raises(GuardBandError):
+        integrate_flow(H, np.pi, [[0.0]], [[1.0]], 315)
+
+
+def test_guard_band_holds_a_symbol_on_no_metric():
+    # the guard reads the band and the jet's p, so a band guards the flow
+    # whether or not the symbol is built on a metric
+    H = _oscillator((0.5, 2.0))
+    assert H.metric is None
+    with pytest.raises(GuardBandError, match=r"at node \d+ of 315"):
         integrate_flow(H, np.pi, [[0.0]], [[1.0]], 315)
 
 
@@ -213,7 +220,7 @@ def test_flow_onto_a_caustic_returns_its_end():
         np.testing.assert_allclose(end.Z[0], [[0.0, 1.0], [-1.0, 0.0]], rtol=0, atol=1e-7)
         assert end.rate[0] < -1e6 and end.rate_integral[0] < -1e4
         on_caustic = np.array([[[0.0, 1.0], [-1.0, 0.0]]])
-        _, f = hamflow._integrands(H, end.X, end.Xi, on_caustic, H.jet(end.X, end.Xi))
+        _, f = hamflow._integrands(end.Xi, on_caustic, H.jet(end.X, end.Xi))
         assert not np.isfinite(f).any()
 
 
@@ -442,17 +449,10 @@ def test_flat_inverse_map_flows_once_from_the_predictor(sigma, monkeypatch):
     assert calls == [t, 0.0]
 
 
-def test_guard_reads_the_jet_and_checks_every_node(monkeypatch):
+def test_guard_reads_the_jet_and_checks_every_node():
     # the first RK4 stage's jet carries p for its node, and the end node's
-    # jet, read for the integrals, carries it for the last: no
-    # principal_symbol call per step, nor at the end
+    # jet, read for the integrals, carries it for the last
     H = _bump_hamiltonian(2.0)
-    calls = []
-    p_eval = hamflow.principal_symbol
-    monkeypatch.setattr(hamflow, "principal_symbol",
-                        lambda *args: calls.append(1) or p_eval(*args))
-    integrate_flow(H, 0.2, *_BASE, 20)
-    assert len(calls) == 0
     # a start outside the band raises at node 0
     with pytest.raises(GuardBandError, match="at node 0 of 4"):
         integrate_flow(H, 0.01, np.array([[0.0]]), np.array([[2.0]]), 4)

@@ -12,7 +12,7 @@ from fracwkb.hamjac import (HorizonError, build_phase,
                             caustic_horizon, certify_phase_estimates,
                             hj_residual, phase_point_data)
 from fracwkb.metric import flat_metric, gaussian_bump_metric, tensor_pairs
-from fracwkb.symbols import SymbolFunction, fractional_symbol
+from fracwkb.symbols import fractional_symbol
 
 import arclength_oracle
 
@@ -308,6 +308,14 @@ def test_phase_table_rejects_a_step_that_is_not_positive_and_finite(dt):
                 build_phase(q0, t_grid, [[0.2]], [[1.0]], dt=dt)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_phase_table_rejects_a_time_that_is_not_finite(t):
+    # named before its step count is taken, on a flat metric too
+    for q0 in (_bump_q0(), fractional_symbol(flat_metric(dim=1), 2.0)):
+        with pytest.raises(ValueError, match="phase time t must be finite"):
+            build_phase(q0, [0.0, 0.05, t], [[0.2]], [[1.0]])
+
+
 def test_phase_table_rejects_an_empty_time_grid():
     with pytest.raises(ValueError, match="t_grid is empty"):
         build_phase(_bump_q0(), [], [[0.2]], [[1.0]])
@@ -436,15 +444,3 @@ def test_flat_phase_pass_flows_each_point_once(sigma, monkeypatch):
         point_steps.clear()
         phase_point_data(q0, t, x, xi)
         assert sum(point_steps) == 2 * x.shape[0]
-
-
-def test_phase_pass_evaluates_q0_when_its_jet_has_no_value():
-    q0 = _bump_q0()
-    bare = SymbolFunction(1, q0, jet=lambda x, xi: q0.jet(x, xi)[:5] + (None, None),
-                          xi_band=q0.xi_band)
-    bare.metric = q0.metric
-    x, xi = tensor_pairs(np.linspace(-1.0, 1.0, 5)[:, None], np.array([[0.8], [1.4]]))
-    got = phase_point_data(bare, 0.05, x, xi)
-    want = phase_point_data(q0, 0.05, x, xi)
-    for name in ("S", "Y", "rate_integral"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))

@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from fracwkb.metric import (EllipticityError, MetricField, audit_assumptions,
-                            check_sigma, flat_metric, gaussian_bump_metric,
-                            loglog_fit, principal_symbol, solve_blocks)
+from fracwkb.metric import (EllipticityError, MetricField, as_pairs, as_points,
+                            audit_assumptions, check_sigma, flat_metric,
+                            gaussian_bump_metric, loglog_fit, principal_symbol,
+                            solve_blocks)
 
 
 def test_principal_symbol_identity_metric():
@@ -112,6 +113,21 @@ def test_principal_symbol_rejects_non_finite():
         principal_symbol(m, np.array([[np.nan]]), np.array([[1.0]]))
     with pytest.raises(ValueError):
         principal_symbol(m, np.array([[0.0]]), np.array([[np.inf]]))
+
+
+def test_metric_rejects_a_dimension_below_one():
+    with pytest.raises(ValueError, match="dim must be a positive integer"):
+        dataclasses.replace(flat_metric(dim=1), dim=0)
+
+
+def test_point_batches_must_match_the_dimension_and_each_other():
+    with pytest.raises(ValueError, match=r"2 component\(s\), got shape \(4, 3\)"):
+        as_points(np.zeros((4, 3)), 2)
+    with pytest.raises(ValueError, match="x and xi batches do not match"):
+        as_pairs(np.zeros((2, 1)), np.zeros((3, 1)), 1)
+    # a single point is broadcast against the other batch
+    pts, cov = as_pairs(np.zeros((1, 1)), np.ones((3, 1)), 1)
+    assert pts.shape == cov.shape == (3, 1)
 
 
 @pytest.mark.parametrize("length", [np.inf, np.nan, 0.0])

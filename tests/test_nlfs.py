@@ -336,21 +336,47 @@ def test_continuation_zero_data(setup):
         np.testing.assert_array_equal(state.values, 0.0)
 
 
-def test_continuation_blowup_in_a_probe_carries_the_global_time(setup, monkeypatch):
-    """A probe that blows up in the second window reports t_done + t_last."""
+def test_continuation_blowup_in_a_window_carries_the_global_time(setup, monkeypatch):
+    """A split step that blows up in the second window reports t_done + t_last."""
     grid, op = setup
     u0 = _combo(grid, [(1, 0.3), (4, 0.1)])
-    real_picard = fracwkb.nlfs.picard_iterate
+    real_solve = fracwkb.nlfs.solve_nlfs
 
-    def probe(local, **kwargs):
+    def solve(local):
         if local.u0 is not u0:
-            raise BlowUpError(0.01, "probe blew up")
-        return real_picard(local, **kwargs)
+            raise BlowUpError(0.01, "window blew up")
+        return real_solve(local)
 
-    monkeypatch.setattr(fracwkb.nlfs, "picard_iterate", probe)
+    monkeypatch.setattr(fracwkb.nlfs, "solve_nlfs", solve)
     with pytest.raises(BlowUpError) as err:
         global_continuation(_problem(grid, op, u0, T=1.2, dt=0.01), 1.2)
     assert err.value.t_last == pytest.approx(0.5 + 0.01, abs=1e-12)
+
+
+@pytest.mark.parametrize("amp", [14.0, 16.0])
+def test_continuation_without_a_contracting_window_raises(setup, amp):
+    # at amplitude 16 the 0.5 window's probe blows up (BlowUpError) and at 14
+    # it stops contracting (ContractionError): both are probes that do not
+    # contract, so the window is halved; no halving contracts, and the
+    # continuation names its start, before any split step
+    grid, op = setup
+    u0 = state_from_values(grid, amp * modulated_gaussian(grid, np.pi, 0.5, 3.0).values)
+    with pytest.raises(ContractionError, match="no contracting window found at t=0$"):
+        global_continuation(_problem(grid, op, u0, T=0.5, dt=1e-3), 0.5)
+
+
+def test_continuation_halves_a_window_whose_probe_blows_up(setup):
+    # a wide packet at amplitude 10: the probe of the first 0.5 window blows
+    # up, and the window is halved like one that does not contract
+    grid, op = setup
+    u0 = state_from_values(grid, 10.0 * modulated_gaussian(grid, np.pi, 2.0, 3.0).values)
+    prob = _problem(grid, op, u0, T=0.5, dt=1e-3)
+    with pytest.raises(BlowUpError):
+        picard_iterate(prob, n_iter=fracwkb.nlfs.PROBE_ITERATIONS, n_t=17)
+    result = global_continuation(prob, 0.5)
+    assert result.segments[0] == (0.0, 2.0**-8)
+    assert len(result.segments) == 88
+    assert result.times[-1] == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("mu", [-1, 0])

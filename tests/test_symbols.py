@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracwkb.metric import flat_metric, gaussian_bump_metric, principal_symbol
-from fracwkb.symbols import (JET, ConstantWindow, GaussianWindow, LowPassCutoff,
+from fracwkb.symbols import (ConstantWindow, GaussianWindow, Jet, LowPassCutoff,
                              SymbolFunction, fractional_symbol, littlewood_paley_partition,
                              localized_amplitude, make_bump)
 
@@ -99,20 +99,58 @@ def test_bump_derivatives_finite_at_ramp_ends():
         np.testing.assert_array_equal(cut._jet(ends)[order], 0.0 if order else cut(ends))
 
 
+def _x_xi(grad_xi=True, value=True, p=True):
+    """a = x xi, whose jet carries grad_x and, as asked, grad_xi, the value and p."""
+    def jet(pts, cov):
+        return (cov, pts if grad_xi else None, None, None, None,
+                pts[:, 0] * cov[:, 0] if value else None, cov[:, 0] ** 2 if p else None)
+
+    return SymbolFunction(1, lambda pts, cov: pts[:, 0] * cov[:, 0], jet, label="x*xi")
+
+
 def test_symbol_without_derivative_raises():
-    sym = SymbolFunction(1, lambda pts, cov: pts[:, 0] * cov[:, 0], label="x*xi")
+    sym = _x_xi(grad_xi=False)
+    np.testing.assert_array_equal(sym.grad_x([[0.1]], [[1.0]]), [[1.0]])
     with pytest.raises(NotImplementedError, match=r"'x\*xi' has no grad_xi"):
         sym.grad_xi([[0.1]], [[1.0]])
-    with pytest.raises(NotImplementedError, match=r"'x\*xi' has no derivative jet"):
-        sym.jet([[0.1]], [[1.0]])
+    with pytest.raises(NotImplementedError, match=r"'x\*xi' has no hess_xx"):
+        sym.hess_xx([[0.1]], [[1.0]])
 
 
 def test_jet_without_the_seven_parts_raises():
     # a jet of the five derivatives alone, without the value and p
     sym = SymbolFunction(1, lambda pts, cov: pts[:, 0] * cov[:, 0],
-                         jet=lambda pts, cov: (cov, pts, None, None, None), label="x*xi")
-    with pytest.raises(ValueError, match=r"'x\*xi' returned 5 parts, not the 7"):
+                         lambda pts, cov: (cov, pts, None, None, None), label="x*xi")
+    with pytest.raises(ValueError, match=r"'x\*xi' must return the seven parts \('grad_x', "):
         sym.jet([[0.1]], [[1.0]])
+
+
+@pytest.mark.parametrize("missing", ["value", "p"])
+def test_jet_without_its_value_or_p_raises(missing):
+    # the value and p are required parts: no consumer evaluates them apart
+    sym = _x_xi(**{missing: False})
+    with pytest.raises(ValueError, match=r"'x\*xi' must return .* with a value and p"):
+        sym.jet([[0.1]], [[1.0]])
+    with pytest.raises(ValueError, match="with a value and p"):
+        sym.grad_x([[0.1]], [[1.0]])
+
+
+def test_cutoffs_declare_their_support_and_plateau():
+    low = LowPassCutoff(1.0, 4.0)
+    assert low.support == (0.0, 4.0) and low.plateau == (0.0, 1.0)
+    assert low(np.array([0.0, 1.0, 4.0])).tolist() == [1.0, 1.0, 0.0]
+    bump = make_bump(0.25, 4.0, (0.5, 2.0))
+    assert bump.support == (0.25, 4.0) and bump.plateau == (0.5, 2.0)
+    # an amplitude's p-band is its cutoff's support, whichever the cutoff
+    m = flat_metric(dim=1)
+    assert localized_amplitude(m, low).xi_band == (0.0, 4.0)
+    assert localized_amplitude(m, bump).xi_band == (0.25, 4.0)
+    assert localized_amplitude(m, bump).metric is m
+
+
+def test_partition_needs_a_block():
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        littlewood_paley_partition(0)
 
 
 def test_partition_at_zero():
@@ -220,8 +258,8 @@ def test_fractional_symbol_jet_matches_separate_evaluators(sigma, xi_sign):
     x = rng.uniform(-1.5, 1.5, size=(40, 1))
     xi = xi_sign * rng.uniform(0.8, 1.6, size=(40, 1))
     jet = q0.jet(x, xi)
-    assert len(jet) == len(JET)
-    for name, part, ref in zip(JET, jet, _separate_evaluators(m, sigma)):
+    assert isinstance(jet, Jet)
+    for name, part, ref in zip(Jet._fields, jet, _separate_evaluators(m, sigma)):
         np.testing.assert_array_equal(part, getattr(q0, name)(x, xi), err_msg=name)
         np.testing.assert_array_equal(part, ref(x, xi), err_msg=name)
 

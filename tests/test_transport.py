@@ -216,6 +216,12 @@ def test_transport_residual_validation():
                      np.array([[1.0], [1.2]]))
     with pytest.raises(ValueError):
         transport_residual(solve_transport(a_init, pt))
+    flat2 = flat_metric(dim=2)
+    pt2 = build_phase(fractional_symbol(flat2, 2.0), np.linspace(0.0, 0.1, 5),
+                      np.zeros((3, 2)), [[1.0, 0.0]])
+    amp2 = solve_transport(localized_amplitude(flat2, CUT), pt2)
+    with pytest.raises(ValueError, match="implemented for 1-D grids"):
+        transport_residual(amp2)
 
 
 def test_transport_residual_rejects_a_zero_time_step():
