@@ -337,10 +337,12 @@ def kernel_sup(phase, amp, h, t, x_span, y_span, max_rounds=6):
 
     The first round takes SUP_POINTS_START points per span; each round refines
     n points to 2n - 1.  Each estimate is `kernel(...).sup()` on its grid,
-    whose characteristics are solved on the same coarse grid in every round
-    (the spans and the hull are fixed); when `max_rounds` rounds pass without
-    two successive estimates agreeing to SUP_REFINE_TOL, raises
-    :class:`ResolutionError` naming the last two estimates.
+    and each round's `kernel` call solves the characteristics on its own
+    coarse grid: the nodes are the same in every round (the spans and the
+    hull are fixed), but no round reuses another's solves.  When
+    `max_rounds` rounds pass without two successive estimates agreeing to
+    SUP_REFINE_TOL, raises :class:`ResolutionError` naming the last two
+    estimates.
     """
     _check_args(phase, amp, h)
     prev = cur = None

@@ -45,8 +45,8 @@ class CausticError(RuntimeError):
 
 # The end of a flow to time t, X and Xi (n, d) and Z (n, 2d, 2d), with two (n,)
 # integrals along it from 0 to t, of the action integrand Xi . grad_xi H - H and
-# of the rate f = (1/2) tr[hess_xixi H . W], W = sym(Z_xix Z_xx^{-1}), and f at t.
-FlowEnd = namedtuple("FlowEnd", "X Xi Z action rate_integral rate")
+# of the rate f = (1/2) tr[hess_xixi H . W], W = sym(Z_xix Z_xx^{-1}).
+FlowEnd = namedtuple("FlowEnd", "X Xi Z action rate_integral")
 
 
 def _stage(H, X, Xi, Z):
@@ -163,7 +163,7 @@ def integrate_flow(H, t, x, xi, n_steps):
         _check_guard(H.xi_band, jet.p, steps, steps, t)
     g, f = _integrands(Xi, Z, jet)
     scale = hstep / 3.0 if steps % 2 == 0 else np.nan
-    return FlowEnd(X, Xi, Z, scale * (action + g), scale * (rate_sum + f), f)
+    return FlowEnd(X, Xi, Z, scale * (action + g), scale * (rate_sum + f))
 
 
 def _rk4_step(H, X, Xi, Z, h):

@@ -9,12 +9,13 @@ map Y and the action integral
 
 with every derivative table (grad_x S = Xi(t, Y, xi), the mixed and pure
 Hessians) read off the variational Jacobian rather than by differencing S.
-The same pass carries the rate of the leading transport amplitude,
+The same pass carries the integral along each characteristic of the rate
+of the leading transport amplitude,
 
-    f = (1/2) tr[hess_xixi q0 . hess_xx S],
+    f = (1/2) tr[hess_xixi q0 . hess_xx S]:
 
-and its integral along each characteristic: the a_0 integrating factor
-depends on q0 and S alone, so the transport needs no flow of its own.
+the a_0 integrating factor depends on q0 and S alone, so the transport
+needs no flow of its own.
 The sign convention is fixed here once: the characteristics are q0's flow
 run backward, from 0 to -t.
 """
@@ -55,7 +56,6 @@ class PhasePointData:
     hess_xx: np.ndarray      # (n, d, d)
     hess_xxi: np.ndarray     # (n, d, d), [i, j] = d2 S / dx_i dxi_j
     dY_dxi: np.ndarray       # (n, d, d), [i, j] = dY_i / dxi_j = d2 S / dxi_i dxi_j
-    rate: np.ndarray         # (n,) a_0 transport rate f at (t, x)
     rate_integral: np.ndarray  # (n,) int_0^t f along the characteristic
     hess_asymmetry: float    # max |B - B^T| of hess_xx S before symmetrizing
 
@@ -125,7 +125,6 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT):
         hess_xx=0.5 * (B + np.swapaxes(B, 1, 2)),
         hess_xxi=np.swapaxes(JX_inv, 1, 2),
         dY_dxi=-(JX_inv @ Z[:, :d, d:]),
-        rate=flow.rate,
         rate_integral=-flow.rate_integral,
         hess_asymmetry=asym,
     )
@@ -263,28 +262,23 @@ def certify_phase_estimates(pt):
     return PhaseEstimateReport(C1=max(c0, c1x, c1xi), C2=c2, by_order=by_order)
 
 
-def _uniform_step(grid, name):
-    """The spacing of a uniform grid of at least 5 nodes with a nonzero step;
-    any other grid raises ValueError."""
-    if len(grid) < 5:
-        raise ValueError(f"need at least 5 uniform nodes in {name}, got {len(grid)}")
-    spacings = np.diff(grid)
+def _uniform_step(t_grid):
+    """The spacing of a uniform time grid of at least 5 nodes with a nonzero
+    step; any other grid raises ValueError."""
+    if len(t_grid) < 5:
+        raise ValueError(f"need at least 5 uniform nodes in t, got {len(t_grid)}")
+    spacings = np.diff(t_grid)
     if spacings[0] == 0.0 or not np.allclose(spacings, spacings[0], rtol=1e-12, atol=0.0):
-        raise ValueError(f"{name} grid must be uniform with a nonzero step")
+        raise ValueError("t grid must be uniform with a nonzero step")
     return spacings[0]
 
 
-def _central(a, step, axis, order=1):
-    """4th-order central first (order=1) or second (order=2) difference of
-    `a` along `axis`, NaN on the two nodes at each end."""
-    a = np.moveaxis(a, axis, 0)
+def _central(a, step):
+    """4th-order central difference of `a` along its first axis, NaN on the
+    two nodes at each end."""
     out = np.full(a.shape, np.nan, dtype=a.dtype)
-    if order == 1:
-        out[2:-2] = (-a[4:] + 8.0 * a[3:-1] - 8.0 * a[1:-3] + a[:-4]) / (12.0 * step)
-    else:
-        out[2:-2] = (-a[4:] + 16.0 * a[3:-1] - 30.0 * a[2:-2] + 16.0 * a[1:-3]
-                     - a[:-4]) / (12.0 * step**2)
-    return np.moveaxis(out, 0, axis)
+    out[2:-2] = (-a[4:] + 8.0 * a[3:-1] - 8.0 * a[1:-3] + a[:-4]) / (12.0 * step)
+    return out
 
 
 def hj_residual(pt):
@@ -295,8 +289,8 @@ def hj_residual(pt):
     reflects the construction rather than the differencing.  Returns the
     residual array (nt, nx, nxi), NaN at the two times at each end, and its max.
     """
-    dt = _uniform_step(pt.t_grid, "t")
+    dt = _uniform_step(pt.t_grid)
     xp, _ = tensor_pairs(pt.x_grid, pt.xi_grid)
     qvals = pt.q0(np.tile(xp, (len(pt.t_grid), 1)), pt.grad_x.reshape(pt.S.size, -1))
-    res = np.abs(_central(pt.S, dt, 0) - qvals.reshape(pt.S.shape))
+    res = np.abs(_central(pt.S, dt) - qvals.reshape(pt.S.shape))
     return res, float(np.max(res[2:-2]))

@@ -131,6 +131,14 @@ class LowPassCutoff:
         lam = np.asarray(lam, dtype=float)
         return smooth_step((self.support[1] - lam) / (self.support[1] - self.plateau[1]))
 
+    def _jet(self, lam):
+        """The value and the first two derivatives, in closed form: one
+        falling smooth step of an affine argument."""
+        lam = np.asarray(lam, dtype=float)
+        b = self.support[1] - self.plateau[1]
+        fall = _smooth_step_jet((self.support[1] - lam) / b)
+        return fall[0], -fall[1] / b, fall[2] / b**2
+
     def __repr__(self):
         return f"LowPassCutoff({self.plateau[1]}, {self.support[1]})"
 

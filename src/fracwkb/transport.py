@@ -20,14 +20,13 @@ import numpy as np
 
 from .metric import as_pairs, tensor_pairs
 from .hamflow import DT_DEFAULT
-from .hamjac import PhasePointData, PhaseTable, _central, _uniform_step, phase_point_data
+from .hamjac import PhasePointData, PhaseTable, phase_point_data
 
 __all__ = [
     "AmplitudeTable",
     "AmplitudePointData",
     "solve_transport",
     "amplitude_point_data",
-    "transport_residual",
 ]
 
 
@@ -104,7 +103,7 @@ class AmplitudeTable(PhaseTable):
 
     `values[j]` holds a_j on the phase table's (t, x, xi) grid, and every
     field of the phase table is the one the amplitudes were read off; its
-    `rate` is the transport's zeroth-order coefficient f.  Off-grid values
+    `rate_integral` is the log of a_0's integrating factor.  Off-grid values
     come from `evaluate`, which recomputes along fresh characteristics
     rather than interpolating.
     """
@@ -142,30 +141,3 @@ def solve_transport(a_init, phase, N=None):
     return AmplitudeTable(**{f.name: getattr(phase, f.name) for f in fields(PhaseTable)},
                           values=values, a_init=a_init)
 
-
-def transport_residual(amp, j=0):
-    """|da_j/dt - V . grad_x a_j - f a_j - source_j| on the grid (1-D only).
-
-    V = grad_xi q0(x, grad_x S) is the transport field, f the table's `rate`,
-    and every derivative `hj_residual`'s 4th-order central difference, on t
-    and x grids uniform with >= 5 nodes and a nonzero step (else ValueError).
-    The source is zero for j=0 and the closed-form flat term for j=1.  Returns
-    the residual array (NaN at the two nodes at each end of t and of x) and
-    the max over the rest.
-    """
-    if amp.dim != 1:
-        raise ValueError("residual check is implemented for 1-D grids")
-    if not 0 <= j < amp.order:
-        raise ValueError(f"table holds orders 0..{amp.order - 1}, got j={j}")
-    dt = _uniform_step(amp.t_grid, "t")
-    dx = _uniform_step(amp.x_grid[:, 0], "x")
-    nt, nx, nxi = amp.S.shape
-    a = amp.values[j]
-    xp, xip = tensor_pairs(amp.x_grid, amp.xi_grid)
-    V = amp.q0.grad_xi(np.tile(xp, (nt, 1)), amp.grad_x.reshape(-1, 1)).reshape(nt, nx, nxi)
-    rhs = V * _central(a, dx, 1) + amp.rate * a
-    if j == 1:
-        hq = amp.q0.hess_xixi(xp, xip).reshape(nx, nxi)
-        rhs = rhs + -0.5j * hq * _central(amp.values[0], dx, 1, order=2)
-    res = np.abs(_central(a, dt, 0) - rhs)
-    return res, float(np.nanmax(res[2:-2, 2:-2]))

@@ -10,7 +10,14 @@ Y solves the scalar equation
     s(x) = s(Y) - t sigma |eta|^{sigma-1} sgn xi,   eta = xi G(Y)^{1/2},
 
 and S = Y xi - t (sigma - 1) |eta|^sigma, grad_x S = sgn xi |eta| / G(x)^{1/2},
-while dY/dxi follows from the implicit-function theorem.  s has the series
+while dY/dxi and dY/dx follow from the implicit-function theorem.  The a_0
+transport rate f = (1/2) d_xi^2 q0 d_x^2 S then integrates in closed form,
+
+    int_0^t f = (1/2) ln|dY/dx| + (sigma/4) ln(G(x) / G(Y)),
+
+since along the flow from (Y, xi), which reaches x at tau = -t,
+d ln(dX/dY) / dtau = hess_xxi q0 + 2 f and hess_xxi q0 = (sigma/2) d ln G(X) / dtau.
+s has the series
 x + sum_k binom(-1/2, k) eps^k sqrt(pi / 4k) erf(sqrt(k) x).  This module uses
 numpy and the standard library only, and none of fracwkb.
 """
@@ -54,7 +61,7 @@ def circle_length(eps, box_length):
 
 
 def phase(eps, sigma, t, x, xi):
-    """(Y, S, grad_x S, dY/dxi) at 1-D arrays x, xi and a scalar time t."""
+    """(Y, S, grad_x S, dY/dxi, dY/dx) at 1-D arrays x, xi and a scalar time t."""
     x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
     c = t * sigma * np.sign(xi) * np.abs(xi) ** (sigma - 1.0)
     target = arclength(x, eps)
@@ -79,4 +86,10 @@ def phase(eps, sigma, t, x, xi):
     S = Y * xi - t * (sigma - 1.0) * eta ** sigma
     grad_x = np.sign(xi) * eta / np.sqrt(G(x, eps))
     dF_dxi = -t * sigma * (sigma - 1.0) * np.abs(xi) ** (sigma - 2.0) * g ** (0.5 * (sigma - 1.0))
-    return Y, S, grad_x, -dF_dxi / dF_dY
+    return Y, S, grad_x, -dF_dxi / dF_dY, G(x, eps) ** -0.5 / dF_dY
+
+
+def rate_integral(eps, sigma, t, x, xi):
+    """(Y, int_0^t f) at 1-D arrays x, xi and a scalar time t."""
+    Y, *_, dY_dx = phase(eps, sigma, t, x, xi)
+    return Y, 0.5 * np.log(np.abs(dY_dx)) + 0.25 * sigma * np.log(G(x, eps) / G(Y, eps))

@@ -148,6 +148,28 @@ def test_cutoffs_declare_their_support_and_plateau():
     assert localized_amplitude(m, bump).metric is m
 
 
+def test_low_pass_jet_is_the_falling_ramp_of_a_bump():
+    """LowPassCutoff(1, 4) is the fall of CutoffFunction(0.1, 4, (0.5, 1)) for
+    lam >= 0.5, so on the bump metric amplitudes on either cutoff have the
+    same jet there, bit for bit; the low pass's jet value is its own value."""
+    low = LowPassCutoff(1.0, 4.0)
+    lam = np.linspace(0.0, 5.0, 41)
+    np.testing.assert_array_equal(low._jet(lam)[0], low(lam))
+    assert localized_amplitude(flat_metric(dim=1), low).grad_x([[0.0]], [[1.0]]).shape == (1, 1)
+
+    m = gaussian_bump_metric(dim=1, epsilon=0.1)
+    x = np.repeat(np.linspace(-1.5, 1.5, 9), 12)[:, None]
+    xi = np.tile(np.linspace(0.6, 2.2, 12), 9)[:, None]
+    keep = principal_symbol(m, x, xi) >= 0.5
+    x, xi = x[keep], xi[keep]
+    window = GaussianWindow(1, center=0.2, width=0.8)
+    got = localized_amplitude(m, low, window=window).jet(x, xi)
+    want = localized_amplitude(m, make_bump(0.1, 4.0, (0.5, 1.0)), window=window).jet(x, xi)
+    for name in ("grad_x", "hess_xx", "value"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert np.count_nonzero(got.grad_x) > 50
+
+
 def test_partition_needs_a_block():
     with pytest.raises(ValueError, match="k_max must be >= 1"):
         littlewood_paley_partition(0)
