@@ -239,8 +239,7 @@ def _flat_symbols(cfg):
 def run_kernel(cfg, outdir):
     q0, cut, amp0 = _flat_symbols(cfg)
     t = cfg["t"]
-    tab = build_phase(q0, [t if t != 0.0 else 0.0], np.zeros((1, 1)),
-                      np.array([[1.0]]), dt=0.01)
+    tab = build_phase(q0, [t], np.zeros((1, 1)), np.array([[1.0]]), dt=0.01)
     amp = solve_transport(amp0, tab, N=1)
     xg = np.linspace(cfg["x_lo"], cfg["x_hi"], cfg["n_x"])
     yg = np.linspace(cfg["y_lo"], cfg["y_hi"], cfg["n_y"])

@@ -342,9 +342,13 @@ def kernel_sup(phase, amp, h, t, x_span, y_span, max_rounds=6):
     hull are fixed), but no round reuses another's solves.  When
     `max_rounds` rounds pass without two successive estimates agreeing to
     SUP_REFINE_TOL, raises :class:`ResolutionError` naming the last two
-    estimates.
+    estimates.  A `max_rounds` below 2, which can never compare two
+    estimates, raises ValueError before any kernel is computed.
     """
     _check_args(phase, amp, h)
+    if max_rounds < 2:
+        raise ValueError(f"kernel_sup compares two rounds, so max_rounds must be >= 2, "
+                         f"got {max_rounds}")
     prev = cur = None
     n = SUP_POINTS_START
     for _ in range(max_rounds):
@@ -354,12 +358,10 @@ def kernel_sup(phase, amp, h, t, x_span, y_span, max_rounds=6):
         if prev is not None and abs(cur - prev) <= SUP_REFINE_TOL * max(prev, 1e-300):
             return cur
         n = 2 * n - 1
-    last = "" if prev is None else (
-        f"; the last two rounds gave {prev:.6g} and {cur:.6g} "
-        f"(relative change {abs(cur - prev) / max(prev, 1e-300):.3g})")
     raise ResolutionError(
         f"kernel sup at t={t} did not settle to tol={SUP_REFINE_TOL} in {max_rounds} "
-        f"rounds (final grid {(n + 1) // 2} points per span){last}"
+        f"rounds (final grid {(n + 1) // 2} points per span); the last two rounds gave "
+        f"{prev:.6g} and {cur:.6g} (relative change {abs(cur - prev) / max(prev, 1e-300):.3g})"
     )
 
 
@@ -380,7 +382,9 @@ def dispersive_fit(phase, amp, h, t_samples):
 
     The sups are taken over x in DECAY_X_SPAN and a y-window wide enough to
     contain the stationary set x - y ~ t grad q0(xi) over all samples.  Fewer
-    than 6 requested or 4 finite samples raise :class:`InsufficientDataError`.
+    than 6 requested or 4 finite samples raise :class:`InsufficientDataError`,
+    and a sample that is 0 or not finite, where log(|t|/h) is undefined,
+    raises ValueError naming it before any kernel is computed.
     """
     _check_args(phase, amp, h)
     t_samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
@@ -388,6 +392,10 @@ def dispersive_fit(phase, amp, h, t_samples):
         raise InsufficientDataError(
             f"need at least 6 time samples for the decay fit, got {t_samples.size}"
         )
+    bad = ~np.isfinite(t_samples) | (t_samples == 0.0)
+    if np.any(bad):
+        raise ValueError(f"decay-fit time samples must be nonzero and finite, "
+                         f"got t={t_samples[np.argmax(bad)]}")
     _, _, grad_max = _xi_hull(amp)
     t_max = float(np.max(np.abs(t_samples)))
     x_span = DECAY_X_SPAN

@@ -121,48 +121,41 @@ def integrate_flow(H, t, x, xi, n_steps):
     integrands off the jet it evaluates at its node, and the end node's jet
     is evaluated once; the Simpson weights are 1, 4, 2, ..., 4, 1 times
     t / (3 n_steps), and an odd `n_steps`, which Simpson's rule cannot take,
-    gives NaN integrals.  At t = 0 the end is the start, with Z = Id and
-    zero integrals.  `t` may be negative, and
-    the inputs are promoted to matched (n, d) batches.  `t` is a scalar or
-    one time per point; per point, each point steps by its own t / n_steps,
-    and t = 0 may not share the batch with other times (ValueError).
+    gives NaN integrals.  `t` may be negative or zero: a step of length 0
+    returns its start, so at t = 0 the end is (x, xi) with Z = Id and zero
+    integrals.  The inputs are promoted to matched (n, d) batches.  `t` is a
+    scalar or one time per point; per point, each point steps by its own
+    t / n_steps.
 
-    Every node of a flow with steps is checked against the guard band of H
-    (when H carries one), each from the p its jet carries, so a flow that
-    leaves the band and returns raises :class:`GuardBandError` too.  A
-    nonzero `t` needs `n_steps` >= 1; fewer raise ValueError rather than
-    skip the flow.
+    Every node is checked against the guard band of H (when H carries one),
+    each from the p its jet carries, so a start outside the band raises
+    :class:`GuardBandError` at node 0 at any time, t = 0 included, and a flow
+    that leaves the band and returns raises it too.  `n_steps` < 1 raises
+    ValueError.
     """
-    moves = bool(np.any(t != 0.0))
-    if moves and np.any(t == 0.0):
-        raise ValueError("per-point times mix t = 0 with nonzero t; solve t = 0 apart")
-    if moves and n_steps < 1:
+    if n_steps < 1:
         raise ValueError(f"flow to t={t} needs n_steps >= 1, got {n_steps}")
     d = H.dim
     X, Xi = as_pairs(x, xi, d)
     n = X.shape[0]
     if np.ndim(t) and np.shape(t) != (n,):
         raise ValueError(f"per-point times of shape {np.shape(t)} for {n} points")
-    steps = n_steps if moves else 0
-    hstep = t / steps if steps else 0.0
-    if not steps:       # the end is the start: hand back copies, not the caller's arrays
-        X, Xi = X.copy(), Xi.copy()
+    hstep = t / n_steps
 
     Z = np.broadcast_to(np.eye(2 * d), (n, 2 * d, 2 * d)).copy()
     action, rate_sum = np.zeros(n), np.zeros(n)
-    for k in range(steps):
+    for k in range(n_steps):
         (X_next, Xi_next, Z_next), jet = _rk4_step(H, X, Xi, Z, hstep)
-        _check_guard(H.xi_band, jet.p, k, steps, t)
+        _check_guard(H.xi_band, jet.p, k, n_steps, t)
         weight = 1.0 if k == 0 else 4.0 if k % 2 else 2.0
         g, f = _integrands(Xi, Z, jet)
         action += weight * g
         rate_sum += weight * f
         X, Xi, Z = X_next, Xi_next, Z_next
     jet = H.jet(X, Xi)
-    if steps:
-        _check_guard(H.xi_band, jet.p, steps, steps, t)
+    _check_guard(H.xi_band, jet.p, n_steps, n_steps, t)
     g, f = _integrands(Xi, Z, jet)
-    scale = hstep / 3.0 if steps % 2 == 0 else np.nan
+    scale = hstep / 3.0 if n_steps % 2 == 0 else np.nan
     return FlowEnd(X, Xi, Z, scale * (action + g), scale * (rate_sum + f))
 
 
@@ -193,24 +186,23 @@ def _per_point(c, y):
 def inverse_map(H, t, x, xi, n_steps):
     """Solve X(t, Y, xi) = x for Y by damped Newton.
 
-    Newton starts at the first-order predictor Y = x - t grad_xi H(x, xi)
-    (at x when t = 0), which is exact when the flow field does not depend
-    on x, so that each flat point flows once; each point's solve depends on
-    that point alone, so any batch gives it the same Y and flow.  `t` is a
+    Newton starts at the first-order predictor Y = x - t grad_xi H(x, xi),
+    which is exact when the flow field does not depend on x (and at t = 0),
+    so that each flat point flows once; each point's solve depends on that
+    point alone, so any batch gives it the same Y and flow.  `t` is a
     scalar or one time per point, as in :func:`integrate_flow`.
-    Every Newton flow is the variational flow on `n_steps` RK4 steps (none
-    at t = 0), so the Jacobian grad_y X is its end Z block and the caller
-    gets back the flow it accepted: returns (Y, FlowEnd) with X on x to
-    NEWTON_TOL.  Each pass flows one trial for every point off x: a trial
-    that lowers the point's residual is taken and its next step is the full
-    Newton step, one that does not halves the step for the next pass.  A
-    batch still off x after NEWTON_MAX_ITER trial flows, or with a step too
-    short to move its start, raises :class:`CausticError` with the worst
-    point and its time.
+    Every Newton flow is the variational flow on `n_steps` RK4 steps, so the
+    Jacobian grad_y X is its end Z block and the caller gets back the flow
+    it accepted: returns (Y, FlowEnd) with X on x to NEWTON_TOL.  Each pass
+    flows one trial for every point off x: a trial that lowers the point's
+    residual is taken and its next step is the full Newton step, one that
+    does not halves the step for the next pass.  A batch still off x after
+    NEWTON_MAX_ITER trial flows, or with a step too short to move its
+    start, raises :class:`CausticError` with the worst point and its time.
     """
     d = H.dim
     xt, cov = as_pairs(x, xi, d)
-    Y = xt - _per_point(t, xt) * H.jet(xt, cov).grad_xi if np.any(t != 0.0) else xt.copy()
+    Y = xt - _per_point(t, xt) * H.jet(xt, cov).grad_xi
 
     flow = integrate_flow(H, t, Y, cov, n_steps)
     res = np.max(np.abs(flow.X - xt), axis=1)

@@ -95,15 +95,14 @@ def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT):
     integral of the transport rate f = (1/2) tr[hess_xixi q0 . hess_xx S]
     that the flow summed by composite Simpson over its RK4 nodes;
     hess_xx S = sym(JXi JX^{-1}) at the end.  The flow stores no node, so the
-    pass's memory does not grow with the step count.  At t = 0 the flow
-    is its start (x, xi).  A `dt` that is not positive and finite, or a `t`
-    that is not finite, raises ValueError.
+    pass's memory does not grow with the step count.  Every start is checked
+    against q0's guard band, at t = 0 too.  A `dt` that is not positive and
+    finite, or a `t` that is not finite, raises ValueError.
 
     `t` is a scalar or one time per point.  Per point, every point takes the
-    step count of the largest |t| (see `_step_count`) and its own step, and
-    t = 0 may not share the batch with other times (ValueError); a point
-    whose own |t| has that step count gets what a scalar t gives it, bit
-    for bit.
+    step count of the largest |t| (see `_step_count`) and its own step; a
+    point whose own |t| has that step count gets what a scalar t gives it,
+    bit for bit.
     """
     n_steps = _step_count(q0, t, dt)
     d = q0.dim
@@ -158,12 +157,12 @@ class PhaseTable(PhasePointData):
 def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT):
     """Build a PhaseTable over the tensor grid t_grid x x_grid x xi_grid.
 
-    The grid times that share an RK4 layout (one step count; t = 0 alone)
-    are one `phase_point_data` pass on their tensor batches with one time
-    per point, so every entry is what `PhaseTable.evaluate` gives on the
-    tensor batch, bit for bit.  Each array field of the pass fills its
-    table, allocated at the first pass; each scalar field, a bound over the
-    batch, keeps its worst value.  An empty `t_grid`, `x_grid` or `xi_grid`,
+    The grid times that share an RK4 step count, t = 0 among them, are one
+    `phase_point_data` pass on their tensor batches with one time per point,
+    so every entry is what `PhaseTable.evaluate` gives on the tensor batch,
+    bit for bit.  Each array field of the pass fills its table, allocated at
+    the first pass; each scalar field, a bound over the batch, keeps its
+    worst value.  An empty `t_grid`, `x_grid` or `xi_grid`,
     a `dt` that is not positive and finite, or a time that is not finite,
     raises ValueError.
     """
@@ -178,7 +177,7 @@ def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT):
     xp, xip = tensor_pairs(x_grid, xi_grid)
 
     tables, worst = {}, {}
-    layouts = np.array([_step_count(q0, t, dt) if t != 0.0 else 0 for t in t_grid])
+    layouts = np.array([_step_count(q0, t, dt) for t in t_grid])
     for steps in np.unique(layouts):
         ks = np.flatnonzero(layouts == steps)
         m = len(ks)

@@ -39,13 +39,19 @@ def _glue(t):
     return out
 
 
-def smooth_step(t):
-    """Monotone C^infinity step: 0 for t <= 0, 1 for t >= 1."""
-    a = _glue(t)
-    b = _glue(1.0 - np.asarray(t, dtype=float))
+def _step_parts(t):
+    """t as an array, the glued exponentials a = _glue(t) and b = _glue(1 - t),
+    and the smooth step s = a / (a + b), taken as 0 where a + b = 0 (NaN t)."""
+    t = np.asarray(t, dtype=float)
+    a, b = _glue(t), _glue(1.0 - t)
     with np.errstate(invalid="ignore"):
-        out = np.where(a + b > 0.0, a / (a + b), 0.0)
-    return out
+        s = np.where(a + b > 0.0, a / (a + b), 0.0)
+    return t, a, b, s
+
+
+def smooth_step(t):
+    """Monotone C^infinity step: 0 for t <= 0, 1 for t >= 1, 0 at NaN."""
+    return _step_parts(t)[3]
 
 
 def _smooth_step_jet(t):
@@ -53,11 +59,9 @@ def _smooth_step_jet(t):
 
     With g = 1/t^2 + 1/(1-t)^2 the logit of s has derivative g, so
     s' = s(1-s) g and s'' = s(1-s)((1-2s) g^2 + g'); both are evaluated only
-    where s(1-s) > 0 and vanish elsewhere.
+    where s(1-s) > 0 and vanish elsewhere, NaN t included.
     """
-    t = np.asarray(t, dtype=float)
-    a, b = _glue(t), _glue(1.0 - t)
-    s = a / (a + b)
+    t, a, b, s = _step_parts(t)
     ds, d2s = np.zeros_like(s), np.zeros_like(s)
     on = (a > 0.0) & (b > 0.0)
     u, total = t[on], a[on] + b[on]
@@ -293,16 +297,13 @@ class GaussianWindow:
         z = (as_points(pts, self.dim) - self.center) / self.width
         return np.exp(-0.5 * np.sum(z**2, axis=1))
 
-    def grad(self, pts):
-        p = as_points(pts, self.dim)
-        z = (p - self.center) / self.width
-        return -(z / self.width) * self(p)[:, None]
-
-    def hess(self, pts):
-        p = as_points(pts, self.dim)
-        z = (p - self.center) / self.width
+    def _jet(self, pts):
+        """The value, the (n, d) gradient and the (n, d, d) Hessian from one exp."""
+        z = (as_points(pts, self.dim) - self.center) / self.width
+        w = np.exp(-0.5 * np.sum(z**2, axis=1))
         outer = z[:, :, None] * z[:, None, :]
-        return (outer - np.eye(self.dim)) / self.width**2 * self(p)[:, None, None]
+        return (w, -(z / self.width) * w[:, None],
+                (outer - np.eye(self.dim)) / self.width**2 * w[:, None, None])
 
 
 class ConstantWindow:
@@ -314,11 +315,10 @@ class ConstantWindow:
     def __call__(self, pts):
         return np.ones(as_points(pts, self.dim).shape[0])
 
-    def grad(self, pts):
-        return np.zeros((as_points(pts, self.dim).shape[0], self.dim))
-
-    def hess(self, pts):
-        return np.zeros((as_points(pts, self.dim).shape[0], self.dim, self.dim))
+    def _jet(self, pts):
+        """The value 1 with zero gradient and Hessian."""
+        n = as_points(pts, self.dim).shape[0]
+        return np.ones(n), np.zeros((n, self.dim)), np.zeros((n, self.dim, self.dim))
 
 
 def localized_amplitude(metric, cut, window=None):
@@ -338,10 +338,9 @@ def localized_amplitude(metric, cut, window=None):
     def _jet(pts, cov):
         _, p, px, _, pxx, _ = principal_jet(metric, pts, cov)
         c, dc, d2c = cut._jet(p)
-        w = window(pts)
-        gw = window.grad(pts)
+        w, gw, hw = window._jet(pts)
         grad_x = gw * c[:, None] + w[:, None] * dc[:, None] * px
-        hess_xx = window.hess(pts) * c[:, None, None]
+        hess_xx = hw * c[:, None, None]
         hess_xx += (gw[:, :, None] * px[:, None, :] + gw[:, None, :] * px[:, :, None]) * dc[:, None, None]
         hess_xx += w[:, None, None] * (
             d2c[:, None, None] * px[:, :, None] * px[:, None, :]

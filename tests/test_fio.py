@@ -223,6 +223,16 @@ def test_dispersive_fit_requires_enough_samples():
         dispersive_fit(phase, amp, H_REF, np.linspace(0.1, 0.5, 5))
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.0, np.nan, np.inf])
+def test_dispersive_fit_rejects_a_sample_without_a_log_before_any_kernel(bad, monkeypatch):
+    phase, amp, _ = _kernel_setup()
+    monkeypatch.setattr(fio, "kernel", lambda *args: pytest.fail("a kernel was computed"))
+    ts = np.linspace(0.1, 0.5, 6)
+    ts[3] = bad
+    with pytest.raises(ValueError, match=rf"nonzero and finite, got t={bad}$"):
+        dispersive_fit(phase, amp, H_REF, ts)
+
+
 def test_dispersive_fit_requires_four_nonzero_sups():
     # a window centred far outside the sup's x span: every sup is 0
     h = 2.0**-3
@@ -291,6 +301,15 @@ def test_kernel_sup_raises_when_rounds_run_out(monkeypatch):
     monkeypatch.setattr(fio, "SUP_REFINE_TOL", 1e-9)
     with pytest.raises(ResolutionError, match=r"9\.808\d* and 12\.58"):
         kernel_sup(phase, amp, h, 0.03125, (-0.5, 0.5), (-3.0, 3.0), max_rounds=2)
+
+
+@pytest.mark.parametrize("max_rounds", [1, 0])
+def test_kernel_sup_needs_two_rounds_before_any_kernel(max_rounds, monkeypatch):
+    # convergence compares two estimates, so fewer rounds can never settle
+    phase, amp, _ = _kernel_setup()
+    monkeypatch.setattr(fio, "kernel", lambda *args: pytest.fail("a kernel was computed"))
+    with pytest.raises(ValueError, match=f"max_rounds must be >= 2, got {max_rounds}$"):
+        kernel_sup(phase, amp, H_REF, T_REF, (-0.5, 0.5), (-1.0, 1.0), max_rounds=max_rounds)
 
 
 def test_kernel_resolves_cutoff_on_small_window(monkeypatch):

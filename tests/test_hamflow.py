@@ -229,10 +229,11 @@ _BASE = (np.array([[0.4], [0.0], [-0.8]]), np.array([[1.1], [1.4], [0.9]]))
 
 
 def _node_flows(H, t, x, xi, n_steps):
-    """The flow's state at each of its n_steps + 1 uniform node times: the
-    batch flowed to k t / n_steps in k steps, for k = 0 .. n_steps."""
+    """The flow's (X, Xi, Z) at each of its n_steps + 1 uniform node times:
+    the start at node 0, then the batch flowed to k t / n_steps in k steps."""
     times = np.linspace(0.0, t, n_steps + 1)
-    return [integrate_flow(H, s, x, xi, k) for k, s in enumerate(times)]
+    start = (x, xi, np.broadcast_to(np.eye(2), (len(x), 2, 2)))
+    return [start] + [integrate_flow(H, s, x, xi, k)[:3] for k, s in enumerate(times[1:], 1)]
 
 
 def _separate_rk4_path(H, t, x, xi, n_steps):
@@ -356,11 +357,10 @@ def test_newton_gives_up_on_a_caustic_without_repeating_a_trial(monkeypatch):
 
 def test_integrate_flow_rejects_a_flow_without_steps():
     H = fractional_symbol(flat_metric(dim=1), 2.0)
-    for n_steps in (0, -1):
-        with pytest.raises(ValueError, match="n_steps"):
-            integrate_flow(H, 0.5, [[0.1]], [[1.0]], n_steps)
-    # t = 0 takes no step whatever n_steps says
-    assert integrate_flow(H, 0.0, [[0.1]], [[1.0]], 0).X.shape == (1, 1)
+    for t in (0.5, 0.0):
+        for n_steps in (0, -1):
+            with pytest.raises(ValueError, match="n_steps"):
+                integrate_flow(H, t, [[0.1]], [[1.0]], n_steps)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0])
@@ -383,7 +383,7 @@ def test_variational_jacobian_symplectic_along_flow(sigma):
     # in any block of the variational right-hand side gives a defect of
     # order t.
     H = _bump_hamiltonian(sigma)
-    Zs = np.array([end.Z for end in _node_flows(H, 0.3, *_BASE, 30)])
+    Zs = np.array([Z for _, _, Z in _node_flows(H, 0.3, *_BASE, 30)])
     defect = np.abs(np.swapaxes(Zs, -1, -2) @ _J @ Zs - _J)
     assert Zs.shape == (31, 3, 2, 2)
     assert float(np.max(defect)) < 1e-8
@@ -453,34 +453,34 @@ def test_guard_reads_the_jet_and_checks_every_node():
     # the first RK4 stage's jet carries p for its node, and the end node's
     # jet, read for the integrals, carries it for the last
     H = _bump_hamiltonian(2.0)
-    # a start outside the band raises at node 0
-    with pytest.raises(GuardBandError, match="at node 0 of 4"):
-        integrate_flow(H, 0.01, np.array([[0.0]]), np.array([[2.0]]), 4)
+    # a start outside the band raises at node 0, at t = 0 too
+    for t in (0.01, 0.0):
+        with pytest.raises(GuardBandError, match="at node 0 of 4"):
+            integrate_flow(H, t, np.array([[0.0]]), np.array([[2.0]]), 4)
     # non-finite nodes fail the band check
     with pytest.raises(GuardBandError):
         integrate_flow(H, 0.01, np.array([[np.nan]]), np.array([[1.0]]), 4)
 
 
 def test_per_point_times_give_each_point_its_scalar_flow_and_solve():
-    # one batch of times of both signs, each point stepping by its own t / n
+    # one batch of times of both signs, t = 0 among them or not, each point
+    # stepping by its own t / n
     H = _bump_hamiltonian(2.0)
     x = np.array([[0.4], [-0.3], [0.1]])
     xi = np.array([[1.1], [0.9], [1.3]])
-    t = np.array([0.3, -0.25, 0.28])
-    end = integrate_flow(H, t, x, xi, 30)
-    Y, flow = inverse_map(H, t, end.X, xi, 30)
-    for k in range(3):
-        want = integrate_flow(H, t[k], x[k:k + 1], xi[k:k + 1], 30)
-        for got, ref in zip(end, want):
-            np.testing.assert_array_equal(got[k], ref[0])
-        Yk, flow_k = inverse_map(H, t[k], end.X[k:k + 1], xi[k:k + 1], 30)
-        np.testing.assert_array_equal(Y[k], Yk[0])
-        for arr, arr_k in zip(flow, flow_k):
-            np.testing.assert_array_equal(arr[k], arr_k[0])
+    for t in (np.array([0.3, -0.25, 0.28]), np.array([0.3, 0.0, -0.28])):
+        end = integrate_flow(H, t, x, xi, 30)
+        Y, flow = inverse_map(H, t, end.X, xi, 30)
+        for k in range(3):
+            want = integrate_flow(H, t[k], x[k:k + 1], xi[k:k + 1], 30)
+            for got, ref in zip(end, want):
+                np.testing.assert_array_equal(got[k], ref[0])
+            Yk, flow_k = inverse_map(H, t[k], end.X[k:k + 1], xi[k:k + 1], 30)
+            np.testing.assert_array_equal(Y[k], Yk[0])
+            for arr, arr_k in zip(flow, flow_k):
+                np.testing.assert_array_equal(arr[k], arr_k[0])
     with pytest.raises(ValueError, match="per-point times"):
         integrate_flow(H, t[:2], x, xi, 30)
-    with pytest.raises(ValueError, match="t = 0"):
-        integrate_flow(H, np.array([0.3, 0.0, 0.28]), x, xi, 30)
 
 
 def test_guard_band_error_names_the_point_s_own_time():

@@ -266,7 +266,8 @@ def test_phase_table_evaluate_matches_grid():
 
 def test_phase_table_entries_are_the_pointwise_pass():
     # on the 0.01 grid each step count holds four times of both signs
-    # (+-0.01 and +-0.02 take 2 steps), which the table solves as one batch;
+    # (+-0.01 and +-0.02 take 2 steps, and t = 0 with them), which the table
+    # solves as one batch;
     # every entry is still what evaluate computes at its own time
     pt = build_phase(_bump_q0(), np.linspace(-0.2, 0.2, 41),
                      np.linspace(-1.5, 1.5, 13)[:, None], np.linspace(0.8, 1.6, 5)[:, None])
@@ -285,7 +286,8 @@ def test_phase_table_entries_are_the_pointwise_pass():
 
 
 def test_phase_table_solves_each_step_count_once(monkeypatch):
-    # the benchmark's bump grid: 41 times in 10 step counts and t = 0
+    # the benchmark's bump grid: 41 times in 10 step counts, t = 0 in the
+    # two-step group with +-0.01 and +-0.02
     from fracwkb import hamjac
 
     times_per_call = []
@@ -298,7 +300,7 @@ def test_phase_table_solves_each_step_count_once(monkeypatch):
     monkeypatch.setattr(hamjac, "inverse_map", counting)
     build_phase(_bump_q0(), np.linspace(-0.2, 0.2, 41), np.linspace(-1.5, 1.5, 61)[:, None],
                 np.linspace(0.8, 1.6, 9)[:, None], dt=0.01)
-    assert sorted(times_per_call) == [1] + [4] * 10
+    assert sorted(times_per_call) == [4] * 9 + [5]
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan])
@@ -329,9 +331,19 @@ def test_phase_table_rejects_an_empty_point_grid(empty):
         build_phase(_bump_q0(), [0.0, 0.05], **grids)
 
 
-def test_phase_pass_keeps_t_zero_apart():
-    with pytest.raises(ValueError, match="t = 0"):
-        phase_point_data(_bump_q0(), np.array([0.0, 0.05]), [[0.2], [0.3]], [[1.0], [1.1]])
+def test_phase_pass_gives_t_zero_in_a_mixed_batch_its_scalar_result():
+    # t = 0 shares the six-step batch of +-0.05, and each point gets what
+    # its scalar pass gives it, bit for bit
+    q0 = _bump_q0()
+    t = np.array([0.05, 0.0, -0.05])
+    x, xi = np.array([[0.2], [0.3], [-0.4]]), np.array([[1.0], [1.1], [0.9]])
+    data = phase_point_data(q0, t, x, xi)
+    for k in range(3):
+        want = phase_point_data(q0, t[k], x[k:k + 1], xi[k:k + 1])
+        for f in dataclasses.fields(want):
+            if f.name != "hess_asymmetry":
+                np.testing.assert_array_equal(getattr(data, f.name)[k],
+                                              getattr(want, f.name)[0], err_msg=f.name)
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
@@ -359,12 +371,16 @@ def test_mixed_hessian_asymmetry_negligible():
 
 def _node_integrands(q0, Y, xi, s, n_steps):
     """The action integrand and the a_0 rate at the n_steps + 1 nodes of the
-    flow from (Y, xi) to the time(s) s, node k rebuilt as the flow to k s / n
-    in k steps: (nodes, n) arrays each, with the node times."""
+    flow from (Y, xi) to the time(s) s, node 0 the start and node k rebuilt
+    as the flow to k s / n in k steps: (nodes, n) arrays each, with the node
+    times."""
     times = np.linspace(0.0, s, n_steps + 1)
     g, f = [], []
     for k, tk in enumerate(times):
-        X, Xi, Z, *_ = integrate_flow(q0, tk, Y, xi, k)
+        if k:
+            X, Xi, Z, *_ = integrate_flow(q0, tk, Y, xi, k)
+        else:
+            X, Xi, Z = Y, xi, np.broadcast_to(np.eye(2), (len(Y), 2, 2))
         _, gxi, _, hxixi, *_ = q0.jet(X, Xi)
         g.append(Xi[:, 0] * gxi[:, 0] - q0(X, Xi))
         f.append(0.5 * hxixi[:, 0, 0] * Z[:, 1, 0] / Z[:, 0, 0])
@@ -379,7 +395,8 @@ def test_simpson_matches_scipy(n_nodes, sign, integral, trailing):
     """The phase pass's integrals are scipy's Simpson rule over the node
     integrands, on the bump for sigma = 0.5 and 2, to 1e-14 relative.
 
-    `n_nodes` is the pass's RK4 node count (one node at t = 0), `sign` the
+    `n_nodes` is the pass's RK4 node count, or 1 for t = 0, where the
+    reference integral has the start as its one node, `sign` the
     sign of t, `integral` the real integral under test (id float: the action
     S - Y.xi; rate: the rate integral), and `trailing` the batch: 4 points
     at one time, or 3 points at 2 times each (one time per point).

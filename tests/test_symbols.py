@@ -1,6 +1,7 @@
 """Cutoffs, the dyadic partition, and phase-space symbol factories."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,23 @@ def test_bump_derivatives_finite_at_ramp_ends():
     ends = np.array([1e-300, 1.0, 3.0, 3.8, 0.0, 5.0, 2e-300])
     for order in (0, 1, 2):
         np.testing.assert_array_equal(cut._jet(ends)[order], 0.0 if order else cut(ends))
+
+
+def test_cutoff_jets_agree_with_their_values_at_nan():
+    # the jet takes its value from the same guarded step as the cutoff, so
+    # at NaN both give 0, with zero derivatives and no warning
+    nan = np.array([np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cut in (make_bump(0.25, 4.0, (0.5, 2.0)), LowPassCutoff(1.0, 4.0)):
+            assert cut(nan)[0] == 0.0
+            for part in cut._jet(nan):
+                np.testing.assert_array_equal(part, [0.0])
+        a = localized_amplitude(flat_metric(dim=1), make_bump(0.25, 4.0, (0.5, 2.0)),
+                                window=GaussianWindow(1, width=0.8))
+        value = a([[0.3]], [[np.nan]])
+        assert value[0] == 0.0
+        np.testing.assert_array_equal(a.jet([[0.3]], [[np.nan]]).value, value)
 
 
 def _x_xi(grad_xi=True, value=True, p=True):
@@ -326,8 +344,12 @@ def test_localized_amplitude_derivatives_match_differences():
 def test_window_derivatives_match_differences(window):
     pts = np.linspace(-1.0, 1.0, 9)[:, None]
     step = 1e-6
+    value, grad, hess = window._jet(pts)
+    np.testing.assert_array_equal(value, window(pts))
     fd = (window(pts + step) - window(pts - step)) / (2 * step)
-    np.testing.assert_allclose(window.grad(pts)[:, 0], fd, rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(grad[:, 0], fd, rtol=1e-6, atol=1e-9)
+    fd2 = (window._jet(pts + step)[1] - window._jet(pts - step)[1]) / (2 * step)
+    np.testing.assert_allclose(hess[:, 0, 0], fd2[:, 0], rtol=1e-6, atol=1e-9)
 
 
 def test_localized_amplitude_support():

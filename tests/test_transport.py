@@ -72,15 +72,22 @@ def test_zero_time_skips_the_zero_weight_correction_source(monkeypatch):
 
 
 @pytest.mark.parametrize("setup", [_flat_setup, _bump_setup], ids=["flat", "bump"])
-def test_zero_time_evaluates_one_symbol_jet(setup, monkeypatch):
-    """The action and the transport rate share the phase pass's one jet of q0."""
+def test_every_node_evaluates_one_symbol_jet(setup, monkeypatch):
+    """The action and the transport rate share the one jet of q0 that each
+    flow node evaluates: the predictor's jet, then per flow of n steps four
+    RK4 stages a step and the end node."""
     _, q0, a_init = setup()
-    calls = []
-    jet = q0._jet
+    calls, steps = [], []
+    jet, flow = q0._jet, hamflow.integrate_flow
     monkeypatch.setattr(q0, "_jet", lambda *args: calls.append(1) or jet(*args))
+    monkeypatch.setattr(hamflow, "integrate_flow",
+                        lambda *args: steps.append(args[4]) or flow(*args))
     x, xi = np.array([[0.2], [-0.4]]), np.array([[1.0], [1.2]])
-    amplitude_point_data(a_init, q0, 0.0, x, xi, order=1)
-    assert len(calls) == 1
+    for t in (0.12, 0.0):
+        calls.clear()
+        steps.clear()
+        amplitude_point_data(a_init, q0, t, x, xi, order=1)
+        assert steps and len(calls) == 1 + sum(4 * n + 1 for n in steps)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0])
