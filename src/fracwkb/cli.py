@@ -254,14 +254,10 @@ def run_kernel(cfg, outdir):
         herm = float(np.max(np.abs(Kx.values - Kx.values.conj().T))) / Kx.sup()
         rows.append(_row("zero-time-hermitian-gap", herm, 1e-8, herm < 1e-8))
     else:
-        best = 0.0
-        speed_lo = cfg["sigma"] * np.sqrt(cfg["r1"]) ** (cfg["sigma"] - 1.0)
-        speed_hi = cfg["sigma"] * np.sqrt(cfg["r2"]) ** (cfg["sigma"] - 1.0)
-        for y in np.linspace(-abs(t) * speed_hi, -abs(t) * speed_lo, 200):
-            try:
-                best = max(best, stationary_phase_prediction(amp, cfg["h"], t, 0.0, y))
-            except ValueError:
-                continue
+        # covectors of sign -sign(t) over the cutoff's support: their
+        # stationary points y span the stationary set of x = 0
+        xi = -np.sign(t) * np.linspace(np.sqrt(cfg["r1"]), np.sqrt(cfg["r2"]), 200)
+        best = float(np.max(stationary_phase_prediction(amp, cfg["h"], t, 0.0, xi)[1]))
         sup = kernel_sup(tab, amp, cfg["h"], t, (cfg["x_lo"], cfg["x_hi"]),
                          (cfg["y_lo"], cfg["y_hi"]))
         gap = abs(sup - best) / best if best > 0.0 else np.inf

@@ -67,12 +67,12 @@ class InsufficientDataError(RuntimeError):
 
 def _check_args(phase, amp, h):
     """Reject phase and amplitude tables of different symbols or of a symbol
-    that is not 1-D, and an h that is not positive and finite."""
+    that is not 1-D, and an h that is not positive and finite; returns h."""
     if phase.q0 is not amp.q0:
         raise ValueError("phase and amplitude tables disagree on the symbol")
     if amp.q0.dim != 1:
         raise ValueError("oscillatory quadrature is implemented on 1-D grids")
-    check_h(h)
+    return check_h(h)
 
 
 def _xi_hull(amp):
@@ -434,6 +434,8 @@ def remainder_decay(phase, amp, h_sweep, t=0.15, reference_propagator=None):
     Flat metric only: the reference U_h is the exact Fourier multiplier (by
     default), applied to the same localized Gaussian state that feeds the
     parametrix.  The expected slope is the amplitude order N for fixed t.
+    The whole sweep is checked before any FIO is applied: each h as in
+    `_check_args`, and at least two distinct h to fit.
     """
     metric = amp.q0.metric
     if not metric.is_flat:
@@ -443,12 +445,13 @@ def remainder_decay(phase, amp, h_sweep, t=0.15, reference_propagator=None):
     if cut is None:
         raise ValueError("amplitude must carry its frequency cutoff")
 
-    h_sweep = np.asarray(sorted(h_sweep, reverse=True), dtype=float)
+    h_sweep = np.asarray(sorted((_check_args(phase, amp, h) for h in h_sweep), reverse=True))
+    if np.unique(h_sweep).size < 2:
+        raise ValueError(f"the remainder fit needs at least two distinct h, got {h_sweep.tolist()}")
     _, xi_hi, _ = _xi_hull(amp)
     L = metric.box_length
     rems = np.empty_like(h_sweep)
     for i, h in enumerate(h_sweep):
-        _check_args(phase, amp, h)
         n = 1
         need = POINTS_PER_OSC * xi_hi * L / (2.0 * np.pi * h)
         while n < 2.0 * need:
@@ -483,29 +486,21 @@ def operator_norm_estimate(phase, amp, h, t, grid):
     return float(np.linalg.svd(mode_matrix(t), compute_uv=False)[0] / np.sqrt(grid.n))
 
 
-def stationary_phase_prediction(amp, h, t, x, y):
-    """Leading stationary-phase value of |K_h(t, x, y)| over the flat metric.
+def stationary_phase_prediction(amp, h, t, x, xi):
+    """Leading stationary-phase value of |K_h(t, x, y)| where each covector xi
+    is stationary, on any metric.
 
-    Solves sigma |xi|^{sigma-1} = |x - y| / |t| for the stationary covector,
-    checks it lies in the amplitude band, and returns
-    (2 pi h)^{-d} (2 pi h/|t|)^{d/2} |a| / sqrt|det hess|.
+    With S(0) = x xi, the kernel phase S - y xi is stationary in xi at
+    y = d_xi S = Y(t, x, xi), where its xi-Hessian is d_xi^2 S = dY_dxi; one
+    `amp.evaluate` pass gives both.  Returns (y, value), one entry per
+    covector, with value = (2 pi h)^{-1} sqrt(2 pi h / |dY_dxi|) |a_0|.
+    t = 0, where dY_dxi = 0 and the formula is singular, and an h that is
+    not positive and finite raise ValueError.
     """
-    metric = amp.q0.metric
-    if not metric.is_flat:
-        raise ValueError("closed-form stationary point needs the flat metric")
-    sigma = amp.q0.sigma
+    check_h(h)
     if t == 0.0:
         raise ValueError("prediction needs t != 0")
-    speed = abs(x - y) / abs(t)
-    xi_star = (speed / sigma) ** (1.0 / (sigma - 1.0))
-    lo, hi, _ = _xi_hull(amp)
-    if not lo <= xi_star <= hi:
-        raise ValueError(
-            f"stationary covector {xi_star:.4f} falls outside the band [{lo:.4f}, {hi:.4f}]"
-        )
-    sgn = -np.sign((x - y) / t)
-    data = amp.evaluate(t, np.array([[float(x)]]), np.array([[sgn * xi_star]]))
-    aval = abs(complex(data.a[0][0]))
-    hess = sigma * abs(sigma - 1.0) * xi_star ** (sigma - 2.0)
-    lam = abs(t) / h
-    return (2.0 * np.pi * h) ** (-1.0) * np.sqrt(2.0 * np.pi / lam) * aval / np.sqrt(hess)
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))[:, None]
+    data = amp.evaluate(t, np.full_like(xi, x), xi)
+    value = (2.0 * np.pi * h) ** (-1.0) * np.sqrt(2.0 * np.pi * h / np.abs(data.dY_dxi[:, 0, 0]))
+    return data.Y[:, 0], value * np.abs(data.a[0])

@@ -356,10 +356,13 @@ def global_continuation(prob, T_total):
     ContractionError.  The split-step solver then advances the window (a
     blow-up there raises BlowUpError at the global time) and the loop
     restarts from its endpoint.  The conserved-quantity bound on
-    H^{sigma/2} is recorded for monitoring.
+    H^{sigma/2} is recorded for monitoring.  A T_total that is not positive
+    and finite raises ValueError before any window.
     """
     if prob.mu != 1:
         raise ValueError("global continuation requires mu = +1 (defocusing)")
+    if not 0.0 < T_total < np.inf:
+        raise ValueError(f"T_total must be positive and finite, got {T_total}")
     bound = sobolev_bound(prob)
     t_done = 0.0
     u = prob.u0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fio import ResolutionError
-from .metric import FLAT_BOX_LENGTH, loglog_fit
+from .metric import FLAT_BOX_LENGTH, check_h, loglog_fit
 from .spectral import (flat_operator, localized_gaussian, lp_lq_norm, make_grid,
                        propagate)
 
@@ -125,7 +125,8 @@ def _sweep(sigma, pair, cut, h_sweep, times, rescaled):
     otherwise).  `rescaled` propagates with the semiclassical group
     e^{i t h^{sigma-1} Lambda^sigma} and bounds the slope by pair.total =
     d/2 - d/q - 1/p; otherwise the group is e^{i t Lambda^sigma} and the
-    bound is gamma + loss.
+    bound is gamma + loss.  Every h must be positive and finite
+    (`metric.check_h`), checked before the first state.
     """
     if not pair.valid:
         raise ValueError(f"pair (p={pair.p}, q={pair.q}) is not admissible")
@@ -134,7 +135,7 @@ def _sweep(sigma, pair, cut, h_sweep, times, rescaled):
     if len(h_sweep) < 5:
         raise ValueError("need at least 5 dyadic h values for the sweep fit")
     bound = pair.total if rescaled else pair.gamma + pair.loss
-    h_sweep = np.asarray(sorted(h_sweep, reverse=True), dtype=float)
+    h_sweep = np.asarray(sorted((check_h(h) for h in h_sweep), reverse=True))
     ratios = np.empty_like(h_sweep)
     for i, h in enumerate(h_sweep):
         u, op = _localized_state(cut, h)

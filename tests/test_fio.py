@@ -135,7 +135,8 @@ def test_h_that_is_not_positive_and_finite_is_rejected(h):
     calls = [lambda: kernel(phase, amp, h, T_REF, [0.0], [0.0]),
              lambda: apply_fio(phase, amp, plane_wave(grid, 20), h, 0.1),
              lambda: operator_norm_estimate(phase, amp, h, 0.1, grid),
-             lambda: remainder_decay(phase, amp, [h], t=0.1)]
+             lambda: remainder_decay(phase, amp, [h], t=0.1),
+             lambda: stationary_phase_prediction(amp, h, T_REF, 0.0, -2.0)]
     for call in calls:
         with pytest.raises(ValueError, match=r"^h must be positive and finite"):
             call()
@@ -159,19 +160,33 @@ def test_kernel_sup_bounded_by_amplitude_mass():
 
 def test_stationary_phase_prediction_near_kernel_peak():
     phase, amp, _ = _kernel_setup()
-    K = kernel(phase, amp, H_REF, T_REF, np.array([0.0]), np.array([-0.5]))
-    predicted = stationary_phase_prediction(amp, H_REF, T_REF, 0.0, -0.5)
+    (y,), (predicted,) = stationary_phase_prediction(amp, H_REF, T_REF, 0.0, -2.0)
+    assert y == pytest.approx(-0.5, abs=1e-12)
+    # the flat closed form: d_xi^2 S = 2t and a_0 = 1 at xi^2 = 4
+    assert predicted == pytest.approx(np.sqrt(np.pi * H_REF / T_REF) / (2.0 * np.pi * H_REF),
+                                      rel=1e-13)
+    K = kernel(phase, amp, H_REF, T_REF, np.array([0.0]), np.array([y]))
     assert abs(abs(K.values[0, 0]) - predicted) / predicted < 0.15
 
 
 def test_stationary_phase_prediction_validation():
     phase, amp, _ = _kernel_setup()
-    with pytest.raises(ValueError):
-        stationary_phase_prediction(amp, H_REF, T_REF, 0.0, -10.0)
-    with pytest.raises(ValueError):
-        stationary_phase_prediction(amp, H_REF, 0.0, 0.0, -0.5)
-    with pytest.raises(ValueError, match="closed-form stationary point needs the flat metric"):
-        stationary_phase_prediction(_bump_tables(0.1)[1], H_REF, T_REF, 0.0, -0.5)
+    with pytest.raises(ValueError, match="prediction needs t != 0"):
+        stationary_phase_prediction(amp, H_REF, 0.0, 0.0, -2.0)
+
+
+@pytest.mark.parametrize("t, xi", [(0.25, -1.0), (0.5, 1.2)])
+def test_stationary_phase_gap_shrinks_on_the_bump(t, xi):
+    # off the flat metric the prediction has no closed form; its gap to the
+    # kernel at the stationary point decays like h / t, so by at least 8 over
+    # three halvings of h
+    phase, amp = _bump_tables(t)
+    gaps = []
+    for h in (2.0**-5, 2.0**-8):
+        (y,), (predicted,) = stationary_phase_prediction(amp, h, t, 0.0, xi)
+        K = kernel(phase, amp, h, t, [0.0], [y])
+        gaps.append(abs(abs(K.values[0, 0]) - predicted) / predicted)
+    assert gaps[1] <= gaps[0] / 8.0
 
 
 def test_consumers_reject_a_symbol_or_grid_that_is_not_1d():
@@ -263,6 +278,18 @@ def test_remainder_decay_order_gap():
     assert fit2.slope > 1.5
     assert fit2.slope > fit1.slope
     assert fit2.remainders[-1] < fit1.remainders[-1]
+
+
+@pytest.mark.parametrize("h_sweep, match", [
+    ([2.0**-3], "^the remainder fit needs at least two distinct h"),
+    ([2.0**-3, 2.0**-3], "^the remainder fit needs at least two distinct h"),
+    ([2.0**-3, 2.0**-4, 0.0], "^h must be positive and finite"),
+], ids=["one-h", "one-distinct-h", "bad-h-last"])
+def test_remainder_decay_checks_its_sweep_before_any_fio(monkeypatch, h_sweep, match):
+    phase, amp, _ = _kernel_setup()
+    monkeypatch.setattr(fio, "apply_fio", None)
+    with pytest.raises(ValueError, match=match):
+        remainder_decay(phase, amp, h_sweep)
 
 
 def test_remainder_decay_rejects_curved_metric():

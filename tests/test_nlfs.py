@@ -379,6 +379,16 @@ def test_continuation_halves_a_window_whose_probe_blows_up(setup):
     assert result.times[-1] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("T_total", [np.inf, np.nan, -1.0, 0.0])
+def test_continuation_rejects_a_total_time_that_is_not_positive_and_finite(setup, T_total,
+                                                                          monkeypatch):
+    # inf would add windows forever; nan, -1 and 0 would return u0 alone
+    grid, op = setup
+    monkeypatch.setattr(fracwkb.nlfs, "picard_iterate", None)
+    with pytest.raises(ValueError, match="^T_total must be positive and finite"):
+        global_continuation(_problem(grid, op, _combo(grid, [(1, 0.1)]), T=0.5), T_total)
+
+
 @pytest.mark.parametrize("mu", [-1, 0])
 def test_continuation_requires_defocusing(setup, mu):
     grid, op = setup

@@ -109,6 +109,15 @@ def test_sweep_validation():
         measure_unscaled_scaling(2.0, bad, CUT, h_sweep=SWEEP)
 
 
+@pytest.mark.parametrize("h", [0.0, -0.01, np.nan, np.inf])
+def test_sweep_checks_every_h_before_the_first_state(monkeypatch, h):
+    # no state is built before every h has passed its check
+    monkeypatch.setattr(strichartz, "_localized_state", None)
+    pair = classify_pair(8, 4, 1, 2.0)
+    with pytest.raises(ValueError, match=r"^h must be positive and finite"):
+        measure_semiclassical_scaling(2.0, pair, CUT, h_sweep=SWEEP[:4] + [h])
+
+
 def test_sweep_rejects_a_pair_of_another_dimension():
     # the swept states are 1-D: a d = 3 pair would bound them by -0.725
     # where d = 1 gives -0.225, so the same slope would pass against it
