@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 HORIZON_THRESHOLD = 0.5
+# a time enters the phase constants' fit when its O(t) increment |t| sup q0
+# spans this many ulps of max |x.xi|.  On the phase suite's default bump table
+# the t^2 term that C2 reads then spans at least 2^16 ulps, against the about
+# 2^11 ulps of error that S carries there at small t
+RESOLVED_ULPS = 2.0**36
 
 
 class HorizonError(RuntimeError):
@@ -223,42 +228,58 @@ def caustic_horizon(pt):
 
 @dataclass
 class PhaseEstimateReport:
-    """Fitted constants for the linear-in-t and quadratic-in-t phase bounds."""
+    """Fitted constants for the linear-in-t and quadratic-in-t phase bounds,
+    and the nonzero grid times the fit left out."""
 
     C1: float
     C2: float
     by_order: dict
+    skipped_times: tuple = ()
 
     def __str__(self):
         pieces = ", ".join(f"{k}: {v:.6g}" for k, v in self.by_order.items())
-        return f"C1 = {self.C1:.6g}, C2 = {self.C2:.6g} ({pieces})"
+        out = f"C1 = {self.C1:.6g}, C2 = {self.C2:.6g} ({pieces})"
+        if self.skipped_times:
+            out += f"; skipped t = {', '.join(f'{t:.6g}' for t in self.skipped_times)}"
+        return out
 
 
 def certify_phase_estimates(pt):
     """Fit C1 = sup |d(S - x.xi)| / |t| and C2 = sup |S - x.xi - t q0| / t^2.
 
     First-order derivatives of S - x.xi come from the stored tables
-    (grad_x S - xi and Y - x), not from differencing S.
+    (grad_x S - xi and Y - x), not from differencing S.  At small |t|,
+    S - x.xi loses its O(t) increment to the ulp of x.xi, so a nonzero time
+    is fitted only when |t| sup q0 >= RESOLVED_ULPS ulp(max |x.xi|) over the
+    grid; the others are named in `skipped_times`, and with no time fitted
+    the constants are NaN.
     """
     nx, nxi = pt.x_grid.shape[0], pt.xi_grid.shape[0]
     xp, xip = tensor_pairs(pt.x_grid, pt.xi_grid)
     xxi = np.sum(xp * xip, axis=1).reshape(nx, nxi)
     q0_init = pt.q0(xp, xip).reshape(nx, nxi)
+    floor = RESOLVED_ULPS * np.spacing(float(np.max(np.abs(xxi))))
+    sup_q0 = float(np.max(np.abs(q0_init)))
 
-    c0 = c1x = c1xi = c2 = 0.0
+    fits, skipped = [], []
     for k, t in enumerate(pt.t_grid):
         if t == 0.0:
             continue
         at = abs(t)
-        c0 = max(c0, float(np.max(np.abs(pt.S[k] - xxi))) / at)
+        if at * sup_q0 < floor:
+            skipped.append(float(t))
+            continue
         dgx = pt.grad_x[k] - xip.reshape(nx, nxi, -1)
-        c1x = max(c1x, float(np.max(np.abs(dgx))) / at)
         dy = pt.Y[k] - xp.reshape(nx, nxi, -1)
-        c1xi = max(c1xi, float(np.max(np.abs(dy))) / at)
-        c2 = max(c2, float(np.max(np.abs(pt.S[k] - xxi - t * q0_init))) / at**2)
+        fits.append([float(np.max(np.abs(pt.S[k] - xxi))) / at,
+                     float(np.max(np.abs(dgx))) / at,
+                     float(np.max(np.abs(dy))) / at,
+                     float(np.max(np.abs(pt.S[k] - xxi - t * q0_init))) / at**2])
+    c0, c1x, c1xi, c2 = np.max(fits, axis=0) if fits else [np.nan] * 4
 
-    by_order = {"value/|t|": c0, "grad_x/|t|": c1x, "grad_xi/|t|": c1xi}
-    return PhaseEstimateReport(C1=max(c0, c1x, c1xi), C2=c2, by_order=by_order)
+    by_order = {"value/|t|": float(c0), "grad_x/|t|": float(c1x), "grad_xi/|t|": float(c1xi)}
+    return PhaseEstimateReport(C1=float(np.max([c0, c1x, c1xi])), C2=float(c2),
+                               by_order=by_order, skipped_times=tuple(skipped))
 
 
 def _uniform_step(t_grid):

@@ -4,8 +4,10 @@ Flat propagators and functional calculus act as Fourier multipliers, so they
 are exact up to rounding and serve as oracles for the oscillatory-integral
 machinery.  Variable 1-D metrics get a dense eigendecomposition of the
 divergence-form operator P = -Delta_g, symmetrized in the volume-weighted
-inner product; that path is the only fully general functional calculus at
-desk scale and is deliberately capped at modest grid sizes.
+inner product and folded into the grid's even/odd coordinates under the
+reflection x -> -x, so that a metric even about the box centre splits into
+two half-size blocks; that path is the only fully general functional
+calculus at desk scale and is deliberately capped at modest grid sizes.
 """
 
 from dataclasses import dataclass, field
@@ -161,24 +163,31 @@ def modulated_gaussian(grid, center, width, omega=0.0):
 class SpectralOperator:
     """Functional calculus data for P = -Delta_g.
 
-    Without a basis (`kind` "flat") it holds the multiplier |omega|^2 on the
-    FFT layout; with one (`kind` "eig") the eigenpairs of the 1-D
-    divergence-form discretization, with the basis orthonormal in the
-    volume-weighted inner product and `weight` the volume density on the grid.
+    Without eigenvector blocks (`kind` "flat") it holds the multiplier
+    |omega|^2 on the FFT layout.  With them (`kind` "eig") it holds the
+    eigenpairs of the 1-D divergence-form discretization in the grid's
+    even/odd coordinates (`_fold`): `blocks` are the orthonormal eigenvector
+    matrices of the folded operator's diagonal blocks, in folded order,
+    `order` sorts their concatenated eigenvalues into the ascending `lam`,
+    and `weight` is the volume density on the grid.  `basis`, the n x n
+    eigenbasis they make (orthonormal in the volume-weighted inner product,
+    column k for lam[k]), is built on first read; the transforms never build
+    it.
 
     The transforms take a stack of fields (leading axes) as readily as one
     field: on the flat path they are one batched FFT, on the eig path one
-    real matrix product with the basis for the whole stack.
+    real matrix product per block for the whole stack.
     """
 
     grid: BoxGrid
     lam: np.ndarray = field(repr=False)
-    basis: np.ndarray = field(default=None, repr=False)   # (n, n), column j = e_j
     weight: np.ndarray = field(default=None, repr=False)
+    blocks: tuple = field(default=None, repr=False)
+    order: np.ndarray = field(default=None, repr=False)
 
     @property
     def kind(self):
-        return "flat" if self.basis is None else "eig"
+        return "flat" if self.blocks is None else "eig"
 
     @property
     def parseval_factor(self):
@@ -186,16 +195,64 @@ class SpectralOperator:
         the weighted-orthonormal eigenbasis."""
         return self.grid.length**self.grid.dim if self.kind == "flat" else 1.0
 
+    @cached_property
+    def basis(self):
+        """The (n, n) eigenbasis, column k for lam[k]; None on the flat path."""
+        if self.kind == "flat":
+            return None
+        rank = np.argsort(self.order)
+        folded = np.zeros((self.grid.n, self.grid.n))
+        for rows, vectors in self._spans():
+            folded[rows, rank[rows]] = vectors
+        basis = _unfold(folded)
+        basis *= self._fold_scales[1][:, None]
+        return basis
+
+    @cached_property
+    def _fold_scales(self):
+        """(c, d): u's coefficients are the block products of _fold(u c),
+        and the values with coefficients f are _unfold(block products of f)
+        times d.  c is sqrt(weight dx) with the orthogonal fold's 1/sqrt 2 on
+        the paired nodes and d is 1/c with its 1/2 there, so a round trip
+        rounds once per node and keeps no bias."""
+        c = np.sqrt(self.weight * self.grid.spacing)
+        c[1:] *= _HALF
+        d = 1.0 / c
+        d[1:] *= 0.5
+        return c, d
+
+    def _spans(self):
+        """(rows, vectors) per block: its rows of the folded coordinates."""
+        start = 0
+        for vectors in self.blocks:
+            yield slice(start, start + len(vectors)), vectors
+            start += len(vectors)
+
+    def _blockwise(self, folded, transpose):
+        """Each block's eigenvectors (transposed or not) times its rows of the
+        folded (n, K) columns, as real products on their float view."""
+        out = np.empty_like(folded)
+        for rows, vectors in self._spans():
+            np.matmul(vectors.T if transpose else vectors, folded[rows].view(float),
+                      out=out[rows].view(float))
+        return out
+
     def coefficients(self, u):
         """Expansion coefficients of u in the operator's eigenbasis."""
         if self.kind == "flat":
             return u.fourier
-        return _real_product(self.basis.T, u.values * self.weight) * self.grid.spacing
+        cols, shape = _columns(u.values * self._fold_scales[0])
+        return self._blockwise(_fold(cols), True)[self.order].T.reshape(shape)
 
     def synthesize(self, coeffs):
         if self.kind == "flat":
             return state_from_fourier(self.grid, coeffs)
-        return state_from_values(self.grid, _real_product(self.basis, coeffs))
+        cols, shape = _columns(coeffs)
+        folded = np.empty_like(cols)
+        folded[self.order] = cols
+        values = _unfold(self._blockwise(folded, False))
+        values *= self._fold_scales[1][:, None]
+        return state_from_values(self.grid, values.T.reshape(shape))
 
     def apply_function(self, u, fn):
         """f(P) u for a scalar function of the eigenvalue."""
@@ -206,15 +263,46 @@ def flat_operator(grid):
     return SpectralOperator(grid=grid, lam=grid.lam(), weight=np.ones((grid.n,) * grid.dim))
 
 
-def _real_product(matrix, z):
-    """matrix @ z along the last axis of the complex stack z.
+def _columns(z):
+    """The fields of the complex stack z (last axis n) as the columns of one
+    contiguous (n, K) array, with z's shape to put them back."""
+    z = np.asarray(z, dtype=complex)
+    return np.ascontiguousarray(z.reshape(-1, z.shape[-1]).T), z.shape
 
-    The stack's fields become the columns of one real product on their float
-    view, so the real matrix is read once and never cast to a complex copy.
+
+_HALF = np.sqrt(0.5)
+
+
+def _fold(a):
+    """Rows a_0, then a_j + a_{n-j} for j = 1..m, then a_j - a_{n-j}.
+
+    With n = 2m + 1 nodes at x_j = j dx - L/2, the reflection x -> -x maps
+    node j to node n - j and fixes node 0 (-L/2 and L/2 are one point), so
+    these are the even rows (m + 1 of them) and the odd rows (m) of `a`
+    along its first axis.  Up to the factor 1/sqrt 2 on the paired rows,
+    which callers put into their own scalings, it is the orthogonal change to
+    the grid's even/odd coordinates.
     """
-    cols = np.ascontiguousarray(np.asarray(z, dtype=complex).T)
-    out = matrix @ cols.reshape(cols.shape[0], -1).view(float)
-    return out.view(complex).reshape(cols.shape).T
+    m = (len(a) - 1) // 2
+    head, tail = a[1:m + 1], a[:m:-1]
+    out = np.empty_like(a)
+    out[0] = a[0]
+    np.add(head, tail, out=out[1:m + 1])
+    np.subtract(head, tail, out=out[m + 1:])
+    return out
+
+
+def _unfold(f):
+    """The grid rows f_0, then e_j + o_j at node j and e_j - o_j at node n - j
+    from the even rows e and odd rows o of `f`: _unfold(_fold(a)) is `a` with
+    its paired rows doubled."""
+    m = (len(f) - 1) // 2
+    even, odd = f[1:m + 1], f[m + 1:]
+    out = np.empty_like(f)
+    out[0] = f[0]
+    np.add(even, odd, out=out[1:m + 1])
+    np.subtract(even, odd, out=out[:m:-1])
+    return out
 
 
 def _derivative_matrix(n, length):
@@ -226,13 +314,54 @@ def _derivative_matrix(n, length):
     return col[np.subtract.outer(idx, idx) % n]
 
 
+def _folded_blocks(grid, G, w):
+    """The diagonal blocks of the weighted operator in even/odd coordinates.
+
+    The divergence form -|g|^{-1/2} d/dx (G |g|^{1/2} d/dx) is assembled with
+    spectral differentiation, conjugated by sqrt(w) and folded (`_fold`) on
+    both sides.  Its symmetric parts are returned as two blocks, even and
+    odd, when the coupling between them is rounding (at most n ulps of the
+    largest entry; that holds when the sampled G equals its mirror), else as
+    one block of the whole folded matrix.  Every n x n temporary is freed on
+    return.
+    """
+    n = grid.n
+    D = _derivative_matrix(n, grid.length)
+    B = (D * (G * w)) @ D             # D @ diag(G w) @ D
+    del D
+    r = w ** (-0.5)
+    B *= -r[:, None]
+    B *= r
+    B = _fold(B)
+    B = _fold(B.T)
+    B[1:, 1:] *= 0.5                  # the folded matrix, halved exactly where paired
+    B[0, 1:] *= _HALF
+    B[1:, 0] *= _HALF
+
+    gap = B - B.T
+    np.abs(gap, out=gap)
+    asym, scale = float(np.max(gap)), float(np.max(np.abs(B)))
+    del gap
+    if asym > 1e-8 * max(1.0, scale):
+        raise AssemblyError(f"weighted operator asymmetry {asym:.3e}")
+    e = (n + 1) // 2
+    coupling = max(float(np.max(np.abs(B[:e, e:]))), float(np.max(np.abs(B[e:, :e]))))
+    spans = [slice(0, e), slice(e, n)] if coupling <= n * np.finfo(float).eps * scale \
+        else [slice(0, n)]
+    return [0.5 * (B[s, s] + B[s, s].T) for s in spans]
+
+
 def discretize_P_1d(metric, n_points):
     """Eigendecomposition of -Delta_g on the 1-D periodic box.
 
-    The divergence form -|g|^{-1/2} d/dx (G |g|^{1/2} d/dx) is assembled with
-    spectral differentiation and conjugated by sqrt(weight) into a symmetric
-    positive semidefinite matrix; eigenvectors are rescaled back so they are
-    orthonormal in the weighted inner product sum(u conj(v) w dx).
+    The divergence-form matrix, conjugated by sqrt(weight) into a symmetric
+    positive semidefinite one, is folded into the grid's even/odd
+    coordinates (`_folded_blocks`).  On a metric even about the box centre,
+    such as the bump, the two halves do not couple and `eigh` runs on two
+    blocks of sizes (n + 1)/2 and (n - 1)/2; any other metric is one coupled
+    block.  The eigenvectors stay as blocks; the operator's `basis`,
+    orthonormal in the weighted inner product sum(u conj(v) w dx), is their
+    unfolded product, built on first read.
 
     An odd point count is required: the even-n Nyquist mode makes the
     first-derivative matrix singular and fakes a second kernel mode.
@@ -254,21 +383,13 @@ def discretize_P_1d(metric, n_points):
     x = grid.axis()[:, None] - 0.5 * metric.box_length
     G = metric.inverse_metric(x)[:, 0, 0]
     w = G ** (-0.5)                   # sqrt|g| in one dimension
-    D = _derivative_matrix(n, metric.box_length)
-    M = D * (G * w)[None, :]          # columns scaled: D @ diag(G w) built in place
-    B = -(w ** (-0.5))[:, None] * (M @ D) * (w ** (-0.5))[None, :]
-
-    asym = float(np.max(np.abs(B - B.T)))
-    scale = float(np.max(np.abs(B)))
-    if asym > 1e-8 * max(1.0, scale):
-        raise AssemblyError(f"weighted operator asymmetry {asym:.3e}")
-    B = 0.5 * (B + B.T)
-    lam, psi = np.linalg.eigh(B)
-    if lam[0] < -1e-10 * max(1.0, lam[-1]):
-        raise AssemblyError(f"negative eigenvalue {lam[0]:.3e}")
-    lam = np.clip(lam, 0.0, None)
-    basis = psi / np.sqrt(w * grid.spacing)[:, None]
-    return SpectralOperator(grid=grid, lam=lam, basis=basis, weight=w)
+    pairs = [np.linalg.eigh(block) for block in _folded_blocks(grid, G, w)]
+    lam = np.concatenate([lam for lam, _ in pairs])
+    if lam.min() < -1e-10 * max(1.0, lam.max()):
+        raise AssemblyError(f"negative eigenvalue {lam.min():.3e}")
+    order = np.argsort(lam, kind="stable")
+    return SpectralOperator(grid=grid, lam=np.clip(lam[order], 0.0, None), weight=w,
+                            blocks=tuple(vectors for _, vectors in pairs), order=order)
 
 
 def propagate(u0, op, sigma, t, h=None):

@@ -73,6 +73,19 @@ def test_fio_suites_pass_at_their_defaults(tmp_path, suite, claims):
     assert rows == dict.fromkeys(claims, "PASS")
 
 
+def test_kernel_default_time_is_sigma_adapted(tmp_path):
+    """At sigma < 1 the default t is 1, where first-order stationary phase
+    holds (peak gap 0.011); the sigma >= 1 default stays 0.125 and an
+    explicit t, 0 included, is kept."""
+    assert cli._kernel_time({"sigma": 2.0, "t": None}) == 0.125
+    assert cli._kernel_time({"sigma": 0.5, "t": None}) == 1.0
+    assert cli._kernel_time({"sigma": 0.5, "t": 0.0}) == 0.0
+    assert main(["kernel", "--sigma", "0.5", "--out", str(tmp_path)]) == 0
+    rows = {row["claim"]: row for row in _report_rows(tmp_path, "kernel")}
+    assert float(rows["stationary-peak-gap"]["value"]) < 0.05
+    assert {row["status"] for row in rows.values()} == {"PASS"}
+
+
 def test_nlfs_suite_passes(tmp_path):
     code = main(["nlfs", "--n", "64", "--T", "0.1", "--amp", "0.5",
                  "--out", str(tmp_path)])
@@ -136,6 +149,19 @@ def test_nlfs_of_the_zero_state_passes(tmp_path):
     rows = {row["claim"]: row for row in _report_rows(tmp_path, "nlfs")}
     assert float(rows["mass-drift"]["value"]) == 0.0
     assert {row["status"] for row in rows.values()} == {"PASS"}
+
+
+def test_phase_constants_name_the_times_they_skip(tmp_path, capsys):
+    """At t_max = 1e-8 rounding hides every nonzero time's increment: the
+    constant rows name them and fail on NaN instead of reading C2 = 16.6."""
+    assert main(["phase", "--n_t", "5", "--t_max", "1e-8", "--out", str(tmp_path)]) == 1
+    rows = _report_rows(tmp_path, "phase")
+    constants = [row for row in rows if row["claim"].startswith("phase-")]
+    suffix = " skipping t = -1e-08, -5e-09, 5e-09, 1e-08"
+    assert [row["claim"] for row in constants] == ["phase-linear-constant" + suffix,
+                                                   "phase-quadratic-constant" + suffix]
+    assert [row["status"] for row in constants] == ["FAIL", "FAIL"]
+    assert {row["status"] for row in rows if row not in constants} == {"PASS"}
 
 
 def test_phase_report_values_are_numbers(tmp_path):

@@ -255,6 +255,26 @@ def test_certify_bump_constants_stable_under_refinement():
     assert set(report_a.by_order) == {"value/|t|", "grad_x/|t|", "grad_xi/|t|"}
 
 
+@pytest.mark.parametrize("t_max", [1e-8, 1e-300])
+def test_certify_skips_times_whose_increment_rounding_hides(t_max):
+    """|t| sup q0 is below 2^36 ulps of max |x xi| at every nonzero time, so
+    no time is fitted (unfiltered, C2 read 16.6 at 1e-8 and inf at 1e-300)."""
+    ts = np.linspace(-t_max, t_max, 5)
+    x, xi = np.linspace(-1.5, 1.5, 9)[:, None], np.linspace(0.8, 1.6, 3)[:, None]
+    report = certify_phase_estimates(build_phase(_bump_q0(2.0), ts, x, xi))
+    assert report.skipped_times == tuple(float(t) for t in ts if t != 0.0)
+    assert np.isnan(report.C1) and np.isnan(report.C2)
+    assert "skipped t = " in str(report)
+
+
+def test_certify_fits_the_resolved_times_only():
+    x, xi = np.linspace(-1.5, 1.5, 9)[:, None], np.linspace(0.8, 1.6, 3)[:, None]
+    mixed = certify_phase_estimates(build_phase(_bump_q0(2.0), [0.0, 1e-8, 0.05, 0.1], x, xi))
+    resolved = certify_phase_estimates(build_phase(_bump_q0(2.0), [0.05, 0.1], x, xi))
+    assert mixed.skipped_times == (1e-8,) and resolved.skipped_times == ()
+    assert (mixed.C1, mixed.C2) == (resolved.C1, resolved.C2)
+
+
 def test_phase_table_evaluate_matches_grid():
     pt = _bump_table()
     k = 8

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracwkb.metric import check_h, flat_metric, gaussian_bump_metric
+from fracwkb.metric import MetricField, check_h, flat_metric, gaussian_bump_metric
 from fracwkb.spectral import (BoxGrid, discretize_P_1d, flat_operator,
                               frequency_localize, localized_gaussian,
                               lp_lq_norm, make_grid,
@@ -230,6 +230,14 @@ def test_eigenbasis_weighted_orthonormality():
     np.testing.assert_allclose(gram, np.eye(65), atol=1e-10)
 
 
+def test_unfolded_basis_is_weighted_orthonormal_at_full_size():
+    """At the benchmark's n = 1023 the basis unfolded from the two blocks is
+    orthonormal in the weighted inner product (largest Gram gap 3.4e-15)."""
+    op = discretize_P_1d(gaussian_bump_metric(dim=1, epsilon=0.1), 1023)
+    gram = (op.basis.T * (op.weight * op.grid.spacing)) @ op.basis
+    np.testing.assert_allclose(gram, np.eye(1023), rtol=0, atol=1e-12)
+
+
 def test_lp_lq_norm_closed_forms():
     grid = make_grid(1, 64)
     states = state_from_values(grid, np.tile(plane_wave(grid, 2).values, (9, 1)))
@@ -350,7 +358,8 @@ def test_eig_transforms_are_the_complex_basis_products(n):
 
 def test_eig_transforms_make_no_complex_copy_of_the_basis():
     """numpy casts a real matrix times a complex vector to a complex copy of
-    the matrix (twice the basis in bytes); the transforms allocate none."""
+    the matrix (twice the basis in bytes); the transforms allocate none, and
+    they work on the blocks without building the n x n basis."""
     op = discretize_P_1d(gaussian_bump_metric(dim=1, epsilon=0.1), 511)
     u = _bump_state(op)
     tracemalloc.start()
@@ -359,7 +368,77 @@ def test_eig_transforms_make_no_complex_copy_of_the_basis():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert "basis" not in vars(op)
     assert peak < op.basis.nbytes / 4
+
+
+def _assembled_matrix(metric, n):
+    """The symmetrized weighted divergence-form matrix, assembled unfolded."""
+    grid = make_grid(1, n, metric.box_length)
+    G = metric.inverse_metric(grid.axis()[:, None] - 0.5 * metric.box_length)[:, 0, 0]
+    w = G ** -0.5
+    D = _derivative_matrix(n, metric.box_length)
+    B = -(w ** -0.5)[:, None] * ((D * (G * w)) @ D) * (w ** -0.5)
+    return 0.5 * (B + B.T)
+
+
+@pytest.mark.parametrize("n", [65, 255])
+def test_split_eigenvalues_match_a_full_eigh(n):
+    """The bump is even about the box centre, so the folded operator is two
+    blocks of sizes (n + 1)/2 and (n - 1)/2 whose eigenvalues are those of
+    the whole matrix.  eigh's error is relative to the operator's norm: the
+    largest gap is 1.8e-15 (n = 65) and 3.4e-15 (n = 255) of the top
+    eigenvalue, and 1.3e-13 and 8.1e-13 of its own eigenvalue."""
+    metric = gaussian_bump_metric(dim=1, epsilon=0.1)
+    op = discretize_P_1d(metric, n)
+    assert [len(v) for v in op.blocks] == [(n + 1) // 2, (n - 1) // 2]
+    full = np.linalg.eigvalsh(_assembled_matrix(metric, n))
+    np.testing.assert_allclose(op.lam, np.clip(full, 0.0, None), rtol=0,
+                               atol=1e-12 * full[-1])
+
+
+def _shifted_bump(centre, epsilon=0.1, box_length=16.0):
+    """G = 1 + eps e^{-(x - centre)^2}: a bump off the box centre, so the
+    grid's reflection does not preserve it."""
+    def jet(pts):
+        y = pts - centre
+        e = epsilon * np.exp(-y**2)
+        return ((1.0 + e)[:, :, None], (-2.0 * y * e)[:, :, None, None],
+                ((4.0 * y**2 - 2.0) * e)[:, :, None, None, None])
+    return MetricField(dim=1, box_length=box_length, inverse_metric_jet=jet,
+                       label=f"shifted_bump(centre={centre})")
+
+
+def test_uneven_metric_is_one_coupled_block():
+    """Off the box centre the even and odd halves couple, so the folded
+    operator is one block.  Its transforms still invert each other, and its
+    spectrum is still the circle of its arclength, which a shift inside the
+    box does not change (measured gap 1.7e-13)."""
+    metric = _shifted_bump(1.3)
+    op = discretize_P_1d(metric, 65)
+    assert [len(v) for v in op.blocks] == [65]
+    u = _bump_state(op)
+    back = op.synthesize(op.coefficients(u)).values
+    np.testing.assert_allclose(back, u.values, rtol=0, atol=1e-12 * np.max(np.abs(u.values)))
+    L = arclength_oracle.circle_length(0.1, metric.box_length)
+    exact = np.repeat((2.0 * np.pi * np.arange(1, 6) / L) ** 2, 2)
+    assert abs(op.lam[0]) < 1e-12
+    np.testing.assert_allclose(op.lam[1:11], exact, rtol=5e-13, atol=0)
+
+
+def test_eigensolver_frees_its_assembly_before_eigh():
+    """The n x n assembly temporaries are freed before eigh and the blocks
+    hold half the basis: the peak is 3.0 basis sizes at n = 511 (the
+    derivative matrix, its scaled copy and their product), where an eigh of
+    the whole matrix beside its assembly peaked at 5.0."""
+    metric = gaussian_bump_metric(dim=1, epsilon=0.1)
+    tracemalloc.start()
+    try:
+        op = discretize_P_1d(metric, 511)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * op.basis.nbytes
 
 
 def test_derivative_matrix_is_the_circulant_spectral_derivative():
