@@ -45,6 +45,8 @@ HORIZON_THRESHOLD = 0.5
 # the t^2 term that C2 reads then spans at least 2^16 ulps, against the about
 # 2^11 ulps of error that S carries there at small t
 RESOLVED_ULPS = 2.0**36
+# most RK4 steps a phase pass takes; tier-1's finest pass takes 400
+MAX_STEPS = 10**6
 
 
 class HorizonError(RuntimeError):
@@ -72,8 +74,8 @@ def _even_steps(t, dt):
 
 def _step_count(q0, t, dt):
     """RK4 steps of the phase pass to the time(s) t, after rejecting a dt
-    that is not positive and finite, or a t that is not finite, with
-    ValueError.
+    that is not positive and finite, a t that is not finite, or a count
+    above MAX_STEPS, with ValueError.
 
     On a flat metric the covector is conserved and the flow field is constant
     along each trajectory, so one RK4 step is already exact and the action
@@ -87,7 +89,11 @@ def _step_count(q0, t, dt):
         raise ValueError(f"phase time t must be finite, got {t}")
     if q0.metric is not None and q0.metric.is_flat:
         return 2
-    return _even_steps(np.max(np.abs(t), initial=0.0), dt)
+    t_max = float(np.max(np.abs(t), initial=0.0))
+    if t_max / MAX_STEPS > dt:
+        raise ValueError(f"phase pass to t = {t_max} at dt = {dt} needs {t_max / float(dt):.3g} "
+                         f"steps, above MAX_STEPS = {MAX_STEPS}")
+    return _even_steps(t_max, dt)
 
 
 def phase_point_data(q0, t, x, xi, dt=DT_DEFAULT):
@@ -244,29 +250,36 @@ class PhaseEstimateReport:
         return out
 
 
+def _resolved(pt, spans):
+    """Whether rounding resolves each time span s: |s| sup q0 >= RESOLVED_ULPS
+    ulp(max |x.xi|) over the table's grid at t = 0.  Below that, S - x.xi
+    loses its O(s) increment to the ulp of x.xi."""
+    xp, xip = tensor_pairs(pt.x_grid, pt.xi_grid)
+    floor = RESOLVED_ULPS * np.spacing(float(np.max(np.abs(np.sum(xp * xip, axis=1)))))
+    return np.abs(spans) * float(np.max(np.abs(pt.q0(xp, xip)))) >= floor
+
+
 def certify_phase_estimates(pt):
     """Fit C1 = sup |d(S - x.xi)| / |t| and C2 = sup |S - x.xi - t q0| / t^2.
 
     First-order derivatives of S - x.xi come from the stored tables
     (grad_x S - xi and Y - x), not from differencing S.  At small |t|,
     S - x.xi loses its O(t) increment to the ulp of x.xi, so a nonzero time
-    is fitted only when |t| sup q0 >= RESOLVED_ULPS ulp(max |x.xi|) over the
-    grid; the others are named in `skipped_times`, and with no time fitted
-    the constants are NaN.
+    is fitted only when rounding resolves it (`_resolved`); the others are
+    named in `skipped_times`, and with no time fitted the constants are NaN.
     """
     nx, nxi = pt.x_grid.shape[0], pt.xi_grid.shape[0]
     xp, xip = tensor_pairs(pt.x_grid, pt.xi_grid)
     xxi = np.sum(xp * xip, axis=1).reshape(nx, nxi)
     q0_init = pt.q0(xp, xip).reshape(nx, nxi)
-    floor = RESOLVED_ULPS * np.spacing(float(np.max(np.abs(xxi))))
-    sup_q0 = float(np.max(np.abs(q0_init)))
+    resolved = _resolved(pt, pt.t_grid)
 
     fits, skipped = [], []
     for k, t in enumerate(pt.t_grid):
         if t == 0.0:
             continue
         at = abs(t)
-        if at * sup_q0 < floor:
+        if not resolved[k]:
             skipped.append(float(t))
             continue
         dgx = pt.grad_x[k] - xip.reshape(nx, nxi, -1)
@@ -308,8 +321,12 @@ def hj_residual(pt):
     with at least 5 nodes and a nonzero step (else ValueError), so the residual
     reflects the construction rather than the differencing.  Returns the
     residual array (nt, nx, nxi), NaN at the two times at each end, and its max.
+    A step that rounding does not resolve (`_resolved`) would difference
+    rounding, so there the residual is NaN everywhere.
     """
     dt = _uniform_step(pt.t_grid)
+    if not _resolved(pt, dt):
+        return np.full(pt.S.shape, np.nan), np.nan
     xp, _ = tensor_pairs(pt.x_grid, pt.xi_grid)
     qvals = pt.q0(np.tile(xp, (len(pt.t_grid), 1)), pt.grad_x.reshape(pt.S.size, -1))
     res = np.abs(_central(pt.S, dt) - qvals.reshape(pt.S.shape))

@@ -122,6 +122,18 @@ def test_residual_rejects_a_zero_time_step():
         hj_residual(pt)
 
 
+@pytest.mark.parametrize("t_max", [1e-8, 1e-300])
+def test_residual_is_nan_at_a_step_that_rounding_does_not_resolve(t_max):
+    """The constants' floor applies to the stencil's step: at 1e-8 the
+    difference read rounding over dt = 5e-9 (8.97e-8), at 1e-300 it read
+    2.96e+284; the 1e-4 grid's step is resolved and reads 9.6e-12."""
+    x, xi = np.linspace(-1.5, 1.5, 31)[:, None], np.linspace(0.8, 1.6, 5)[:, None]
+    res, rmax = hj_residual(build_phase(_bump_q0(), np.linspace(-t_max, t_max, 5), x, xi))
+    assert np.isnan(rmax) and np.isnan(res).all()
+    _, rmax = hj_residual(build_phase(_bump_q0(), np.linspace(-1e-4, 1e-4, 5), x, xi))
+    assert rmax < 1e-10
+
+
 def test_phase_generates_the_flow():
     """S is a generating function: dS/dxi = Y and dS/dx = Xi at time t."""
     q0 = _bump_q0()
@@ -364,6 +376,17 @@ def test_phase_pass_gives_t_zero_in_a_mixed_batch_its_scalar_result():
             if f.name != "hess_asymmetry":
                 np.testing.assert_array_equal(getattr(data, f.name)[k],
                                               getattr(want, f.name)[0], err_msg=f.name)
+
+
+@pytest.mark.parametrize("dt", [1e-300, 5e-324])
+def test_phase_pass_rejects_a_step_count_above_the_cap(dt):
+    # 1e-300 asked for about 1e297 RK4 steps and never finished; 5e-324
+    # overflowed the count to inf
+    with pytest.raises(ValueError, match=r"t = 0\.001 at dt = .* needs .* MAX_STEPS"):
+        phase_point_data(_bump_q0(), 1e-3, [[0.2]], [[1.0]], dt=dt)
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        build_phase(_bump_q0(), [0.0, 1e-3], [[0.2]], [[1.0]], dt=dt)
+    assert hamjac._step_count(_bump_q0(), 1.0, 1.0 / hamjac.MAX_STEPS) == hamjac.MAX_STEPS
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
