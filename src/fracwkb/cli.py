@@ -278,6 +278,10 @@ def run_kernel(cfg, outdir):
 
 
 def run_dispersive(cfg, outdir):
+    if not 0.0 < cfg["t0"] < np.inf:
+        raise ConfigError(f"t0 must be positive and finite, got {cfg['t0']}")
+    if cfg["n_t"] < 6:                # the decay fit's least sample count
+        raise ConfigError(f"n_t must be at least 6 for the decay fit, got {cfg['n_t']}")
     q0, _, amp0 = _flat_symbols(cfg)
     ts = np.geomspace(2.0 * cfg["h"], cfg["t0"], cfg["n_t"])
     tab = build_phase(q0, ts, np.linspace(0.0, 2.0 * np.pi, 9)[:, None],
@@ -297,6 +301,14 @@ def run_strichartz(cfg, outdir):
     if not 0.0 < cfg["hmin"] <= cfg["hmax"] < np.inf:
         raise ConfigError(f"hmin and hmax must satisfy 0 < hmin <= hmax < inf, "
                           f"got hmin={cfg['hmin']} and hmax={cfg['hmax']}")
+    if cfg["n_t"] < 2:
+        raise ConfigError(f"n_t must be at least 2 for the time quadrature, got {cfg['n_t']}")
+    if cfg["mode"] == "semiclassical" and not 0.0 < cfg["t0"] < np.inf:
+        raise ConfigError(f"t0 must be positive and finite, got {cfg['t0']}")
+    lo, hi = cfg["interval_lo"], cfg["interval_hi"]
+    if cfg["mode"] == "unscaled" and not -np.inf < lo < hi < np.inf:
+        raise ConfigError(f"interval_lo and interval_hi must be finite with interval_lo < "
+                          f"interval_hi, got {lo} and {hi}")
     pair = classify_pair(cfg["p"], cfg["q"], 1, cfg["sigma"])
     rows = [_row("pair-admissible", pair.valid, True, pair.valid)]
     if not pair.valid:
@@ -313,9 +325,8 @@ def run_strichartz(cfg, outdir):
         fit = measure_semiclassical_scaling(cfg["sigma"], pair, cut, sweep,
                                             t0=cfg["t0"], n_t=cfg["n_t"])
     elif cfg["mode"] == "unscaled":
-        fit = measure_unscaled_scaling(
-            cfg["sigma"], pair, cut, sweep,
-            interval=(cfg["interval_lo"], cfg["interval_hi"]), n_t=cfg["n_t"])
+        fit = measure_unscaled_scaling(cfg["sigma"], pair, cut, sweep, interval=(lo, hi),
+                                       n_t=cfg["n_t"])
     else:
         raise ConfigError(f"mode must be semiclassical or unscaled, got {cfg['mode']!r}")
     rows.append(_row(f"{cfg['mode']}-norm-slope", fit.slope,

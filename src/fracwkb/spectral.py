@@ -104,7 +104,7 @@ class StateField:
 
     @cached_property
     def fourier(self):
-        return np.fft.fftn(self.values, axes=self.grid.axes()) / self.grid.n**self.grid.dim
+        return _fft(self.grid, self.values) / self.grid.n**self.grid.dim
 
     def l2_norm(self):
         return float(np.sqrt(self.grid.cell_volume * np.sum(np.abs(self.values) ** 2)))
@@ -125,9 +125,18 @@ def state_from_values(grid, values):
     return StateField(grid=grid, values=np.asarray(values, dtype=complex))
 
 
+def _fft(grid, a, inverse=False):
+    """The FFT (or its inverse) over the grid's axes of a field or stack: along
+    the last axis alone in one dimension, where fftn's axis handling would
+    cost more than the transform at desk sizes."""
+    if grid.dim == 1:
+        return np.fft.ifft(a) if inverse else np.fft.fft(a)
+    return (np.fft.ifftn if inverse else np.fft.fftn)(a, axes=grid.axes())
+
+
 def state_from_fourier(grid, fourier):
     fourier = np.asarray(fourier, dtype=complex)
-    u = StateField(grid, np.fft.ifftn(fourier * grid.n**grid.dim, axes=grid.axes()))
+    u = StateField(grid, _fft(grid, fourier * grid.n**grid.dim, inverse=True))
     u.fourier = fourier             # fills the cache: the given coefficients, not an FFT
     return u
 
@@ -255,8 +264,26 @@ class SpectralOperator:
         return state_from_values(self.grid, values.T.reshape(shape))
 
     def apply_function(self, u, fn):
-        """f(P) u for a scalar function of the eigenvalue."""
-        return self.synthesize(self.coefficients(u) * fn(self.lam))
+        """f(P) u for a scalar function of the eigenvalue.
+
+        fn is evaluated only on the occupied modes, those where some field of
+        the stack has a nonzero coefficient, and f(P) u is 0 on the others.
+        fn acts elementwise and may broadcast leading axes against the grid's
+        (as `propagate`'s times do); on a stack that occupies every mode it
+        sees the whole `lam`.
+        """
+        coeffs, dim = self.coefficients(u), self.grid.dim
+        occupied = np.any(coeffs != 0, axis=tuple(range(coeffs.ndim - dim)))
+        if occupied.all():
+            return self.synthesize(coeffs * fn(self.lam))
+        # fn sees the occupied eigenvalues on the grid's last axis and may
+        # broadcast leading axes against them
+        values = np.asarray(fn(self.lam[occupied].reshape((1,) * (dim - 1) + (-1,))))
+        values = values.reshape(values.shape[:values.ndim - dim] + (-1,))
+        product = coeffs[..., occupied] * values
+        out = np.zeros(product.shape[:-1] + occupied.shape, dtype=product.dtype)
+        out[..., occupied] = product
+        return self.synthesize(out)
 
 
 def flat_operator(grid):
@@ -305,50 +332,66 @@ def _unfold(f):
     return out
 
 
-def _derivative_matrix(n, length):
-    """Spectral first derivative: the circulant D[i, j] = col[(i - j) % n],
-    whose first column col is the derivative of the unit impulse."""
-    omega = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / length
-    col = np.real(np.fft.ifft(1j * omega))
-    idx = np.arange(n)
-    return col[np.subtract.outer(idx, idx) % n]
+def _mirrors(v):
+    """Whether v[i] equals its mirror v[n - i] within n ulps at every node."""
+    return bool(np.all(np.abs(v[1:] - v[:0:-1]) <= len(v) * np.spacing(np.abs(v[1:]))))
 
 
 def _folded_blocks(grid, G, w):
     """The diagonal blocks of the weighted operator in even/odd coordinates.
 
-    The divergence form -|g|^{-1/2} d/dx (G |g|^{1/2} d/dx) is assembled with
-    spectral differentiation, conjugated by sqrt(w) and folded (`_fold`) on
-    both sides.  Its symmetric parts are returned as two blocks, even and
-    odd, when the coupling between them is rounding (at most n ulps of the
-    largest entry; that holds when the sampled G equals its mirror), else as
-    one block of the whole folded matrix.  Every n x n temporary is freed on
-    return.
-    """
-    n = grid.n
-    D = _derivative_matrix(n, grid.length)
-    B = (D * (G * w)) @ D             # D @ diag(G w) @ D
-    del D
-    r = w ** (-0.5)
-    B *= -r[:, None]
-    B *= r
-    B = _fold(B)
-    B = _fold(B.T)
-    B[1:, 1:] *= 0.5                  # the folded matrix, halved exactly where paired
-    B[0, 1:] *= _HALF
-    B[1:, 0] *= _HALF
+    The divergence form -|g|^{-1/2} d/dx (G |g|^{1/2} d/dx), conjugated by
+    sqrt(w), is N^T W N with N = D R: D is the circulant spectral derivative
+    (antisymmetric, D^T = -D), R = diag(w^{-1/2}) and W = diag(G w).  Folded
+    on both sides (`_fold`), N's columns are the r-weighted sums (even) and
+    differences (odd) of D's columns j and n - j, which are Toeplitz and
+    Hankel slices of D's first column: they are read as strided views of
+    that column tiled twice, so D itself is never built.
 
-    gap = B - B.T
-    np.abs(gap, out=gap)
-    asym, scale = float(np.max(gap)), float(np.max(np.abs(B)))
-    del gap
+    When G w and r equal their mirrors within n ulps (a metric even about
+    the box centre), the even columns of N are odd under the grid's
+    reflection and the odd columns even, so the halves do not couple and
+    each block is a half-size product over the rows 0..m, row i standing
+    for itself and row n - i with the weight W_i + W_{n-i}.  Otherwise the
+    folded matrix is one block of the whole product.  A block must be
+    symmetric to 1e-8 of its largest entry; its symmetric part is returned.
+    """
+    n, m = grid.n, (grid.n - 1) // 2
+    col = np.fft.ifft(1j * grid.omega_axis()).real    # D[i, j] = col[(i - j) % n]
+    W, r = G * w, w ** (-0.5)
+    paired = _mirrors(W) and _mirrors(r)
+    rows = m + 1 if paired else n
+    # over the rows i < `rows`, r_j D[i, j] = r_j col[(i - j) % n] is window
+    # n - j of the column tiled twice: N^T's row j
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([col, col]), rows)
+    folded = _fold(windows[n:0:-1] * r[:, None])
+    if paired:
+        weight = np.concatenate([W[:1], W[1:m + 1] + W[:m:-1]])
+        parts = [folded[:m + 1], folded[m + 1:]]
+    else:
+        weight, parts = W, [folded]
+    return [_block(part, weight, k == 0) for k, part in enumerate(parts)]
+
+
+def _block(part, weight, head):
+    """(part * weight) @ part.T with the fold's 1/sqrt 2 on each paired row
+    and column (`head`: the block's first row is node 0, its own mirror),
+    checked for symmetry and returned as its symmetric part."""
+    B = (part * weight) @ part.T
+    if head:
+        B[1:, 1:] *= 0.5
+        B[0, 1:] *= _HALF
+        B[1:, 0] *= _HALF
+    else:
+        B *= 0.5
+    sym = B - B.T                     # one buffer for both checks and the result
+    asym = float(np.max(np.abs(sym, out=sym)))
+    scale = float(np.max(np.abs(B, out=sym)))
     if asym > 1e-8 * max(1.0, scale):
         raise AssemblyError(f"weighted operator asymmetry {asym:.3e}")
-    e = (n + 1) // 2
-    coupling = max(float(np.max(np.abs(B[:e, e:]))), float(np.max(np.abs(B[e:, :e]))))
-    spans = [slice(0, e), slice(e, n)] if coupling <= n * np.finfo(float).eps * scale \
-        else [slice(0, n)]
-    return [0.5 * (B[s, s] + B[s, s].T) for s in spans]
+    np.add(B, B.T, out=sym)
+    sym *= 0.5
+    return sym
 
 
 def discretize_P_1d(metric, n_points):
@@ -361,7 +404,9 @@ def discretize_P_1d(metric, n_points):
     blocks of sizes (n + 1)/2 and (n - 1)/2; any other metric is one coupled
     block.  The eigenvectors stay as blocks; the operator's `basis`,
     orthonormal in the weighted inner product sum(u conj(v) w dx), is their
-    unfolded product, built on first read.
+    unfolded product, built on first read.  An eigenvalue within
+    tol = 1e-10 max(1, lam_max) of 0 is P's kernel, the constants, and is
+    set to 0; one below -tol raises AssemblyError.
 
     An odd point count is required: the even-n Nyquist mode makes the
     first-derivative matrix singular and fakes a second kernel mode.
@@ -385,10 +430,12 @@ def discretize_P_1d(metric, n_points):
     w = G ** (-0.5)                   # sqrt|g| in one dimension
     pairs = [np.linalg.eigh(block) for block in _folded_blocks(grid, G, w)]
     lam = np.concatenate([lam for lam, _ in pairs])
-    if lam.min() < -1e-10 * max(1.0, lam.max()):
+    tol = 1e-10 * max(1.0, lam.max())
+    if lam.min() < -tol:
         raise AssemblyError(f"negative eigenvalue {lam.min():.3e}")
+    lam[np.abs(lam) <= tol] = 0.0     # P's kernel, the constants, read off rounding of either sign
     order = np.argsort(lam, kind="stable")
-    return SpectralOperator(grid=grid, lam=np.clip(lam[order], 0.0, None), weight=w,
+    return SpectralOperator(grid=grid, lam=lam[order], weight=w,
                             blocks=tuple(vectors for _, vectors in pairs), order=order)
 
 

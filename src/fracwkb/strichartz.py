@@ -126,7 +126,8 @@ def _sweep(sigma, pair, cut, h_sweep, times, rescaled):
     e^{i t h^{sigma-1} Lambda^sigma} and bounds the slope by pair.total =
     d/2 - d/q - 1/p; otherwise the group is e^{i t Lambda^sigma} and the
     bound is gamma + loss.  Every h must be positive and finite
-    (`metric.check_h`), checked before the first state.
+    (`metric.check_h`) and `times` at least 2 finite, strictly increasing
+    nodes, both checked before the first state.
     """
     if not pair.valid:
         raise ValueError(f"pair (p={pair.p}, q={pair.q}) is not admissible")
@@ -134,6 +135,10 @@ def _sweep(sigma, pair, cut, h_sweep, times, rescaled):
         raise ValueError(f"the sweep measures 1-D states; the pair needs d = 1, got {pair.d}")
     if len(h_sweep) < 5:
         raise ValueError("need at least 5 dyadic h values for the sweep fit")
+    times = np.asarray(times, dtype=float)
+    if times.size < 2 or not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0.0)):
+        raise ValueError(f"the time grid needs at least 2 finite, strictly increasing nodes, "
+                         f"got {times}")
     bound = pair.total if rescaled else pair.gamma + pair.loss
     h_sweep = np.asarray(sorted((check_h(h) for h in h_sweep), reverse=True))
     ratios = np.empty_like(h_sweep)

@@ -313,10 +313,31 @@ def test_bad_scale_or_empty_grid_exits_one_naming_it(tmp_path, capsys, args, key
     assert len(err.splitlines()) == 1
 
 
-def test_strichartz_fit_of_a_zero_norm_exits_one(tmp_path, capsys):
-    # one time node gives a zero trapezoid norm, whose logarithm is -inf
-    assert main(["strichartz", "--n_t", "1", "--out", str(tmp_path)]) == 1
-    assert "positive and finite" in capsys.readouterr().err
+@pytest.mark.parametrize("args, key", [
+    (["dispersive", "--t0", "0"], "t0"),
+    (["dispersive", "--t0", "-1"], "t0"),
+    (["dispersive", "--t0", "nan"], "t0"),
+    (["dispersive", "--n_t", "0"], "n_t"),
+    (["dispersive", "--n_t", "3"], "n_t"),
+    (["strichartz", "--n_t", "1"], "n_t"),
+    (["strichartz", "--n_t", "0"], "n_t"),
+    (["strichartz", "--t0", "0"], "t0"),
+    (["strichartz", "--t0", "-1"], "t0"),
+    (["strichartz", "--mode", "unscaled", "--interval_lo", "1"], "interval_lo"),
+    (["strichartz", "--mode", "unscaled", "--interval_hi", "inf"], "interval_lo"),
+], ids=["dispersive-t0-0", "dispersive-t0-negative", "dispersive-t0-nan",
+        "dispersive-n_t-0", "dispersive-n_t-3", "strichartz-n_t-1", "strichartz-n_t-0",
+        "strichartz-t0-0", "strichartz-t0-negative", "strichartz-interval-empty",
+        "strichartz-interval-unbounded"])
+def test_degenerate_time_window_exits_two_naming_its_key(tmp_path, monkeypatch, capsys,
+                                                         args, key):
+    # rejected before any table, state or fit: a zero t0 fed numpy's geomspace,
+    # one node a zero trapezoid norm and a reversed window a negative one
+    monkeypatch.setattr(cli, "build_phase", None)
+    monkeypatch.setattr(cli, "classify_pair", None)
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} ") and len(err.splitlines()) == 1
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

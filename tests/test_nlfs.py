@@ -1,6 +1,7 @@
 """Split-step, Picard, and wave solvers with their conservation laws."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -218,6 +219,25 @@ def test_blowup_on_nonfinite_data(setup):
     with pytest.raises(BlowUpError) as err:
         solve_nlfs(prob)
     assert err.value.t_last == 0.0
+
+
+@pytest.mark.parametrize("entry, message", [
+    (np.nan, "non-finite values at t=0.5"),
+    (np.inf, "non-finite values at t=0.5"),
+    (-np.inf, "non-finite values at t=0.5"),
+    (complex(np.nan, np.inf), "non-finite values at t=0.5"),
+    (complex(0.0, -np.inf), "non-finite values at t=0.5"),
+    (2e6, "sup amplitude exceeded 1e+06 x initial at t=0.5"),
+], ids=["nan", "inf", "-inf", "nan+inf*1j", "-inf*1j", "over-threshold"])
+def test_blowup_guard_reads_one_maximum(entry, message):
+    """The guard reads max |u| alone: max carries a NaN through, and |z| is
+    inf when either part is infinite."""
+    values = np.ones(16, dtype=complex)
+    values[5] = entry
+    with pytest.raises(BlowUpError, match=f"^{re.escape(message)}$") as err:
+        fracwkb.nlfs._blowup_guard(values, 0.5, 1.0)
+    assert err.value.t_last == 0.5
+    fracwkb.nlfs._blowup_guard(np.full(16, 1e6 + 0j), 0.5, 1.0)     # at the bound: no error
 
 
 def test_split_step_time_reversal(setup):

@@ -13,7 +13,7 @@ from fracwkb.spectral import (BoxGrid, discretize_P_1d, flat_operator,
                               measure_bernstein, modulated_gaussian,
                               plane_wave, propagate,
                               sobolev_norm, state_from_fourier,
-                              state_from_values, _derivative_matrix)
+                              state_from_values)
 from fracwkb.symbols import littlewood_paley_partition, make_bump
 
 import arclength_oracle
@@ -66,6 +66,99 @@ def test_state_from_fourier_keeps_the_given_coefficients():
     np.testing.assert_array_equal(u.fourier, c)
     # a second transform of the values would not give back the zeros exactly
     assert np.max(np.abs(np.fft.fft(u.values) / 64 - c)) > 0.0
+
+
+def test_one_dimensional_transforms_are_fftn_bit_for_bit():
+    """1-D fields transform along their last axis alone, with fftn's bits."""
+    grid = make_grid(1, 256)
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((3, 256)) + 1j * rng.standard_normal((3, 256))
+    u = state_from_values(grid, values)
+    np.testing.assert_array_equal(u.fourier, np.fft.fftn(values, axes=(-1,)) / 256)
+    v = state_from_fourier(grid, u.fourier)
+    np.testing.assert_array_equal(v.values, np.fft.ifftn(u.fourier * 256, axes=(-1,)))
+
+
+def test_two_dimensional_fields_round_trip():
+    grid = make_grid(2, 32)
+    u = modulated_gaussian(grid, (np.pi, 2.0), 0.5, omega=(3.0, -2.0))
+    np.testing.assert_array_equal(u.fourier, np.fft.fftn(u.values, axes=(-2, -1)) / 32**2)
+    v = state_from_fourier(grid, u.fourier)
+    np.testing.assert_allclose(v.values, u.values, rtol=0, atol=1e-13)
+    assert _parseval_gap(u) < 1e-12
+
+
+def _band_limited_stack(path):
+    """An operator and a two-field stack whose coefficients are exact zeros
+    off some modes: given Fourier modes on the flat path; on the eig path
+    (the flat metric's eigenbasis, weight 1) fields equal at nodes j and
+    n - j, whose odd-block coefficients are then exact zeros."""
+    if path == "flat":
+        grid = make_grid(1, 64)
+        c = np.zeros((2, 64), dtype=complex)
+        c[0, [3, 5]] = [0.5, 0.25j]
+        c[1, [5, -7]] = [1.0, -0.5]
+        return flat_operator(grid), state_from_fourier(grid, c)
+    op = discretize_P_1d(flat_metric(dim=1), 65)
+    rng = np.random.default_rng(3)
+    half = rng.standard_normal((2, 33)) + 1j * rng.standard_normal((2, 33))
+    return op, state_from_values(op.grid, np.concatenate([half, half[:, :0:-1]], axis=1))
+
+
+@pytest.mark.parametrize("path", ["flat", "eig"])
+def test_apply_function_evaluates_fn_on_the_occupied_modes_only(path):
+    """fn sees the eigenvalues of the modes some field occupies, and f(P) u
+    is the dense product's bit for bit."""
+    op, u = _band_limited_stack(path)
+    coeffs = op.coefficients(u)
+    occupied = np.any(coeffs != 0, axis=0)
+    assert 0 < np.count_nonzero(occupied) < occupied.size
+    times = np.array([[-0.3], [0.7]])
+    seen = []
+
+    def fn(lam):
+        seen.append(lam)
+        return np.exp(1j * times * lam ** 0.75)
+
+    got = op.apply_function(u, fn).values
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], op.lam[occupied])
+    want = op.synthesize(coeffs * np.exp(1j * times * op.lam ** 0.75)).values
+    np.testing.assert_array_equal(got, want)
+
+
+def test_apply_function_on_a_2d_grid_matches_the_dense_product():
+    grid = make_grid(2, 16)
+    op = flat_operator(grid)
+    c = np.zeros((16, 16), dtype=complex)
+    c[1, 2], c[-3, 0], c[4, -5] = 1.0, 0.5j, -0.25
+    u = state_from_fourier(grid, c)
+    times = np.array([-0.3, 0.7])[:, None, None]
+    seen = []
+
+    def fn(lam):
+        seen.append(lam)
+        return np.exp(1j * times * lam)
+
+    got = op.apply_function(u, fn).values
+    np.testing.assert_array_equal(seen[0].ravel(), grid.lam()[c != 0])
+    want = op.synthesize(c * np.exp(1j * times * grid.lam())).values
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("path", ["flat", "eig"])
+def test_apply_function_of_the_zero_state_is_zero(path):
+    op = _band_limited_stack(path)[0]
+    seen = []
+
+    def fn(lam):
+        seen.append(lam)
+        return np.exp(1j * np.array([[0.1], [0.2], [0.3]]) * lam)
+
+    got = op.apply_function(state_from_values(op.grid, np.zeros(op.grid.n)), fn).values
+    assert seen[0].size == 0
+    assert got.shape == (3, op.grid.n)
+    np.testing.assert_array_equal(got, 0.0)
 
 
 def test_eigenbasis_transforms_take_no_fft():
@@ -372,6 +465,15 @@ def test_eig_transforms_make_no_complex_copy_of_the_basis():
     assert peak < op.basis.nbytes / 4
 
 
+def _derivative_matrix(n, length):
+    """Spectral first derivative: the circulant D[i, j] = col[(i - j) % n],
+    whose first column col is the derivative of the unit impulse."""
+    omega = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / length
+    col = np.real(np.fft.ifft(1j * omega))
+    idx = np.arange(n)
+    return col[np.subtract.outer(idx, idx) % n]
+
+
 def _assembled_matrix(metric, n):
     """The symmetrized weighted divergence-form matrix, assembled unfolded."""
     grid = make_grid(1, n, metric.box_length)
@@ -426,11 +528,34 @@ def test_uneven_metric_is_one_coupled_block():
     np.testing.assert_allclose(op.lam[1:11], exact, rtol=5e-13, atol=0)
 
 
+def test_uneven_block_matches_a_full_eigh():
+    """The one coupled block of an uneven metric has the spectrum of the
+    unfolded matrix."""
+    metric = _shifted_bump(1.3)
+    op = discretize_P_1d(metric, 65)
+    full = np.linalg.eigvalsh(_assembled_matrix(metric, 65))
+    np.testing.assert_allclose(op.lam, np.clip(full, 0.0, None), rtol=0,
+                               atol=1e-12 * full[-1])
+
+
+@pytest.mark.parametrize("metric, n", [(flat_metric(dim=1), 65),
+                                       (gaussian_bump_metric(dim=1, epsilon=0.1), 1023)],
+                         ids=["flat-65", "bump-1023"])
+def test_even_metrics_split_into_two_blocks_with_one_kernel_mode(metric, n):
+    """An even metric's samples equal their mirrors to an ulp, so its
+    operator is two blocks; the constants are its one zero eigenvalue, set
+    to 0 from the rounding of either sign eigh leaves there."""
+    op = discretize_P_1d(metric, n)
+    assert [len(v) for v in op.blocks] == [(n + 1) // 2, (n - 1) // 2]
+    assert np.count_nonzero(op.lam == 0.0) == 1 and op.lam[1] > 0.1
+
+
 def test_eigensolver_frees_its_assembly_before_eigh():
-    """The n x n assembly temporaries are freed before eigh and the blocks
-    hold half the basis: the peak is 3.0 basis sizes at n = 511 (the
-    derivative matrix, its scaled copy and their product), where an eigh of
-    the whole matrix beside its assembly peaked at 5.0."""
+    """No n x n matrix is built on an even metric: the peak is 1.3 basis
+    sizes at n = 511 (N^T's folded rows, half a basis, then the first block
+    beside the second's weighted rows and product, a quarter each), where
+    assembling the whole matrix peaked at 3.0 and an eigh of the whole
+    matrix beside its assembly at 5.0."""
     metric = gaussian_bump_metric(dim=1, epsilon=0.1)
     tracemalloc.start()
     try:
@@ -438,7 +563,7 @@ def test_eigensolver_frees_its_assembly_before_eigh():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * op.basis.nbytes
+    assert peak < 1.5 * op.basis.nbytes
 
 
 def test_derivative_matrix_is_the_circulant_spectral_derivative():

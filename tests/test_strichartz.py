@@ -118,6 +118,25 @@ def test_sweep_checks_every_h_before_the_first_state(monkeypatch, h):
         measure_semiclassical_scaling(2.0, pair, CUT, h_sweep=SWEEP[:4] + [h])
 
 
+@pytest.mark.parametrize("measure, kwargs", [
+    (measure_semiclassical_scaling, dict(n_t=1)),
+    (measure_semiclassical_scaling, dict(n_t=0)),
+    (measure_semiclassical_scaling, dict(t0=0.0)),
+    (measure_semiclassical_scaling, dict(t0=-1.0)),
+    (measure_semiclassical_scaling, dict(t0=np.nan)),
+    (measure_unscaled_scaling, dict(interval=(1.0, 0.0))),
+    (measure_unscaled_scaling, dict(interval=(0.0, np.nan))),
+], ids=["n_t-1", "n_t-0", "t0-0", "t0-negative", "t0-nan", "interval-reversed",
+        "interval-nan"])
+def test_sweep_checks_its_time_grid_before_the_first_state(monkeypatch, measure, kwargs):
+    # one node gives a zero trapezoid norm, a reversed or empty window a
+    # negative or zero one, and a non-finite node NaN ratios
+    monkeypatch.setattr(strichartz, "_localized_state", None)
+    pair = classify_pair(8, 4, 1, 2.0)
+    with pytest.raises(ValueError, match="at least 2 finite, strictly increasing nodes"):
+        measure(2.0, pair, CUT, h_sweep=SWEEP, **kwargs)
+
+
 def test_sweep_rejects_a_pair_of_another_dimension():
     # the swept states are 1-D: a d = 3 pair would bound them by -0.725
     # where d = 1 gives -0.225, so the same slope would pass against it
