@@ -268,16 +268,14 @@ class SpectralOperator:
 
         fn is evaluated only on the occupied modes, those where some field of
         the stack has a nonzero coefficient, and f(P) u is 0 on the others.
-        fn acts elementwise and may broadcast leading axes against the grid's
-        (as `propagate`'s times do); on a stack that occupies every mode it
-        sees the whole `lam`.
+        It receives the whole `lam` when every mode is occupied, else the
+        occupied eigenvalues along the grid's last axis; it acts elementwise
+        and may broadcast leading axes against them, as `propagate`'s times do.
         """
         coeffs, dim = self.coefficients(u), self.grid.dim
         occupied = np.any(coeffs != 0, axis=tuple(range(coeffs.ndim - dim)))
         if occupied.all():
             return self.synthesize(coeffs * fn(self.lam))
-        # fn sees the occupied eigenvalues on the grid's last axis and may
-        # broadcast leading axes against them
         values = np.asarray(fn(self.lam[occupied].reshape((1,) * (dim - 1) + (-1,))))
         values = values.reshape(values.shape[:values.ndim - dim] + (-1,))
         product = coeffs[..., occupied] * values
