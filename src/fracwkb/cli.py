@@ -282,6 +282,13 @@ def run_dispersive(cfg, outdir):
         raise ConfigError(f"t0 must be positive and finite, got {cfg['t0']}")
     if cfg["n_t"] < 6:                # the decay fit's least sample count
         raise ConfigError(f"n_t must be at least 6 for the decay fit, got {cfg['n_t']}")
+    # the slope is a log-log fit over the window from 2h to t0, so its ends
+    # must differ by a factor of 2 at least; at t0 = 2h every sample shares
+    # one time and the slope read -12
+    lo, hi = sorted((cfg["t0"], 2.0 * cfg["h"]))
+    if hi < 2.0 * lo:
+        raise ConfigError(f"t0 and 2h must differ by a factor of at least 2 for the decay fit, "
+                          f"got t0 = {cfg['t0']} and 2h = {2.0 * cfg['h']}")
     q0, _, amp0 = _flat_symbols(cfg)
     ts = np.geomspace(2.0 * cfg["h"], cfg["t0"], cfg["n_t"])
     tab = build_phase(q0, ts, np.linspace(0.0, 2.0 * np.pi, 9)[:, None],

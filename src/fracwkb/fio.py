@@ -281,10 +281,6 @@ class KernelGrid:
     values: np.ndarray = field(repr=False)
     n_xi: int = 0
 
-    @property
-    def lam(self):
-        return abs(self.t) / self.h
-
     def sup(self):
         return float(np.max(np.abs(self.values)))
 

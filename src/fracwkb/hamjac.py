@@ -160,17 +160,13 @@ class PhaseTable(PhasePointData):
     def dim(self):
         return self.x_grid.shape[1]
 
-    def evaluate(self, t, x, xi):
-        """Fresh phase computation at arbitrary points (no interpolation)."""
-        return phase_point_data(self.q0, t, x, xi, dt=self.dt)
-
 
 def build_phase(q0, t_grid, x_grid, xi_grid, dt=DT_DEFAULT):
     """Build a PhaseTable over the tensor grid t_grid x x_grid x xi_grid.
 
     The grid times that share an RK4 step count, t = 0 among them, are one
     `phase_point_data` pass on their tensor batches with one time per point,
-    so every entry is what `PhaseTable.evaluate` gives on the tensor batch,
+    so every entry is what `phase_point_data` gives on the tensor batch,
     bit for bit.  Each array field of the pass fills its table, allocated at
     the first pass; each scalar field, a bound over the batch, keeps its
     worst value.  An empty `t_grid`, `x_grid` or `xi_grid`,
@@ -241,13 +237,6 @@ class PhaseEstimateReport:
     C2: float
     by_order: dict
     skipped_times: tuple = ()
-
-    def __str__(self):
-        pieces = ", ".join(f"{k}: {v:.6g}" for k, v in self.by_order.items())
-        out = f"C1 = {self.C1:.6g}, C2 = {self.C2:.6g} ({pieces})"
-        if self.skipped_times:
-            out += f"; skipped t = {', '.join(f'{t:.6g}' for t in self.skipped_times)}"
-        return out
 
 
 def _resolved(pt, spans):

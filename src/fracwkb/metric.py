@@ -18,7 +18,6 @@ __all__ = [
     "EllipticityError",
     "flat_metric",
     "gaussian_bump_metric",
-    "principal_symbol",
     "principal_jet",
     "audit_assumptions",
 ]
@@ -202,19 +201,6 @@ def gaussian_bump_metric(dim=1, epsilon=0.1, box_length=16.0):
     )
 
 
-def principal_symbol(m, x, xi):
-    """Evaluate p(x, xi) = xi^T G(x) xi at matched point batches.
-
-    Inputs are broadcast to (n, d); the result has shape (n,).  Non-finite
-    inputs are rejected.
-    """
-    pts, cov = as_pairs(x, xi, m.dim)
-    if not (np.isfinite(pts).all() and np.isfinite(cov).all()):
-        raise ValueError("non-finite input to principal_symbol")
-    G = m.inverse_metric(np.ascontiguousarray(pts))
-    return np.einsum("ni,nij,nj->n", cov, G, cov)
-
-
 def principal_jet(m, pts, cov):
     """p = xi^T G(x) xi and its partials at matched (n, d) batches.
 
@@ -248,13 +234,6 @@ class AssumptionReport:
     min_eigenvalue: float
     max_eigenvalue: float
     n_samples: int
-
-    def __str__(self):
-        orders = ", ".join(f"|alpha|={k}: {v:.6g}" for k, v in sorted(self.C_alpha.items()))
-        return (
-            f"ellipticity C = {self.C_ellipticity:.6g} "
-            f"(min eig {self.min_eigenvalue:.3g}, {self.n_samples} samples); {orders}"
-        )
 
 
 def audit_assumptions(m, n_samples=201):

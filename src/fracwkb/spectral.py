@@ -25,7 +25,6 @@ __all__ = [
     "make_grid",
     "state_from_values",
     "state_from_fourier",
-    "plane_wave",
     "modulated_gaussian",
     "flat_operator",
     "discretize_P_1d",
@@ -139,14 +138,6 @@ def state_from_fourier(grid, fourier):
     u = StateField(grid, _fft(grid, fourier * grid.n**grid.dim, inverse=True))
     u.fourier = fourier             # fills the cache: the given coefficients, not an FFT
     return u
-
-
-def plane_wave(grid, k):
-    """Single Fourier mode e^{i omega_k . x} for an integer index vector k."""
-    k = np.atleast_1d(np.asarray(k, dtype=int))
-    meshes = grid.meshes()
-    phase = sum((2.0 * np.pi * kk / grid.length) * m for kk, m in zip(k, meshes))
-    return state_from_values(grid, np.exp(1j * phase))
 
 
 def modulated_gaussian(grid, center, width, omega=0.0):
@@ -268,19 +259,21 @@ class SpectralOperator:
 
         fn is evaluated only on the occupied modes, those where some field of
         the stack has a nonzero coefficient, and f(P) u is 0 on the others.
-        It receives the whole `lam` when every mode is occupied, else the
-        occupied eigenvalues along the grid's last axis; it acts elementwise
-        and may broadcast leading axes against them, as `propagate`'s times do.
+        It receives the occupied eigenvalues along the grid's last axis, all
+        of them when every mode is occupied; it acts elementwise and may
+        broadcast leading axes against them, as `propagate`'s times do.
         """
         coeffs, dim = self.coefficients(u), self.grid.dim
         occupied = np.any(coeffs != 0, axis=tuple(range(coeffs.ndim - dim)))
-        if occupied.all():
-            return self.synthesize(coeffs * fn(self.lam))
         values = np.asarray(fn(self.lam[occupied].reshape((1,) * (dim - 1) + (-1,))))
         values = values.reshape(values.shape[:values.ndim - dim] + (-1,))
-        product = coeffs[..., occupied] * values
+        # masks of the whole stack's shape keep the gathered modes contiguous;
+        # coeffs[..., occupied] comes back strided, and a product on it is
+        # several times slower
+        gathered = coeffs[np.broadcast_to(occupied, coeffs.shape)]
+        product = gathered.reshape(coeffs.shape[:coeffs.ndim - dim] + (-1,)) * values
         out = np.zeros(product.shape[:-1] + occupied.shape, dtype=product.dtype)
-        out[..., occupied] = product
+        out[np.broadcast_to(occupied, out.shape)] = product.reshape(-1)
         return self.synthesize(out)
 
 

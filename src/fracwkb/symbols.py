@@ -1,4 +1,4 @@
-"""Smooth cutoffs, dyadic partitions and phase-space symbols.
+"""Smooth cutoffs and phase-space symbols.
 
 Cutoffs are built from glued exponentials, so they are genuinely C^infinity
 with closed-form support and plateau intervals.  Phase-space symbols carry a
@@ -8,7 +8,6 @@ with fully analytic derivatives assembled from `metric.principal_jet`.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,14 +15,11 @@ from .metric import as_pairs, as_points, check_sigma, principal_jet
 
 __all__ = [
     "CutoffFunction",
-    "LowPassCutoff",
-    "LittlewoodPaleyPartition",
     "Jet",
     "SymbolFunction",
     "GaussianWindow",
     "ConstantWindow",
     "make_bump",
-    "littlewood_paley_partition",
     "fractional_symbol",
     "localized_amplitude",
 ]
@@ -119,66 +115,9 @@ class CutoffFunction:
         return f"CutoffFunction(support={self.support}, plateau={self.plateau})"
 
 
-class LowPassCutoff:
-    """Smooth low-pass profile: 1 on (-inf, r1], 0 on [r2, inf), for finite 0 < r1 < r2.
-
-    As a cutoff of P (lam >= 0) its support is [0, r2] and its plateau [0, r1].
-    """
-
-    def __init__(self, r1, r2):
-        if not 0.0 < r1 < r2 < np.inf:
-            raise ValueError(f"cutoff needs 0 < r1 < r2 < inf, got r1={r1}, r2={r2}")
-        self.support = (0.0, float(r2))
-        self.plateau = (0.0, float(r1))
-
-    def __call__(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        return smooth_step((self.support[1] - lam) / (self.support[1] - self.plateau[1]))
-
-    def _jet(self, lam):
-        """The value and the first two derivatives, in closed form: one
-        falling smooth step of an affine argument."""
-        lam = np.asarray(lam, dtype=float)
-        b = self.support[1] - self.plateau[1]
-        fall = _smooth_step_jet((self.support[1] - lam) / b)
-        return fall[0], -fall[1] / b, fall[2] / b**2
-
-    def __repr__(self):
-        return f"LowPassCutoff({self.plateau[1]}, {self.support[1]})"
-
-
 def make_bump(r1, r2, plateau):
     """Construct a smooth cutoff with support [r1, r2] and value 1 on `plateau`."""
     return CutoffFunction(r1, r2, plateau)
-
-
-@dataclass
-class LittlewoodPaleyPartition:
-    """Dyadic partition of unity phi0(lam) + sum_k phi(4^{-k} lam) = 1.
-
-    Built by telescoping a low-pass chi: phi(lam) = chi(lam) - chi(4 lam), so
-    phi(4^{-k} lam) = chi(4^{-k} lam) - chi(4^{-(k-1)} lam) and the sum to
-    k_max collapses to chi(4^{-k_max} lam), which equals 1 exactly for lam up
-    to chi's plateau edge times 4^{k_max}.
-    """
-
-    phi0: LowPassCutoff
-    k_max: int
-
-    def phi(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        return self.phi0(lam) - self.phi0(4.0 * lam)
-
-
-def littlewood_paley_partition(k_max):
-    """Dyadic partition with k_max retained blocks; see the partition class.
-
-    The low-pass chi is LowPassCutoff(1, 4): it falls from 1 to 0 on [1, 4],
-    so phi(lam) = chi(lam) - chi(4 lam) lives on [1/4, 4].
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    return LittlewoodPaleyPartition(phi0=LowPassCutoff(1.0, 4.0), k_max=int(k_max))
 
 
 # One evaluation of a symbol: its first and second partials, its value and

@@ -21,14 +21,15 @@ from fracwkb.nlfs import (NlfsProblem, conserved, global_continuation,
                           solve_nlfw)
 from fracwkb.spectral import (flat_operator, frequency_localize, make_grid,
                               measure_bernstein, modulated_gaussian,
-                              plane_wave, sobolev_norm, state_from_values)
+                              sobolev_norm, state_from_values)
 from fracwkb.strichartz import (DYADIC_SWEEP, classify_pair,
                                 measure_semiclassical_scaling,
                                 rescaling_identity_gap)
 from fracwkb.symbols import (ConstantWindow, GaussianWindow, fractional_symbol,
-                             littlewood_paley_partition, localized_amplitude,
-                             make_bump)
+                             localized_amplitude, make_bump, smooth_step)
 from fracwkb.transport import solve_transport
+
+from fourier_states import plane_wave
 
 FLAT = flat_metric(dim=1)
 CUT_STANDARD = (0.25, 3.8, (0.5, 3.0))
@@ -231,12 +232,14 @@ def test_admissible_pair_arithmetic():
 def test_littlewood_paley_reconstruction_and_bernstein():
     """Dyadic blocks resum to the identity; localization costs h^{-1/2}."""
     grid = make_grid(1, 256)
-    part = littlewood_paley_partition(8)
+    # the low pass chi falls from 1 to 0 on [1, 4]; with phi(lam) =
+    # chi(lam) - chi(4 lam) the blocks telescope to chi(lam / 4^8)
+    chi = lambda lam: smooth_step((4.0 - lam) / 3.0)
+    phi = lambda lam: chi(lam) - chi(4.0 * lam)
     u = modulated_gaussian(grid, np.pi, 0.3, omega=20.0)
-    total = frequency_localize(u, part.phi0, 1.0).values.copy()
-    for k in range(1, part.k_max + 1):
-        block = frequency_localize(u, lambda lam, k=k: part.phi(lam / 4.0**k),
-                                   1.0)
+    total = frequency_localize(u, chi, 1.0).values.copy()
+    for k in range(1, 9):
+        block = frequency_localize(u, lambda lam, k=k: phi(lam / 4.0**k), 1.0)
         total += block.values
     gap = state_from_values(grid, total - u.values).l2_norm() / u.l2_norm()
     print(f"reconstruction gap {gap:.3e}")

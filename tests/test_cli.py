@@ -317,6 +317,7 @@ def test_bad_scale_or_empty_grid_exits_one_naming_it(tmp_path, capsys, args, key
     (["dispersive", "--t0", "0"], "t0"),
     (["dispersive", "--t0", "-1"], "t0"),
     (["dispersive", "--t0", "nan"], "t0"),
+    (["dispersive", "--t0", "0.03125"], "t0"),
     (["dispersive", "--n_t", "0"], "n_t"),
     (["dispersive", "--n_t", "3"], "n_t"),
     (["strichartz", "--n_t", "1"], "n_t"),
@@ -326,13 +327,14 @@ def test_bad_scale_or_empty_grid_exits_one_naming_it(tmp_path, capsys, args, key
     (["strichartz", "--mode", "unscaled", "--interval_lo", "1"], "interval_lo"),
     (["strichartz", "--mode", "unscaled", "--interval_hi", "inf"], "interval_lo"),
 ], ids=["dispersive-t0-0", "dispersive-t0-negative", "dispersive-t0-nan",
-        "dispersive-n_t-0", "dispersive-n_t-3", "strichartz-n_t-1", "strichartz-n_t-0",
-        "strichartz-t0-0", "strichartz-t0-negative", "strichartz-interval-empty",
-        "strichartz-interval-unbounded"])
+        "dispersive-t0-2h", "dispersive-n_t-0", "dispersive-n_t-3", "strichartz-n_t-1",
+        "strichartz-n_t-0", "strichartz-t0-0", "strichartz-t0-negative",
+        "strichartz-interval-empty", "strichartz-interval-unbounded"])
 def test_degenerate_time_window_exits_two_naming_its_key(tmp_path, monkeypatch, capsys,
                                                          args, key):
     # rejected before any table, state or fit: a zero t0 fed numpy's geomspace,
-    # one node a zero trapezoid norm and a reversed window a negative one
+    # t0 = 2h a decay fit over one time, one node a zero trapezoid norm and a
+    # reversed window a negative one
     monkeypatch.setattr(cli, "build_phase", None)
     monkeypatch.setattr(cli, "classify_pair", None)
     assert main(args + ["--out", str(tmp_path)]) == 2
@@ -431,7 +433,8 @@ def test_phase_step_that_is_not_positive_exits_one(tmp_path, capsys, dt):
 
 def test_failed_check_exits_one(tmp_path):
     # at h = 1 the kernel is far from its semiclassical decay: the slope reads
-    # -0.189 and the fit's r2 0.595
+    # -0.189 and the fit's r2 0.595.  Its window, from 2h = 2 down to t0 = 1,
+    # spans the least factor the decay fit takes
     assert main(["dispersive", "--h", "1", "--out", str(tmp_path)]) == 1
     statuses = {row["claim"]: row["status"]
                 for row in _report_rows(tmp_path, "dispersive")}

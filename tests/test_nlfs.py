@@ -15,8 +15,10 @@ from fracwkb.nlfs import (BlowUpError, ContractionError, NlfsProblem,
                           global_continuation, picard_iterate, sobolev_bound,
                           solve_nlfs, solve_nlfw)
 from fracwkb.spectral import (discretize_P_1d, flat_operator, make_grid,
-                              modulated_gaussian, plane_wave, propagate,
-                              sobolev_norm, state_from_values)
+                              modulated_gaussian, propagate, sobolev_norm,
+                              state_from_values)
+
+from fourier_states import plane_wave
 
 N_GRID = 64
 

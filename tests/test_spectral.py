@@ -11,12 +11,12 @@ from fracwkb.spectral import (BoxGrid, discretize_P_1d, flat_operator,
                               frequency_localize, localized_gaussian,
                               lp_lq_norm, make_grid,
                               measure_bernstein, modulated_gaussian,
-                              plane_wave, propagate,
-                              sobolev_norm, state_from_fourier,
+                              propagate, sobolev_norm, state_from_fourier,
                               state_from_values)
-from fracwkb.symbols import littlewood_paley_partition, make_bump
+from fracwkb.symbols import make_bump, smooth_step
 
 import arclength_oracle
+from fourier_states import plane_wave
 
 # divergence-form FD + Richardson reference for the epsilon=0.1, L=16 bump
 # metric (notes/oracles/eigs_bump.py); each nonzero eigenvalue is double
@@ -274,12 +274,15 @@ def test_h_that_is_not_positive_and_finite_is_rejected(h):
 
 def test_littlewood_paley_reconstruction():
     grid = make_grid(1, 256)
-    part = littlewood_paley_partition(8)
+    # the low pass chi falls from 1 to 0 on [1, 4]; with phi(lam) =
+    # chi(lam) - chi(4 lam) the blocks telescope to chi(lam / 4^8)
+    chi = lambda lam: smooth_step((4.0 - lam) / 3.0)
+    phi = lambda lam: chi(lam) - chi(4.0 * lam)
     u = modulated_gaussian(grid, np.pi, 0.3, omega=20.0)
     h = 1.0
-    total = frequency_localize(u, part.phi0, h).values.copy()
-    for k in range(1, part.k_max + 1):
-        block = frequency_localize(u, lambda lam, k=k: part.phi(lam / 4.0**k), h)
+    total = frequency_localize(u, chi, h).values.copy()
+    for k in range(1, 9):
+        block = frequency_localize(u, lambda lam, k=k: phi(lam / 4.0**k), h)
         total += block.values
     np.testing.assert_allclose(total, u.values, atol=1e-10)
 

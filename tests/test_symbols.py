@@ -1,4 +1,4 @@
-"""Cutoffs, the dyadic partition, and phase-space symbol factories."""
+"""Cutoffs and phase-space symbol factories."""
 
 import dataclasses
 import warnings
@@ -6,10 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from fracwkb.metric import flat_metric, gaussian_bump_metric, principal_symbol
-from fracwkb.symbols import (ConstantWindow, GaussianWindow, Jet, LowPassCutoff,
-                             SymbolFunction, fractional_symbol, littlewood_paley_partition,
-                             localized_amplitude, make_bump)
+from fracwkb.metric import flat_metric, gaussian_bump_metric, principal_jet
+from fracwkb.symbols import (ConstantWindow, GaussianWindow, Jet, SymbolFunction,
+                             fractional_symbol, localized_amplitude, make_bump)
 
 # mpmath 50-digit values of the glued-exponential construction
 # (notes/oracles/bump_values.py)
@@ -73,10 +72,9 @@ def test_bump_rejects_inverted_intervals():
     with pytest.raises(ValueError):
         make_bump(-1.0, 4.0, (0.5, 2.0))
     # r2 = inf satisfies 0 < r1 < ... < r2 on its own
-    for cut in (lambda r2: make_bump(0.25, r2, (0.5, 2.0)), lambda r2: LowPassCutoff(1.0, r2)):
-        for r2 in (np.inf, np.nan):
-            with pytest.raises(ValueError, match="cutoff needs"):
-                cut(r2)
+    for r2 in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="cutoff needs"):
+            make_bump(0.25, r2, (0.5, 2.0))
 
 
 def test_bump_derivative_vanishes_off_ramps():
@@ -106,10 +104,10 @@ def test_cutoff_jets_agree_with_their_values_at_nan():
     nan = np.array([np.nan])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for cut in (make_bump(0.25, 4.0, (0.5, 2.0)), LowPassCutoff(1.0, 4.0)):
-            assert cut(nan)[0] == 0.0
-            for part in cut._jet(nan):
-                np.testing.assert_array_equal(part, [0.0])
+        cut = make_bump(0.25, 4.0, (0.5, 2.0))
+        assert cut(nan)[0] == 0.0
+        for part in cut._jet(nan):
+            np.testing.assert_array_equal(part, [0.0])
         a = localized_amplitude(flat_metric(dim=1), make_bump(0.25, 4.0, (0.5, 2.0)),
                                 window=GaussianWindow(1, width=0.8))
         value = a([[0.3]], [[np.nan]])
@@ -154,63 +152,12 @@ def test_jet_without_its_value_or_p_raises(missing):
 
 
 def test_cutoffs_declare_their_support_and_plateau():
-    low = LowPassCutoff(1.0, 4.0)
-    assert low.support == (0.0, 4.0) and low.plateau == (0.0, 1.0)
-    assert low(np.array([0.0, 1.0, 4.0])).tolist() == [1.0, 1.0, 0.0]
     bump = make_bump(0.25, 4.0, (0.5, 2.0))
     assert bump.support == (0.25, 4.0) and bump.plateau == (0.5, 2.0)
-    # an amplitude's p-band is its cutoff's support, whichever the cutoff
+    # an amplitude's p-band is its cutoff's support
     m = flat_metric(dim=1)
-    assert localized_amplitude(m, low).xi_band == (0.0, 4.0)
     assert localized_amplitude(m, bump).xi_band == (0.25, 4.0)
     assert localized_amplitude(m, bump).metric is m
-
-
-def test_low_pass_jet_is_the_falling_ramp_of_a_bump():
-    """LowPassCutoff(1, 4) is the fall of CutoffFunction(0.1, 4, (0.5, 1)) for
-    lam >= 0.5, so on the bump metric amplitudes on either cutoff have the
-    same jet there, bit for bit; the low pass's jet value is its own value."""
-    low = LowPassCutoff(1.0, 4.0)
-    lam = np.linspace(0.0, 5.0, 41)
-    np.testing.assert_array_equal(low._jet(lam)[0], low(lam))
-    assert localized_amplitude(flat_metric(dim=1), low).grad_x([[0.0]], [[1.0]]).shape == (1, 1)
-
-    m = gaussian_bump_metric(dim=1, epsilon=0.1)
-    x = np.repeat(np.linspace(-1.5, 1.5, 9), 12)[:, None]
-    xi = np.tile(np.linspace(0.6, 2.2, 12), 9)[:, None]
-    keep = principal_symbol(m, x, xi) >= 0.5
-    x, xi = x[keep], xi[keep]
-    window = GaussianWindow(1, center=0.2, width=0.8)
-    got = localized_amplitude(m, low, window=window).jet(x, xi)
-    want = localized_amplitude(m, make_bump(0.1, 4.0, (0.5, 1.0)), window=window).jet(x, xi)
-    for name in ("grad_x", "hess_xx", "value"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
-    assert np.count_nonzero(got.grad_x) > 50
-
-
-def test_partition_needs_a_block():
-    with pytest.raises(ValueError, match="k_max must be >= 1"):
-        littlewood_paley_partition(0)
-
-
-def test_partition_at_zero():
-    part = littlewood_paley_partition(6)
-    assert part.phi0(0.0) == 1.0
-    for k in range(1, 7):
-        assert part.phi(0.0 / 4.0**k) == 0.0
-
-
-def test_partition_blocks_telescope():
-    """phi0(lam) + sum_{k <= K} phi(lam / 4^k) = phi0(lam / 4^K), which is 1
-    for lam <= 4^K (phi0's plateau edge is 1) and falls below 1 beyond."""
-    for k_max in (3, 4, 6):
-        part = littlewood_paley_partition(k_max)
-        lams = np.geomspace(1e-3, 4.0 ** (k_max + 2), 400)
-        total = part.phi0(lams) + sum(part.phi(lams / 4.0**k) for k in range(1, k_max + 1))
-        np.testing.assert_allclose(total, part.phi0(lams / 4.0**k_max), rtol=0, atol=1e-15)
-        covered = lams <= 4.0**k_max
-        np.testing.assert_allclose(total[covered], 1.0, rtol=0, atol=1e-12)
-        assert total[-1] < 1.0
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0, 3.0])
@@ -219,7 +166,7 @@ def test_fractional_symbol_matches_metric_power(sigma):
     q0 = fractional_symbol(m, sigma, xi_band=(0.3, 3.0))
     x = np.linspace(-1.0, 1.0, 7)[:, None]
     xi = np.linspace(0.9, 1.5, 7)[:, None]
-    p = principal_symbol(m, x, xi)
+    p = principal_jet(m, x, xi)[1]
     np.testing.assert_allclose(q0(x, xi), p ** (0.5 * sigma), rtol=1e-13)
 
 
@@ -378,7 +325,7 @@ def test_symbol_jets_carry_the_value_and_p(sigma):
     m = gaussian_bump_metric(dim=1, epsilon=0.1)
     x = np.linspace(-1.0, 1.0, 8)[:, None]
     xi = np.linspace(-1.5, 1.5, 8)[:, None]
-    p = principal_symbol(m, x, xi)
+    p = principal_jet(m, x, xi)[1]
     q0 = fractional_symbol(m, sigma, xi_band=(0.3, 3.0))
     a = localized_amplitude(m, make_bump(0.3, 3.0, (0.5, 2.0)),
                             window=GaussianWindow(1, center=0.2, width=0.8))
