@@ -15,7 +15,7 @@ import numpy as np
 
 from .fio import kernel, kernel_sup, dispersive_fit, stationary_phase_prediction
 from .hamjac import build_phase, caustic_horizon, certify_phase_estimates, hj_residual
-from .metric import (audit_assumptions, check_sigma, flat_metric,
+from .metric import (audit_assumptions, check_h, check_sigma, flat_metric,
                      gaussian_bump_metric)
 from .nlfs import NlfsProblem, conserved, solve_nlfs, solve_nlfw
 from .spectral import (discretize_P_1d, flat_operator, localized_gaussian, make_grid,
@@ -282,6 +282,10 @@ def run_dispersive(cfg, outdir):
         raise ConfigError(f"t0 must be positive and finite, got {cfg['t0']}")
     if cfg["n_t"] < 6:                # the decay fit's least sample count
         raise ConfigError(f"n_t must be at least 6 for the decay fit, got {cfg['n_t']}")
+    try:
+        check_h(cfg["h"])
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     # the slope is a log-log fit over the window from 2h to t0, so its ends
     # must differ by a factor of 2 at least; at t0 = 2h every sample shares
     # one time and the slope read -12

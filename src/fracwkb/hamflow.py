@@ -10,7 +10,11 @@ phase pass needs, summed node by node as it steps, so no path is stored;
 it holds every node inside the guard band.
 
 Everything is vectorized over batches of phase-space points: positions and
-covectors are (n, d) arrays, Jacobians (n, 2d, 2d).
+covectors are (n, d) arrays, Jacobians (n, 2d, 2d).  Inside one RK4 step the
+state is packed into one (2d + 4d^2, n) array, a column per point, with the
+rows X, Xi and the entries of Z row by row (X, Xi, Z_00, Z_01, Z_10, Z_11 for
+d = 1), so each shift of the state and the final combination is one
+operation on the whole state.
 """
 
 from collections import namedtuple
@@ -49,40 +53,52 @@ class CausticError(RuntimeError):
 FlowEnd = namedtuple("FlowEnd", "X Xi Z action rate_integral")
 
 
-def _stage(H, X, Xi, Z):
-    """The flow field at (X, Xi) and A(t) Z, with A the linearization of the
-    field there, all read off one jet of H, and that jet.
+def _stage(H, S, K):
+    """Write the flow field at the packed state S, and A(t) Z with A the
+    linearization of the field there, into K, packed alike; return H's jet
+    at S, which the field and A are read off.
 
-    For d = 1 the two rows of A Z are products of the three scalar Hessians
-    with the rows of Z, written out entry by entry (one long loop over the
-    batch each), so no A is built; larger d assembles A and multiplies.
+    For d = 1 the rows of A Z are products of the three scalar Hessians with
+    the rows Z_0k and Z_1k, two rows at a time, so no A is built; larger d
+    assembles A and multiplies.
     """
-    jet = H.jet(X, Xi)
+    d = H.dim
+    jet = H.jet(S[:d].T, S[d:2 * d].T)
     gx, gxi, hxx, hxixi, hxxi = jet[:5]
-    if X.shape[1] == 1:
+    K[:d] = gxi.T
+    np.negative(gx.T, out=K[d:2 * d])
+    if d == 1:
         a, b, c = hxxi[:, 0, 0], hxixi[:, 0, 0], hxx[:, 0, 0]
-        AZ = np.empty_like(Z)
-        for k in range(2):
-            z_x, z_xi = Z[:, 0, k], Z[:, 1, k]
-            AZ[:, 0, k] = a * z_x + b * z_xi
-            AZ[:, 1, k] = -c * z_x - a * z_xi
+        z_x, z_xi = S[2:4], S[4:6]
+        np.multiply(a, z_x, out=K[2:4])
+        K[2:4] += b * z_xi
+        np.multiply(-c, z_x, out=K[4:6])
+        K[4:6] -= a * z_xi
     else:
-        d = X.shape[1]
-        A = np.empty((X.shape[0], 2 * d, 2 * d))
+        n = S.shape[1]
+        A = np.empty((n, 2 * d, 2 * d))
         A[:, :d, :d] = np.swapaxes(hxxi, 1, 2)
         A[:, :d, d:] = hxixi
         A[:, d:, :d] = -hxx
         A[:, d:, d:] = -hxxi
-        AZ = A @ Z
-    return (gxi, -gx, AZ), jet
+        AZ = A @ S[2 * d:].T.reshape(n, 2 * d, 2 * d)
+        K[2 * d:] = AZ.reshape(n, -1).T
+    return jet
 
 
 def _integrands(Xi, Z, jet):
     """The action integrand and the rate f at a node, from H's jet there.
     A singular Z_xx gives a non-finite f (a caustic), not a warning.
+
+    For d = 1 both are products of (n,) arrays, in the general path's
+    operand order, so the values are its values bit for bit.
     """
     d = Xi.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
+        if d == 1:
+            B = Z[:, 1, 0] * (1.0 / Z[:, 0, 0])
+            return (Xi[:, 0] * jet.grad_xi[:, 0] - jet.value,
+                    0.5 * (jet.hess_xixi[:, 0, 0] * (0.5 * (B + B))))
         B = Z[:, d:, :d] @ solve_blocks(Z[:, :d, :d], np.eye(d))
         W = 0.5 * (B + np.swapaxes(B, 1, 2))
         return (np.sum(Xi * jet.grad_xi, axis=1) - jet.value,
@@ -162,25 +178,32 @@ def integrate_flow(H, t, x, xi, n_steps):
 def _rk4_step(H, X, Xi, Z, h):
     """One classical RK4 step of (X, Xi) and Z, with H's jet at its start.
 
-    `h` is a scalar or one step per point; `y + c * dy` is the same IEEE
-    operation either way.
+    The stages run on the packed state of `_stage`, so each shift and the
+    final combination are whole-buffer operations, the same IEEE operations
+    in the same order as on X, Xi and Z apart.  `h` is a scalar or one step
+    per point, which scales the state's columns.  Returns ((n, d), (n, d),
+    (n, 2d, 2d)) C-contiguous arrays and the jet.
     """
-    state = (X, Xi, Z)
-
-    def shifted(c, k):
-        return tuple(y + _per_point(c, y) * dy for y, dy in zip(state, k))
-
-    k1, jet = _stage(H, *state)
-    k2 = _stage(H, *shifted(0.5 * h, k1))[0]
-    k3 = _stage(H, *shifted(0.5 * h, k2))[0]
-    k4 = _stage(H, *shifted(h, k3))[0]
-    return tuple(y + _per_point(h / 6.0, y) * (a + 2.0 * b + 2.0 * c + e)
-                 for y, a, b, c, e in zip(state, k1, k2, k3, k4)), jet
-
-
-def _per_point(c, y):
-    """A scalar `c` as it is, or one value per point shaped to scale the batch y."""
-    return c if np.ndim(c) == 0 else c.reshape((-1,) + (1,) * (y.ndim - 1))
+    n, d = X.shape
+    S = np.empty((2 * d + 4 * d * d, n))
+    S[:d], S[d:2 * d], S[2 * d:] = X.T, Xi.T, Z.reshape(n, -1).T
+    K = np.empty((4,) + S.shape)            # the four stage fields
+    T = np.empty(S.shape)                   # a shifted state, then the end
+    jet = _stage(H, S, K[0])
+    for k, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):
+        np.multiply(c, K[k - 1], out=T)
+        T += S
+        _stage(H, T, K[k])
+    # S + h / 6 (K1 + 2 K2 + 2 K3 + K4), summed left to right
+    np.multiply(2.0, K[1], out=T)
+    T += K[0]
+    K[2] *= 2.0
+    T += K[2]
+    T += K[3]
+    T *= h / 6.0
+    T += S
+    return tuple(np.ascontiguousarray(part) for part in (
+        T[:d].T, T[d:2 * d].T, T[2 * d:].T.reshape(n, 2 * d, 2 * d))), jet
 
 
 def inverse_map(H, t, x, xi, n_steps):
@@ -202,7 +225,7 @@ def inverse_map(H, t, x, xi, n_steps):
     """
     d = H.dim
     xt, cov = as_pairs(x, xi, d)
-    Y = xt - _per_point(t, xt) * H.jet(xt, cov).grad_xi
+    Y = xt - np.reshape(t, (-1, 1)) * H.jet(xt, cov).grad_xi
 
     flow = integrate_flow(H, t, Y, cov, n_steps)
     res = np.max(np.abs(flow.X - xt), axis=1)

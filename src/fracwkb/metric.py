@@ -184,7 +184,13 @@ def gaussian_bump_metric(dim=1, epsilon=0.1, box_length=16.0):
 
     def _jet(pts):
         # one exp: w = 1 + e, d/dx_j w = -2 x_j e and
-        # d^2/dx_j dx_k w = (4 x_j x_k - 2 delta_jk) e, with e = eps e^{-|x|^2}
+        # d^2/dx_j dx_k w = (4 x_j x_k - 2 delta_jk) e, with e = eps e^{-|x|^2};
+        # for d = 1 the same operations on (n,) arrays, without the eye
+        if dim == 1:
+            x = pts[:, 0]
+            e = epsilon * np.exp(-(x**2))
+            return ((1.0 + e).reshape(-1, 1, 1), (-2.0 * x * e).reshape(-1, 1, 1, 1),
+                    ((4.0 * x * x - 2.0) * e).reshape(-1, 1, 1, 1, 1))
         e = epsilon * np.exp(-np.sum(pts**2, axis=1))
         dw = -2.0 * pts * e[:, None]
         quad = 4.0 * pts[:, :, None] * pts[:, None, :] - 2.0 * eye

@@ -318,6 +318,9 @@ def test_bad_scale_or_empty_grid_exits_one_naming_it(tmp_path, capsys, args, key
     (["dispersive", "--t0", "-1"], "t0"),
     (["dispersive", "--t0", "nan"], "t0"),
     (["dispersive", "--t0", "0.03125"], "t0"),
+    (["dispersive", "--h", "0"], "h"),
+    (["dispersive", "--h", "-0.01"], "h"),
+    (["dispersive", "--h", "nan"], "h"),
     (["dispersive", "--n_t", "0"], "n_t"),
     (["dispersive", "--n_t", "3"], "n_t"),
     (["strichartz", "--n_t", "1"], "n_t"),
@@ -327,14 +330,15 @@ def test_bad_scale_or_empty_grid_exits_one_naming_it(tmp_path, capsys, args, key
     (["strichartz", "--mode", "unscaled", "--interval_lo", "1"], "interval_lo"),
     (["strichartz", "--mode", "unscaled", "--interval_hi", "inf"], "interval_lo"),
 ], ids=["dispersive-t0-0", "dispersive-t0-negative", "dispersive-t0-nan",
-        "dispersive-t0-2h", "dispersive-n_t-0", "dispersive-n_t-3", "strichartz-n_t-1",
+        "dispersive-t0-2h", "dispersive-h-0", "dispersive-h-negative", "dispersive-h-nan",
+        "dispersive-n_t-0", "dispersive-n_t-3", "strichartz-n_t-1",
         "strichartz-n_t-0", "strichartz-t0-0", "strichartz-t0-negative",
         "strichartz-interval-empty", "strichartz-interval-unbounded"])
 def test_degenerate_time_window_exits_two_naming_its_key(tmp_path, monkeypatch, capsys,
                                                          args, key):
-    # rejected before any table, state or fit: a zero t0 fed numpy's geomspace,
-    # t0 = 2h a decay fit over one time, one node a zero trapezoid norm and a
-    # reversed window a negative one
+    # rejected before any table, state or fit: a zero t0 or h fed numpy's
+    # geomspace, t0 = 2h a decay fit over one time, one node a zero trapezoid
+    # norm and a reversed window a negative one
     monkeypatch.setattr(cli, "build_phase", None)
     monkeypatch.setattr(cli, "classify_pair", None)
     assert main(args + ["--out", str(tmp_path)]) == 2

@@ -96,6 +96,12 @@ def test_inverse_metric_is_the_first_part_of_the_jet():
     pts = np.linspace(-3.0, 3.0, 25)[:, None]
     e = 0.1 * np.exp(-np.sum(pts**2, axis=1))
     np.testing.assert_array_equal(m.inverse_metric(pts), (1.0 + e)[:, None, None] * np.eye(1))
+    # the d = 1 jet is the general-d formula's values, written without the eye
+    quad = 4.0 * pts[:, :, None] * pts[:, None, :] - 2.0 * np.eye(1)
+    for got, want in zip(m.inverse_metric_jet(pts)[1:],
+                         ((-2.0 * pts * e[:, None])[:, :, None, None] * np.eye(1),
+                          (quad * e[:, None, None])[:, :, :, None, None] * np.eye(1))):
+        np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(flat_metric(dim=2).inverse_metric(np.zeros((4, 2))),
                                   np.broadcast_to(np.eye(2), (4, 2, 2)))
     with pytest.raises(TypeError):
