@@ -352,26 +352,27 @@ def run_strichartz(cfg, outdir):
     return rows
 
 
-def _nlfs_setup(cfg):
+def _nlfs_problem(cfg, wave=False):
+    """The suite's problem; a setting the grid or NlfsProblem rejects is a ConfigError."""
     m = _metric_from(cfg)
-    if m.is_flat:
-        grid = make_grid(1, cfg["n"], m.box_length)
-        op = flat_operator(grid)
-    else:
-        try:
-            op = discretize_P_1d(m, cfg["n"])
-        except ValueError as err:
-            raise ConfigError(f"the bump eigensolver cannot take n = {cfg['n']}: {err}") from err
-        grid = op.grid
+    try:
+        op = (flat_operator(make_grid(1, cfg["n"], m.box_length)) if m.is_flat
+              else discretize_P_1d(m, cfg["n"]))
+    except ValueError as err:
+        raise ConfigError(f"n = {cfg['n']} makes no {cfg['metric']} operator: {err}") from err
+    grid = op.grid
     u0 = modulated_gaussian(grid, 0.5 * grid.length, cfg["width"], cfg["omega"])
     u0 = state_from_values(grid, cfg["amp"] * u0.values)
-    return grid, op, u0
+    v1 = state_from_values(grid, cfg["v1_amp"] * u0.values.real.astype(complex)) if wave else None
+    try:
+        return NlfsProblem(sigma=cfg["sigma"], nu=cfg["nu"], mu=cfg["mu"],
+                           u0=u0, T=cfg["T"], dt=cfg["dt"], op=op, v1=v1)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def run_nlfs(cfg, outdir):
-    grid, op, u0 = _nlfs_setup(cfg)
-    prob = NlfsProblem(sigma=cfg["sigma"], nu=cfg["nu"], mu=cfg["mu"],
-                       u0=u0, T=cfg["T"], dt=cfg["dt"], op=op)
+    prob = _nlfs_problem(cfg)
     traj = solve_nlfs(prob)
     q0 = conserved(prob, traj.states[0])
     records = []
@@ -382,7 +383,7 @@ def run_nlfs(cfg, outdir):
         energy_drift = max(energy_drift, abs(q.energy - q0.energy) / max(abs(q0.energy), 1e-30))
         records.append((float(t), q.mass, q.energy,
                         float(np.max(np.abs(s.values))),
-                        sobolev_norm(s, 0.5 * cfg["sigma"], op)))
+                        sobolev_norm(s, 0.5 * cfg["sigma"], prob.op)))
     _write_csv(outdir / "monitors.csv", ["t", "mass", "energy", "linf", "h_sigma_half"],
                records)
     return [_row("mass-drift", mass_drift, 1e-10, mass_drift < 1e-10),
@@ -390,10 +391,7 @@ def run_nlfs(cfg, outdir):
 
 
 def run_nlfw(cfg, outdir):
-    grid, op, v0 = _nlfs_setup(cfg)
-    v1 = state_from_values(grid, cfg["v1_amp"] * np.real(v0.values).astype(complex))
-    prob = NlfsProblem(sigma=cfg["sigma"], nu=cfg["nu"], mu=cfg["mu"],
-                       u0=v0, T=cfg["T"], dt=cfg["dt"], op=op, v1=v1)
+    prob = _nlfs_problem(cfg, wave=True)
     traj = solve_nlfw(prob)
     q0 = conserved(prob, traj.states[0], traj.velocities[0])
     records = []

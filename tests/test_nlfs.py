@@ -14,8 +14,8 @@ from fracwkb.nlfs import (BlowUpError, ContractionError, NlfsProblem,
                           _sin_over, conserved,
                           global_continuation, picard_iterate, sobolev_bound,
                           solve_nlfs, solve_nlfw)
-from fracwkb.spectral import (discretize_P_1d, flat_operator, make_grid,
-                              modulated_gaussian, propagate, sobolev_norm,
+from fracwkb.spectral import (SpectralOperator, discretize_P_1d, flat_operator,
+                              make_grid, modulated_gaussian, propagate, sobolev_norm,
                               state_from_values)
 
 from fourier_states import plane_wave
@@ -131,6 +131,8 @@ def test_picard_matches_split_step(setup):
 def _operator(path):
     if path == "flat":
         return flat_operator(make_grid(1, N_GRID))
+    if path == "flat-2d":
+        return flat_operator(make_grid(2, 32))
     return discretize_P_1d(gaussian_bump_metric(dim=1, epsilon=0.1), 65)
 
 
@@ -145,8 +147,8 @@ def _per_state_picard(prob, n_iter, n_t):
             propagate(state_from_values(grid, 1j * prob.mu * np.abs(c) ** (prob.nu - 1.0) * c),
                       op, sigma, -t).values for c, t in zip(cur, times)])
         acc = np.zeros_like(integrand)
-        acc[1:] = np.cumsum(np.diff(times)[:, None] * (integrand[1:] + integrand[:-1]) / 2.0,
-                            axis=0)
+        dt = np.diff(times).reshape((-1,) + (1,) * grid.dim)
+        acc[1:] = np.cumsum(dt * (integrand[1:] + integrand[:-1]) / 2.0, axis=0)
         nxt = [propagate(state_from_values(grid, prob.u0.values + a), op, sigma, t).values
                for a, t in zip(acc, times)]
         diffs.append(max(np.linalg.norm(a - b) for a, b in zip(nxt, cur))
@@ -155,8 +157,11 @@ def _per_state_picard(prob, n_iter, n_t):
     return np.array(cur), np.array(diffs)
 
 
-@pytest.mark.parametrize("path", ["flat", "eig"])
+@pytest.mark.parametrize("path", ["flat", "flat-2d", "eig"])
 def test_batched_picard_matches_per_state_propagation(path):
+    """The coefficient-space iteration against the Duhamel map in values, one
+    propagate call per state and time; in 2-D the group table broadcasts
+    over both grid axes."""
     op = _operator(path)
     u0 = modulated_gaussian(op.grid, 0.5 * op.grid.length, 0.5, omega=3.0)
     prob = _problem(op.grid, op, u0, T=0.05)
@@ -165,6 +170,29 @@ def test_batched_picard_matches_per_state_propagation(path):
     assert_allclose(np.array([s.values for s in report.states]), states,
                     rtol=1e-13, atol=1e-13)
     assert_allclose(report.diffs, diffs, rtol=1e-12, atol=1e-13 * diffs[0])
+
+
+@pytest.mark.parametrize("path", ["flat", "flat-2d", "eig"])
+@pytest.mark.parametrize("n_iter", [1, 3])
+def test_picard_makes_two_transforms_per_iteration(path, n_iter, monkeypatch):
+    """One transform of u0 and one synthesis of the free evolution, then per
+    iteration one transform of the nonlinearity and one synthesis."""
+    op = _operator(path)
+    calls = []
+
+    def counted(name):
+        method = getattr(SpectralOperator, name)
+
+        def call(self, arg):
+            calls.append(name)
+            return method(self, arg)
+        return call
+
+    for name in ("coefficients", "synthesize"):
+        monkeypatch.setattr(SpectralOperator, name, counted(name))
+    u0 = modulated_gaussian(op.grid, 0.5 * op.grid.length, 0.5, omega=3.0)
+    picard_iterate(_problem(op.grid, op, u0, T=0.05), n_iter=n_iter, n_t=9)
+    assert calls == ["coefficients", "synthesize"] * (1 + n_iter)
 
 
 @pytest.mark.parametrize("path", ["flat", "eig"])
@@ -208,9 +236,10 @@ def test_picard_rejects_empty_iteration(setup, kwargs):
 def test_picard_blowup_guard(setup):
     grid, op = setup
     prob = _problem(grid, op, _combo(grid, [(1, 3.0)]), nu=5.0, mu=-1, T=1.0)
-    with pytest.raises(BlowUpError) as err:
+    message = "sup amplitude exceeded 1e+06 x initial at t=0.171875"
+    with pytest.raises(BlowUpError, match=f"^{re.escape(message)}$") as err:
         picard_iterate(prob, n_iter=4)
-    assert err.value.t_last >= 0.0
+    assert err.value.t_last == 0.171875      # the first of the 65 nodes over the bound
 
 
 def test_blowup_on_nonfinite_data(setup):
